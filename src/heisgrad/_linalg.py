@@ -12,7 +12,7 @@ from .scalars import CycloCtx, CycloNum
 Vect = tuple[CycloNum, ...]
 
 __all__ = [
-    "Vect", "vzero", "vadd", "vsub", "vscale", "vneg", "is_zero_vect",
+    "Vect", "vzero", "vadd", "vsub", "vscale", "is_zero_vect",
     "rref", "rank", "in_span", "reduce_against", "kernel", "intersection",
     "mat_inverse", "mat_apply", "same_span",
 ]
@@ -33,10 +33,6 @@ def vsub(a: Vect, b: Vect) -> Vect:
 
 def vscale(c: CycloNum, a: Vect) -> Vect:
     return tuple(c * x for x in a)
-
-
-def vneg(a: Vect) -> Vect:
-    return tuple(-x for x in a)
 
 
 def is_zero_vect(a: Vect) -> bool:

@@ -88,9 +88,28 @@ def _load_json(arg: str) -> dict:
         except OSError as exc:
             raise CliError(f"cannot read {arg}: {exc}", PARSE_ERROR)
     try:
-        return json.loads(text)
+        spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"bad JSON input: {exc}", PARSE_ERROR)
+    if not isinstance(spec, dict):
+        raise CliError("bad JSON input: the top level must be an object", PARSE_ERROR)
+    return spec
+
+
+def _load_grading(args, strict: bool = True):
+    """The grading spec named by args.input, parsed and verified; with
+    strict, a grading that fails verification is an error."""
+    spec = _load_json(args.input)
+    ctx = CycloCtx(args.conductor) if args.conductor else None
+    try:
+        gr = grading_from_json(spec, ctx)
+    except (ValueError, KeyError, ScalarSyntaxError) as exc:
+        raise CliError(f"bad grading spec: {exc}", PARSE_ERROR)
+    report = verify_grading(gr)
+    if strict and not report.ok:
+        raise CliError("grading fails verification: " + "; ".join(report.failures),
+                       VALIDATION_ERROR)
+    return gr, report
 
 
 def _emit(out, fmt: str, text_lines: list[str], payload: dict) -> None:
@@ -98,10 +117,6 @@ def _emit(out, fmt: str, text_lines: list[str], payload: dict) -> None:
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         out.write("\n".join(text_lines) + "\n")
-
-
-def _elt_str(g) -> str:
-    return str(g)
 
 
 def _grading_lines(gr) -> list[str]:
@@ -256,13 +271,7 @@ def cmd_weyl(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    spec = _load_json(args.input)
-    ctx = CycloCtx(args.conductor) if args.conductor else None
-    try:
-        gr = grading_from_json(spec, ctx)
-    except (ValueError, KeyError, ScalarSyntaxError) as exc:
-        raise CliError(f"bad grading spec: {exc}", PARSE_ERROR)
-    report = verify_grading(gr)
+    _, report = _load_grading(args, strict=False)
     lines = [f"verification: {'pass' if report.ok else 'FAIL'}"]
     lines.extend("  " + f for f in report.failures)
     _emit(out, args.format, lines,
@@ -271,16 +280,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_universal_group(args, out) -> int:
-    spec = _load_json(args.input)
-    ctx = CycloCtx(args.conductor) if args.conductor else None
-    try:
-        gr = grading_from_json(spec, ctx)
-    except (ValueError, KeyError, ScalarSyntaxError) as exc:
-        raise CliError(f"bad grading spec: {exc}", PARSE_ERROR)
-    report = verify_grading(gr)
-    if not report.ok:
-        raise CliError("grading fails verification: " + "; ".join(report.failures),
-                       VALIDATION_ERROR)
+    gr, _ = _load_grading(args)
     group, regraded = universal_group(gr)
     lines = [f"universal grading group: {group}"]
     lines.extend(_grading_lines(regraded)[1:])
@@ -290,16 +290,7 @@ def cmd_universal_group(args, out) -> int:
 
 
 def cmd_decompose(args, out) -> int:
-    spec = _load_json(args.input)
-    ctx = CycloCtx(args.conductor) if args.conductor else None
-    try:
-        gr = grading_from_json(spec, ctx)
-    except (ValueError, KeyError, ScalarSyntaxError) as exc:
-        raise CliError(f"bad grading spec: {exc}", PARSE_ERROR)
-    report = verify_grading(gr)
-    if not report.ok:
-        raise CliError("grading fails verification: " + "; ".join(report.failures),
-                       VALIDATION_ERROR)
+    gr, _ = _load_grading(args)
     try:
         u_new, blocks_i, blocks_ii, params = decompose_twisted_grading(gr)
     except ValueError as exc:
@@ -384,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--conductor", type=int, default=None,
                        help="override the automatically selected conductor")
-        p.add_argument("--cap", type=int, default=12,
-                       help="support-size cap for the brute-force search")
         if needs_input:
             p.add_argument("input", help="path to a JSON spec, or inline JSON")
 
@@ -408,6 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute", action="store_true",
                    help="also run the brute-force search")
     common(p)
+    p.add_argument("--cap", type=int, default=12,
+                   help="support-size cap for the brute-force search")
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("verify", help="verify a grading spec")

@@ -9,13 +9,15 @@ recognition of arbitrary graded structures as standard forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ._linalg import (Vect, in_span, is_zero_vect, mat_inverse, rref, vadd,
-                      vscale, vsub, vzero)
+from ._linalg import (Vect, in_span, is_zero_vect, rref, vadd, vscale, vsub,
+                      vzero)
 from .abelian import (AbGroup, GroupElt, canonicalize, express_in_terms,
                       generates, subgroup_presentation)
-from .gradings import Grading
+from .gradings import (Grading, dual_vectors, orthogonal_gram_schmidt,
+                       symplectic_gram_schmidt)
 from .liealg import Algebra, VerifyReport, center, derived
-from .scalars import CycloCtx, CycloNum, format_scalar, parse_scalar
+from .scalars import (CycloCtx, CycloNum, format_scalar, parse_scalar,
+                      sqrt_scalar)
 
 __all__ = [
     "Bicharacter", "ColorType",
@@ -294,7 +296,9 @@ def classify_color(a: Algebra, gr: Grading, eps: Bicharacter):
     ctx = a.ctx
     zero_elt = group.zero()
 
-    def pairing_coeff(x: Vect, y: Vect) -> CycloNum:
+    def pairing(x: Vect, y: Vect) -> CycloNum:
+        # [x, y] = pairing(x, y) z; alternating on degree 0 when g0 = 0
+        # (eps(0, 0) = 1), symmetric on self-paired degrees (eps(g, g) = -1)
         w = a.bracket(x, y)
         piv = next(i for i, c in enumerate(z) if c)
         rest = vsub(w, vscale(w[piv] / z[piv], z))
@@ -306,65 +310,24 @@ def classify_color(a: Algebra, gr: Grading, eps: Bicharacter):
     dims: dict[GroupElt, int] = {}
     handled = set()
 
-    def dual_basis(g, h, left_vectors):
-        right = list(gr.components[h])
-        gram = [[pairing_coeff(x, y) for y in right] for x in left_vectors]
-        inv = mat_inverse([tuple(gram[i][j] for i in range(len(left_vectors)))
-                           for j in range(len(right))], ctx)
-        if inv is None:
-            raise ValueError(f"pairing between degrees {g} and {h} is degenerate")
-        duals = []
-        for qi in range(len(left_vectors)):
-            acc = vzero(ctx, a.dim)
-            for pi in range(len(right)):
-                if inv[qi][pi]:
-                    acc = vadd(acc, vscale(inv[qi][pi], right[pi]))
-            duals.append(acc)
-        return duals
+    def add_pairs(tag, g, h, pairs):
+        for i, (u, uh) in enumerate(pairs, start=1):
+            basis.append((f"u{tag}_{i}", g, u))
+            basis.append((f"uh{tag}_{i}", h, uh))
 
     # the distinguished pair {g0, 0}
-    comp0 = list(gr.components[g0])
-    others = [v for v in comp0 if not in_span([z], v)]
+    others = [v for v in gr.components[g0] if not in_span([z], v)]
+    left = _complement_of_line(others, z, ctx)
     if g0 != zero_elt:
-        left = _complement_of_line(others, z, ctx)
-        dims[g0] = len(left) + 1
-        if zero_elt in gr.components:
-            duals = dual_basis(g0, zero_elt, left)
-            dims[zero_elt] = len(duals)
-            for i, (u, uh) in enumerate(zip(left, duals), start=1):
-                basis.append((f"u0_{i}", g0, u))
-                basis.append((f"uh0_{i}", zero_elt, uh))
-        elif left:
-            raise ValueError("degree-g0 component pairs with a missing 0 component")
-        else:
-            dims[zero_elt] = 0
-        handled.update((g0, zero_elt))
+        right = list(gr.components.get(zero_elt, ()))
+        pairs = zip(left, dual_vectors(pairing, left, right))
+        dims[g0], dims[zero_elt] = len(left) + 1, len(right)
     else:
         # g0 = 0: split off z, then hyperbolic pairs inside one component
-        work = _complement_of_line(others, z, ctx)
-        dims[zero_elt] = len(work) + 1
-        idx = 0
-        while work:
-            x = work[0]
-            mate = next((y for y in work[1:] if pairing_coeff(x, y)), None)
-            if mate is None:
-                raise ValueError("degenerate pairing on the degree-0 component")
-            y = vscale(pairing_coeff(x, mate).inv(), mate)
-            idx += 1
-            basis.append((f"u0_{idx}", zero_elt, x))
-            basis.append((f"uh0_{idx}", zero_elt, y))
-            rest = []
-            for w in work:
-                if w is x or w is mate:
-                    continue
-                w2 = vsub(w, vscale(pairing_coeff(w, y), x))
-                c = pairing_coeff(w2, x)
-                denom = pairing_coeff(y, x)
-                w2 = vsub(w2, vscale(c / denom, y))
-                if not is_zero_vect(w2):
-                    rest.append(w2)
-            work = rest
-        handled.add(zero_elt)
+        pairs = symplectic_gram_schmidt(pairing, left)
+        dims[zero_elt] = len(left) + 1
+    add_pairs("0", g0, zero_elt, pairs)
+    handled.update((g0, zero_elt))
 
     for g in gr.support:
         if g in handled:
@@ -374,48 +337,19 @@ def classify_color(a: Algebra, gr: Grading, eps: Bicharacter):
             # self-paired: orthogonalize (Gram-Schmidt) and normalize [x, x] = z
             if eps(g, g) != -ctx.one():
                 raise ValueError(f"epsilon({g},{g}) must be -1 on a self-paired degree")
-            work = list(gr.components[g])
-            idx = 0
-            while work:
-                x = next((v for v in work if pairing_coeff(v, v)), None)
-                if x is None:
-                    found = False
-                    for i2 in range(len(work)):
-                        for j2 in range(i2 + 1, len(work)):
-                            if pairing_coeff(work[i2], work[j2]):
-                                work[i2] = vadd(work[i2], work[j2])
-                                found = True
-                                break
-                        if found:
-                            break
-                    if not found:
-                        raise ValueError(f"degenerate pairing on degree {g}")
-                    continue
-                nx = pairing_coeff(x, x)
-                rest = []
-                for w in work:
-                    if w is x:
-                        continue
-                    w2 = vsub(w, vscale(pairing_coeff(w, x) / nx, x))
-                    if not is_zero_vect(w2):
-                        rest.append(w2)
-                x = vscale(_sqrt_scalar(nx.inv(), ctx), x)
-                idx += 1
-                basis.append((f"s{_deg_tag(g)}_{idx}", g, x))
-                work = rest
-            dims[g] = idx
-            handled.add(g)
+            diag = orthogonal_gram_schmidt(pairing, gr.components[g])
+            for i, x in enumerate(diag, start=1):
+                x = vscale(sqrt_scalar(pairing(x, x).inv()), x)
+                basis.append((f"s{_deg_tag(g)}_{i}", g, x))
+            dims[g] = len(diag)
         else:
             if partner not in gr.components:
                 raise ValueError(f"degree {g} has no partner component at {partner}")
             left = list(gr.components[g])
-            duals = dual_basis(g, partner, left)
-            for i, (u, uh) in enumerate(zip(left, duals), start=1):
-                basis.append((f"u{_deg_tag(g)}_{i}", g, u))
-                basis.append((f"uh{_deg_tag(g)}_{i}", partner, uh))
-            dims[g] = len(left)
-            dims[partner] = len(duals)
-            handled.update((g, partner))
+            duals = dual_vectors(pairing, left, list(gr.components[partner]))
+            add_pairs(_deg_tag(g), g, partner, zip(left, duals))
+            dims[g] = dims[partner] = len(left)
+        handled.update((g, partner))
 
     t = ColorType(group, g0, eps, dims)
     t.validate()
@@ -453,11 +387,6 @@ def _complement_of_line(vectors: list[Vect], line: Vect, ctx) -> list[Vect]:
             out.append(w)
     basis, _ = rref(out)
     return list(basis)
-
-
-def _sqrt_scalar(x: CycloNum, ctx: CycloCtx) -> CycloNum:
-    from .fine import _sqrt_in_ctx
-    return _sqrt_in_ctx(x, ctx)
 
 
 # --- JSON interface ---------------------------------------------------------

@@ -18,7 +18,8 @@ from ._linalg import (Vect, in_span, intersection, is_zero_vect, kernel,
 from .abelian import AbGroup, GroupElt, group_product
 from .liealg import Algebra, heisenberg, heisenberg_super, twisted
 from .gradings import Grading, universal_group
-from .scalars import CycloCtx, CycloNum, divisors, root_of_unity_order, sqrt_int
+from .scalars import (CycloCtx, CycloNum, divisors, root_of_unity_order,
+                      sqrt_int, sqrt_scalar)
 
 __all__ = [
     "FineTwistedParams", "BlockI", "BlockII", "ScalarClass",
@@ -27,7 +28,8 @@ __all__ = [
     "block_i", "block_ii", "rebase_block_i", "rebase_block_ii",
     "spectrum_check", "enumerate_twisted_fine", "equivalent_fine",
     "homogenize_u", "decompose_twisted_grading",
-    "primitive_root", "scalar_class_key", "expected_twisted_group",
+    "primitive_root", "scalar_class", "scalar_class_key", "scalar_class_data",
+    "expected_twisted_group",
 ]
 
 
@@ -84,19 +86,15 @@ def primitive_root(ctx: CycloCtx, order: int, lam=()) -> CycloNum | None:
     return None
 
 
-def _beta_class_data(l: int, xi: CycloNum) -> tuple[int, CycloNum]:
-    """Class modulus and root for type-I block scalars."""
+def scalar_class_data(lam: list[CycloNum], l: int):
+    """The (modulus, root) pairs that define the classes of type-I and of
+    type-II block scalars for block order l: classes modulo the l-th roots
+    of unity, except type-I scalars for odd l, taken modulo 2l-th roots."""
+    xi = primitive_root(lam[0].ctx, l, lam)
     if l % 2 == 0:
-        return l, xi
-    # for odd l the class is taken modulo 2l-th roots; -xi^((l+1)/2) is a
-    # primitive 2l-th root with square xi
-    zeta2l = -(xi ** ((l + 1) // 2))
-    return 2 * l, zeta2l
-
-
-def _alpha_class_data(l: int, xi: CycloNum) -> tuple[int, CycloNum]:
-    """Class modulus and root for type-II block scalars."""
-    return l, xi
+        return (l, xi), (l, xi)
+    # -xi^((l+1)/2) is a primitive 2l-th root with square xi
+    return (2 * l, -(xi ** ((l + 1) // 2))), (l, xi)
 
 
 # --- parameters and the spectrum condition -----------------------------------
@@ -411,10 +409,7 @@ def enumerate_super_fine(k: int, m: int) -> list[tuple[int, Grading]]:
 
 def _normalize_params(lam: list[CycloNum], p: FineTwistedParams) -> FineTwistedParams:
     """Rescale block scalars to canonical class representatives and sort."""
-    ctx = lam[0].ctx
-    xi = primitive_root(ctx, p.l, lam)
-    bm, br = _beta_class_data(p.l, xi)
-    am, ar = _alpha_class_data(p.l, xi)
+    (bm, br), (am, ar) = scalar_class_data(lam, p.l)
     betas = sorted((scalar_class(b, bm, br).rep for b in p.betas),
                    key=lambda v: v.sort_key())
     alphas = sorted((scalar_class(x, am, ar).rep for x in p.alphas),
@@ -471,9 +466,8 @@ def twisted_fine(lam: list[CycloNum], p: FineTwistedParams) -> Grading:
         blocks_i.append(block_i(a, l, b, _assign_pairs(lam, values, used)))
     blocks_ii = []
     for alpha in p.alphas:
-        m = l // 2
-        zeta = primitive_root(ctx, l, lam)  # primitive 2m-th root
-        values = [(zeta ** q) * alpha for q in range(1, m + 1)]
+        m = l // 2  # xi is a primitive 2m-th root
+        values = [(xi ** q) * alpha for q in range(1, m + 1)]
         blocks_ii.append(block_ii(a, m, alpha, _assign_pairs(lam, values, used)))
 
     factors = ([l] if l > 1 else []) + [0] * s + [0] + ([2] * (r - 1) if r else [])
@@ -571,10 +565,7 @@ def _extract_blocks(spec: Counter, l: int, s: int, r: int,
 
 
 def param_sort_key(lam: list[CycloNum], p: FineTwistedParams):
-    ctx = lam[0].ctx
-    xi = primitive_root(ctx, p.l, lam)
-    bm, br = _beta_class_data(p.l, xi)
-    am, ar = _alpha_class_data(p.l, xi)
+    (bm, br), (am, ar) = scalar_class_data(lam, p.l)
     bkeys = sorted(scalar_class_key(b, bm, br) for b in p.betas)
     akeys = sorted(scalar_class_key(x, am, ar) for x in p.alphas)
     return (p.l, p.s, p.r, tuple(bkeys), tuple(akeys),
@@ -621,11 +612,7 @@ def equivalent_fine(lam: list[CycloNum], p: FineTwistedParams,
     roots for odd l on the type-I side)."""
     if (p.l, p.s, p.r) != (q.l, q.s, q.r):
         return False
-    ctx = lam[0].ctx
-    l = p.l
-    xi = primitive_root(ctx, l, lam)
-    bm, br = _beta_class_data(l, xi)
-    am, ar = _alpha_class_data(l, xi)
+    (bm, br), (am, ar) = scalar_class_data(lam, p.l)
     pb = Counter(scalar_class_key(b, bm, br) for b in p.betas)
     pa = Counter(scalar_class_key(x, am, ar) for x in p.alphas)
 
@@ -808,7 +795,7 @@ def decompose_twisted_grading(gr: Grading):
             x2 = _find_selfpaired(a, remaining, vl, ctx, phi, z_coeff)
             if x2 is not None:
                 c = z_coeff(a.bracket(x2, phi(x2)))
-                t = _sqrt_in_ctx((mu * mu) / c, ctx)
+                t = sqrt_scalar((mu * mu) / c)
                 x2 = vscale(t, x2)
                 xs = [vscale(mu ** -j, phi_pow(x2, j)) for j in range(1, l + 1)]
                 blk = BlockII(l // 2, mu, tuple(xs))
@@ -889,54 +876,3 @@ def _find_partner(a: Algebra, remaining, x: Vect, vl_partner: list[Vect], ctx) -
                 return y
     raise AssertionError("no pairing partner found for the extracted orbit")
 
-
-def _sqrt_in_ctx(x: CycloNum, ctx: CycloCtx) -> CycloNum:
-    """A square root of x in the same field, for x of the structured form
-    root-of-unity times a rational (enough for the block normalizations
-    arising from graded bases)."""
-    if not x:
-        return ctx.zero()
-    for t in range(ctx.n):
-        cand = x / ctx.zeta(2 * t)
-        if not cand.is_rational():
-            continue
-        q = cand.as_fraction()
-        if q <= 0:
-            continue
-        root = _sqrt_fraction(q, ctx)
-        if root is not None:
-            return root * ctx.zeta(t)
-    raise ValueError("square root is not representable at this conductor")
-
-
-def _sqrt_fraction(q: Fraction, ctx: CycloCtx) -> CycloNum | None:
-    """sqrt of a positive rational inside ctx, or None if the needed
-    Gauss-sum roots are not available at this conductor."""
-    from .scalars import prime_factors
-    n = q.numerator * q.denominator
-    square, free = 1, 1
-    for p, e in prime_factors(n).items():
-        square *= p ** (e // 2)
-        if e % 2:
-            free *= p
-    base = ctx.from_fraction(Fraction(square, q.denominator))
-    if free == 1:
-        return base
-    for p in prime_factors(free):
-        need = 8 if p == 2 else 4 * p
-        if ctx.n % p or ctx.n % (8 if p == 2 else 4):
-            return None
-    s = base
-    for p in prime_factors(free):
-        if p == 2:
-            s = s * (ctx.zeta(ctx.n // 8) + ctx.zeta(ctx.n - ctx.n // 8))
-        else:
-            g = ctx.zero()
-            for k in range(p):
-                g = g + ctx.zeta((ctx.n // p) * (k * k % p))
-            if p % 4 == 3:
-                g = g / ctx.i()
-            s = s * g
-    if s * s != ctx.from_fraction(q):
-        return None
-    return s

@@ -11,16 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._linalg import (Vect, in_span, is_zero_vect, rank, rref, reduce_against,
-                      vadd, vscale, vsub)
+from typing import Callable
+
+from ._linalg import (Vect, in_span, is_zero_vect, mat_inverse, rank, rref,
+                      reduce_against, vadd, vscale, vsub)
 from .abelian import (AbGroup, AbPresentation, GroupElt, canonicalize,
                       generates)
-from .liealg import Algebra, VerifyReport, center
+from .liealg import (Algebra, VerifyReport, algebra_from_json, algebra_to_json,
+                     center)
 from .scalars import CycloNum, format_scalar, parse_scalar
 
 __all__ = [
     "Grading", "PairedDecomposition",
     "verify_grading", "universal_group", "is_toral_fine", "coarsen",
+    "dual_vectors", "symplectic_gram_schmidt", "orthogonal_gram_schmidt",
     "homogeneous_symplectic_basis", "homogeneous_orthogonal_basis",
     "darboux_homogeneous_basis",
     "grading_to_json", "grading_from_json",
@@ -241,29 +245,101 @@ class PairedDecomposition:
         return out
 
 
-def _dual_pairs(d: PairedDecomposition, left: list[Vect], right: list[Vect]):
-    """Bases (x_q) of span(left), (y_q) of span(right) with <x_q, y_p> = delta."""
+Pairing = Callable[[Vect, Vect], CycloNum]
+
+
+def dual_vectors(pairing: Pairing, left: list[Vect], right: list[Vect]) -> list[Vect]:
+    """A basis (y_q) of span(right) with pairing(left_q, y_p) = delta_qp."""
+    if len(left) != len(right):
+        raise ValueError("pairing between partnered components is degenerate")
+    if not left:
+        return []
     ctx = left[0][0].ctx
-    gram = [[d.pairing(x, y) for y in right] for x in left]
-    from ._linalg import mat_inverse
+    gram = [[pairing(x, y) for y in right] for x in left]
     inv = mat_inverse([tuple(gram[i][j] for i in range(len(left)))
                        for j in range(len(right))], ctx)
     if inv is None:
         raise ValueError("pairing between partnered components is degenerate")
-    # y'_q = sum_p inv[q][p]-ish combination of right basis
     duals = []
     for q in range(len(left)):
         acc = tuple(ctx.zero() for _ in right[0])
         for p in range(len(right)):
-            acc = vadd(acc, vscale(inv[q][p], right[p]))
+            if inv[q][p]:
+                acc = vadd(acc, vscale(inv[q][p], right[p]))
         duals.append(acc)
-    # fix orientation: ensure <left_q, dual_p> = delta_qp
     for q in range(len(left)):
         for p in range(len(left)):
             want = ctx.one() if p == q else ctx.zero()
-            if d.pairing(left[q], duals[p]) != want:
+            if pairing(left[q], duals[p]) != want:
                 raise AssertionError("dual basis construction failed")
-    return list(left), duals
+    return duals
+
+
+def symplectic_gram_schmidt(pairing: Pairing,
+                            vectors: list[Vect]) -> list[tuple[Vect, Vect]]:
+    """Darboux pairs (x, y), pairing(x, y) = 1, spanning span(vectors) for
+    an alternating pairing that is nondegenerate there."""
+    pairs = []
+    work = [tuple(v) for v in vectors]
+    while work:
+        x = work[0]
+        mate = next((y for y in work[1:] if pairing(x, y)), None)
+        if mate is None:
+            raise ValueError("degenerate restriction on a self-paired component")
+        y = vscale(pairing(x, mate).inv(), mate)
+        pairs.append((x, y))
+        rest = []
+        for w in work:
+            if w is x or w is mate:
+                continue
+            w2 = vsub(w, vscale(pairing(w, y), x))
+            w2 = vadd(w2, vscale(pairing(w, x), y))
+            if not is_zero_vect(w2):
+                rest.append(w2)
+        work = rest
+    return pairs
+
+
+def orthogonal_gram_schmidt(pairing: Pairing, vectors: list[Vect]) -> list[Vect]:
+    """An orthogonal basis of span(vectors), all of nonzero norm, for a
+    symmetric pairing that is nondegenerate there."""
+    diag = []
+    work = [tuple(v) for v in vectors]
+    while work:
+        x = next((v for v in work if pairing(v, v)), None)
+        if x is None:
+            # char 0: polarize two isotropic vectors with nonzero pairing
+            hit = next(((a, b) for a in range(len(work))
+                        for b in range(a + 1, len(work))
+                        if pairing(work[a], work[b])), None)
+            if hit is None:
+                raise ValueError("degenerate restriction on a self-paired component")
+            work[hit[0]] = vadd(work[hit[0]], work[hit[1]])
+            continue
+        nx = pairing(x, x)
+        diag.append(x)
+        rest = []
+        for w in work:
+            if w is x:
+                continue
+            w2 = vsub(w, vscale(pairing(w, x) / nx, x))
+            if not is_zero_vect(w2):
+                rest.append(w2)
+        work = rest
+    return diag
+
+
+def _partnered_pieces(d: PairedDecomposition):
+    """Each component once, with its partner component, or None when it
+    pairs with itself."""
+    d.validate()
+    partner = d._partner()
+    done = set()
+    for i, piece in enumerate(d.pieces):
+        j = partner[i]
+        if i not in done:
+            done.update((i, j))
+            yield [tuple(v) for v in piece], (None if j == i else d.pieces[j])
 
 
 def homogeneous_symplectic_basis(d: PairedDecomposition) -> list[tuple[Vect, Vect]]:
@@ -271,44 +347,12 @@ def homogeneous_symplectic_basis(d: PairedDecomposition) -> list[tuple[Vect, Vec
     <u_i, u_j'> = delta_ij and all other pairings zero."""
     if d.kind != "alternating":
         raise ValueError("symplectic basis requires an alternating form")
-    d.validate()
-    partner = d._partner()
     pairs: list[tuple[Vect, Vect]] = []
-    done = set()
-    for i, piece in enumerate(d.pieces):
-        if i in done:
-            continue
-        j = partner[i]
-        if j == i:
-            # self-paired: symplectic Gram-Schmidt inside the component
-            work = [tuple(v) for v in piece]
-            while work:
-                x = work[0]
-                mate = None
-                for y in work[1:]:
-                    if d.pairing(x, y):
-                        mate = y
-                        break
-                if mate is None:
-                    raise ValueError("degenerate restriction on a self-paired component")
-                c = d.pairing(x, mate)
-                y = vscale(c.inv(), mate)
-                pairs.append((x, y))
-                rest = []
-                for w in work:
-                    if w is x or w is mate:
-                        continue
-                    w2 = vsub(w, vscale(d.pairing(w, y), x))
-                    w2 = vadd(w2, vscale(d.pairing(w, x), y))
-                    if not is_zero_vect(w2):
-                        rest.append(w2)
-                work = rest
-            done.add(i)
+    for piece, mate in _partnered_pieces(d):
+        if mate is None:
+            pairs += symplectic_gram_schmidt(d.pairing, piece)
         else:
-            left, duals = _dual_pairs(d, [tuple(v) for v in piece],
-                                      [tuple(v) for v in d.pieces[j]])
-            pairs.extend(zip(left, duals))
-            done.update((i, j))
+            pairs += zip(piece, dual_vectors(d.pairing, piece, mate))
     _check_symplectic(d, pairs)
     return pairs
 
@@ -333,53 +377,13 @@ def homogeneous_orthogonal_basis(
     self-paired ones, all inside the union of the components."""
     if d.kind != "symmetric":
         raise ValueError("orthogonal basis requires a symmetric form")
-    d.validate()
-    partner = d._partner()
     pairs: list[tuple[Vect, Vect]] = []
     diag: list[Vect] = []
-    done = set()
-    for i, piece in enumerate(d.pieces):
-        if i in done:
-            continue
-        j = partner[i]
-        if j == i:
-            work = [tuple(v) for v in piece]
-            while work:
-                x = None
-                for cand in work:
-                    if d.pairing(cand, cand):
-                        x = cand
-                        break
-                if x is None:
-                    # char 0: polarize two isotropic vectors with nonzero pairing
-                    found = False
-                    for a in range(len(work)):
-                        for b in range(a + 1, len(work)):
-                            if d.pairing(work[a], work[b]):
-                                work[a] = vadd(work[a], work[b])
-                                found = True
-                                break
-                        if found:
-                            break
-                    if not found:
-                        raise ValueError("degenerate restriction on a self-paired component")
-                    continue
-                nx = d.pairing(x, x)
-                diag.append(x)
-                rest = []
-                for w in work:
-                    if w is x:
-                        continue
-                    w2 = vsub(w, vscale(d.pairing(w, x) / nx, x))
-                    if not is_zero_vect(w2):
-                        rest.append(w2)
-                work = rest
-            done.add(i)
+    for piece, mate in _partnered_pieces(d):
+        if mate is None:
+            diag += orthogonal_gram_schmidt(d.pairing, piece)
         else:
-            left, duals = _dual_pairs(d, [tuple(v) for v in piece],
-                                      [tuple(v) for v in d.pieces[j]])
-            pairs.extend(zip(left, duals))
-            done.update((i, j))
+            pairs += zip(piece, dual_vectors(d.pairing, piece, mate))
     _check_orthogonal(d, pairs, diag)
     return pairs, diag
 
@@ -480,7 +484,6 @@ def _elt_from_json(group: AbGroup, spec: dict) -> GroupElt:
 
 
 def grading_to_json(gr: Grading) -> dict:
-    from .liealg import algebra_to_json
     return {
         "algebra": algebra_to_json(gr.algebra),
         "group": {"rank": gr.group.rank, "torsion": list(gr.group.torsion)},
@@ -495,7 +498,6 @@ def grading_to_json(gr: Grading) -> dict:
 
 
 def grading_from_json(spec: dict, ctx=None) -> Grading:
-    from .liealg import algebra_from_json
     algebra = algebra_from_json(spec["algebra"], ctx)
     gspec = spec["group"]
     images = None
@@ -519,6 +521,10 @@ def grading_from_json(spec: dict, ctx=None) -> Grading:
                 g = g + int(c) * img
         else:
             g = _elt_from_json(group, dspec)
+        for vec in entry["vectors"]:
+            if len(vec) != algebra.dim:
+                raise ValueError(f"vector of length {len(vec)} in an algebra "
+                                 f"of dimension {algebra.dim}")
         vecs = tuple(
             tuple(parse_scalar(s, algebra.ctx) for s in vec)
             for vec in entry["vectors"]

@@ -18,7 +18,7 @@ __all__ = [
     "heisenberg", "heisenberg_super", "twisted",
     "verify_axioms", "center", "derived",
     "is_automorphism", "similitude_factor",
-    "map_from_images", "identity_map", "compose_maps",
+    "identity_map", "compose_maps",
     "algebra_to_json", "algebra_from_json",
 ]
 
@@ -76,17 +76,6 @@ class Algebra:
                 for k, tk in enumerate(t):
                     if tk:
                         out[k] = out[k] + c * tk
-        return tuple(out)
-
-    def bracket_with_basis(self, a: Vect, j: int) -> Vect:
-        out = list(self.zero_vect())
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            t = self.table[i][j]
-            for k, tk in enumerate(t):
-                if tk:
-                    out[k] = out[k] + ai * tk
         return tuple(out)
 
     def vect_parity(self, v: Vect) -> int | None:
@@ -207,12 +196,13 @@ def verify_axioms(a: Algebra) -> VerifyReport:
                 failures.append(
                     f"skew-symmetry fails on ({a.labels[i]}, {a.labels[j]})")
     # [bi, [bj, bk]] = [[bi, bj], bk] + (-1)^(pi pj) [bj, [bi, bk]]
+    b = [a.basis_vect(i) for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                lhs = _left_mult(a, i, a.table[j][k])
-                t1 = _right_mult(a, a.table[i][j], k)
-                t2 = _left_mult(a, j, a.table[i][k])
+                lhs = a.bracket(b[i], a.table[j][k])
+                t1 = a.bracket(a.table[i][j], b[k])
+                t2 = a.bracket(b[j], a.table[i][k])
                 sign = -1 if (a.parity[i] and a.parity[j]) else 1
                 rhs = vadd(t1, vscale(a.ctx.from_fraction(sign), t2))
                 if lhs != rhs:
@@ -222,28 +212,6 @@ def verify_axioms(a: Algebra) -> VerifyReport:
                     if len(failures) > 8:
                         return VerifyReport(False, failures)
     return VerifyReport(not failures, failures)
-
-
-def _left_mult(a: Algebra, i: int, v: Vect) -> Vect:
-    out = list(a.zero_vect())
-    for t, c in enumerate(v):
-        if c:
-            row = a.table[i][t]
-            for s, x in enumerate(row):
-                if x:
-                    out[s] = out[s] + c * x
-    return tuple(out)
-
-
-def _right_mult(a: Algebra, v: Vect, k: int) -> Vect:
-    out = list(a.zero_vect())
-    for t, c in enumerate(v):
-        if c:
-            row = a.table[t][k]
-            for s, x in enumerate(row):
-                if x:
-                    out[s] = out[s] + c * x
-    return tuple(out)
 
 
 def center(a: Algebra) -> list[Vect]:
@@ -270,12 +238,6 @@ def identity_map(a: Algebra) -> LinMap:
 def compose_maps(f: LinMap, g: LinMap) -> LinMap:
     """The map f o g."""
     return [mat_apply(f, col) for col in g]
-
-
-def map_from_images(a: Algebra, images: list[Vect]) -> LinMap:
-    if len(images) != a.dim:
-        raise ValueError("need one image per basis vector")
-    return list(images)
 
 
 def is_automorphism(f: LinMap, a: Algebra) -> bool:

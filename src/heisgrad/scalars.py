@@ -18,6 +18,8 @@ __all__ = [
     "zeta",
     "embed",
     "sqrt_int",
+    "sqrt_rational",
+    "sqrt_scalar",
     "root_of_unity_order",
     "parse_scalar",
     "scan_conductors",
@@ -346,25 +348,30 @@ def root_of_unity_order(x: CycloNum) -> int | None:
     return None  # pragma: no cover
 
 
-def sqrt_int(l: int, ctx: CycloCtx) -> CycloNum:
-    """An exact square root of the positive integer l inside Q(zeta_N).
+def sqrt_rational(q, ctx: CycloCtx) -> CycloNum | None:
+    """An exact square root of the nonnegative rational q inside Q(zeta_N),
+    or None if the roots it needs are not in this field.
 
-    The square part of l is extracted rationally; the squarefree part is
-    built from sqrt(2) = zeta_8 + zeta_8^-1 and, for odd primes p, the
+    sqrt(q) = sqrt(num * den) / den; the square part of num * den is
+    extracted rationally, and the squarefree part is built from
+    sqrt(2) = zeta_8 + zeta_8^-1 (needs 8 | N) and, for odd primes p, the
     quadratic Gauss sum sum_k zeta_p^(k^2), which equals sqrt(p) for
-    p = 1 mod 4 and i*sqrt(p) for p = 3 mod 4.  Requires 4l | N.
+    p = 1 mod 4 and i*sqrt(p) for p = 3 mod 4 (needs 4p | N).
     """
-    if l < 1:
-        raise ValueError("sqrt_int expects a positive integer")
-    if ctx.n % (4 * l):
-        raise ValueError(f"conductor {ctx.n} is not divisible by 4*{l}")
-    square, free = 1, 1
-    for p, e in prime_factors(l).items():
+    q = Fraction(q)
+    if q < 0:
+        raise ValueError("sqrt_rational expects a nonnegative rational")
+    if not q:
+        return ctx.zero()
+    square, free = 1, []
+    for p, e in prime_factors(q.numerator * q.denominator).items():
         square *= p ** (e // 2)
         if e % 2:
-            free *= p
-    s = ctx.from_fraction(square)
-    for p in prime_factors(free):
+            free.append(p)
+    if any(ctx.n % (8 if p == 2 else 4 * p) for p in free):
+        return None
+    s = ctx.from_fraction(Fraction(square, q.denominator))
+    for p in free:
         if p == 2:
             s = s * (ctx.zeta(ctx.n // 8) + ctx.zeta(ctx.n - ctx.n // 8))
         else:
@@ -374,9 +381,35 @@ def sqrt_int(l: int, ctx: CycloCtx) -> CycloNum:
             if p % 4 == 3:
                 g = g / ctx.i()
             s = s * g
-    if s * s != ctx.from_fraction(l):
-        raise AssertionError(f"sqrt_int({l}) verification failed")  # pragma: no cover
+    if s * s != ctx.from_fraction(q):
+        raise AssertionError(f"sqrt_rational({q}) verification failed")  # pragma: no cover
     return s
+
+
+def sqrt_int(l: int, ctx: CycloCtx) -> CycloNum:
+    """An exact square root of the positive integer l inside Q(zeta_N);
+    requires 4l | N, which supplies every root sqrt_rational needs."""
+    if l < 1:
+        raise ValueError("sqrt_int expects a positive integer")
+    if ctx.n % (4 * l):
+        raise ValueError(f"conductor {ctx.n} is not divisible by 4*{l}")
+    return sqrt_rational(l, ctx)
+
+
+def sqrt_scalar(x: CycloNum) -> CycloNum:
+    """A square root of x in its own field, for x a root of unity times a
+    positive rational (enough for the normalizations of graded bases)."""
+    ctx = x.ctx
+    if not x:
+        return ctx.zero()
+    for t in range(ctx.n):
+        cand = x * ctx.zeta(-2 * t)
+        if not cand.is_rational() or cand.as_fraction() <= 0:
+            continue
+        root = sqrt_rational(cand.as_fraction(), ctx)
+        if root is not None:
+            return root * ctx.zeta(t)
+    raise ValueError("square root is not representable at this conductor")
 
 
 # --- textual scalar syntax ------------------------------------------------
@@ -469,7 +502,10 @@ def parse_scalar(text: str, ctx: CycloCtx) -> CycloNum:
         v = atom()
         if peek() == "^":
             take()
-            v = v ** parse_int()
+            e = parse_int()
+            if e < 0 and not v:
+                raise ScalarSyntaxError(f"negative power of zero in {text!r}")
+            v = v ** e
         return v
 
     def unary() -> CycloNum:
@@ -484,7 +520,10 @@ def parse_scalar(text: str, ctx: CycloCtx) -> CycloNum:
             if take() == "*":
                 v = v * unary()
             else:
-                v = v / unary()
+                d = unary()
+                if not d:
+                    raise ScalarSyntaxError(f"division by zero in {text!r}")
+                v = v / d
         return v
 
     def expr() -> CycloNum:

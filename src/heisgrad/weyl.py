@@ -17,9 +17,9 @@ from math import factorial
 from ._linalg import (Vect, in_span, is_zero_vect, mat_apply, mat_inverse,
                       rref, vadd, vscale, vzero)
 from .abelian import smith_normal_form
-from .fine import (BlockI, BlockII, FineTwistedParams, _alpha_class_data,
-                   _beta_class_data, primitive_root, rebase_block_i,
-                   rebase_block_ii, scalar_class, scalar_class_key)
+from .fine import (BlockI, BlockII, FineTwistedParams, rebase_block_i,
+                   rebase_block_ii, scalar_class, scalar_class_data,
+                   scalar_class_key)
 from .gradings import Grading
 from .liealg import Algebra, LinMap, center, derived, is_automorphism
 from .scalars import CycloNum, root_of_unity_order
@@ -52,9 +52,6 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def element_orders(self) -> Counter:
-        return Counter(_perm_order(p) for p in self.elements)
 
     def is_abelian(self) -> bool:
         return all(_pmul(a, b) == _pmul(b, a)
@@ -333,9 +330,10 @@ def _twisted_generators(gr: Grading) -> list[tuple[str, LinMap]]:
 
     # spectrum rotations u -> u/eps for every root of unity eps that
     # permutes the block-scalar class multisets
+    beta_cls, alpha_cls = scalar_class_data(lam, l)
     for eps in _epsilon_candidates(lam, p):
-        tau_b = _class_bijection(lam, p.l, [b for b in p.betas], eps, beta=True)
-        tau_a = _class_bijection(lam, p.l, [x for x in p.alphas], eps, beta=False)
+        tau_b = _class_bijection(p.betas, eps, *beta_cls)
+        tau_a = _class_bijection(p.alphas, eps, *alpha_cls)
         if tau_b is None or tau_a is None:
             continue
         img = list(ident)
@@ -357,11 +355,10 @@ def _twisted_generators(gr: Grading) -> list[tuple[str, LinMap]]:
 
 def _epsilon_candidates(lam: list[CycloNum], p: FineTwistedParams) -> list[CycloNum]:
     ctx = lam[0].ctx
-    xi = primitive_root(ctx, p.l, lam)
-    bm, br = _beta_class_data(p.l, xi)
+    beta_cls, alpha_cls = scalar_class_data(lam, p.l)
     cands = {}
     scalars = list(p.betas) if p.s else list(p.alphas)
-    mod, root = (bm, br) if p.s else _alpha_class_data(p.l, xi)
+    mod, root = beta_cls if p.s else alpha_cls
     base = scalars[0]
     for target in scalars:
         cur = target / base
@@ -373,14 +370,11 @@ def _epsilon_candidates(lam: list[CycloNum], p: FineTwistedParams) -> list[Cyclo
     return sorted(cands.values(), key=lambda v: v.sort_key())
 
 
-def _class_bijection(lam, l, scalars, eps, beta: bool):
+def _class_bijection(scalars, eps, mod: int, root: CycloNum):
     """tau with class(eps * scalars[j]) = class(scalars[tau(j)]), grouping
     equal scalars; None when eps does not permute the class multiset."""
     if not scalars:
         return []
-    ctx = lam[0].ctx
-    xi = primitive_root(ctx, l, lam)
-    mod, root = _beta_class_data(l, xi) if beta else _alpha_class_data(l, xi)
     keys = [scalar_class_key(x, mod, root) for x in scalars]
     if Counter(scalar_class_key(eps * x, mod, root) for x in scalars) != Counter(keys):
         return None
@@ -424,10 +418,7 @@ class PQSplit:
 
 def compute_pq(lam: list[CycloNum], p: FineTwistedParams) -> PQSplit:
     ctx = lam[0].ctx
-    l = p.l
-    xi = primitive_root(ctx, l, lam)
-    bm, br = _beta_class_data(l, xi)
-    am, ar = _alpha_class_data(l, xi)
+    (bm, br), (am, ar) = scalar_class_data(lam, p.l)
     bkeys = Counter(scalar_class_key(b, bm, br) for b in p.betas)
     akeys = Counter(scalar_class_key(x, am, ar) for x in p.alphas)
 

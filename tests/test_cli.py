@@ -149,6 +149,60 @@ def test_cap_exit_code():
     assert code == 4
 
 
+def test_cap_is_a_weyl_option_only():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--cap", "3", "{}"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate-fine", "--twisted", "1/0"),
+    ("enumerate-fine", "--twisted", "1,1/(1-1)"),
+    ("weyl", "--twisted", "1,2", "--params", "2,0,2;;1/0,2"),
+    ("weyl", "--twisted", "1,2", "--params", "2,0,2;;0^-1,2"),
+])
+def test_zero_divisor_is_a_parse_error(argv, capsys):
+    code, _ = run_cli(*argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_zero_divisor_in_json_vector_is_a_parse_error(capsys):
+    _, text = run_cli("enumerate-fine", "--twisted", "1,2", "--format", "json")
+    spec = json.loads(text)["classes"][0]["grading"]
+    spec["components"][0]["vectors"][0][0] = "1/0"
+    capsys.readouterr()
+    code, _ = run_cli("verify", json.dumps(spec))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bad grading spec")
+
+
+@pytest.mark.parametrize("command", ["verify", "universal-group", "decompose",
+                                     "color-classify"])
+def test_json_top_level_must_be_an_object(command, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]\n")
+    code, _ = run_cli(command, str(path))
+    assert code == 2
+    assert "top level must be an object" in capsys.readouterr().err
+
+
+def test_verify_rejects_vector_of_wrong_length(capsys):
+    spec = {
+        "algebra": {"kind": "heisenberg", "k": 1},
+        "group": {"rank": 2},
+        "components": [
+            {"degree": {"free": [1, 0]}, "vectors": [["1", "0", "0", "0"]]},
+            {"degree": {"free": [0, 1]}, "vectors": [["0", "1", "0"]]},
+            {"degree": {"free": [1, 1]}, "vectors": [["0", "0", "1"]]},
+        ],
+    }
+    code, out = run_cli("verify", json.dumps(spec))
+    assert code == 2
+    assert out == ""
+    assert "length 4 in an algebra of dimension 3" in capsys.readouterr().err
+
+
 def test_conductor_override():
     code, text = run_cli("enumerate-fine", "--twisted", "1,2",
                          "--conductor", "16")

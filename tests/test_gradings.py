@@ -390,3 +390,14 @@ def test_grading_json_with_presented_group():
     gr = grading_from_json(spec)
     assert gr.group == AbGroup(2, ())
     assert verify_grading(gr).ok
+
+
+def test_grading_json_rejects_wrong_vector_length():
+    # zip would silently truncate a 4-coordinate vector to the 3-dim algebra
+    spec = grading_to_json(heisenberg_fine(1))
+    spec["components"][0]["vectors"][0].append("1")
+    with pytest.raises(ValueError, match="length 4 in an algebra of dimension 3"):
+        grading_from_json(spec)
+    spec["components"][0]["vectors"][0][2:] = []
+    with pytest.raises(ValueError, match="length 2"):
+        grading_from_json(spec)

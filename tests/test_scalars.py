@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from heisgrad.scalars import (CycloCtx, cyclotomic_poly, divisors, embed,
-                              format_scalar, parse_scalar, root_of_unity_order,
-                              scan_conductors, sqrt_int)
+from heisgrad.scalars import (CycloCtx, ScalarSyntaxError, cyclotomic_poly,
+                              divisors, embed, format_scalar, parse_scalar,
+                              root_of_unity_order, scan_conductors, sqrt_int,
+                              sqrt_rational, sqrt_scalar)
 
 
 def poly_mul(a, b):
@@ -113,6 +114,41 @@ def test_sqrt_int_conductor_requirement():
         sqrt_int(2, CycloCtx(4))
 
 
+def test_sqrt_rational_non_integers():
+    ctx = CycloCtx(120)
+    for q in (Fraction(2, 3), Fraction(5, 12), Fraction(1, 4), Fraction(30)):
+        s = sqrt_rational(q, ctx)
+        assert s is not None
+        assert s * s == ctx.from_fraction(q)
+    assert sqrt_rational(Fraction(9, 4), ctx) == ctx.from_fraction(Fraction(3, 2))
+    assert sqrt_rational(0, ctx) == ctx.zero()
+
+
+def test_sqrt_rational_needs_the_gauss_sum_roots():
+    assert sqrt_rational(3, CycloCtx(8)) is None  # needs 12 | N
+    assert sqrt_rational(2, CycloCtx(12)) is None  # needs 8 | N
+    assert sqrt_rational(3, CycloCtx(12)) is not None
+    with pytest.raises(ValueError):
+        sqrt_rational(-1, CycloCtx(12))
+
+
+def test_sqrt_scalar_roots_of_unity_times_rationals():
+    ctx = CycloCtx(24)
+    for k in range(24):
+        for q in (Fraction(1), Fraction(3), Fraction(2, 3), Fraction(-6)):
+            x = ctx.zeta(2 * k) * q
+            s = sqrt_scalar(x)
+            assert s * s == x
+    assert sqrt_scalar(ctx.zero()) == ctx.zero()
+
+
+def test_sqrt_scalar_rejects_unrepresentable():
+    with pytest.raises(ValueError):
+        sqrt_scalar(CycloCtx(8).from_fraction(3))  # sqrt(3) needs 12 | N
+    with pytest.raises(ValueError):
+        sqrt_scalar(CycloCtx(12).one() + CycloCtx(12).zeta())
+
+
 def test_root_of_unity_order():
     ctx = CycloCtx(12)
     assert root_of_unity_order(ctx.zeta(3)) == 4
@@ -143,6 +179,9 @@ def test_parse_rejects_garbage():
     ctx = CycloCtx(8)
     for text in ("zeta(3)", "1 +", "zeta(", "foo", "1..2"):
         with pytest.raises(ValueError):
+            parse_scalar(text, ctx)
+    for text in ("1/0", "1/(1-1)", "0^-1"):
+        with pytest.raises(ScalarSyntaxError):
             parse_scalar(text, ctx)
 
 
