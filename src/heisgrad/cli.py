@@ -17,12 +17,13 @@ from math import lcm
 
 from .color import (Bicharacter, classify_color, color_algebra,
                     color_type_from_json, color_type_to_json,
-                    is_super_realizable)
+                    epsilon_from_json, is_super_realizable)
 from .fine import (FineTwistedParams, decompose_twisted_grading,
                    enumerate_twisted_fine, heisenberg_fine, super_fine,
                    twisted_fine)
 from .gradings import (grading_from_json, grading_to_json, universal_group,
                        verify_grading)
+from .liealg import json_int
 from .scalars import (CycloCtx, ScalarSyntaxError, divisors, format_scalar,
                       parse_scalar, scan_conductors)
 from .weyl import CapExceeded, perm_cycles, weyl_group
@@ -321,18 +322,15 @@ def cmd_decompose(args, out) -> int:
 
 def cmd_color_classify(args, out) -> int:
     spec = _load_json(args.input)
-    n = args.conductor or spec.get("conductor", 12)
-    ctx = CycloCtx(int(n))
     try:
+        ctx = CycloCtx(json_int(args.conductor or spec.get("conductor", 12), "conductor"))
         if "color_type" in spec:
             t = color_type_from_json(spec["color_type"], ctx)
             algebra, grading = color_algebra(t, ctx)
             eps = t.epsilon
         else:
             grading = grading_from_json(spec["grading"], ctx)
-            values = [[parse_scalar(s, ctx) for s in row]
-                      for row in spec["epsilon"]]
-            eps = Bicharacter(grading.group, values, ctx)
+            eps = Bicharacter(grading.group, epsilon_from_json(spec["epsilon"], ctx), ctx)
             algebra = grading.algebra
     except (ValueError, KeyError, ScalarSyntaxError) as exc:
         raise CliError(f"bad color spec: {exc}", PARSE_ERROR)

@@ -13,9 +13,9 @@ from ._linalg import (Vect, in_span, is_zero_vect, rref, vadd, vscale, vsub,
                       vzero)
 from .abelian import (AbGroup, GroupElt, canonicalize, express_in_terms,
                       generates, subgroup_presentation)
-from .gradings import (Grading, dual_vectors, orthogonal_gram_schmidt,
-                       symplectic_gram_schmidt)
-from .liealg import Algebra, VerifyReport, center, derived
+from .gradings import (Grading, dual_vectors, elt_from_json, group_from_json,
+                       orthogonal_gram_schmidt, symplectic_gram_schmidt)
+from .liealg import Algebra, VerifyReport, center, derived, json_int, json_typed
 from .scalars import (CycloCtx, CycloNum, format_scalar, parse_scalar,
                       sqrt_scalar)
 
@@ -23,6 +23,7 @@ __all__ = [
     "Bicharacter", "ColorType",
     "color_algebra", "verify_color_axioms", "is_super_realizable",
     "classify_color", "color_type_to_json", "color_type_from_json",
+    "epsilon_from_json",
 ]
 
 
@@ -404,17 +405,19 @@ def color_type_to_json(t: ColorType) -> dict:
     }
 
 
+def epsilon_from_json(rows, ctx: CycloCtx) -> list[list[CycloNum]]:
+    """A bicharacter's value matrix, given as rows of scalar strings."""
+    return [[parse_scalar(s, ctx) for s in json_typed(row, "array", "an epsilon row")]
+            for row in json_typed(rows, "array", "epsilon")]
+
+
 def color_type_from_json(spec: dict, ctx: CycloCtx) -> ColorType:
-    gspec = spec["group"]
-    group = AbGroup(int(gspec.get("rank", 0)),
-                    tuple(int(d) for d in gspec.get("torsion", ())))
-    g0 = group.elt(tuple(spec["g0"].get("free", ())),
-                   tuple(spec["g0"].get("torsion", ())))
-    values = [[parse_scalar(s, ctx) for s in row] for row in spec["epsilon"]]
-    eps = Bicharacter(group, values)
+    spec = json_typed(spec, "object", "the color type")
+    group = group_from_json(spec["group"])
+    g0 = elt_from_json(group, spec["g0"])
+    eps = Bicharacter(group, epsilon_from_json(spec["epsilon"], ctx))
     dims = {}
-    for entry in spec["dims"]:
-        g = group.elt(tuple(entry["degree"].get("free", ())),
-                      tuple(entry["degree"].get("torsion", ())))
-        dims[g] = int(entry["dim"])
+    for entry in json_typed(spec["dims"], "array", "dims"):
+        entry = json_typed(entry, "object", "a dims entry")
+        dims[elt_from_json(group, entry["degree"])] = json_int(entry["dim"], "dim")
     return ColorType(group, g0, eps, dims)

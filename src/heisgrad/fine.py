@@ -640,9 +640,9 @@ def equivalent_fine(lam: list[CycloNum], p: FineTwistedParams,
                 cur = cur * ar
     seen = set()
     for eps in cands:
-        if eps.coeffs in seen:
+        if eps in seen:
             continue
-        seen.add(eps.coeffs)
+        seen.add(eps)
         if matches(eps):
             return True
     return False

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 from typing import Callable
 
-from ._linalg import (Vect, in_span, is_zero_vect, mat_inverse, rank, rref,
+from ._linalg import (Vect, is_zero_vect, mat_inverse, rank, rref,
                       reduce_against, vadd, vscale, vsub)
 from .abelian import (AbGroup, AbPresentation, GroupElt, canonicalize,
                       generates)
 from .liealg import (Algebra, VerifyReport, algebra_from_json, algebra_to_json,
-                     center)
-from .scalars import CycloNum, format_scalar, parse_scalar
+                     center, json_int, json_ints, json_typed, vect_from_json)
+from .scalars import CycloNum, format_scalar
 
 __all__ = [
     "Grading", "PairedDecomposition",
@@ -27,7 +27,7 @@ __all__ = [
     "dual_vectors", "symplectic_gram_schmidt", "orthogonal_gram_schmidt",
     "homogeneous_symplectic_basis", "homogeneous_orthogonal_basis",
     "darboux_homogeneous_basis",
-    "grading_to_json", "grading_from_json",
+    "grading_to_json", "grading_from_json", "group_from_json", "elt_from_json",
 ]
 
 
@@ -46,13 +46,6 @@ class Grading:
 
     def component(self, g: GroupElt) -> tuple[Vect, ...]:
         return self.components.get(g, ())
-
-    def degree_of(self, v: Vect) -> GroupElt | None:
-        """The degree of a homogeneous vector, None if not homogeneous."""
-        for g in self.support:
-            if in_span(list(self.components[g]), v):
-                return g
-        return None
 
 
 def _bracket_component(gr: Grading, g: GroupElt, h: GroupElt) -> list[Vect]:
@@ -479,8 +472,16 @@ def _elt_to_json(g: GroupElt) -> dict:
     return {"free": list(g.free), "torsion": list(g.torsion)}
 
 
-def _elt_from_json(group: AbGroup, spec: dict) -> GroupElt:
-    return group.elt(tuple(spec.get("free", ())), tuple(spec.get("torsion", ())))
+def group_from_json(spec: dict) -> AbGroup:
+    spec = json_typed(spec, "object", "the group")
+    return AbGroup(json_int(spec.get("rank", 0), "rank"),
+                   json_ints(spec.get("torsion", ()), "torsion"))
+
+
+def elt_from_json(group: AbGroup, spec: dict) -> GroupElt:
+    spec = json_typed(spec, "object", "a degree")
+    return group.elt(json_ints(spec.get("free", ()), "free"),
+                     json_ints(spec.get("torsion", ()), "torsion"))
 
 
 def grading_to_json(gr: Grading) -> dict:
@@ -498,37 +499,33 @@ def grading_to_json(gr: Grading) -> dict:
 
 
 def grading_from_json(spec: dict, ctx=None) -> Grading:
+    spec = json_typed(spec, "object", "the grading")
     algebra = algebra_from_json(spec["algebra"], ctx)
-    gspec = spec["group"]
+    gspec = json_typed(spec["group"], "object", "the group")
     images = None
     if "relations" in gspec:
+        relations = json_typed(gspec["relations"], "array", "relations")
         group, images = canonicalize(
-            AbPresentation(int(gspec["n_gens"]),
-                           tuple(tuple(r) for r in gspec["relations"])))
+            AbPresentation(json_int(gspec["n_gens"], "n_gens"),
+                           tuple(json_ints(r, "a relation") for r in relations)))
     else:
-        group = AbGroup(int(gspec.get("rank", 0)),
-                        tuple(int(d) for d in gspec.get("torsion", ())))
+        group = group_from_json(gspec)
     comps: dict[GroupElt, tuple[Vect, ...]] = {}
-    for entry in spec["components"]:
-        dspec = entry["degree"]
+    for entry in json_typed(spec["components"], "array", "components"):
+        entry = json_typed(entry, "object", "a component")
+        dspec = json_typed(entry["degree"], "object", "a degree")
         if "gens" in dspec:
             # coefficients over the presentation's own generators
             if images is None:
                 raise ValueError(
                     "degrees over generators need a relation-presented group")
             g = group.zero()
-            for c, img in zip(dspec["gens"], images):
-                g = g + int(c) * img
+            for c, img in zip(json_ints(dspec["gens"], "gens"), images):
+                g = g + c * img
         else:
-            g = _elt_from_json(group, dspec)
-        for vec in entry["vectors"]:
-            if len(vec) != algebra.dim:
-                raise ValueError(f"vector of length {len(vec)} in an algebra "
-                                 f"of dimension {algebra.dim}")
-        vecs = tuple(
-            tuple(parse_scalar(s, algebra.ctx) for s in vec)
-            for vec in entry["vectors"]
-        )
+            g = elt_from_json(group, dspec)
+        vecs = tuple(vect_from_json(v, algebra.ctx, algebra.dim)
+                     for v in json_typed(entry["vectors"], "array", "vectors"))
         if g in comps:
             raise ValueError(f"duplicate component degree {g}")
         comps[g] = vecs

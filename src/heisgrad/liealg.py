@@ -1,8 +1,10 @@
 """Structure-constant Lie (super)algebras over a cyclotomic field.
 
 An Algebra is a basis with labels, a parity vector (all zero for plain
-Lie algebras) and a full bracket table.  The Heisenberg constructors
-cover the plain, super and twisted families.
+Lie algebras) and a full bracket table.  The table is the constructor
+and JSON form; the bracket itself runs over the nonzero structure
+constants only, collected once when the algebra is built.  The
+Heisenberg constructors cover the plain, super and twisted families.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "is_automorphism", "similitude_factor",
     "identity_map", "compose_maps",
     "algebra_to_json", "algebra_from_json",
+    "json_typed", "json_int", "json_ints", "vect_from_json",
 ]
 
 LinMap = list[Vect]  # columns: image of the j-th basis vector
@@ -43,6 +46,14 @@ class Algebra:
     parity: tuple[int, ...]
     table: tuple[tuple[Vect, ...], ...]  # table[i][j] = [b_i, b_j]
     meta: dict = field(default_factory=dict)
+    # terms[i] = ((j, ((k, c), ...)), ...): the nonzero c = [b_i, b_j]_k
+    terms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.terms = tuple(
+            tuple((j, tuple((k, c) for k, c in enumerate(t) if c))
+                  for j, t in enumerate(row) if not is_zero_vect(t))
+            for row in self.table)
 
     @property
     def dim(self) -> int:
@@ -63,19 +74,16 @@ class Algebra:
 
     def bracket(self, a: Vect, b: Vect) -> Vect:
         out = list(self.zero_vect())
-        for i, ai in enumerate(a):
+        for ai, row in zip(a, self.terms):
             if not ai:
                 continue
-            for j, bj in enumerate(b):
+            for j, t in row:
+                bj = b[j]
                 if not bj:
                     continue
-                t = self.table[i][j]
-                if is_zero_vect(t):
-                    continue
                 c = ai * bj
-                for k, tk in enumerate(t):
-                    if tk:
-                        out[k] = out[k] + c * tk
+                for k, tk in t:
+                    out[k] = out[k] + c * tk
         return tuple(out)
 
     def vect_parity(self, v: Vect) -> int | None:
@@ -251,11 +259,12 @@ def is_automorphism(f: LinMap, a: Algebra) -> bool:
             for i, c in enumerate(f[j]):
                 if c and a.parity[i] != a.parity[j]:
                     return False
-    for i in range(a.dim):
+    zero = a.zero_vect()
+    for i, row in enumerate(a.terms):
+        nonzero = dict(row)
         for j in range(a.dim):
-            lhs = mat_apply(f, a.table[i][j])
-            rhs = a.bracket(f[i], f[j])
-            if lhs != rhs:
+            lhs = mat_apply(f, a.table[i][j]) if j in nonzero else zero
+            if lhs != a.bracket(f[i], f[j]):
                 return False
     return True
 
@@ -298,38 +307,63 @@ def algebra_to_json(a: Algebra) -> dict:
     }
 
 
+_JSON_TYPES = {"object": dict, "array": (list, tuple), "integer": (int, str)}
+
+
+def json_typed(value, kind: str, what: str):
+    """value, if it has the JSON type `kind`; otherwise a ValueError."""
+    if not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"{what} must be a JSON {kind}, got {value!r:.40}")
+    return value
+
+
+def json_int(value, what: str) -> int:
+    return int(json_typed(value, "integer", what))
+
+
+def json_ints(value, what: str) -> tuple[int, ...]:
+    return tuple(json_int(x, what) for x in json_typed(value, "array", what))
+
+
+def vect_from_json(value, ctx: CycloCtx, dim: int) -> Vect:
+    vec = json_typed(value, "array", "a vector")
+    if len(vec) != dim:
+        raise ValueError(f"vector of length {len(vec)} in an algebra "
+                         f"of dimension {dim}")
+    return tuple(parse_scalar(s, ctx) for s in vec)
+
+
 def algebra_from_json(spec: dict, ctx: CycloCtx | None = None) -> Algebra:
-    kind = spec.get("kind")
+    kind = json_typed(spec, "object", "the algebra").get("kind")
     if kind == "heisenberg":
-        return heisenberg(int(spec["k"]), ctx)
+        return heisenberg(json_int(spec["k"], "k"), ctx)
     if kind == "super":
-        return heisenberg_super(int(spec["k"]), int(spec["m"]), ctx)
+        return heisenberg_super(json_int(spec["k"], "k"), json_int(spec["m"], "m"), ctx)
     if kind == "twisted":
         if ctx is None:
             n = spec.get("conductor")
             if n is None:
                 raise ValueError("twisted algebra spec needs a conductor or context")
-            ctx = CycloCtx(int(n))
-        lam = [parse_scalar(s, ctx) for s in spec["lambda"]]
+            ctx = CycloCtx(json_int(n, "conductor"))
+        lam = [parse_scalar(s, ctx) for s in json_typed(spec["lambda"], "array", "lambda")]
         return twisted(lam)
     if kind == "color":
         from .color import color_algebra, color_type_from_json
-        ctx = ctx or CycloCtx(int(spec.get("conductor", 12)))
+        ctx = ctx or CycloCtx(json_int(spec.get("conductor", 12), "conductor"))
         t = color_type_from_json(spec["type"], ctx)
         algebra, _ = color_algebra(t, ctx)
         return algebra
     if kind == "custom":
-        ctx = ctx or CycloCtx(int(spec.get("conductor", 1)))
-        labels = tuple(spec["labels"])
-        parity = tuple(int(p) for p in spec.get("parity", [0] * len(labels)))
+        ctx = ctx or CycloCtx(json_int(spec.get("conductor", 1), "conductor"))
+        labels = tuple(json_typed(spec["labels"], "array", "labels"))
         dim = len(labels)
-        table = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                row.append(tuple(parse_scalar(s, ctx) for s in spec["table"][i][j]))
-            table.append(tuple(row))
-        alg = Algebra(ctx, labels, parity, tuple(table), {"family": "custom"})
+        parity = json_ints(spec.get("parity", [0] * dim), "parity")
+        rows = json_typed(spec["table"], "array", "the table")
+        if len(parity) != dim or len(rows) != dim or any(
+                len(json_typed(row, "array", "a table row")) != dim for row in rows):
+            raise ValueError(f"parity and table must match the {dim} labels")
+        table = tuple(tuple(vect_from_json(t, ctx, dim) for t in row) for row in rows)
+        alg = Algebra(ctx, labels, parity, table, {"family": "custom"})
         report = verify_axioms(alg)
         if not report.ok:
             raise ValueError("custom table fails the algebra axioms: "

@@ -1,9 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 A scalar is a polynomial in a fixed primitive N-th root of unity,
-reduced modulo the N-th cyclotomic polynomial and stored with Fraction
-coefficients.  The representation is canonical, so equality is literal
-coefficient equality and every computation stays exact.
+reduced modulo the N-th cyclotomic polynomial phi_N and stored as a tuple
+of integer numerators over one positive integer denominator, with no
+common factor.  The representation is canonical, so equality is literal
+(numerators, denominator) equality and every computation stays exact.
+Arithmetic is integer-only: a product is an integer convolution reduced
+by long division by the monic phi_N, and an inverse is a fraction-free
+linear solve.  Fractions appear only where rationals enter or leave.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 __all__ = [
     "CycloCtx",
@@ -92,12 +97,16 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 class CycloCtx:
     """The field Q(zeta_N) for a fixed conductor N."""
 
-    __slots__ = ("n", "phi", "degree")
+    __slots__ = ("n", "phi", "degree", "low", "_zero", "_one")
 
     def __init__(self, n: int):
         self.n = n
         self.phi = cyclotomic_poly(n)
-        self.degree = len(self.phi) - 1
+        d = self.degree = len(self.phi) - 1
+        # phi_N is monic: x^d = sum of c x^j over (j, c) in low, modulo phi_N
+        self.low = tuple((j, -c) for j, c in enumerate(self.phi[:d]) if c)
+        self._zero = CycloNum(self, (0,) * d, 1)
+        self._one = CycloNum(self, (1,) + (0,) * (d - 1), 1)
 
     def __eq__(self, other):
         return isinstance(other, CycloCtx) and other.n == self.n
@@ -108,37 +117,37 @@ class CycloCtx:
     def __repr__(self):
         return f"CycloCtx({self.n})"
 
-    def reduce(self, coeffs: list[Fraction]) -> "CycloNum":
-        """Reduce an arbitrary-degree coefficient list modulo phi_N."""
-        c = list(coeffs)
-        if len(c) < self.degree:
-            c += [Fraction(0)] * (self.degree - len(c))
-        for i in range(len(c) - 1, self.degree - 1, -1):
-            t = c[i]
-            if t:
-                base = i - self.degree
-                for j in range(self.degree):
-                    if self.phi[j]:
-                        c[base + j] -= t * self.phi[j]
-            c.pop()
-        return CycloNum(self, tuple(Fraction(x) for x in c))
+    def reduce(self, coeffs) -> "CycloNum":
+        """The class modulo phi_N of the polynomial with these rational
+        coefficients (ascending, any length)."""
+        qs = [Fraction(c) for c in coeffs]
+        den = lcm(*(q.denominator for q in qs))
+        return self._reduce([q.numerator * (den // q.denominator) for q in qs], den)
+
+    def _reduce(self, num: list[int], den: int) -> "CycloNum":
+        """num / den for the integer polynomial num, by long division by
+        phi_N; phi_N is monic, so the remainder stays integral."""
+        d = self.degree
+        num = num + [0] * (d - len(num))
+        for i in range(len(num) - 1, d - 1, -1):
+            if num[i]:
+                for j, c in self.low:
+                    num[i - d + j] += num[i] * c
+        return _make(self, num[:d], den)
 
     def zero(self) -> "CycloNum":
-        return self.from_fraction(0)
+        return self._zero
 
     def one(self) -> "CycloNum":
-        return self.from_fraction(1)
+        return self._one
 
     def from_fraction(self, q) -> "CycloNum":
-        coeffs = [Fraction(q)] + [Fraction(0)] * (self.degree - 1)
-        return self.reduce(coeffs) if self.degree == 0 else CycloNum(self, tuple(coeffs))
+        q = Fraction(q)
+        return CycloNum(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def zeta(self, k: int = 1) -> "CycloNum":
         """The class of x^k, i.e. zeta_N^k."""
-        k %= self.n
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        return self.reduce(coeffs)
+        return self._reduce([0] * (k % self.n) + [1], 1)
 
     def i(self) -> "CycloNum":
         """A primitive fourth root of unity; requires 4 | N."""
@@ -147,18 +156,32 @@ class CycloCtx:
         return self.zeta(self.n // 4)
 
 
+def _make(ctx: CycloCtx, num: list[int], den: int) -> "CycloNum":
+    """The canonical CycloNum num/den (den > 0): divide out gcd(den, *num)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return CycloNum(ctx, tuple(num), den)
+
+
 class CycloNum:
-    """An element of Q(zeta_N), canonical modulo the cyclotomic polynomial."""
+    """An element of Q(zeta_N): integer numerators num (ascending powers of
+    zeta_N, reduced modulo phi_N) over one denominator den > 0, with
+    gcd(den, *num) == 1.  The form is canonical, so equality is equality
+    of (num, den)."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx: CycloCtx, coeffs: tuple[Fraction, ...]):
+    def __init__(self, ctx: CycloCtx, num: tuple[int, ...], den: int):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
 
     def _coerce(self, other):
         if isinstance(other, CycloNum):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError(
                     f"conductor mismatch: {self.ctx.n} vs {other.ctx.n}; embed first"
                 )
@@ -171,7 +194,10 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNum(self.ctx, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if self.den == o.den:
+            return _make(self.ctx, [a + b for a, b in zip(self.num, o.num)], self.den)
+        return _make(self.ctx, [a * o.den + b * self.den for a, b in zip(self.num, o.num)],
+                     self.den * o.den)
 
     __radd__ = __add__
 
@@ -179,7 +205,10 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNum(self.ctx, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        if self.den == o.den:
+            return _make(self.ctx, [a - b for a, b in zip(self.num, o.num)], self.den)
+        return _make(self.ctx, [a * o.den - b * self.den for a, b in zip(self.num, o.num)],
+                     self.den * o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -188,21 +217,21 @@ class CycloNum:
         return o - self
 
     def __neg__(self):
-        return CycloNum(self.ctx, tuple(-a for a in self.coeffs))
+        return CycloNum(self.ctx, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        d = self.ctx.degree
-        prod = [Fraction(0)] * (2 * d - 1 if d else 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return self.ctx.reduce(prod)
+        ctx = self.ctx
+        d = ctx.degree
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for k, b in enumerate(o.num, i):
+                    if b:
+                        prod[k] += a * b
+        return ctx._reduce(prod, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -231,88 +260,76 @@ class CycloNum:
         return result
 
     def inv(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm mod phi_N."""
+        """Multiplicative inverse: solve M y = e0 for the integer matrix M of
+        multiplication by num, by fraction-free (Bareiss) elimination and
+        back-substitution, so every division is exact."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-
-        def trim(p):
-            while len(p) > 1 and p[-1] == 0:
-                p.pop()
-            return p
-
-        def polysub(p, q):
-            out = [Fraction(0)] * max(len(p), len(q))
-            for i, v in enumerate(p):
-                out[i] += v
-            for i, v in enumerate(q):
-                out[i] -= v
-            return trim(out)
-
-        def polymul(p, q):
-            out = [Fraction(0)] * (len(p) + len(q) - 1)
-            for i, a in enumerate(p):
-                if a:
-                    for j, b in enumerate(q):
-                        if b:
-                            out[i + j] += a * b
-            return trim(out)
-
-        def polydivmod(p, q):
-            p = list(p)
-            dq = len(q) - 1
-            if len(p) - 1 < dq:
-                return [Fraction(0)], trim(p)
-            quo = [Fraction(0)] * (len(p) - dq)
-            for i in range(len(quo) - 1, -1, -1):
-                c = p[i + dq] / q[-1]
-                quo[i] = c
-                if c:
-                    for j in range(dq + 1):
-                        p[i + j] -= c * q[j]
-            return trim(quo), trim(p)
-
-        r0 = [Fraction(c) for c in self.ctx.phi]
-        s0 = [Fraction(0)]
-        r1 = trim(list(self.coeffs))
-        s1 = [Fraction(1)]
-        while len(r1) > 1:
-            q, r = polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, polysub(s0, polymul(q, s1))
-        if r1[0] == 0:
-            raise ZeroDivisionError("element shares a factor with the modulus")
-        c = r1[0]
-        return self.ctx.reduce([x / c for x in s1])
+        ctx, d = self.ctx, self.ctx.degree
+        if self.is_rational():
+            a = self.num[0]
+            return _make(ctx, [self.den if a > 0 else -self.den] + [0] * (d - 1), abs(a))
+        cols = [self.num]
+        for _ in range(d - 1):
+            cols.append(ctx._reduce([0, *cols[-1]], 1).num)
+        m = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            if not m[k][k]:
+                p = next(i for i in range(k + 1, d) if m[i][k])
+                m[k], m[p] = m[p], m[k]
+            rk, piv = m[k], m[k][k]
+            for i in range(k + 1, d):
+                ri, f = m[i], m[i][k]
+                m[i] = ri[:k + 1] + [(piv * x - f * y) // prev
+                                     for x, y in zip(ri[k + 1:], rk[k + 1:])]
+            prev = piv
+        # prev = +-det(M) and det * y is integral; back-substitute for it
+        det_y = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = m[i]
+            t = prev * row[d] - sum(row[j] * det_y[j] for j in range(i + 1, d))
+            det_y[i] = t // row[i]
+        sign = 1 if prev > 0 else -1
+        return _make(ctx, [sign * self.den * c for c in det_y], sign * prev)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycloNum):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = self.ctx.from_fraction(other)
-        return (
-            isinstance(other, CycloNum)
-            and other.ctx == self.ctx
-            and other.coeffs == self.coeffs
-        )
+        return (other.num == self.num and other.den == self.den
+                and (other.ctx is self.ctx or other.ctx == self.ctx))
 
     def __hash__(self):
-        return hash((self.ctx.n, self.coeffs))
+        # a rational element hashes as the int or Fraction it equals
+        if self.is_rational():
+            return hash(self.num[0] if self.den == 1 else self.as_fraction())
+        return hash((self.ctx.n, self.num, self.den))
 
     def __repr__(self):
         return format_scalar(self)
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients of 1, zeta_N, ..., zeta_N^(d-1)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def sort_key(self):
-        """A deterministic total order on field elements of one conductor."""
+        """A deterministic total order on field elements of one conductor:
+        lexicographic on the rational coefficients."""
         return self.coeffs
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
 
 def zeta(ctx: CycloCtx, k: int = 1) -> CycloNum:
@@ -447,6 +464,8 @@ def scan_conductors(text: str) -> list[int]:
 
 def parse_scalar(text: str, ctx: CycloCtx) -> CycloNum:
     """Parse the textual scalar syntax into an element of `ctx`."""
+    if not isinstance(text, str):
+        raise ScalarSyntaxError(f"a scalar must be a string, got {text!r:.40}")
     toks = _tokenize(text)
     pos = 0
 
@@ -548,9 +567,10 @@ def _frac_str(q: Fraction) -> str:
 def format_scalar(x: CycloNum) -> str:
     """Render in the textual scalar syntax (inverse of parse_scalar)."""
     parts = []
-    for k, c in enumerate(x.coeffs):
-        if not c:
+    for k, n in enumerate(x.num):
+        if not n:
             continue
+        c = Fraction(n, x.den)
         if k == 0:
             body = _frac_str(abs(c))
         else:

@@ -356,7 +356,7 @@ def _twisted_generators(gr: Grading) -> list[tuple[str, LinMap]]:
 def _epsilon_candidates(lam: list[CycloNum], p: FineTwistedParams) -> list[CycloNum]:
     ctx = lam[0].ctx
     beta_cls, alpha_cls = scalar_class_data(lam, p.l)
-    cands = {}
+    cands = set()
     scalars = list(p.betas) if p.s else list(p.alphas)
     mod, root = beta_cls if p.s else alpha_cls
     base = scalars[0]
@@ -365,9 +365,9 @@ def _epsilon_candidates(lam: list[CycloNum], p: FineTwistedParams) -> list[Cyclo
         for _ in range(mod):
             o = root_of_unity_order(cur)
             if o is not None and cur != ctx.one():
-                cands.setdefault(cur.coeffs, cur)
+                cands.add(cur)
             cur = cur * root
-    return sorted(cands.values(), key=lambda v: v.sort_key())
+    return sorted(cands, key=lambda v: v.sort_key())
 
 
 def _class_bijection(scalars, eps, mod: int, root: CycloNum):
@@ -477,7 +477,7 @@ def compute_pq(lam: list[CycloNum], p: FineTwistedParams) -> PQSplit:
 
 
 def _multiplicities(scalars) -> list[int]:
-    counts = Counter(x.coeffs for x in scalars)
+    counts = Counter(scalars)
     return sorted(counts.values())
 
 

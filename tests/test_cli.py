@@ -187,6 +187,73 @@ def test_json_top_level_must_be_an_object(command, tmp_path, capsys):
     assert "top level must be an object" in capsys.readouterr().err
 
 
+HEIS1 = {"kind": "heisenberg", "k": 1}
+MALFORMED_NESTED = {
+    "algebra-is-a-list": ({"algebra": [1], "group": {}, "components": []},
+                          "the algebra must be a JSON object"),
+    "degree-is-an-int": ({"algebra": HEIS1, "group": {"rank": 2},
+                          "components": [{"degree": 5, "vectors": []}]},
+                         "a degree must be a JSON object"),
+    "k-is-a-list": ({"algebra": {"kind": "heisenberg", "k": [1]},
+                     "group": {"rank": 2}, "components": []},
+                    "k must be a JSON integer"),
+    "group-is-a-list": ({"algebra": HEIS1, "group": [], "components": []},
+                        "the group must be a JSON object"),
+    "free-is-an-int": ({"algebra": HEIS1, "group": {"rank": 2},
+                        "components": [{"degree": {"free": 3}, "vectors": []}]},
+                       "free must be a JSON array"),
+    "vectors-is-an-int": ({"algebra": HEIS1, "group": {"rank": 2},
+                           "components": [{"degree": {"free": [1, 0]},
+                                           "vectors": 4}]},
+                          "vectors must be a JSON array"),
+    "scalar-is-a-number": ({"algebra": HEIS1, "group": {"rank": 2},
+                            "components": [{"degree": {"free": [1, 0]},
+                                            "vectors": [[1, 0, 0]]}]},
+                           "a scalar must be a string"),
+    "relation-is-an-int": ({"algebra": HEIS1,
+                            "group": {"n_gens": 2, "relations": [5]},
+                            "components": []},
+                           "a relation must be a JSON array"),
+    "ragged-custom-table": ({"algebra": {"kind": "custom", "labels": ["a", "b"],
+                                         "table": [[["0", "0"]]]},
+                             "group": {"rank": 1}, "components": []},
+                            "parity and table must match the 2 labels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NESTED))
+def test_malformed_nested_json_is_a_parse_error(case, capsys):
+    spec, message = MALFORMED_NESTED[case]
+    code, out = run_cli("verify", json.dumps(spec))
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad grading spec") and message in err
+
+
+Z2_TYPE = {"group": {"rank": 0, "torsion": [2]}, "g0": {"torsion": [0]},
+           "epsilon": [["-1"]], "dims": []}
+MALFORMED_COLOR = {
+    "grading-degree-is-an-int": ({"grading": MALFORMED_NESTED["degree-is-an-int"][0],
+                                  "epsilon": []}, "a degree must be a JSON object"),
+    "conductor-is-a-list": ({"conductor": [1], "color_type": Z2_TYPE},
+                            "conductor must be a JSON integer"),
+    "epsilon-is-an-int": ({"color_type": dict(Z2_TYPE, epsilon=5)},
+                          "epsilon must be a JSON array"),
+    "dims-entry-is-an-int": ({"color_type": dict(Z2_TYPE, dims=[3])},
+                             "a dims entry must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COLOR))
+def test_malformed_nested_color_json_is_a_parse_error(case, capsys):
+    spec, message = MALFORMED_COLOR[case]
+    code, _ = run_cli("color-classify", json.dumps(spec))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad color spec") and message in err
+
+
 def test_verify_rejects_vector_of_wrong_length(capsys):
     spec = {
         "algebra": {"kind": "heisenberg", "k": 1},

@@ -186,3 +186,122 @@ def test_json_custom_verified_on_load():
     # [e1, ehat1] = z but [ehat1, e1] = 0 is not skew-symmetric
     with pytest.raises(ValueError):
         algebra_from_json(spec)
+
+
+# --- the sparse bracket against a dense reference ---------------------------
+
+def dense_bracket(a, u, v):
+    """[u, v] summed over the whole dense structure-constant table."""
+    out = [a.ctx.zero()] * a.dim
+    for i in range(a.dim):
+        for j in range(a.dim):
+            for k in range(a.dim):
+                out[k] = out[k] + u[i] * v[j] * a.table[i][j][k]
+    return tuple(out)
+
+
+def dense_is_automorphism(f, a):
+    """is_automorphism written over the dense table."""
+    from heisgrad._linalg import mat_inverse
+    if len(f) != a.dim or mat_inverse(f, a.ctx) is None:
+        return False
+    if any(c and a.parity[i] != a.parity[j]
+           for j in range(a.dim) for i, c in enumerate(f[j])):
+        return False
+    return all(mat_apply(f, a.table[i][j]) == dense_bracket(a, f[i], f[j])
+               for i in range(a.dim) for j in range(a.dim))
+
+
+def _perturbed_heisenberg():
+    a = heisenberg(2)
+    table = [list(row) for row in a.table]
+    table[0][2] = a.basis_vect(0)
+    table[2][0] = vscale(a.ctx.from_fraction(-1), a.basis_vect(0))
+    from heisgrad.liealg import Algebra
+    return Algebra(a.ctx, a.labels, a.parity, tuple(tuple(r) for r in table), {})
+
+
+def _moved(a, rng):
+    """a in the basis given by the columns of a random unitriangular matrix,
+    so that most structure constants are nonzero."""
+    from heisgrad._linalg import mat_inverse
+    from heisgrad.liealg import Algebra
+    cols = [tuple(a.ctx.one() if r == c else
+                  a.ctx.from_fraction(rng.randint(-2, 2)) if r < c else a.ctx.zero()
+                  for r in range(a.dim)) for c in range(a.dim)]
+    back = mat_inverse(cols, a.ctx)
+    table = tuple(tuple(mat_apply(back, a.bracket(cols[i], cols[j]))
+                        for j in range(a.dim)) for i in range(a.dim))
+    return Algebra(a.ctx, a.labels, a.parity, table, {})
+
+
+def _sample_algebras():
+    from heisgrad.abelian import AbGroup
+    from heisgrad.color import Bicharacter, ColorType, color_algebra
+    ctx4, ctx12 = CycloCtx(4), CycloCtx(12)
+    grp = AbGroup(2, ())
+    z3 = ctx12.zeta(4)
+    eps = Bicharacter(grp, [[ctx12.one(), z3], [z3.inv(), ctx12.one()]])
+    e1, e2 = grp.elt((1, 0), ()), grp.elt((0, 1), ())
+    color, _ = color_algebra(ColorType(grp, grp.zero(), eps, {
+        grp.zero(): 1, e1: 1, -e1: 1, e2: 1, -e2: 1}), ctx12)
+    sl2 = algebra_from_json({
+        "kind": "custom", "conductor": 3, "labels": ["e", "f", "h"],
+        "table": [[["0", "0", "0"], ["0", "0", "1"], ["-2", "0", "0"]],
+                  [["0", "0", "-1"], ["0", "0", "0"], ["0", "2", "0"]],
+                  [["2", "0", "0"], ["0", "-2", "0"], ["0", "0", "0"]]]})
+    return [heisenberg(3), heisenberg_super(1, 2),
+            twisted([ctx4.one(), ctx4.i(), ctx4.from_fraction(Fraction(2, 3))]),
+            color, sl2, _perturbed_heisenberg(),
+            _moved(twisted([ctx4.one(), ctx4.i()]), random.Random(3))]
+
+
+def _random_vect(a, rng):
+    ctx = a.ctx
+    return tuple(ctx.zero() if rng.random() < 0.3 else
+                 ctx.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                 * ctx.zeta(rng.randrange(ctx.n)) for _ in range(a.dim))
+
+
+def test_sparse_bracket_matches_dense_reference():
+    rng = random.Random(2024)
+    for a in _sample_algebras():
+        for _ in range(12):
+            u, v = _random_vect(a, rng), _random_vect(a, rng)
+            assert a.bracket(u, v) == dense_bracket(a, u, v)
+        for i in range(a.dim):
+            for j in range(a.dim):
+                assert a.bracket(a.basis_vect(i), a.basis_vect(j)) == a.table[i][j]
+
+
+def test_sparse_terms_list_exactly_the_nonzero_constants():
+    for a in _sample_algebras():
+        listed = {(i, j, k): c for i, row in enumerate(a.terms)
+                  for j, t in row for k, c in t}
+        dense = {(i, j, k): a.table[i][j][k] for i in range(a.dim)
+                 for j in range(a.dim) for k in range(a.dim) if a.table[i][j][k]}
+        assert listed == dense
+
+
+def test_is_automorphism_matches_dense_reference():
+    rng = random.Random(99)
+    outcomes = []
+    for a in _sample_algebras():
+        maps = [identity_map(a), [_random_vect(a, rng) for _ in range(a.dim)]]
+        for _ in range(4):
+            f = identity_map(a)
+            i, j = rng.randrange(a.dim), rng.randrange(a.dim)
+            f[j] = vscale(a.ctx.from_fraction(rng.randint(1, 3)), f[j])
+            f[i] = tuple(x + y for x, y in zip(f[i], a.basis_vect(j)))
+            maps.append(f)
+        maps.append(list(reversed(identity_map(a))))
+        maps.append([a.basis_vect(0)] * a.dim)
+        for f in maps:
+            got = is_automorphism(f, a)
+            assert got == dense_is_automorphism(f, a)
+            outcomes.append(got)
+    heis = heisenberg(2)
+    for _ in range(3):
+        f = random_heisenberg_automorphism(heis, rng)
+        assert is_automorphism(f, heis) and dense_is_automorphism(f, heis)
+    assert True in outcomes and False in outcomes

@@ -1,0 +1,140 @@
+"""Property and differential tests of the integer-numerator scalar core.
+
+Elements are drawn as rational coefficient lists; sympy's polynomial
+arithmetic modulo its own cyclotomic polynomial is the independent
+oracle for products, inverses and the coefficient order.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import sympy
+from hypothesis import given, strategies as st
+
+from heisgrad.scalars import (CycloCtx, cyclotomic_poly, embed, format_scalar,
+                              parse_scalar)
+
+CONDUCTORS = (1, 3, 4, 8, 12, 16, 48)
+X = sympy.Symbol("x")
+
+coefficient = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+def coefficient_lists(n: int, extra: int = 0):
+    """Rational coefficient lists of length up to degree + extra."""
+    d = CycloCtx(n).degree
+    return st.lists(coefficient, min_size=1, max_size=d + extra)
+
+
+@st.composite
+def field_elements(draw, n: int | None = None, count: int = 1, extra: int = 0):
+    """(ctx, [(element, its coefficient list), ...]) in one field."""
+    n = n if n is not None else draw(st.sampled_from(CONDUCTORS))
+    ctx = CycloCtx(n)
+    pairs = []
+    for _ in range(count):
+        cs = draw(coefficient_lists(n, extra))
+        pairs.append((ctx.reduce(cs), cs))
+    return ctx, pairs
+
+
+def sympy_coeffs(cs, n: int) -> tuple[Fraction, ...]:
+    """The coefficients of sum cs[k] x^k mod phi_n, by sympy, padded to
+    the degree of phi_n."""
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain="QQ")
+    p = sympy.Poly(list(reversed(cs)), X, domain="QQ").rem(phi)
+    return coeffs_of(p, phi.degree())
+
+
+def coeffs_of(p, d: int) -> tuple[Fraction, ...]:
+    out = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+    return tuple(out + [Fraction(0)] * (d - len(out)))
+
+
+def canonical(x) -> bool:
+    d = x.ctx.degree
+    return (len(x.num) == d and x.den > 0 and gcd(x.den, *x.num) == 1
+            and (any(x.num) or x.den == 1))
+
+
+@given(field_elements(count=3))
+def test_field_axioms(drawn):
+    ctx, [(a, _), (b, _), (c, _)] = drawn
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ctx.zero() == a and a * ctx.one() == a
+    assert a + (-a) == ctx.zero() and a - b == a + (-b)
+    if a:
+        assert a * a.inv() == ctx.one()
+        assert (b / a) * a == b
+
+
+@given(field_elements(count=2, extra=40))
+def test_canonical_form(drawn):
+    ctx, [(a, _), (b, _)] = drawn
+    for x in (a, b, a + b, a - b, a * b, -a, a - a, ctx.zero(), ctx.one()):
+        assert canonical(x)
+    zero = a - a
+    assert zero.num == (0,) * ctx.degree and zero.den == 1
+    assert zero == ctx.zero() and hash(zero) == hash(ctx.zero())
+    if a:
+        assert canonical(a.inv())
+
+
+@given(field_elements(count=2, extra=40))
+def test_arithmetic_matches_sympy(drawn):
+    ctx, [(a, ca), (b, cb)] = drawn
+    n, d = ctx.n, ctx.degree
+    assert a.coeffs == sympy_coeffs(ca, n)
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain="QQ")
+    pa = sympy.Poly(list(reversed(a.coeffs)), X, domain="QQ")
+    pb = sympy.Poly(list(reversed(b.coeffs)), X, domain="QQ")
+    assert (a * b).coeffs == coeffs_of((pa * pb).rem(phi), d)
+    assert (a + b).coeffs == coeffs_of(pa + pb, d)
+    if a:
+        assert a.inv().coeffs == coeffs_of(sympy.invert(pa, phi), d)
+
+
+@given(field_elements(n=48, extra=0), st.integers(0, 95))
+def test_inverse_of_sparse_elements(drawn, k):
+    # monomials and binomials force row swaps in the elimination
+    ctx, [(a, _)] = drawn
+    for x in (ctx.zeta(k), ctx.zeta(k) + ctx.zeta(k // 2 + 1), a * ctx.zeta(k)):
+        if x:
+            assert x * x.inv() == ctx.one()
+
+
+@given(field_elements(count=1, extra=10))
+def test_format_parse_roundtrip(drawn):
+    ctx, [(a, _)] = drawn
+    assert parse_scalar(format_scalar(a), ctx) == a
+
+
+@given(st.sampled_from([(1, 4), (3, 12), (4, 12), (4, 16), (8, 16), (12, 48),
+                        (16, 48)]), st.data())
+def test_embed_is_a_ring_homomorphism(pair, data):
+    m, n = pair
+    _, [(a, _), (b, _)] = data.draw(field_elements(n=m, count=2))
+    big = CycloCtx(n)
+    assert embed(a * b, big) == embed(a, big) * embed(b, big)
+    assert embed(a + b, big) == embed(a, big) + embed(b, big)
+    assert embed(a.ctx.one(), big) == big.one()
+    assert embed(a.ctx.zeta(), big) == big.zeta(n // m)
+
+
+def test_cyclotomic_poly_matches_sympy():
+    for n in range(1, 121):
+        p = sympy.Poly(sympy.cyclotomic_poly(n, X), X)
+        assert cyclotomic_poly(n) == tuple(int(c) for c in reversed(p.all_coeffs()))
+
+
+@given(st.sampled_from(CONDUCTORS), st.data())
+def test_sort_key_orders_by_rational_coefficients(n, data):
+    _, pairs = data.draw(field_elements(n=n, count=8, extra=6))
+    xs = [x for x, _ in pairs]
+    oracle = {x: sympy_coeffs(cs, n) for x, cs in pairs}
+    assert sorted(xs, key=lambda v: v.sort_key()) == sorted(xs, key=oracle.get)

@@ -196,3 +196,14 @@ def test_division():
     assert (ctx.one() + z) / (ctx.one() + z) == ctx.one()
     with pytest.raises(ZeroDivisionError):
         ctx.zero().inv()
+
+
+def test_hash_agrees_with_eq():
+    ctx = CycloCtx(12)
+    half = Fraction(1, 2)
+    assert ctx.one() == 1 and 1 in {ctx.one()} and ctx.one() in {1}
+    assert ctx.from_fraction(half) in {half}
+    assert {ctx.from_fraction(-3): "x"}[-3] == "x"
+    z = ctx.zeta()
+    assert hash((z + 1) * (z - 1)) == hash(z * z - 1)
+    assert len({z ** 12, ctx.one(), 1, Fraction(1)}) == 1
