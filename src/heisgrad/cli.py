@@ -19,8 +19,8 @@ from .color import (Bicharacter, classify_color, color_algebra,
                     color_type_from_json, color_type_to_json,
                     epsilon_from_json, is_super_realizable)
 from .fine import (FineTwistedParams, decompose_twisted_grading,
-                   enumerate_twisted_fine, heisenberg_fine, super_fine,
-                   twisted_fine)
+                   enumerate_super_fine, enumerate_twisted_fine,
+                   heisenberg_fine, super_fine, twisted_fine)
 from .gradings import (grading_from_json, grading_to_json, universal_group,
                        verify_grading)
 from .liealg import json_int
@@ -189,22 +189,22 @@ def cmd_enumerate_fine(args, out) -> int:
     return 0
 
 
-def _grading_for_weyl(args):
+def _grading_for_weyl(args) -> list:
     if args.heisenberg is not None:
-        return heisenberg_fine(args.heisenberg), None
+        return [heisenberg_fine(args.heisenberg)]
     if args.super is not None:
         try:
             k, m = (int(x) for x in args.super.split(","))
         except ValueError:
             raise CliError(f"bad --super value {args.super!r}", PARSE_ERROR)
-        rs = [args.r] if args.r is not None else list(range(m // 2 + 1))
-        return None, [(k, m, r) for r in rs]
+        if args.r is not None:
+            return [super_fine(k, m, args.r)]
+        return [gr for _, gr in enumerate_super_fine(k, m)]
     if args.twisted is not None:
         lam, ctx = _parse_lambda(args.twisted, args.conductor)
         if args.params:
-            p = _parse_params(args.params, ctx)
-            return twisted_fine(lam, p), None
-        return None, [("twisted", lam, p) for p in enumerate_twisted_fine(lam)]
+            return [twisted_fine(lam, _parse_params(args.params, ctx))]
+        return [twisted_fine(lam, p) for p in enumerate_twisted_fine(lam)]
     raise CliError("choose one of --heisenberg, --super or --twisted", PARSE_ERROR)
 
 
@@ -226,8 +226,10 @@ def _weyl_report_lines(gr, rep, lines, payload_list):
     lines.append(f"  agreement: {'yes' if rep.agree else 'NO (closure wins)'}")
     if rep.brute_order is not None:
         lines.append(f"  brute-force order: {rep.brute_order}")
-    lines.append(f"  abelian: {'yes' if rep.group.is_abelian() else 'no'}; "
-                 f"dihedral pattern: {'yes' if rep.group.dihedral_pattern() else 'no'}")
+    abelian = rep.group.is_abelian()
+    dihedral = rep.group.dihedral_pattern()
+    lines.append(f"  abelian: {'yes' if abelian else 'no'}; "
+                 f"dihedral pattern: {'yes' if dihedral else 'no'}")
     gens = []
     for aut in rep.generators:
         lines.append(f"  generator {aut.name}: {perm_cycles(aut.perm)}")
@@ -243,28 +245,16 @@ def _weyl_report_lines(gr, rep, lines, payload_list):
         "formula_order": rep.formula_order,
         "agreement": rep.agree,
         "brute_order": rep.brute_order,
-        "abelian": rep.group.is_abelian(),
-        "dihedral_pattern": rep.group.dihedral_pattern(),
+        "abelian": abelian,
+        "dihedral_pattern": dihedral,
         "generators": gens,
     })
 
 
 def cmd_weyl(args, out) -> int:
-    single, many = _grading_for_weyl(args)
     lines: list[str] = []
     payload: list[dict] = []
-    jobs = []
-    if single is not None:
-        jobs = [single]
-    else:
-        for item in many:
-            if item and item[0] == "twisted":
-                _, lam, p = item
-                jobs.append(twisted_fine(lam, p))
-            else:
-                k, m, r = item
-                jobs.append(super_fine(k, m, r))
-    for gr in jobs:
+    for gr in _grading_for_weyl(args):
         rep = weyl_group(gr, brute=args.brute, cap=args.cap)
         _weyl_report_lines(gr, rep, lines, payload)
     _emit(out, args.format, lines, {"gradings": payload})
@@ -362,6 +352,16 @@ def cmd_color_classify(args, out) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="heisgrad",
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_input=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--conductor", type=int, default=None,
+        p.add_argument("--conductor", type=_positive_int, default=None,
                        help="override the automatically selected conductor")
         if needs_input:
             p.add_argument("input", help="path to a JSON spec, or inline JSON")

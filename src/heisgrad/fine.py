@@ -404,6 +404,8 @@ def super_fine(k: int, m: int, r: int, ctx: CycloCtx | None = None) -> Grading:
 
 def enumerate_super_fine(k: int, m: int) -> list[tuple[int, Grading]]:
     """All fine gradings on H_(2k+1, m) up to equivalence, one per r."""
+    if m < 0:
+        raise ValueError("need m >= 0")
     return [(r, super_fine(k, m, r)) for r in range(m // 2 + 1)]
 
 

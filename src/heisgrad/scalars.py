@@ -60,37 +60,30 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # long division of integer polynomials; den is monic and must divide num
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + dd]
-        out[i] = c
-        if c:
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    if any(num[:dd]):
-        raise ArithmeticError("polynomial division was not exact")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial.
 
-    Computed by dividing x^n - 1 by the cyclotomic polynomials of all
-    proper divisors of n.
+    Computed as the product of (x^(n/d) - 1)^mu(d) over the squarefree
+    divisors d of n: the factors with mu(d) = 1 are multiplied first,
+    then those with mu(d) = -1 divided out exactly, each in one pass.
     """
     if n < 1:
         raise ValueError("conductor must be positive")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _exact_div(poly, cyclotomic_poly(d))
+    ups, downs = [n], []  # n/d for mu(d) = 1 and for mu(d) = -1
+    for p in prime_factors(n):
+        ups, downs = ups + [m // p for m in downs], downs + [m // p for m in ups]
+    poly = [1]
+    for m in ups:  # poly * (x^m - 1)
+        out = [-c for c in poly] + [0] * m
+        for i, c in enumerate(poly):
+            out[i + m] += c
+        poly = out
+    for m in downs:  # poly / (x^m - 1): poly[i] = q[i - m] - q[i]
+        q = [0] * (len(poly) - m)
+        for i in range(len(q)):
+            q[i] = (q[i - m] if i >= m else 0) - poly[i]
+        poly = q
     return tuple(poly)
 
 

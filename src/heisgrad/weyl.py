@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lcm
 
 from ._linalg import (Vect, in_span, is_zero_vect, mat_apply, mat_inverse,
                       rref, vadd, vscale, vzero)
@@ -66,33 +66,34 @@ class PermGroup:
 
 
 def _pmul(a: Perm, b: Perm) -> Perm:
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple(map(a.__getitem__, b))
+
+
+def _cycles(p: Perm) -> list[list[int]]:
+    """The cycles of p of length at least 2, each from its least point."""
+    seen = [False] * len(p)
+    out = []
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        cyc = [i]
+        seen[i] = True
+        j = p[i]
+        while j != i:
+            seen[j] = True
+            cyc.append(j)
+            j = p[j]
+        if len(cyc) > 1:
+            out.append(cyc)
+    return out
 
 
 def _perm_order(p: Perm) -> int:
-    n, q = 1, p
-    ident = tuple(range(len(p)))
-    while q != ident:
-        q = _pmul(p, q)
-        n += 1
-    return n
+    return lcm(*(len(c) for c in _cycles(p)))
 
 
 def perm_cycles(p: Perm) -> str:
-    seen, out = set(), []
-    for i in range(len(p)):
-        if i in seen or p[i] == i:
-            seen.add(i)
-            continue
-        cyc = [i]
-        j = p[i]
-        while j != i:
-            seen.add(j)
-            cyc.append(j)
-            j = p[j]
-        seen.add(i)
-        out.append("(" + " ".join(str(c) for c in cyc) + ")")
-    return "".join(out) if out else "()"
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in _cycles(p)) or "()"
 
 
 def closure(perms: list[Perm], degree: int | None = None) -> PermGroup:
@@ -145,88 +146,78 @@ def induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
 
 
 # --- standard generators ------------------------------------------------------
+#
+# Each family lists its generators as images of one homogeneous basis;
+# standard_generators inverts that basis once for all of them.
+
+Named = list[tuple[str, list[Vect]]]
+
 
 def _map_from_basis_images(a: Algebra, basis: list[Vect],
-                           images: list[Vect]) -> LinMap:
-    """The linear map (in algebra coordinates) sending basis[m] to images[m]."""
+                           image_lists: list[list[Vect]]) -> list[LinMap]:
+    """For each image list, the linear map (in algebra coordinates)
+    sending basis[m] to images[m]."""
     inv = mat_inverse(list(basis), a.ctx)
     if inv is None:
         raise ValueError("basis vectors are not independent")
-    cols = []
-    for j in range(a.dim):
-        acc = vzero(a.ctx, a.dim)
-        for m in range(a.dim):
-            c = inv[j][m]
-            if c:
-                acc = vadd(acc, vscale(c, images[m]))
-        cols.append(acc)
-    return cols
+    maps = []
+    for images in image_lists:
+        cols = []
+        for j in range(a.dim):
+            acc = vzero(a.ctx, a.dim)
+            for m in range(a.dim):
+                c = inv[j][m]
+                if c:
+                    acc = vadd(acc, vscale(c, images[m]))
+            cols.append(acc)
+        maps.append(cols)
+    return maps
 
 
-def _checked(a: Algebra, f: LinMap, name: str) -> tuple[str, LinMap]:
-    if not is_automorphism(f, a):
-        raise AssertionError(f"generator {name} is not an automorphism")
-    return name, f
+def _swap_runs(basis: list[Vect], p0: int, p1: int, width: int) -> list[Vect]:
+    """Images exchanging basis[p0:p0+width] with basis[p1:p1+width]."""
+    img = list(basis)
+    img[p0:p0 + width], img[p1:p1 + width] = basis[p1:p1 + width], basis[p0:p0 + width]
+    return img
 
 
-def _heisenberg_generators(a: Algebra, k: int) -> list[tuple[str, LinMap]]:
-    out = []
-    ident = [a.basis_vect(i) for i in range(a.dim)]
-    for i in range(k - 1):  # adjacent pair transpositions
-        cols = list(ident)
-        cols[2 * i], cols[2 * i + 2] = ident[2 * i + 2], ident[2 * i]
-        cols[2 * i + 1], cols[2 * i + 3] = ident[2 * i + 3], ident[2 * i + 1]
-        out.append(_checked(a, cols, f"pair_swap({i + 1},{i + 2})"))
-    cols = list(ident)
-    cols[0] = ident[1]
-    cols[1] = vscale(a.ctx.from_fraction(-1), ident[0])
-    out.append(_checked(a, cols, "symplectic_flip(1)"))
-    return out
+def _flip(a: Algebra, basis: list[Vect], p: int) -> list[Vect]:
+    """Images of the symplectic flip (b_p, b_p+1) -> (b_p+1, -b_p)."""
+    img = list(basis)
+    img[p], img[p + 1] = basis[p + 1], vscale(a.ctx.from_fraction(-1), basis[p])
+    return img
 
 
-def _super_generators(gr: Grading) -> list[tuple[str, LinMap]]:
+def _heisenberg_generators(a: Algebra, k: int) -> tuple[list[Vect], Named]:
+    basis = [a.basis_vect(i) for i in range(a.dim)]
+    gens = [(f"pair_swap({i + 1},{i + 2})", _swap_runs(basis, 2 * i, 2 * i + 2, 2))
+            for i in range(k - 1)]
+    gens.append(("symplectic_flip(1)", _flip(a, basis, 0)))
+    return basis, gens
+
+
+def _super_generators(gr: Grading) -> tuple[list[Vect], Named]:
     a = gr.algebra
     meta = gr.meta
     k, r = meta["k"], meta["r"]
-    uv, zs, z = list(meta["uv"]), list(meta["zs"]), meta["z"]
-    q = len(zs)
     basis = [a.basis_vect(i) for i in range(2 * k)]
-    for u, v in uv:
+    for u, v in meta["uv"]:
         basis += [u, v]
-    basis += zs + [z]
-    out = []
-
-    def build(images, name):
-        return _checked(a, _map_from_basis_images(a, basis, images), name)
-
-    ident = list(basis)
-    if k >= 1:
-        img = list(ident)
-        img[0], img[1] = basis[1], vscale(a.ctx.from_fraction(-1), basis[0])
-        out.append(build(img, "symplectic_flip(1)"))
-    for i in range(k - 1):
-        img = list(ident)
-        img[2 * i], img[2 * i + 2] = basis[2 * i + 2], basis[2 * i]
-        img[2 * i + 1], img[2 * i + 3] = basis[2 * i + 3], basis[2 * i + 1]
-        out.append(build(img, f"pair_swap({i + 1},{i + 2})"))
+    basis += list(meta["zs"]) + [meta["z"]]
+    gens = [("symplectic_flip(1)", _flip(a, basis, 0))] if k >= 1 else []
+    gens += [(f"pair_swap({i + 1},{i + 2})", _swap_runs(basis, 2 * i, 2 * i + 2, 2))
+             for i in range(k - 1)]
     base_uv = 2 * k
     if r >= 1:
         # the odd pairing is symmetric, so the hyperbolic swap needs no sign
-        img = list(ident)
-        img[base_uv], img[base_uv + 1] = basis[base_uv + 1], basis[base_uv]
-        out.append(build(img, "odd_flip(1)"))
-    for j in range(r - 1):
-        img = list(ident)
-        p0, p1 = base_uv + 2 * j, base_uv + 2 * j + 2
-        img[p0], img[p1] = basis[p1], basis[p0]
-        img[p0 + 1], img[p1 + 1] = basis[p1 + 1], basis[p0 + 1]
-        out.append(build(img, f"odd_pair_swap({j + 1},{j + 2})"))
+        gens.append(("odd_flip(1)", _swap_runs(basis, base_uv, base_uv + 1, 1)))
+    gens += [(f"odd_pair_swap({j + 1},{j + 2})",
+              _swap_runs(basis, base_uv + 2 * j, base_uv + 2 * j + 2, 2))
+             for j in range(r - 1)]
     base_z = 2 * k + 2 * r
-    for t in range(q - 1):
-        img = list(ident)
-        img[base_z + t], img[base_z + t + 1] = basis[base_z + t + 1], basis[base_z + t]
-        out.append(build(img, f"diag_swap({t + 1},{t + 2})"))
-    return out
+    gens += [(f"diag_swap({t + 1},{t + 2})", _swap_runs(basis, base_z + t, base_z + t + 1, 1))
+             for t in range(len(meta["zs"]) - 1)]
+    return basis, gens
 
 
 def _twisted_block_basis(gr: Grading):
@@ -251,7 +242,7 @@ def _twisted_block_basis(gr: Grading):
     return basis, index
 
 
-def _twisted_generators(gr: Grading) -> list[tuple[str, LinMap]]:
+def _twisted_generators(gr: Grading) -> tuple[list[Vect], Named]:
     a = gr.algebra
     meta = gr.meta
     p: FineTwistedParams = meta["params"]
@@ -261,20 +252,15 @@ def _twisted_generators(gr: Grading) -> list[tuple[str, LinMap]]:
     l, s, r = p.l, p.s, p.r
     ctx = a.ctx
     basis, index = _twisted_block_basis(gr)
-    ident = list(basis)
     u_pos, z_pos = 0, len(basis) - 1
-    out = []
-
-    def build(images, name):
-        return _checked(a, _map_from_basis_images(a, basis, images), name)
-
+    gens: Named = []
     ii = ctx.i()
     minus = ctx.from_fraction(-1)
 
     # cyclic rotation inside one type-I block
     if l > 1:
         for j in range(s):
-            img = list(ident)
+            img = list(basis)
             for i in range(l):
                 img[index[("x", j, i)]] = vscale(ii, basis[index[("x", j, (i + 1) % l)]])
             for i in range(l):
@@ -282,51 +268,43 @@ def _twisted_generators(gr: Grading) -> list[tuple[str, LinMap]]:
                 if i == 0:
                     src = vscale(ctx.from_fraction((-1) ** l), src)
                 img[index[("y", j, i)]] = vscale(ii, src)
-            out.append(build(img, f"cycle_I({j + 1})"))
+            gens.append((f"cycle_I({j + 1})", img))
     if l % 2 == 0:
         # x/y exchange inside one type-I block
         for j in range(s):
-            img = list(ident)
+            img = list(basis)
             for i in range(l):
                 img[index[("x", j, i)]] = basis[index[("y", j, i)]]
                 img[index[("y", j, i)]] = vscale(minus, basis[index[("x", j, i)]])
-            out.append(build(img, f"flip_I({j + 1})"))
+            gens.append((f"flip_I({j + 1})", img))
         # half-period shift inside one type-II block
         m = l // 2
         c = ii if m % 2 else ctx.one()
         for t in range(r):
-            img = list(ident)
+            img = list(basis)
             for i in range(l):
                 img[index[("a", t, i)]] = vscale(c, basis[index[("a", t, (i + m) % l)]])
-            out.append(build(img, f"half_shift_II({t + 1})"))
+            gens.append((f"half_shift_II({t + 1})", img))
     else:
         # global x/y exchange, negating u (odd l)
-        img = list(ident)
+        img = list(basis)
         img[u_pos] = vscale(minus, basis[u_pos])
         for j in range(s):
             for i in range(l):
                 sgn = ctx.from_fraction((-1) ** (i + 1))
                 img[index[("x", j, i)]] = vscale(sgn, basis[index[("y", j, i)]])
                 img[index[("y", j, i)]] = vscale(-sgn, basis[index[("x", j, i)]])
-        out.append(build(img, "flip_all_I"))
+        gens.append(("flip_all_I", img))
 
     # swaps of adjacent blocks with equal scalars
     for j in range(s - 1):
         if p.betas[j] == p.betas[j + 1]:
-            img = list(ident)
-            for i in range(l):
-                img[index[("x", j, i)]] = basis[index[("x", j + 1, i)]]
-                img[index[("x", j + 1, i)]] = basis[index[("x", j, i)]]
-                img[index[("y", j, i)]] = basis[index[("y", j + 1, i)]]
-                img[index[("y", j + 1, i)]] = basis[index[("y", j, i)]]
-            out.append(build(img, f"swap_I({j + 1},{j + 2})"))
+            gens.append((f"swap_I({j + 1},{j + 2})", _swap_runs(
+                basis, index[("x", j, 0)], index[("x", j + 1, 0)], 2 * l)))
     for t in range(r - 1):
         if p.alphas[t] == p.alphas[t + 1]:
-            img = list(ident)
-            for i in range(l):
-                img[index[("a", t, i)]] = basis[index[("a", t + 1, i)]]
-                img[index[("a", t + 1, i)]] = basis[index[("a", t, i)]]
-            out.append(build(img, f"swap_II({t + 1},{t + 2})"))
+            gens.append((f"swap_II({t + 1},{t + 2})", _swap_runs(
+                basis, index[("a", t, 0)], index[("a", t + 1, 0)], l)))
 
     # spectrum rotations u -> u/eps for every root of unity eps that
     # permutes the block-scalar class multisets
@@ -336,7 +314,7 @@ def _twisted_generators(gr: Grading) -> list[tuple[str, LinMap]]:
         tau_a = _class_bijection(p.alphas, eps, *alpha_cls)
         if tau_b is None or tau_a is None:
             continue
-        img = list(ident)
+        img = list(basis)
         img[u_pos] = vscale(eps.inv(), basis[u_pos])
         img[z_pos] = vscale(eps, basis[z_pos])
         for j in range(s):
@@ -349,8 +327,8 @@ def _twisted_generators(gr: Grading) -> list[tuple[str, LinMap]]:
             for i in range(l):
                 img[index[("a", t, i)]] = blk.xs[i]
         o = root_of_unity_order(eps)
-        out.append(build(img, f"spectrum_rotation(order {o})"))
-    return out
+        gens.append((f"spectrum_rotation(order {o})", img))
+    return basis, gens
 
 
 def _epsilon_candidates(lam: list[CycloNum], p: FineTwistedParams) -> list[CycloNum]:
@@ -394,12 +372,15 @@ def standard_generators(gr: Grading) -> list[tuple[str, LinMap]]:
     grading produced by this package."""
     fam = gr.meta.get("family")
     if fam == "heisenberg":
-        return _heisenberg_generators(gr.algebra, gr.meta["k"])
-    if fam == "super":
-        return _super_generators(gr)
-    if fam == "twisted":
-        return _twisted_generators(gr)
-    raise ValueError("grading does not carry fine-grading provenance")
+        basis, gens = _heisenberg_generators(gr.algebra, gr.meta["k"])
+    elif fam == "super":
+        basis, gens = _super_generators(gr)
+    elif fam == "twisted":
+        basis, gens = _twisted_generators(gr)
+    else:
+        raise ValueError("grading does not carry fine-grading provenance")
+    maps = _map_from_basis_images(gr.algebra, basis, [img for _, img in gens])
+    return [(name, f) for (name, _), f in zip(gens, maps)]
 
 
 # --- closed-form orders -------------------------------------------------------
@@ -547,9 +528,9 @@ def weyl_bruteforce(gr: Grading, cap: int = 12) -> PermGroup:
     derived-subalgebra membership and degree additivity preserved); each
     survivor is accepted iff the induced multiplicative system on the
     per-component scalars is solvable, decided exactly via the Smith
-    normal form of the exponent matrix (free relations must have
-    product 1; torsion relations are radicals, always solvable over an
-    algebraically closed extension)."""
+    normal form of the exponent matrix, computed once per grading (free
+    relations must have product 1; torsion relations are radicals,
+    always solvable over an algebraically closed extension)."""
     a = gr.algebra
     support = gr.support
     n = len(support)
@@ -627,31 +608,29 @@ def weyl_bruteforce(gr: Grading, cap: int = 12) -> PermGroup:
                     trail.append(k)
         return True
 
+    # the exponent rows e_k - e_i - e_j depend only on the grading; a leaf
+    # is accepted iff the ratios gamma[p(i)][p(j)] / gamma[i][j] satisfy
+    # the free relations: the rows of U whose row of D is zero
+    pairs = [(i, j) for i in range(n) for j in range(n) if gamma[i][j] is not None]
+    rows = []
+    for i, j in pairs:
+        row = [0] * n
+        row[target[i][j]] += 1
+        row[i] -= 1
+        row[j] -= 1
+        rows.append(row)
+    u, d, _ = smith_normal_form(rows)
+    free = [[(pairs[c], e) for c, e in enumerate(urow) if e]
+            for urow, drow in zip(u, d) if not any(drow)]
+    one = a.ctx.one()
+
     def scalars_solvable(p: Perm) -> bool:
-        rows, rhs = [], []
-        for i in range(n):
-            for j in range(n):
-                if gamma[i][j] is None:
-                    continue
-                k = target[i][j]
-                row = [0] * n
-                row[k] += 1
-                row[i] -= 1
-                row[j] -= 1
-                rows.append(row)
-                rhs.append(gamma[p[i]][p[j]] / gamma[i][j])
-        if not rows:
-            return True
-        u, d, _ = smith_normal_form(rows)
-        one = a.ctx.one()
-        for ri in range(len(rows)):
-            if all((d[ri][c] if c < n else 0) == 0 for c in range(n)):
-                prod = one
-                for c, e in enumerate(u[ri]):
-                    if e:
-                        prod = prod * rhs[c] ** e
-                if prod != one:
-                    return False
+        for rel in free:
+            prod = one
+            for (i, j), e in rel:
+                prod = prod * (gamma[p[i]][p[j]] / gamma[i][j]) ** e
+            if prod != one:
+                return False
         return True
 
     order = sorted(range(n), key=lambda i: -sum(gamma[i][j] is not None

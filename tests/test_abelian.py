@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from heisgrad.abelian import (AbGroup, AbPresentation, canonicalize, generates,
                               group_product, smith_normal_form,
@@ -161,3 +164,28 @@ def test_str_forms():
     assert str(AbGroup(0, ())) == "1"
     assert str(AbGroup(1, ())) == "Z"
     assert str(AbGroup(0, (5,))) == "Z_5"
+
+
+@st.composite
+def int_matrices(draw):
+    """Small integer matrices, dense or diagonal (diagonal ones rarely
+    come out of elimination as a divisibility chain), many of them with
+    zero rows and columns."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.integers(-12, 12)
+    diagonal = draw(st.booleans())
+    a = [[draw(entry) if i == j or not diagonal else 0 for j in range(cols)]
+         for i in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        a[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in a:
+            row[j] = 0
+    return a
+
+
+@given(int_matrices())
+def test_snf_matches_sympy_invariant_factors(a):
+    # check_snf also asserts U*A*V == D with U and V unimodular
+    diag = check_snf(a)
+    assert diag == [int(x) for x in invariant_factors(Matrix(a), domain=ZZ)]

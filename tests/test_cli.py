@@ -277,6 +277,49 @@ def test_conductor_override():
     assert "conductor: 16" in text
 
 
+CONDUCTOR_ARGS = {
+    "enumerate-fine": ["--twisted", "1,2"],
+    "weyl": ["--heisenberg", "1"],
+    "verify": ["{}"],
+    "universal-group": ["{}"],
+    "decompose": ["{}"],
+    "color-classify": ["{}"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-4", "x"])
+@pytest.mark.parametrize("command", sorted(CONDUCTOR_ARGS))
+def test_conductor_must_be_a_positive_integer(command, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *CONDUCTOR_ARGS[command], "--conductor", value])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_super_with_negative_m_is_a_validation_error(capsys):
+    for argv in (["--super", "2,-1"], ["--super", "2,-1", "--r", "0"]):
+        code, out = run_cli("weyl", *argv)
+        assert code == 3
+        assert out == ""
+        assert "error:" in capsys.readouterr().err
+
+
+def test_broken_generator_is_a_validation_error(monkeypatch, capsys):
+    # a flip without its sign does not preserve [e, ehat] = z
+    import heisgrad.weyl as weyl
+
+    def unsigned_flip(a, basis, p):
+        img = list(basis)
+        img[p], img[p + 1] = basis[p + 1], basis[p]
+        return img
+
+    monkeypatch.setattr(weyl, "_flip", unsigned_flip)
+    code, out = run_cli("weyl", "--heisenberg", "1")
+    assert code == 3
+    assert out == ""
+    assert "not an algebra automorphism" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(shutil.which("heisgrad") is None,
                     reason="no `heisgrad` executable on PATH; install the "
                            "package with `pip install -e . "

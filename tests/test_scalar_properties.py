@@ -127,9 +127,12 @@ def test_embed_is_a_ring_homomorphism(pair, data):
 
 
 def test_cyclotomic_poly_matches_sympy():
-    for n in range(1, 121):
-        p = sympy.Poly(sympy.cyclotomic_poly(n, X), X)
+    # every n <= 120, then conductors with three or four odd prime factors
+    for n in [*range(1, 121), 1155, 2310, 3003, 5005]:
+        p = sympy.cyclotomic_poly(n, X, polys=True)
         assert cyclotomic_poly(n) == tuple(int(c) for c in reversed(p.all_coeffs()))
+    # a large prime p, where phi_p = 1 + x + ... + x^(p-1)
+    assert cyclotomic_poly(9973) == (1,) * 9973
 
 
 @given(st.sampled_from(CONDUCTORS), st.data())

@@ -2,6 +2,7 @@ import random
 from math import factorial
 
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from heisgrad._linalg import vadd, vscale
 from heisgrad.fine import (FineTwistedParams, enumerate_twisted_fine,
@@ -9,7 +10,7 @@ from heisgrad.fine import (FineTwistedParams, enumerate_twisted_fine,
                            twisted_fine_nontoral, twisted_fine_toral)
 from heisgrad.liealg import compose_maps, identity_map
 from heisgrad.scalars import CycloCtx
-from heisgrad.weyl import (CapExceeded, closure, compute_pq,
+from heisgrad.weyl import (CapExceeded, _perm_order, closure, compute_pq,
                            induced_permutation, perm_cycles,
                            standard_generators, weyl_bruteforce, weyl_group,
                            weyl_order_formula)
@@ -99,7 +100,7 @@ def test_odd_flip_commutation_with_odd_pair_swap():
     basis = [v for pair in basis_pairs for v in pair] + [gr.meta["z"]]
     images = list(basis)
     images[2], images[3] = basis[3], basis[2]
-    flip2 = _map_from_basis_images(a, basis, images)
+    [flip2] = _map_from_basis_images(a, basis, [images])
     right = induced_permutation(compose_maps(flip2, swap), gr).perm
     assert left == right
 
@@ -313,3 +314,45 @@ def test_closure_subset_of_bruteforce(ctx16, lam_iiii):
     bf = weyl_bruteforce(gr)
     assert set(rep.group.elements) <= set(bf.elements)
     assert bf.order == rep.group.order == 8
+
+
+# --- the permutation layer against sympy's permutation groups --------------
+
+def _oracle_gradings():
+    ctx = CycloCtx(16)
+    one, ii = ctx.one(), ctx.i()
+    out = [heisenberg_fine(k) for k in range(1, 5)]
+    out.append(super_fine(1, 4, 0))
+    out.append(twisted_fine([one, one, ii, ii], FineTwistedParams(4, 1, 0, (one,), ())))
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_groups():
+    return [weyl_group(gr).group for gr in _oracle_gradings()]
+
+
+def test_closure_order_and_abelian_match_sympy(oracle_groups):
+    for group in oracle_groups:
+        ref = PermutationGroup([Permutation(list(g)) for g in group.gens])
+        assert group.order == ref.order()
+        assert group.is_abelian() == ref.is_abelian
+
+
+def test_element_orders_and_cycles_match_sympy(oracle_groups):
+    for group in oracle_groups:
+        for p in group.elements:
+            ref = Permutation(list(p))
+            assert _perm_order(p) == ref.order()
+            assert perm_cycles(p) == "".join(
+                "(" + " ".join(map(str, c)) + ")" for c in ref.cyclic_form) or "()"
+
+
+def test_perm_cycles_identity_and_fixed_points():
+    assert perm_cycles(()) == "()"
+    assert perm_cycles((0, 1, 2, 3)) == "()"
+    assert perm_cycles((0, 2, 1, 3)) == "(1 2)"
+    assert perm_cycles((3, 1, 0, 2, 4)) == "(0 3 2)"
+    assert perm_cycles((1, 2, 0, 3, 5, 4)) == "(0 1 2)(4 5)"
+    assert _perm_order((0, 1, 2, 3)) == 1
+    assert _perm_order((1, 2, 0, 3, 5, 4)) == 6
