@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute", action="store_true",
                    help="also run the brute-force search")
     common(p)
-    p.add_argument("--cap", type=int, default=12,
+    p.add_argument("--cap", type=_positive_int, default=12,
                    help="support-size cap for the brute-force search")
     p.set_defaults(func=cmd_weyl)
 

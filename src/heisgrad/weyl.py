@@ -3,19 +3,21 @@
 The Weyl group acts faithfully on the homogeneous components, so it is
 computed as a permutation group: explicit generator automorphisms from
 the structure of each family, their induced permutations, and a
-breadth-first closure.  A closed-form order count and an independent
-brute-force search over support permutations (deciding extendability to
-an automorphism exactly) serve as cross-checks.
+stabilizer chain built from them by Schreier-Sims (Seress, Permutation
+Group Algorithms, 2003, ch. 4).  A closed-form order count and an
+independent brute-force search over support permutations (deciding
+extendability to an automorphism exactly) serve as cross-checks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial, lcm
+from functools import cached_property
+from math import factorial, lcm, prod
 
 from ._linalg import (Vect, in_span, is_zero_vect, mat_apply, mat_inverse,
-                      rref, vadd, vscale, vzero)
+                      reduce_against, rref, vscale)
 from .abelian import smith_normal_form
 from .fine import (BlockI, BlockII, FineTwistedParams, rebase_block_i,
                    rebase_block_ii, scalar_class, scalar_class_data,
@@ -43,21 +45,73 @@ class GradedAut:
     name: str = ""
 
 
-@dataclass
 class PermGroup:
-    degree: int
-    gens: list[Perm]
-    elements: list[Perm]
+    """A stabilizer chain on the base 0..degree-1: level i holds the strong
+    generators fixing the points below i and a transversal (orbit point of
+    i -> coset representative u with u[i] = point, and u's inverse).  Each
+    of gens is sifted through the chain built so far and kept only when it
+    is not yet in the group."""
+
+    def __init__(self, degree: int, gens: list[Perm] | tuple = ()):
+        self.degree = degree
+        self.gens: list[Perm] = []
+        ident = tuple(range(degree))
+        self.levels = [([], {i: (ident, ident)}) for i in range(degree)]
+        for g in gens:
+            i, h = self._sift(g)
+            if i < degree:
+                self.gens.append(g)
+                self._grow(0, i, h)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return prod(len(trans) for _, trans in self.levels)
+
+    @cached_property
+    def elements(self) -> list[Perm]:
+        out = [tuple(range(self.degree))]
+        for _, trans in reversed(self.levels):
+            out = [_pmul(u, g) for u, _ in trans.values() for g in out]
+        return sorted(out)
+
+    def _sift(self, g: Perm, start: int = 0) -> tuple[int, Perm]:
+        # the first level whose orbit misses g's image of its point, with g's
+        # residue there; (degree, identity) when g is in the group
+        for i in range(start, self.degree):
+            if g[i] != i:
+                rep = self.levels[i][1].get(g[i])
+                if rep is None:
+                    return i, g
+                g = _pmul(rep[1], g)
+        return self.degree, g
+
+    def _grow(self, lo: int, hi: int, h: Perm) -> None:
+        # h fixes the points below hi: a strong generator of levels lo..hi
+        todo = []
+        for gens, trans in self.levels[lo:hi + 1]:
+            gens.append(h)
+            pairs = [(p, h) for p in trans]  # the new (point, generator) pairs
+            for p, s in pairs:
+                if s[p] not in trans:
+                    u = _pmul(s, trans[p][0])
+                    trans[s[p]] = (u, tuple(sorted(range(len(u)), key=u.__getitem__)))
+                    pairs.extend((s[p], t) for t in gens)
+            todo.append(pairs)
+        for i in range(hi, lo - 1, -1):
+            trans = self.levels[i][1]
+            for p, s in todo[i - lo]:
+                j, r = self._sift(_pmul(trans[s[p]][1], _pmul(s, trans[p][0])), i + 1)
+                if j < self.degree:
+                    self._grow(i + 1, j, r)
 
     def is_abelian(self) -> bool:
         return all(_pmul(a, b) == _pmul(b, a)
                    for i, a in enumerate(self.gens) for b in self.gens[i + 1:])
 
     def has_cyclic_index2(self) -> bool:
+        # no element of S_degree has order above Landau's g(degree)
+        if self.order > 2 * _landau(self.degree):
+            return False
         return any(_perm_order(p) * 2 == self.order for p in self.elements)
 
     def dihedral_pattern(self) -> bool:
@@ -67,6 +121,16 @@ class PermGroup:
 
 def _pmul(a: Perm, b: Perm) -> Perm:
     return tuple(map(a.__getitem__, b))
+
+
+def _landau(n: int) -> int:
+    """Landau's g(n), the largest element order in S_n (OEIS A000793)."""
+    best = [1] * (n + 1)  # largest lcm of parts summing to at most m
+    for p in (q for q in range(2, n + 1) if all(q % d for d in range(2, q))):
+        for m in range(n, p - 1, -1):  # each prime once, as one power p^e <= m
+            best[m] = max(best[m], *(best[m - p**e] * p**e
+                                     for e in range(1, m.bit_length()) if p**e <= m))
+    return best[n]
 
 
 def _cycles(p: Perm) -> list[list[int]]:
@@ -97,27 +161,10 @@ def perm_cycles(p: Perm) -> str:
 
 
 def closure(perms: list[Perm], degree: int | None = None) -> PermGroup:
-    """Breadth-first closure of a set of permutations."""
-    if not perms:
-        if degree is None:
-            raise ValueError("need a degree for an empty generating set")
-        ident = tuple(range(degree))
-        return PermGroup(degree, [], [ident])
-    degree = len(perms[0])
-    ident = tuple(range(degree))
-    gens = [p for p in dict.fromkeys(perms) if p != ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _pmul(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return PermGroup(degree, gens, sorted(seen))
+    """The group generated by a set of permutations, as a stabilizer chain."""
+    if degree is None and not perms:
+        raise ValueError("need a degree for an empty generating set")
+    return PermGroup(len(perms[0]) if perms else degree, perms)
 
 
 def induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
@@ -127,14 +174,15 @@ def induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
     if not is_automorphism(f, a):
         raise ValueError("map is not an algebra automorphism")
     support = gr.support
-    spans = {g: rref(list(gr.components[g]))[0] for g in support}
+    spans = {g: rref(list(gr.components[g])) for g in support}
     perm = []
     for g in support:
         images = [mat_apply(f, v) for v in gr.components[g]]
         target = None
         for i, h in enumerate(support):
-            if len(spans[h]) == len(images) and all(
-                    in_span(list(spans[h]), w) for w in images):
+            rows, pivots = spans[h]
+            if len(rows) == len(images) and all(
+                    is_zero_vect(reduce_against(rows, pivots, w)) for w in images):
                 target = i
                 break
         if target is None:
@@ -160,18 +208,8 @@ def _map_from_basis_images(a: Algebra, basis: list[Vect],
     inv = mat_inverse(list(basis), a.ctx)
     if inv is None:
         raise ValueError("basis vectors are not independent")
-    maps = []
-    for images in image_lists:
-        cols = []
-        for j in range(a.dim):
-            acc = vzero(a.ctx, a.dim)
-            for m in range(a.dim):
-                c = inv[j][m]
-                if c:
-                    acc = vadd(acc, vscale(c, images[m]))
-            cols.append(acc)
-        maps.append(cols)
-    return maps
+    # column j of the map is sum_m inv[j][m] * images[m]
+    return [[mat_apply(images, col) for col in inv] for images in image_lists]
 
 
 def _swap_runs(basis: list[Vect], p0: int, p1: int, width: int) -> list[Vect]:
@@ -221,7 +259,6 @@ def _super_generators(gr: Grading) -> tuple[list[Vect], Named]:
 
 
 def _twisted_block_basis(gr: Grading):
-    a = gr.algebra
     meta = gr.meta
     blocks_i: list[BlockI] = meta["blocks_i"]
     blocks_ii: list[BlockII] = meta["blocks_ii"]
@@ -359,12 +396,7 @@ def _class_bijection(scalars, eps, mod: int, root: CycloNum):
     pools: dict = {}
     for j, key in enumerate(keys):
         pools.setdefault(key, []).append(j)
-    work = {k: list(v) for k, v in pools.items()}
-    tau = [None] * len(scalars)
-    for j, x in enumerate(scalars):
-        key = scalar_class_key(eps * x, mod, root)
-        tau[j] = work[key].pop(0)
-    return tau
+    return [pools[scalar_class_key(eps * x, mod, root)].pop(0) for x in scalars]
 
 
 def standard_generators(gr: Grading) -> list[tuple[str, LinMap]]:
@@ -658,6 +690,8 @@ def weyl_bruteforce(gr: Grading, cap: int = 12) -> PermGroup:
                 del forced[k]
 
     search(0)
-    ident = tuple(range(n))
-    gens = [p for p in found if p != ident]
-    return PermGroup(n, gens, sorted(found))
+    group = PermGroup(n, found)  # keeps as gens only the few not yet in the chain
+    if group.order != len(found):
+        raise ValueError("the extendable permutations do not form a group")
+    group.elements = sorted(found)
+    return group

@@ -149,6 +149,14 @@ def test_cap_exit_code():
     assert code == 4
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_cap_must_be_a_positive_integer(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl", "--heisenberg", "2", "--brute", "--cap", value])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
 def test_cap_is_a_weyl_option_only():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--cap", "3", "{}"])

@@ -1,8 +1,13 @@
+import io
 import random
-from math import factorial
+import time
+from contextlib import redirect_stdout
+from math import factorial, lcm, log2
 
 import pytest
+from hypothesis import given, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
+from sympy.utilities.iterables import partitions
 
 from heisgrad._linalg import vadd, vscale
 from heisgrad.fine import (FineTwistedParams, enumerate_twisted_fine,
@@ -10,7 +15,8 @@ from heisgrad.fine import (FineTwistedParams, enumerate_twisted_fine,
                            twisted_fine_nontoral, twisted_fine_toral)
 from heisgrad.liealg import compose_maps, identity_map
 from heisgrad.scalars import CycloCtx
-from heisgrad.weyl import (CapExceeded, _perm_order, closure, compute_pq,
+from heisgrad.cli import main
+from heisgrad.weyl import (CapExceeded, _landau, _perm_order, closure, compute_pq,
                            induced_permutation, perm_cycles,
                            standard_generators, weyl_bruteforce, weyl_group,
                            weyl_order_formula)
@@ -57,6 +63,7 @@ def test_closure_basics():
     assert g.order == 2
     assert closure([], degree=3).order == 1
     assert perm_cycles((1, 0, 2)) == "(0 1)"
+    assert g.elements == [(0, 1, 2), (1, 0, 2)]
 
 
 def test_flip_has_matrix_order_4_but_perm_order_2():
@@ -356,3 +363,110 @@ def test_perm_cycles_identity_and_fixed_points():
     assert perm_cycles((1, 2, 0, 3, 5, 4)) == "(0 1 2)(4 5)"
     assert _perm_order((0, 1, 2, 3)) == 1
     assert _perm_order((1, 2, 0, 3, 5, 4)) == 6
+
+
+# --- the stabilizer chain against sympy and a breadth-first reference ------
+
+def _bfs_elements(perms, degree):
+    """Every product of the generators, by breadth-first search."""
+    seen = {tuple(range(degree))}
+    frontier = list(seen)
+    while frontier:
+        frontier = [q for q in {tuple(g[x] for x in p) for p in frontier for g in perms}
+                    if q not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@st.composite
+def generating_sets(draw):
+    degree = draw(st.integers(1, 9))
+    perms = draw(st.lists(st.permutations(range(degree)), max_size=4))
+    return degree, [tuple(p) for p in perms]
+
+
+@given(generating_sets())
+def test_chain_matches_sympy_and_breadth_first_search(drawn):
+    degree, perms = drawn
+    group = closure(perms, degree=degree)
+    ref = PermutationGroup([Permutation(list(p)) for p in perms] or
+                           [Permutation(list(range(degree)))])
+    assert group.order == ref.order()
+    assert group.is_abelian() == ref.is_abelian
+    assert len(group.gens) <= log2(group.order)
+    if group.order <= 5040:  # the breadth-first reference stays cheap
+        assert group.elements == sorted(_bfs_elements(perms, degree))
+        assert {tuple(p.array_form) for p in ref.generate()} == set(group.elements)
+
+
+def _cyclic(n):
+    return [tuple((i + 1) % n for i in range(n))]
+
+
+def _dihedral(n):
+    return _cyclic(n) + [tuple((-i) % n for i in range(n))]
+
+
+def _elementary_abelian(k):
+    # k disjoint transpositions on 2k points: order 2^k
+    return [tuple(i ^ 1 if i // 2 == j else i for i in range(2 * k)) for j in range(k)]
+
+
+@pytest.mark.parametrize("gens", [
+    _cyclic(6), _cyclic(7), _dihedral(5), _dihedral(8), _elementary_abelian(2),
+    _elementary_abelian(6), _elementary_abelian(9),
+    # S_3 x C_2 = D_6 on five points: order 12 = 2 g(5), with an element of order 6
+    [(1, 2, 0, 3, 4), (1, 0, 2, 3, 4), (0, 1, 2, 4, 3)],
+    # S_4: order 24 > 2 g(4) = 8
+    [(1, 2, 3, 0), (1, 0, 2, 3)],
+])
+def test_cyclic_index2_matches_an_element_walk(gens):
+    group = closure(gens)
+    walk = any(Permutation(list(p)).order() * 2 == group.order
+               for p in _bfs_elements(gens, group.degree))
+    assert group.has_cyclic_index2() == walk
+    assert group.dihedral_pattern() == (walk and not group.is_abelian())
+
+
+def test_cyclic_index2_bound_cases():
+    d6 = closure([(1, 2, 0, 3, 4), (1, 0, 2, 3, 4), (0, 1, 2, 4, 3)])
+    assert d6.order == 2 * _landau(5) and d6.has_cyclic_index2()
+    big = closure(_elementary_abelian(9))
+    assert big.order > 2 * _landau(big.degree)
+    assert not big.has_cyclic_index2()
+    assert "elements" not in vars(big)  # decided by the bound, no element walked
+
+
+def test_landau_matches_partition_maximum():
+    # OEIS A000793, n = 0..20
+    oeis = [1, 1, 2, 3, 4, 6, 6, 12, 15, 20, 30, 30, 60, 60, 84, 105, 140,
+            210, 210, 420, 420]
+    for n in range(21):
+        brute = max(lcm(*parts) for parts in
+                    (list(p) for p in partitions(n)) if parts) if n else 1
+        assert _landau(n) == brute == oeis[n]
+
+
+def test_heisenberg_10_closure_order():
+    out = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out):
+        assert main(["weyl", "--heisenberg", "10"]) == 0
+    assert time.perf_counter() - start < 10
+    text = out.getvalue()
+    assert 2 ** 10 * factorial(10) == 3715891200
+    assert "  closure order: 3715891200\n" in text
+    assert "  formula order: 3715891200\n" in text
+    assert "  agreement: yes\n" in text
+    assert "  abelian: no; dihedral pattern: no\n" in text
+
+
+def test_bruteforce_generators_are_few():
+    ctx = CycloCtx(16)
+    one, ii = ctx.one(), ctx.i()
+    for gr in (heisenberg_fine(3), super_fine(1, 4, 0),
+               twisted_fine([one, one, ii, ii], FineTwistedParams(4, 1, 0, (one,), ()))):
+        bf = weyl_bruteforce(gr)
+        assert len(bf.gens) <= log2(bf.order)
+        assert PermutationGroup([Permutation(list(g)) for g in bf.gens]).order() == bf.order
+        assert closure(bf.gens, degree=len(gr.support)).elements == bf.elements
