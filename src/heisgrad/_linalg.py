@@ -2,7 +2,8 @@
 
 Vectors are tuples of CycloNum; matrices are lists of row tuples.  All
 pivoting is first-nonzero in a fixed scan order, so results are
-deterministic.
+deterministic.  Row operations skip zero entries, which most of the
+sparse matrices here are made of.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def vsub(a: Vect, b: Vect) -> Vect:
 
 
 def vscale(c: CycloNum, a: Vect) -> Vect:
-    return tuple(c * x for x in a)
+    return tuple(c * x if x else x for x in a)
 
 
 def is_zero_vect(a: Vect) -> bool:
@@ -55,11 +56,11 @@ def rref(rows: list[Vect]) -> tuple[list[Vect], list[int]]:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         inv = work[r][col].inv()
-        work[r] = [inv * x for x in work[r]]
+        work[r] = [inv * x if x else x for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][col]:
                 c = work[i][col]
-                work[i] = [x - c * y for x, y in zip(work[i], work[r])]
+                work[i] = [x - c * y if y else x for x, y in zip(work[i], work[r])]
         pivots.append(col)
         r += 1
         if r == len(work):
@@ -77,7 +78,7 @@ def reduce_against(basis_rref: list[Vect], pivots: list[int], v: Vect) -> Vect:
     for row, p in zip(basis_rref, pivots):
         c = out[p]
         if c:
-            out = [x - c * y for x, y in zip(out, row)]
+            out = [x - c * y if y else x for x, y in zip(out, row)]
     return tuple(out)
 
 

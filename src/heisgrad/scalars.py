@@ -6,7 +6,8 @@ of integer numerators over one positive integer denominator, with no
 common factor.  The representation is canonical, so equality is literal
 (numerators, denominator) equality and every computation stays exact.
 Arithmetic is integer-only: a product is an integer convolution reduced
-by long division by the monic phi_N, and an inverse is a fraction-free
+by long division by the monic phi_N (a zero or rational factor only
+scales the other's numerators), and an inverse is a fraction-free
 linear solve.  Fractions appear only where rationals enter or leave.
 """
 
@@ -187,6 +188,10 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not any(o.num):
+            return self
+        if not any(self.num):
+            return o
         if self.den == o.den:
             return _make(self.ctx, [a + b for a, b in zip(self.num, o.num)], self.den)
         return _make(self.ctx, [a * o.den + b * self.den for a, b in zip(self.num, o.num)],
@@ -198,6 +203,10 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not any(o.num):
+            return self
+        if not any(self.num):
+            return -o
         if self.den == o.den:
             return _make(self.ctx, [a - b for a, b in zip(self.num, o.num)], self.den)
         return _make(self.ctx, [a * o.den - b * self.den for a, b in zip(self.num, o.num)],
@@ -217,8 +226,14 @@ class CycloNum:
         if o is None:
             return NotImplemented
         ctx = self.ctx
-        d = ctx.degree
-        prod = [0] * (2 * d - 1)
+        # a zero or rational factor only scales: no convolution, no reduction
+        x, y = (o, self) if not any(o.num[1:]) else (self, o)
+        if not any(x.num[1:]):
+            c = x.num[0]
+            if not c or not any(y.num):
+                return ctx._zero
+            return _make(ctx, [c * b for b in y.num], x.den * y.den)
+        prod = [0] * (2 * ctx.degree - 1)
         for i, a in enumerate(self.num):
             if a:
                 for k, b in enumerate(o.num, i):
@@ -448,8 +463,9 @@ def _tokenize(text: str) -> list[str]:
 
 
 def scan_conductors(text: str) -> list[int]:
-    """Conductors needed to represent the scalars mentioned in `text`."""
-    need = [int(m) for m in re.findall(r"zeta\(\s*(\d+)\s*\)", text)]
+    """Conductors needed to represent the scalars mentioned in `text`;
+    zeta(0) needs none, and parse_scalar rejects it."""
+    need = [m for m in map(int, re.findall(r"zeta\(\s*(\d+)\s*\)", text)) if m]
     if re.search(r"\bi\b", text):
         need.append(4)
     return need
@@ -497,7 +513,9 @@ def parse_scalar(text: str, ctx: CycloCtx) -> CycloNum:
             take("(")
             n = parse_int()
             take(")")
-            if n < 1 or ctx.n % n:
+            if n < 1:
+                raise ScalarSyntaxError(f"zeta({n}) is not a root of unity in {text!r}")
+            if ctx.n % n:
                 raise ScalarSyntaxError(
                     f"zeta({n}) is not representable with conductor {ctx.n}"
                 )

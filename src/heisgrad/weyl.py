@@ -167,14 +167,21 @@ def closure(perms: list[Perm], degree: int | None = None) -> PermGroup:
     return PermGroup(len(perms[0]) if perms else degree, perms)
 
 
-def induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
+def _component_spans(gr: Grading) -> dict:
+    """The reduced (rows, pivots) of each component, by degree."""
+    return {g: rref(list(gr.components[g])) for g in gr.support}
+
+
+def induced_permutation(f: LinMap, gr: Grading, name: str = "",
+                        spans: dict | None = None) -> GradedAut:
     """The permutation of the (sorted) support induced by the
-    automorphism f; raises if f is not a grading self-equivalence."""
+    automorphism f; raises if f is not a grading self-equivalence.
+    `spans`, if given, is _component_spans(gr), shared between maps."""
     a = gr.algebra
     if not is_automorphism(f, a):
         raise ValueError("map is not an algebra automorphism")
     support = gr.support
-    spans = {g: rref(list(gr.components[g])) for g in support}
+    spans = spans or _component_spans(gr)
     perm = []
     for g in support:
         images = [mat_apply(f, v) for v in gr.components[g]]
@@ -537,7 +544,8 @@ def weyl_group(gr: Grading, brute: bool = False, cap: int = 12) -> WeylReport:
     the `agree` flag, with the closure as ground truth."""
     if brute and len(gr.support) > cap:
         raise CapExceeded(f"support size {len(gr.support)} exceeds the cap {cap}")
-    auts = [induced_permutation(f, gr, name)
+    spans = _component_spans(gr)
+    auts = [induced_permutation(f, gr, name, spans=spans)
             for name, f in standard_generators(gr)]
     group = closure([g.perm for g in auts], degree=len(gr.support))
     formula = weyl_order_formula(gr)

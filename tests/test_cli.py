@@ -175,6 +175,31 @@ def test_zero_divisor_is_a_parse_error(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate-fine", "--twisted", "zeta(0)"),
+    ("enumerate-fine", "--twisted", "1,zeta(0)"),
+    ("enumerate-fine", "--twisted", "1,zeta(00)^2"),
+    ("enumerate-fine", "--twisted", "zeta(0)", "--conductor", "8"),
+    ("enumerate-fine", "--twisted", "zeta(-3)"),
+    ("weyl", "--twisted", "1,2", "--params", "2,0,2;;zeta(0),2"),
+])
+def test_zeta_of_nonpositive_order_is_a_parse_error(argv, capsys):
+    code, out = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert "is not a root of unity" in capsys.readouterr().err
+
+
+def test_zeta_of_order_zero_in_json_is_a_parse_error(capsys):
+    _, text = run_cli("enumerate-fine", "--twisted", "1,2", "--format", "json")
+    spec = json.loads(text)["classes"][0]["grading"]
+    spec["components"][0]["vectors"][0][0] = "zeta(0)"
+    capsys.readouterr()
+    code, _ = run_cli("verify", json.dumps(spec))
+    assert code == 2
+    assert "zeta(0) is not a root of unity" in capsys.readouterr().err
+
+
 def test_zero_divisor_in_json_vector_is_a_parse_error(capsys):
     _, text = run_cli("enumerate-fine", "--twisted", "1,2", "--format", "json")
     spec = json.loads(text)["classes"][0]["grading"]

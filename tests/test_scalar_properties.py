@@ -2,15 +2,19 @@
 
 Elements are drawn as rational coefficient lists; sympy's polynomial
 arithmetic modulo its own cyclotomic polynomial is the independent
-oracle for products, inverses and the coefficient order.
+oracle for products, inverses and the coefficient order.  Zero, rational
+and monomial operands take shortcuts in the arithmetic, and sympy's
+rational matrices check the row operations that skip zero entries.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from heisgrad._linalg import intersection, kernel, rref
 from heisgrad.scalars import (CycloCtx, cyclotomic_poly, embed, format_scalar,
                               parse_scalar)
 
@@ -141,3 +145,78 @@ def test_sort_key_orders_by_rational_coefficients(n, data):
     xs = [x for x, _ in pairs]
     oracle = {x: sympy_coeffs(cs, n) for x, cs in pairs}
     assert sorted(xs, key=lambda v: v.sort_key()) == sorted(xs, key=oracle.get)
+
+
+@st.composite
+def shaped_elements(draw, n: int):
+    """(element, its coefficient list), biased to the shapes that take a
+    shortcut: zero, rational, a rational multiple of one zeta_n^k, or a
+    general element."""
+    ctx = CycloCtx(n)
+    shape = draw(st.sampled_from(("zero", "rational", "monomial", "general")))
+    if shape == "zero":
+        cs = [Fraction(0)]
+    elif shape == "rational":
+        cs = [draw(coefficient)]
+    elif shape == "monomial":
+        cs = [Fraction(0)] * draw(st.integers(0, n - 1)) + [draw(coefficient)]
+    else:
+        cs = draw(coefficient_lists(n, extra=4))
+    return ctx.reduce(cs), cs
+
+
+@given(st.sampled_from(CONDUCTORS), st.data())
+def test_shortcut_arithmetic_matches_sympy(n, data):
+    (x, cx), (y, cy) = data.draw(shaped_elements(n)), data.draw(shaped_elements(n))
+    ctx = x.ctx
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain="QQ")
+    px, py = (sympy.Poly(list(reversed(cs)), X, domain="QQ") for cs in (cx, cy))
+    zero = ctx.zero()
+    for got, want in ((x * y, px * py), (y * x, px * py), (x + y, px + py),
+                      (x - y, px - py), (zero - x, -px), (x - zero, px),
+                      (zero + x, px), (x * zero, px * 0)):
+        assert canonical(got)
+        assert got.coeffs == coeffs_of(want.rem(phi), ctx.degree)
+    with pytest.raises(ValueError):
+        x + CycloCtx(5).zero()
+
+
+def sparse_rational_matrix(rows: int, cols: int):
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.integers(-2, 2).map(Fraction),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def as_vects(m, ctx):
+    return [tuple(ctx.from_fraction(q) for q in row) for row in m]
+
+
+def as_fractions(vects):
+    return [tuple(x.as_fraction() for x in v) for v in vects]
+
+
+def sympy_rows(m) -> list[tuple[Fraction, ...]]:
+    return [tuple(Fraction(int(q.p), int(q.q)) for q in m.row(i)) for i in range(m.rows)]
+
+
+@given(st.sampled_from(CONDUCTORS), st.integers(1, 5), st.integers(1, 6), st.data())
+def test_sparse_rational_linalg_matches_sympy(n, n_rows, n_cols, data):
+    ctx = CycloCtx(n)
+    a = data.draw(sparse_rational_matrix(n_rows, n_cols))
+    b = data.draw(sparse_rational_matrix(data.draw(st.integers(1, 5)), n_cols))
+    ma, mb = sympy.Matrix(a), sympy.Matrix(b)
+    red, pivots = ma.rref()
+    basis, ours = rref(as_vects(a, ctx))
+    assert ours == list(pivots)
+    assert as_fractions(basis) == sympy_rows(red)[:len(pivots)]
+    assert as_fractions(kernel(as_vects(a, ctx), ctx, n_cols)) == [
+        tuple(sympy_rows(v.T)[0]) for v in ma.nullspace()]
+    # the rref basis of a subspace is unique, so sympy's intersection of
+    # the row spaces, from the null space of [A^T | -B^T], must match
+    combos = sympy.Matrix.hstack(ma.T, -mb.T).nullspace()
+    meet = sympy.Matrix([[0] * n_cols] + [list(c[:n_rows, 0].T * ma) for c in combos])
+    meet_red, meet_pivots = meet.rref()
+    got = intersection(as_vects(a, ctx), as_vects(b, ctx), ctx)
+    assert as_fractions(got) == sympy_rows(meet_red)[:len(meet_pivots)]

@@ -188,6 +188,9 @@ def test_parse_rejects_garbage():
 def test_scan_conductors():
     assert scan_conductors("1, zeta(4), 3*zeta(8)^2") == [4, 8]
     assert 4 in scan_conductors("i + 1")
+    assert scan_conductors("zeta(0) + zeta(3)") == [3]
+    with pytest.raises(ScalarSyntaxError, match="not a root of unity"):
+        parse_scalar("zeta(0)", CycloCtx(8))
 
 
 def test_division():
