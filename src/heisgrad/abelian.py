@@ -278,7 +278,11 @@ def group_product(factors: list[int]) -> tuple[AbGroup, list[GroupElt]]:
 
 
 def _elt_matrix(group: AbGroup, elts: list[GroupElt]) -> IntMatrix:
-    return [list(e.free) + list(e.torsion) for e in elts]
+    """The coordinate rows of elts, then the torsion rows d_i * e_(rank+i)."""
+    n = group.rank + len(group.torsion)
+    return [list(e.free) + list(e.torsion) for e in elts] + [
+        [d if j == group.rank + i else 0 for j in range(n)]
+        for i, d in enumerate(group.torsion)]
 
 
 def generates(group: AbGroup, elts: list[GroupElt]) -> bool:
@@ -286,13 +290,8 @@ def generates(group: AbGroup, elts: list[GroupElt]) -> bool:
     n = group.rank + len(group.torsion)
     if n == 0:
         return True
-    rels = []
-    for i, d in enumerate(group.torsion):
-        row = [0] * n
-        row[group.rank + i] = d
-        rels.append(tuple(row))
-    rels.extend(tuple(r) for r in _elt_matrix(group, elts))
-    quotient, _ = canonicalize(AbPresentation(n, tuple(rels)))
+    rels = tuple(map(tuple, _elt_matrix(group, elts)))
+    quotient, _ = canonicalize(AbPresentation(n, rels))
     return quotient.rank == 0 and not quotient.torsion
 
 
@@ -305,10 +304,6 @@ def express_in_terms(group: AbGroup, elts: list[GroupElt],
     if n == 0:
         return [0] * p
     mat = _elt_matrix(group, elts)
-    for i, d in enumerate(group.torsion):
-        row = [0] * n
-        row[group.rank + i] = d
-        mat.append(row)
     u, dmat, v = smith_normal_form(mat)
     tgt = list(target.free) + list(target.torsion)
     c = [sum(tgt[i] * v[i][j] for i in range(n)) for j in range(n)]
@@ -340,12 +335,8 @@ def subgroup_presentation(group: AbGroup, elts: list[GroupElt]) -> AbPresentatio
     t = len(group.torsion)
     if p == 0:
         return AbPresentation(0, ())
-    # x . M must land in 0^rank x prod(d_i Z); stack torsion shifts below M
+    # x . M must land in 0^rank x prod(d_i Z); torsion shifts sit below M
     mat = _elt_matrix(group, elts)
-    for i, d in enumerate(group.torsion):
-        row = [0] * (group.rank + t)
-        row[group.rank + i] = d
-        mat.append(row)
     u, dmat, _ = smith_normal_form(mat)
     rels = []
     width = group.rank + t

@@ -18,7 +18,7 @@ from math import lcm
 from .color import (Bicharacter, classify_color, color_algebra,
                     color_type_from_json, color_type_to_json,
                     epsilon_from_json, is_super_realizable)
-from .fine import (FineTwistedParams, decompose_twisted_grading,
+from .fine import (FineTwistedParams, TwistedFine, decompose_twisted_grading,
                    enumerate_super_fine, enumerate_twisted_fine,
                    heisenberg_fine, super_fine, twisted_fine)
 from .gradings import (grading_from_json, grading_to_json, universal_group,
@@ -129,13 +129,6 @@ def _grading_lines(gr) -> list[str]:
     return lines
 
 
-def _params_str(p: FineTwistedParams) -> str:
-    betas = ", ".join(format_scalar(b) for b in p.betas) or "(none)"
-    alphas = ", ".join(format_scalar(a) for a in p.alphas) or "(none)"
-    return (f"(l,s,r) = ({p.l},{p.s},{p.r}); type-I scalars: {betas}; "
-            f"type-II scalars: {alphas}")
-
-
 def _params_json(p: FineTwistedParams) -> dict:
     return {"l": p.l, "s": p.s, "r": p.r,
             "betas": [format_scalar(b) for b in p.betas],
@@ -159,13 +152,13 @@ def cmd_enumerate_fine(args, out) -> int:
     for i, p in enumerate(reps, start=1):
         gr = twisted_fine(lam, p)
         toral = gr.group.is_torsion_free()
-        lines.append(f"class {i}: {_params_str(p)}")
+        lines.append(f"class {i}: {p}")
         lines.append(f"  universal group: {gr.group}")
         lines.append(f"  toral: {'yes' if toral else 'no'}")
         blocks = []
-        for blk in gr.meta["blocks_i"]:
+        for blk in gr.family.blocks_i:
             blocks.append({"type": "I", "l": blk.l, "alpha": format_scalar(blk.alpha)})
-        for blk in gr.meta["blocks_ii"]:
+        for blk in gr.family.blocks_ii:
             blocks.append({"type": "II", "l": blk.l, "alpha": format_scalar(blk.alpha)})
         lines.extend("  block " + b["type"] + f" (l={b['l']}, alpha={b['alpha']})"
                      for b in blocks)
@@ -209,17 +202,8 @@ def _grading_for_weyl(args) -> list:
 
 
 def _weyl_report_lines(gr, rep, lines, payload_list):
-    fam = gr.meta.get("family")
-    if fam == "heisenberg":
-        title = f"Heisenberg fine grading (k={gr.meta.get('k')})"
-    elif fam == "super":
-        title = (f"super fine grading (k={gr.meta.get('k')}, "
-                 f"m={gr.meta.get('m')}, r={gr.meta.get('r')})")
-    elif fam == "twisted":
-        title = "twisted fine grading " + _params_str(gr.meta["params"])
-    else:
-        title = "grading"
-    lines.append(title)
+    fam = gr.family
+    lines.append(fam.title())
     lines.append(f"  support size: {len(gr.support)}")
     lines.append(f"  closure order: {rep.group.order}")
     lines.append(f"  formula order: {rep.formula_order}")
@@ -238,8 +222,8 @@ def _weyl_report_lines(gr, rep, lines, payload_list):
         gens.append({"name": aut.name, "cycles": perm_cycles(aut.perm),
                      "matrix_columns": matrix})
     payload_list.append({
-        "family": fam,
-        "params": _params_json(gr.meta["params"]) if fam == "twisted" else None,
+        "family": fam.name,
+        "params": _params_json(fam.params) if isinstance(fam, TwistedFine) else None,
         "support_size": len(gr.support),
         "closure_order": rep.group.order,
         "formula_order": rep.formula_order,
@@ -286,7 +270,7 @@ def cmd_decompose(args, out) -> int:
         u_new, blocks_i, blocks_ii, params = decompose_twisted_grading(gr)
     except ValueError as exc:
         raise CliError(str(exc), VALIDATION_ERROR)
-    lines = ["block decomposition " + _params_str(params),
+    lines = [f"block decomposition {params}",
              "homogeneous u: (" + ", ".join(format_scalar(c) for c in u_new) + ")"]
     for blk in blocks_i:
         lines.append(f"  type-I block (l={blk.l}, alpha={format_scalar(blk.alpha)})")

@@ -175,13 +175,11 @@ def color_algebra(t: ColorType, ctx: CycloCtx | None = None) -> tuple[Algebra, G
     for s, g in selfs:
         table[s][s] = z_vec
     algebra = Algebra(ctx, tuple(labels), (0,) * dim,
-                      tuple(tuple(row) for row in table),
-                      {"family": "color", "g0": t.g0})
+                      tuple(tuple(row) for row in table))
     comps: dict[GroupElt, list[Vect]] = {}
     for i, g in enumerate(degrees):
         comps.setdefault(g, []).append(algebra.basis_vect(i))
-    grading = Grading(algebra, t.group, {g: tuple(v) for g, v in comps.items()},
-                      {"family": "color"})
+    grading = Grading(algebra, t.group, {g: tuple(v) for g, v in comps.items()})
     report = verify_color_axioms(algebra, grading, t.epsilon)
     if not report.ok:
         raise AssertionError("constructed color algebra fails its axioms: "
@@ -290,7 +288,7 @@ def classify_color(a: Algebra, gr: Grading, eps: Bicharacter):
                 row.append(val)
             vals.append(row)
         eps = Bicharacter(group2, vals, eps.ctx)
-        gr = Grading(a, group2, comps, dict(gr.meta))
+        gr = Grading(a, group2, comps, gr.family)
         g0 = remap[g0]
         group = group2
 

@@ -12,42 +12,30 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from ._linalg import (Vect, in_span, intersection, is_zero_vect, kernel,
                       rref, vadd, vscale, vsub, vzero)
 from .abelian import AbGroup, GroupElt, group_product
 from .liealg import Algebra, heisenberg, heisenberg_super, twisted
 from .gradings import Grading, universal_group
-from .scalars import (CycloCtx, CycloNum, divisors, root_of_unity_order,
-                      sqrt_int, sqrt_scalar)
+from .scalars import (CycloCtx, CycloNum, divisors, format_scalar,
+                      root_of_unity_order, sqrt_int, sqrt_scalar)
 
 __all__ = [
-    "FineTwistedParams", "BlockI", "BlockII", "ScalarClass",
+    "FineTwistedParams", "BlockI", "BlockII",
+    "HeisenbergFine", "SuperFine", "TwistedFine", "twist",
     "heisenberg_fine", "super_fine", "enumerate_super_fine",
     "twisted_fine", "twisted_fine_nontoral", "twisted_fine_toral",
     "block_i", "block_ii", "rebase_block_i", "rebase_block_ii",
     "spectrum_check", "enumerate_twisted_fine", "equivalent_fine",
     "homogenize_u", "decompose_twisted_grading",
-    "primitive_root", "scalar_class", "scalar_class_key", "scalar_class_data",
-    "expected_twisted_group",
+    "primitive_root", "class_rep", "class_ratios", "scalar_class_key",
+    "scalar_class_data", "expected_twisted_group",
 ]
 
 
 # --- scalar classes ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalarClass:
-    """A scalar up to multiplication by m-th roots of unity."""
-
-    rep: CycloNum  # canonical (minimal) member
-    modulus: int
-
-    def contains(self, x: CycloNum) -> bool:
-        if not x:
-            return False
-        o = root_of_unity_order(x / self.rep)
-        return o is not None and self.modulus % o == 0
-
 
 def _class_members(x: CycloNum, modulus: int, root: CycloNum) -> list[CycloNum]:
     out, cur = [], x
@@ -57,13 +45,25 @@ def _class_members(x: CycloNum, modulus: int, root: CycloNum) -> list[CycloNum]:
     return out
 
 
-def scalar_class(x: CycloNum, modulus: int, root: CycloNum) -> ScalarClass:
-    rep = min(_class_members(x, modulus, root), key=lambda v: v.sort_key())
-    return ScalarClass(rep, modulus)
+def class_rep(x: CycloNum, modulus: int, root: CycloNum) -> CycloNum:
+    """The canonical (minimal) member of x's class up to multiplication by
+    the modulus-th roots of unity, which are the powers of root."""
+    return min(_class_members(x, modulus, root), key=lambda v: v.sort_key())
 
 
 def scalar_class_key(x: CycloNum, modulus: int, root: CycloNum):
-    return (modulus, scalar_class(x, modulus, root).rep.sort_key())
+    return (modulus, class_rep(x, modulus, root).sort_key())
+
+
+def class_ratios(scalars, base: CycloNum, modulus: int,
+                 root: CycloNum) -> list[CycloNum]:
+    """Each value x / base * root^m (x in scalars, 0 <= m < modulus) once,
+    in the order first met."""
+    out = {}
+    for x in scalars:
+        for cur in _class_members(x / base, modulus, root):
+            out[cur] = None
+    return list(out)
 
 
 def primitive_root(ctx: CycloCtx, order: int, lam=()) -> CycloNum | None:
@@ -117,6 +117,12 @@ class FineTwistedParams:
         if self.r and self.l % 2:
             raise ValueError("type-II blocks require an even l")
 
+    def __str__(self):
+        betas = ", ".join(format_scalar(b) for b in self.betas) or "(none)"
+        alphas = ", ".join(format_scalar(a) for a in self.alphas) or "(none)"
+        return (f"(l,s,r) = ({self.l},{self.s},{self.r}); type-I scalars: {betas}; "
+                f"type-II scalars: {alphas}")
+
 
 def spectrum_check(lam: list[CycloNum], p: FineTwistedParams) -> bool:
     """Multiset equality of {+-lam_i} against the block orbit values
@@ -148,7 +154,7 @@ def spectrum_check(lam: list[CycloNum], p: FineTwistedParams) -> bool:
 
 # --- blocks ------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BlockI:
     """2l homogeneous elements x_1, y_1, ..., x_l, y_l with the cyclic
     ad(u)-action of scale alpha and pairing [x_i, y_(l-i)] into z."""
@@ -162,7 +168,7 @@ class BlockI:
         return list(self.xs) + list(self.ys)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockII:
     """2l homogeneous elements x_1..x_2l with a single cyclic
     ad(u)-orbit of scale alpha pairing into z as [x_i, x_(2l-i+1)]."""
@@ -173,6 +179,14 @@ class BlockII:
 
     def elements(self) -> list[Vect]:
         return list(self.xs)
+
+
+def twist(a: Algebra) -> list[CycloNum]:
+    """The parameter vector lam of a twisted Heisenberg algebra, read off
+    its structure constants [u, e_i] = lam_i ehat_i."""
+    if (a.spec or {}).get("kind") != "twisted":
+        raise ValueError("the algebra is not a twisted Heisenberg algebra")
+    return [a.table[0][1 + 2 * i][2 + 2 * i] for i in range(a.dim // 2 - 1)]
 
 
 def _uv_vectors(a: Algebra, pair_index: int) -> tuple[Vect, Vect]:
@@ -233,16 +247,14 @@ def verify_block_ii(a: Algebra, u: Vect, z: Vect, blk: BlockII) -> None:
                 raise AssertionError("type-II block: unexpected nonzero bracket")
 
 
-def block_i(a: Algebra, l: int, alpha: CycloNum,
-            pairs: list[tuple[int, bool]]) -> BlockI:
-    """Build a type-I block from l eigen-pairs of ad(u); pairs[q] gives
-    the pair index and whether its (u_i, v_i) roles are swapped, and the
-    pair's eigenvalue must be xi^(q+1) * alpha."""
-    ctx = a.ctx
-    lam = a.meta["lam"]
-    xi = primitive_root(ctx, l, lam)
+def _block_slots(a: Algebra, l: int, order: int, alpha: CycloNum,
+                 pairs: list[tuple[int, bool]]):
+    """A primitive order-th root xi and the slot vectors (us, vs) of the l
+    eigen-pairs, pairs[q] carrying the eigenvalue xi^(q+1) * alpha."""
+    lam = twist(a)
+    xi = primitive_root(a.ctx, order, lam)
     if xi is None:
-        raise ValueError(f"no primitive {l}-th root available")
+        raise ValueError(f"no primitive {order}-th root available")
     if len(pairs) != l:
         raise ValueError("need exactly l eigen-pairs")
     us, vs = [], []
@@ -255,6 +267,16 @@ def block_i(a: Algebra, l: int, alpha: CycloNum,
         u, v = _slot_vectors(a, idx, swapped)
         us.append(u)
         vs.append(v)
+    return xi, us, vs
+
+
+def block_i(a: Algebra, l: int, alpha: CycloNum,
+            pairs: list[tuple[int, bool]]) -> BlockI:
+    """Build a type-I block from l eigen-pairs of ad(u); pairs[q] gives
+    the pair index and whether its (u_i, v_i) roles are swapped, and the
+    pair's eigenvalue must be xi^(q+1) * alpha."""
+    ctx = a.ctx
+    xi, us, vs = _block_slots(a, l, l, alpha, pairs)
     xs, ys = [], []
     inv2l = ctx.from_fraction(Fraction(1, 2 * l))
     for j in range(1, l + 1):
@@ -277,22 +299,7 @@ def block_ii(a: Algebra, l: int, alpha: CycloNum,
     must carry eigenvalue zeta^(q+1) * alpha for zeta a primitive 2l-th
     root (so the last slot carries -alpha)."""
     ctx = a.ctx
-    lam = a.meta["lam"]
-    zeta = primitive_root(ctx, 2 * l, lam)
-    if zeta is None:
-        raise ValueError(f"no primitive {2 * l}-th root available")
-    if len(pairs) != l:
-        raise ValueError("need exactly l eigen-pairs")
-    us, vs = [], []
-    for q, (idx, swapped) in enumerate(pairs, start=1):
-        val = (zeta ** q) * alpha
-        actual = -lam[idx] if swapped else lam[idx]
-        if actual != val:
-            raise ValueError(
-                f"pair {idx} has eigenvalue {actual!r}, slot needs {val!r}")
-        u, v = _slot_vectors(a, idx, swapped)
-        us.append(u)
-        vs.append(v)
+    zeta, us, vs = _block_slots(a, l, 2 * l, alpha, pairs)
     scale = ctx.i() / (2 * sqrt_int(l, ctx))
     xs = []
     for j in range(1, 2 * l + 1):
@@ -345,6 +352,52 @@ def rebase_block_ii(a: Algebra, blk: BlockII, new_alpha: CycloNum) -> BlockII:
 
 
 # --- fine grading constructors ----------------------------------------------
+#
+# Each constructor records the data it built the grading from in a frozen
+# record, Grading.family; `name` is the family's JSON name.
+
+@dataclass(frozen=True)
+class HeisenbergFine:
+    name: ClassVar[str] = "heisenberg"
+    k: int
+
+    def title(self) -> str:
+        return f"Heisenberg fine grading (k={self.k})"
+
+
+@dataclass(frozen=True)
+class SuperFine:
+    """k even pairs, r hyperbolic odd pairs (u, v) and m - 2r odd vectors
+    zs of nonzero square, with z spanning the center."""
+
+    name: ClassVar[str] = "super"
+    k: int
+    m: int
+    r: int
+    uv: tuple[tuple[Vect, Vect], ...]
+    zs: tuple[Vect, ...]
+    z: Vect
+
+    def title(self) -> str:
+        return f"super fine grading (k={self.k}, m={self.m}, r={self.r})"
+
+
+@dataclass(frozen=True)
+class TwistedFine:
+    """The parameter vector, the normalized parameters, u, z and the
+    blocks that carry the grading."""
+
+    name: ClassVar[str] = "twisted"
+    lam: tuple[CycloNum, ...]
+    params: FineTwistedParams
+    u: Vect
+    z: Vect
+    blocks_i: tuple[BlockI, ...]
+    blocks_ii: tuple[BlockII, ...]
+
+    def title(self) -> str:
+        return f"twisted fine grading {self.params}"
+
 
 def heisenberg_fine(k: int, ctx: CycloCtx | None = None) -> Grading:
     """The fine grading on the Heisenberg algebra of dimension 2k+1,
@@ -357,7 +410,7 @@ def heisenberg_fine(k: int, ctx: CycloCtx | None = None) -> Grading:
         comps[gens[i] + level] = (a.basis_vect(2 * i),)
         comps[-gens[i] + level] = (a.basis_vect(2 * i + 1),)
     comps[2 * level] = (a.basis_vect(a.dim - 1),)
-    raw = Grading(a, group, comps, {"family": "heisenberg", "k": k})
+    raw = Grading(a, group, comps, HeisenbergFine(k))
     _, out = universal_group(raw)
     return out
 
@@ -395,9 +448,7 @@ def super_fine(k: int, m: int, r: int, ctx: CycloCtx | None = None) -> Grading:
         comps[level - gens[1 + k + j]] = (uv[j][1],)
     for t in range(q):
         comps[level + gens[1 + k + r + t]] = (zs[t],)
-    meta = {"family": "super", "k": k, "m": m, "r": r,
-            "uv": tuple(uv), "zs": tuple(zs), "z": z}
-    raw = Grading(a, group, comps, meta)
+    raw = Grading(a, group, comps, SuperFine(k, m, r, tuple(uv), tuple(zs), z))
     _, out = universal_group(raw)
     return out
 
@@ -412,9 +463,9 @@ def enumerate_super_fine(k: int, m: int) -> list[tuple[int, Grading]]:
 def _normalize_params(lam: list[CycloNum], p: FineTwistedParams) -> FineTwistedParams:
     """Rescale block scalars to canonical class representatives and sort."""
     (bm, br), (am, ar) = scalar_class_data(lam, p.l)
-    betas = sorted((scalar_class(b, bm, br).rep for b in p.betas),
+    betas = sorted((class_rep(b, bm, br) for b in p.betas),
                    key=lambda v: v.sort_key())
-    alphas = sorted((scalar_class(x, am, ar).rep for x in p.alphas),
+    alphas = sorted((class_rep(x, am, ar) for x in p.alphas),
                     key=lambda v: v.sort_key())
     return FineTwistedParams(p.l, p.s, p.r, tuple(betas), tuple(alphas))
 
@@ -500,10 +551,8 @@ def twisted_fine(lam: list[CycloNum], p: FineTwistedParams) -> Grading:
         for i in range(1, l + 1):
             put(i * cyc + level + extra, blk.xs[i - 1])
 
-    meta = {"family": "twisted", "lam": tuple(lam), "params": p,
-            "blocks_i": blocks_i, "blocks_ii": blocks_ii,
-            "u": u_vec, "z": z_vec}
-    raw = Grading(a, group, comps, meta)
+    family = TwistedFine(tuple(lam), p, u_vec, z_vec, tuple(blocks_i), tuple(blocks_ii))
+    raw = Grading(a, group, comps, family)
     ugroup, out = universal_group(raw)
     if ugroup != expected_twisted_group(l, s, r):
         raise AssertionError(
@@ -625,29 +674,11 @@ def equivalent_fine(lam: list[CycloNum], p: FineTwistedParams,
         qa = Counter(scalar_class_key(eps * x, am, ar) for x in q.alphas)
         return qa == pa
 
-    cands = []
     if p.s:
-        base = q.betas[0]
-        for target in p.betas:
-            cur = target / base
-            for _ in range(bm):
-                cands.append(cur)
-                cur = cur * br
+        cands = class_ratios(p.betas, q.betas[0], bm, br)
     else:
-        base = q.alphas[0]
-        for target in p.alphas:
-            cur = target / base
-            for _ in range(am):
-                cands.append(cur)
-                cur = cur * ar
-    seen = set()
-    for eps in cands:
-        if eps in seen:
-            continue
-        seen.add(eps)
-        if matches(eps):
-            return True
-    return False
+        cands = class_ratios(p.alphas, q.alphas[0], am, ar)
+    return any(matches(eps) for eps in cands)
 
 
 # --- recovering block data from an arbitrary grading -------------------------
@@ -657,9 +688,7 @@ def homogenize_u(gr: Grading) -> tuple[Vect, list[tuple[Vect, Vect]], Vect]:
     with an adjusted eigen-pair basis satisfying the defining twisted
     relations with respect to u'."""
     a = gr.algebra
-    if a.meta.get("family") != "twisted":
-        raise ValueError("homogenize_u expects a twisted Heisenberg algebra")
-    lam = a.meta["lam"]
+    lam = twist(a)
     k = len(lam)
     witness = None
     for g in gr.support:
@@ -715,7 +744,7 @@ def decompose_twisted_grading(gr: Grading):
     extraction: split off one block at a time and pass to the
     centralizer of its span."""
     a = gr.algebra
-    lam = list(a.meta["lam"])
+    lam = twist(a)
     ctx = a.ctx
     _, gr = universal_group(gr)
     u_new, pairs, z = homogenize_u(gr)

@@ -9,9 +9,9 @@ forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable
 
 from ._linalg import (Vect, is_zero_vect, mat_inverse, rank, rref,
                       reduce_against, vadd, vscale, vsub)
@@ -33,16 +33,23 @@ __all__ = [
 
 @dataclass
 class Grading:
-    """A group grading: map from group elements to component bases."""
+    """A group grading: map from group elements to component bases.
+    `family` is the record of the fine-grading constructor that built it
+    (fine.HeisenbergFine, SuperFine or TwistedFine), or None."""
 
     algebra: Algebra
     group: AbGroup
     components: dict[GroupElt, tuple[Vect, ...]]
-    meta: dict = field(default_factory=dict)
+    family: Any = None
 
     @property
     def support(self) -> list[GroupElt]:
         return sorted(self.components, key=lambda g: g.key())
+
+    @cached_property
+    def spans(self) -> dict[GroupElt, tuple[list[Vect], list[int]]]:
+        """The reduced (rows, pivots) of each component, by degree."""
+        return {g: rref(list(self.components[g])) for g in self.support}
 
     def component(self, g: GroupElt) -> tuple[Vect, ...]:
         return self.components.get(g, ())
@@ -92,13 +99,12 @@ def verify_grading(gr: Grading) -> VerifyReport:
             if not prods:
                 continue
             target = g + h
-            comp = gr.components.get(target)
-            if comp is None:
+            if target not in gr.components:
                 failures.append(
                     f"bracket of degrees {g} and {h} is nonzero but {target} "
                     "is outside the support")
                 return VerifyReport(False, failures)
-            basis, pivots = rref(list(comp))
+            basis, pivots = gr.spans[target]
             for w in prods:
                 if not is_zero_vect(reduce_against(basis, pivots, w)):
                     failures.append(
@@ -142,7 +148,7 @@ def universal_group(gr: Grading) -> tuple[AbGroup, Grading]:
     if len(set(images)) != n:
         raise ValueError("universal regrading identified two support degrees")
     comps = {images[i]: gr.components[g] for i, g in enumerate(support)}
-    return group, Grading(gr.algebra, group, comps, dict(gr.meta))
+    return group, Grading(gr.algebra, group, comps, gr.family)
 
 
 def is_toral_fine(gr: Grading) -> bool:
@@ -178,7 +184,7 @@ def coarsen(gr: Grading, images: list[GroupElt]) -> Grading:
     for g in gr.support:
         comps.setdefault(push(g), []).extend(gr.components[g])
     merged = {g: tuple(v) for g, v in comps.items()}
-    out = Grading(gr.algebra, target, merged, {})
+    out = Grading(gr.algebra, target, merged)
     report = verify_grading(out)
     if not report.ok:
         raise ValueError("coarsening failed verification: " + "; ".join(report.failures))
@@ -529,4 +535,4 @@ def grading_from_json(spec: dict, ctx=None) -> Grading:
         if g in comps:
             raise ValueError(f"duplicate component degree {g}")
         comps[g] = vecs
-    return Grading(algebra, group, comps, {})
+    return Grading(algebra, group, comps)

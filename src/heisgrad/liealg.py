@@ -45,7 +45,7 @@ class Algebra:
     labels: tuple[str, ...]
     parity: tuple[int, ...]
     table: tuple[tuple[Vect, ...], ...]  # table[i][j] = [b_i, b_j]
-    meta: dict = field(default_factory=dict)
+    spec: dict | None = None  # JSON form of a heisenberg, super or twisted algebra
     # terms[i] = ((j, ((k, c), ...)), ...): the nonzero c = [b_i, b_j]_k
     terms: tuple = field(init=False, repr=False, compare=False)
 
@@ -108,21 +108,9 @@ def heisenberg(k: int, ctx: CycloCtx | None = None) -> Algebra:
     e1, ehat1, ..., ek, ehatk, z and [ei, ehati] = z."""
     if k < 1:
         raise ValueError("heisenberg requires k >= 1")
-    ctx = ctx or CycloCtx(1)
-    dim = 2 * k + 1
-    labels = []
-    for i in range(1, k + 1):
-        labels += [f"e{i}", f"ehat{i}"]
-    labels.append("z")
-    table = _empty_table(ctx, dim)
-    one = ctx.one()
-    z_vec = tuple(one if i == dim - 1 else ctx.zero() for i in range(dim))
-    for i in range(k):
-        e, eh = 2 * i, 2 * i + 1
-        table[e][eh] = z_vec
-        table[eh][e] = vscale(-one, z_vec)
-    return Algebra(ctx, tuple(labels), (0,) * dim, _freeze_table(table),
-                   {"family": "heisenberg", "k": k})
+    a = heisenberg_super(k, 0, ctx or CycloCtx(1))
+    a.spec = {"kind": "heisenberg", "k": k}
+    return a
 
 
 def heisenberg_super(k: int, m: int, ctx: CycloCtx | None = None) -> Algebra:
@@ -149,7 +137,7 @@ def heisenberg_super(k: int, m: int, ctx: CycloCtx | None = None) -> Algebra:
         w = 2 * k + j
         table[w][w] = z_vec
     return Algebra(ctx, tuple(labels), tuple(parity), _freeze_table(table),
-                   {"family": "super", "k": k, "m": m})
+                   {"kind": "super", "k": k, "m": m})
 
 
 def twisted(lam: list[CycloNum]) -> Algebra:
@@ -187,7 +175,8 @@ def twisted(lam: list[CycloNum]) -> Algebra:
         table[0][eh] = unit(e, lam[i])
         table[eh][0] = unit(e, -lam[i])
     return Algebra(ctx, tuple(labels), (0,) * dim, _freeze_table(table),
-                   {"family": "twisted", "lam": tuple(lam), "k": k})
+                   {"kind": "twisted", "lambda": [format_scalar(x) for x in lam],
+                    "conductor": ctx.n})
 
 
 def verify_axioms(a: Algebra) -> VerifyReport:
@@ -288,15 +277,8 @@ def similitude_factor(f: LinMap, a: Algebra) -> CycloNum:
 # --- JSON interface ---------------------------------------------------------
 
 def algebra_to_json(a: Algebra) -> dict:
-    fam = a.meta.get("family")
-    if fam == "heisenberg":
-        return {"kind": "heisenberg", "k": a.meta["k"]}
-    if fam == "super":
-        return {"kind": "super", "k": a.meta["k"], "m": a.meta["m"]}
-    if fam == "twisted":
-        return {"kind": "twisted",
-                "lambda": [format_scalar(x) for x in a.meta["lam"]],
-                "conductor": a.ctx.n}
+    if a.spec:
+        return dict(a.spec)
     return {
         "kind": "custom",
         "conductor": a.ctx.n,
@@ -363,7 +345,7 @@ def algebra_from_json(spec: dict, ctx: CycloCtx | None = None) -> Algebra:
                 len(json_typed(row, "array", "a table row")) != dim for row in rows):
             raise ValueError(f"parity and table must match the {dim} labels")
         table = tuple(tuple(vect_from_json(t, ctx, dim) for t in row) for row in rows)
-        alg = Algebra(ctx, labels, parity, table, {"family": "custom"})
+        alg = Algebra(ctx, labels, parity, table)
         report = verify_axioms(alg)
         if not report.ok:
             raise ValueError("custom table fails the algebra axioms: "

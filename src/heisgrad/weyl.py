@@ -17,11 +17,11 @@ from functools import cached_property
 from math import factorial, lcm, prod
 
 from ._linalg import (Vect, in_span, is_zero_vect, mat_apply, mat_inverse,
-                      reduce_against, rref, vscale)
+                      reduce_against, vscale)
 from .abelian import smith_normal_form
-from .fine import (BlockI, BlockII, FineTwistedParams, rebase_block_i,
-                   rebase_block_ii, scalar_class, scalar_class_data,
-                   scalar_class_key)
+from .fine import (FineTwistedParams, HeisenbergFine, SuperFine, TwistedFine,
+                   class_ratios, rebase_block_i, rebase_block_ii,
+                   scalar_class_data, scalar_class_key)
 from .gradings import Grading
 from .liealg import Algebra, LinMap, center, derived, is_automorphism
 from .scalars import CycloNum, root_of_unity_order
@@ -167,21 +167,14 @@ def closure(perms: list[Perm], degree: int | None = None) -> PermGroup:
     return PermGroup(len(perms[0]) if perms else degree, perms)
 
 
-def _component_spans(gr: Grading) -> dict:
-    """The reduced (rows, pivots) of each component, by degree."""
-    return {g: rref(list(gr.components[g])) for g in gr.support}
-
-
-def induced_permutation(f: LinMap, gr: Grading, name: str = "",
-                        spans: dict | None = None) -> GradedAut:
+def induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
     """The permutation of the (sorted) support induced by the
-    automorphism f; raises if f is not a grading self-equivalence.
-    `spans`, if given, is _component_spans(gr), shared between maps."""
+    automorphism f; raises if f is not a grading self-equivalence."""
     a = gr.algebra
     if not is_automorphism(f, a):
         raise ValueError("map is not an algebra automorphism")
     support = gr.support
-    spans = spans or _component_spans(gr)
+    spans = gr.spans
     perm = []
     for g in support:
         images = [mat_apply(f, v) for v in gr.components[g]]
@@ -233,7 +226,8 @@ def _flip(a: Algebra, basis: list[Vect], p: int) -> list[Vect]:
     return img
 
 
-def _heisenberg_generators(a: Algebra, k: int) -> tuple[list[Vect], Named]:
+def _heisenberg_generators(a: Algebra, fam: HeisenbergFine) -> tuple[list[Vect], Named]:
+    k = fam.k
     basis = [a.basis_vect(i) for i in range(a.dim)]
     gens = [(f"pair_swap({i + 1},{i + 2})", _swap_runs(basis, 2 * i, 2 * i + 2, 2))
             for i in range(k - 1)]
@@ -241,14 +235,12 @@ def _heisenberg_generators(a: Algebra, k: int) -> tuple[list[Vect], Named]:
     return basis, gens
 
 
-def _super_generators(gr: Grading) -> tuple[list[Vect], Named]:
-    a = gr.algebra
-    meta = gr.meta
-    k, r = meta["k"], meta["r"]
+def _super_generators(a: Algebra, fam: SuperFine) -> tuple[list[Vect], Named]:
+    k, r = fam.k, fam.r
     basis = [a.basis_vect(i) for i in range(2 * k)]
-    for u, v in meta["uv"]:
+    for u, v in fam.uv:
         basis += [u, v]
-    basis += list(meta["zs"]) + [meta["z"]]
+    basis += list(fam.zs) + [fam.z]
     gens = [("symplectic_flip(1)", _flip(a, basis, 0))] if k >= 1 else []
     gens += [(f"pair_swap({i + 1},{i + 2})", _swap_runs(basis, 2 * i, 2 * i + 2, 2))
              for i in range(k - 1)]
@@ -261,41 +253,34 @@ def _super_generators(gr: Grading) -> tuple[list[Vect], Named]:
              for j in range(r - 1)]
     base_z = 2 * k + 2 * r
     gens += [(f"diag_swap({t + 1},{t + 2})", _swap_runs(basis, base_z + t, base_z + t + 1, 1))
-             for t in range(len(meta["zs"]) - 1)]
+             for t in range(len(fam.zs) - 1)]
     return basis, gens
 
 
-def _twisted_block_basis(gr: Grading):
-    meta = gr.meta
-    blocks_i: list[BlockI] = meta["blocks_i"]
-    blocks_ii: list[BlockII] = meta["blocks_ii"]
-    basis = [meta["u"]]
+def _twisted_block_basis(fam: TwistedFine):
+    basis = [fam.u]
     index = {}
-    for j, blk in enumerate(blocks_i):
+    for j, blk in enumerate(fam.blocks_i):
         for i, x in enumerate(blk.xs):
             index[("x", j, i)] = len(basis)
             basis.append(x)
         for i, y in enumerate(blk.ys):
             index[("y", j, i)] = len(basis)
             basis.append(y)
-    for t, blk in enumerate(blocks_ii):
+    for t, blk in enumerate(fam.blocks_ii):
         for i, x in enumerate(blk.xs):
             index[("a", t, i)] = len(basis)
             basis.append(x)
-    basis.append(meta["z"])
+    basis.append(fam.z)
     return basis, index
 
 
-def _twisted_generators(gr: Grading) -> tuple[list[Vect], Named]:
-    a = gr.algebra
-    meta = gr.meta
-    p: FineTwistedParams = meta["params"]
-    lam = list(meta["lam"])
-    blocks_i: list[BlockI] = meta["blocks_i"]
-    blocks_ii: list[BlockII] = meta["blocks_ii"]
+def _twisted_generators(a: Algebra, fam: TwistedFine) -> tuple[list[Vect], Named]:
+    p, lam = fam.params, list(fam.lam)
+    blocks_i, blocks_ii = fam.blocks_i, fam.blocks_ii
     l, s, r = p.l, p.s, p.r
     ctx = a.ctx
-    basis, index = _twisted_block_basis(gr)
+    basis, index = _twisted_block_basis(fam)
     u_pos, z_pos = 0, len(basis) - 1
     gens: Named = []
     ii = ctx.i()
@@ -376,19 +361,13 @@ def _twisted_generators(gr: Grading) -> tuple[list[Vect], Named]:
 
 
 def _epsilon_candidates(lam: list[CycloNum], p: FineTwistedParams) -> list[CycloNum]:
-    ctx = lam[0].ctx
+    """The roots of unity other than 1 among the ratios of block-scalar
+    classes, sorted."""
     beta_cls, alpha_cls = scalar_class_data(lam, p.l)
-    cands = set()
-    scalars = list(p.betas) if p.s else list(p.alphas)
-    mod, root = beta_cls if p.s else alpha_cls
-    base = scalars[0]
-    for target in scalars:
-        cur = target / base
-        for _ in range(mod):
-            o = root_of_unity_order(cur)
-            if o is not None and cur != ctx.one():
-                cands.add(cur)
-            cur = cur * root
+    scalars, (mod, root) = (p.betas, beta_cls) if p.s else (p.alphas, alpha_cls)
+    one = lam[0].ctx.one()
+    cands = [eps for eps in class_ratios(scalars, scalars[0], mod, root)
+             if eps != one and root_of_unity_order(eps) is not None]
     return sorted(cands, key=lambda v: v.sort_key())
 
 
@@ -406,18 +385,17 @@ def _class_bijection(scalars, eps, mod: int, root: CycloNum):
     return [pools[scalar_class_key(eps * x, mod, root)].pop(0) for x in scalars]
 
 
+_GENERATORS = {HeisenbergFine: _heisenberg_generators, SuperFine: _super_generators,
+               TwistedFine: _twisted_generators}
+
+
 def standard_generators(gr: Grading) -> list[tuple[str, LinMap]]:
     """Explicit generator automorphisms of the Weyl group of a fine
     grading produced by this package."""
-    fam = gr.meta.get("family")
-    if fam == "heisenberg":
-        basis, gens = _heisenberg_generators(gr.algebra, gr.meta["k"])
-    elif fam == "super":
-        basis, gens = _super_generators(gr)
-    elif fam == "twisted":
-        basis, gens = _twisted_generators(gr)
-    else:
+    build = _GENERATORS.get(type(gr.family))
+    if build is None:
         raise ValueError("grading does not carry fine-grading provenance")
+    basis, gens = build(gr.algebra, gr.family)
     maps = _map_from_basis_images(gr.algebra, basis, [img for _, img in gens])
     return [(name, f) for (name, _), f in zip(gens, maps)]
 
@@ -427,13 +405,10 @@ def standard_generators(gr: Grading) -> list[tuple[str, LinMap]]:
 @dataclass
 class PQSplit:
     """The order p of the best spectrum-rotating root of unity and the
-    least q with a class-trivial q-th power, plus the class sets."""
+    least q with a class-trivial q-th power."""
 
     p: int
     q: int
-    eps: CycloNum
-    x_classes: list
-    y_classes: list
 
 
 def compute_pq(lam: list[CycloNum], p: FineTwistedParams) -> PQSplit:
@@ -489,11 +464,7 @@ def compute_pq(lam: list[CycloNum], p: FineTwistedParams) -> PQSplit:
         while scalar_class_key(cur, mod, root) != trivial:
             cur = cur * eps
             q += 1
-    y_classes = sorted({scalar_class(b, bm, br) for b in p.betas},
-                       key=lambda c: c.rep.sort_key())
-    x_classes = sorted({scalar_class(x, am, ar) for x in p.alphas},
-                       key=lambda c: c.rep.sort_key())
-    return PQSplit(pval, q, eps, x_classes, y_classes)
+    return PQSplit(pval, q)
 
 
 def _multiplicities(scalars) -> list[int]:
@@ -503,17 +474,15 @@ def _multiplicities(scalars) -> list[int]:
 
 def weyl_order_formula(gr: Grading) -> int:
     """Closed-form order of the Weyl group of a fine grading."""
-    fam = gr.meta.get("family")
-    if fam == "heisenberg":
-        k = gr.meta["k"]
-        return 2**k * factorial(k)
-    if fam == "super":
-        k, m, r = gr.meta["k"], gr.meta["m"], gr.meta["r"]
+    fam = gr.family
+    if isinstance(fam, HeisenbergFine):
+        return 2**fam.k * factorial(fam.k)
+    if isinstance(fam, SuperFine):
+        k, m, r = fam.k, fam.m, fam.r
         return 2 ** (r + k) * factorial(k) * factorial(r) * factorial(m - 2 * r)
-    if fam == "twisted":
-        p: FineTwistedParams = gr.meta["params"]
-        lam = list(gr.meta["lam"])
-        pq = compute_pq(lam, p)
+    if isinstance(fam, TwistedFine):
+        p = fam.params
+        pq = compute_pq(list(fam.lam), p)
         m_mults = _multiplicities(p.betas)
         n_mults = _multiplicities(p.alphas)
         if p.l % 2 == 0:
@@ -544,9 +513,7 @@ def weyl_group(gr: Grading, brute: bool = False, cap: int = 12) -> WeylReport:
     the `agree` flag, with the closure as ground truth."""
     if brute and len(gr.support) > cap:
         raise CapExceeded(f"support size {len(gr.support)} exceeds the cap {cap}")
-    spans = _component_spans(gr)
-    auts = [induced_permutation(f, gr, name, spans=spans)
-            for name, f in standard_generators(gr)]
+    auts = [induced_permutation(f, gr, name) for name, f in standard_generators(gr)]
     group = closure([g.perm for g in auts], degree=len(gr.support))
     formula = weyl_order_formula(gr)
     brute_order = None

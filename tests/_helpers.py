@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 from heisgrad._linalg import mat_apply, vadd, vscale
+from heisgrad.fine import twist
 from heisgrad.gradings import Grading
 from heisgrad.liealg import Algebra, LinMap, compose_maps, identity_map, is_automorphism
 
@@ -26,7 +27,7 @@ def random_heisenberg_automorphism(a: Algebra, rng: random.Random) -> LinMap:
     """A random automorphism of a plain Heisenberg algebra: diagonal torus
     element, pair permutation, symplectic flips, a shear and a central
     translation."""
-    k = a.meta["k"]
+    k = a.spec["k"]
     ctx = a.ctx
     ident = identity_map(a)
     z = a.dim - 1
@@ -89,7 +90,7 @@ def random_super_automorphism(a: Algebra, rng: random.Random) -> LinMap:
     """A random automorphism of a Heisenberg superalgebra: an even-part
     Heisenberg automorphism with similitude 1 plus a signed permutation
     and rational rotations of the odd basis."""
-    k, m = a.meta["k"], a.meta["m"]
+    k, m = a.spec["k"], a.spec["m"]
     ctx = a.ctx
     ident = identity_map(a)
     z = a.dim - 1
@@ -143,7 +144,7 @@ def random_super_automorphism(a: Algebra, rng: random.Random) -> LinMap:
 def random_twisted_automorphism(a: Algebra, rng: random.Random) -> LinMap:
     """A random automorphism of a twisted Heisenberg algebra: a torus
     element diagonal on the ad(u)-eigenbasis plus a u-translation."""
-    lam = a.meta["lam"]
+    lam = twist(a)
     k = len(lam)
     ctx = a.ctx
     ident = identity_map(a)

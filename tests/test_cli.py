@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from heisgrad.cli import main
+from heisgrad.fine import heisenberg_fine, super_fine
+from heisgrad.gradings import grading_to_json
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -117,6 +119,36 @@ def test_decompose_command():
     code, out = run_cli("decompose", json.dumps(spec))
     assert code == 0
     assert "(l,s,r) = (2,0,2)" in out
+
+
+NOT_TWISTED = {
+    "heisenberg": grading_to_json(heisenberg_fine(1)),
+    "super": grading_to_json(super_fine(1, 2, 1)),
+    "custom": {
+        "algebra": {"kind": "custom", "labels": ["a", "b", "c"],
+                    "table": [[["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+                              [["0", "0", "-1"], ["0", "0", "0"], ["0", "0", "0"]],
+                              [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]]},
+        "group": {"rank": 2},
+        "components": [{"degree": {"free": [1, 0]}, "vectors": [["1", "0", "0"]]},
+                       {"degree": {"free": [0, 1]}, "vectors": [["0", "1", "0"]]},
+                       {"degree": {"free": [1, 1]}, "vectors": [["0", "0", "1"]]}],
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(NOT_TWISTED))
+def test_decompose_rejects_an_algebra_that_is_not_twisted(family):
+    # a separate interpreter, so that an uncaught exception shows as a traceback
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "heisgrad.cli", "decompose",
+                           json.dumps(NOT_TWISTED[family])],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_color_classify_command():

@@ -11,10 +11,10 @@ from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, block_i,
                            equivalent_fine, expected_twisted_group,
                            heisenberg_fine, homogenize_u, rebase_block_i,
                            rebase_block_ii, spectrum_check, super_fine,
-                           twisted_fine, twisted_fine_nontoral,
+                           twist, twisted_fine, twisted_fine_nontoral,
                            twisted_fine_toral)
 from heisgrad.gradings import is_toral_fine, universal_group, verify_grading
-from heisgrad.liealg import is_automorphism, twisted
+from heisgrad.liealg import heisenberg, heisenberg_super, is_automorphism, twisted
 from heisgrad.scalars import CycloCtx
 
 from _helpers import random_twisted_automorphism, transport_grading
@@ -29,6 +29,14 @@ def ctx16():
 def lam_iiii(ctx16):
     one, ii = ctx16.one(), ctx16.i()
     return [one, one, ii, ii]
+
+
+def test_twist_reads_lambda_off_the_structure_constants(lam_iiii):
+    assert twist(twisted(lam_iiii)) == lam_iiii
+    assert twist(twisted_fine_toral(lam_iiii).algebra) == lam_iiii
+    for a in (heisenberg(2), heisenberg_super(1, 2)):
+        with pytest.raises(ValueError, match="not a twisted Heisenberg algebra"):
+            twist(a)
 
 
 def test_heisenberg_fine_k1():
@@ -53,8 +61,8 @@ def test_super_fine_basics():
     gr = super_fine(1, 2, 1)
     assert verify_grading(gr).ok
     a = gr.algebra
-    u1, v1 = gr.meta["uv"][0]
-    z = gr.meta["z"]
+    u1, v1 = gr.family.uv[0]
+    z = gr.family.z
     assert a.bracket(u1, v1) == z
     assert is_zero_vect(a.bracket(u1, u1))
     assert is_zero_vect(a.bracket(v1, v1))
@@ -185,7 +193,7 @@ def test_cross_block_brackets_vanish(ctx16, lam_iiii):
     gr = twisted_fine(lam_iiii, FineTwistedParams(2, 1, 2, (ctx16.i(),),
                                                   (ctx16.one(), ctx16.one())))
     a = gr.algebra
-    blocks = list(gr.meta["blocks_i"]) + list(gr.meta["blocks_ii"])
+    blocks = list(gr.family.blocks_i) + list(gr.family.blocks_ii)
     for i, b1 in enumerate(blocks):
         for b2 in blocks[i + 1:]:
             for v in b1.elements():
@@ -489,7 +497,7 @@ def test_decompose_transported(ctx16):
     rng = random.Random(23)
     lam = [ctx16.one(), ctx16.from_fraction(2)]
     base = twisted_fine_toral(lam)
-    p0 = base.meta["params"]
+    p0 = base.family.params
     for _ in range(3):
         f = random_twisted_automorphism(base.algebra, rng)
         moved = transport_grading(base, f)

@@ -22,6 +22,17 @@ def test_verify_fine_grading_passes():
     assert verify_grading(heisenberg_fine(2)).ok
 
 
+def test_verify_grading_reduces_each_component_once(monkeypatch):
+    import heisgrad.gradings as gradings
+    calls = []
+    monkeypatch.setattr(gradings, "rref", lambda rows: calls.append(rows) or rref(rows))
+    ctx = CycloCtx(8)
+    gr = twisted_fine_nontoral([ctx.one(), ctx.from_fraction(2)])
+    assert verify_grading(gr).ok  # 12 nonzero bracket pairs, 6 components
+    assert len(calls) == len(gr.support) == 6
+    assert verify_grading(gr).ok and len(calls) == 6  # the spans are kept
+
+
 def test_verify_coarsening_passes():
     gr = heisenberg_fine(1)
     # merge the e and ehat components

@@ -80,7 +80,7 @@ def test_perturbed_table_fails_jacobi():
     table[0][2] = e1
     table[2][0] = vscale(a.ctx.from_fraction(-1), e1)
     from heisgrad.liealg import Algebra
-    bad = Algebra(a.ctx, a.labels, a.parity, tuple(tuple(r) for r in table), {})
+    bad = Algebra(a.ctx, a.labels, a.parity, tuple(tuple(r) for r in table))
     report = verify_axioms(bad)
     assert not report.ok
     assert any(f.startswith("jacobi") for f in report.failures)
@@ -218,7 +218,7 @@ def _perturbed_heisenberg():
     table[0][2] = a.basis_vect(0)
     table[2][0] = vscale(a.ctx.from_fraction(-1), a.basis_vect(0))
     from heisgrad.liealg import Algebra
-    return Algebra(a.ctx, a.labels, a.parity, tuple(tuple(r) for r in table), {})
+    return Algebra(a.ctx, a.labels, a.parity, tuple(tuple(r) for r in table))
 
 
 def _moved(a, rng):
@@ -232,7 +232,7 @@ def _moved(a, rng):
     back = mat_inverse(cols, a.ctx)
     table = tuple(tuple(mat_apply(back, a.bracket(cols[i], cols[j]))
                         for j in range(a.dim)) for i in range(a.dim))
-    return Algebra(a.ctx, a.labels, a.parity, table, {})
+    return Algebra(a.ctx, a.labels, a.parity, table)
 
 
 def _sample_algebras():

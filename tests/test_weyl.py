@@ -102,9 +102,9 @@ def test_odd_flip_commutation_with_odd_pair_swap():
     left = induced_permutation(compose_maps(swap, flip1), gr).perm
     # mu'_sigma(1) on the second pair
     a = gr.algebra
-    basis_pairs = gr.meta["uv"]
+    basis_pairs = gr.family.uv
     from heisgrad.weyl import _map_from_basis_images
-    basis = [v for pair in basis_pairs for v in pair] + [gr.meta["z"]]
+    basis = [v for pair in basis_pairs for v in pair] + [gr.family.z]
     images = list(basis)
     images[2], images[3] = basis[3], basis[2]
     [flip2] = _map_from_basis_images(a, basis, [images])
@@ -266,7 +266,7 @@ def test_odd_l_class_rotation_flagged():
     for base in (ctx.one(), ctx.i()):
         lam += [(xi ** q) * base for q in range(1, 4)]
     gr = twisted_fine(lam, FineTwistedParams(3, 2, 0, (ctx.one(), ctx.i()), ()))
-    pq = compute_pq(lam, gr.meta["params"])
+    pq = compute_pq(lam, gr.family.params)
     assert (pq.p, pq.q) == (1, 1)
     rep = weyl_group(gr)
     assert rep.formula_order == 18
