@@ -14,8 +14,9 @@ Vect = tuple[CycloNum, ...]
 
 __all__ = [
     "Vect", "vzero", "vadd", "vsub", "vscale", "is_zero_vect",
-    "rref", "rank", "in_span", "reduce_against", "kernel", "intersection",
-    "mat_inverse", "mat_apply", "same_span",
+    "rref", "rank", "in_span", "reduce_against", "kernel", "combinations",
+    "intersection", "line_coeff", "transpose", "mat_inverse", "mat_apply",
+    "same_span",
 ]
 
 
@@ -108,27 +109,34 @@ def kernel(rows: list[Vect], ctx: CycloCtx, n_unknowns: int) -> list[Vect]:
     return out
 
 
+def combinations(vecs: list[Vect], rows: list[Vect], ctx: CycloCtx) -> list[Vect]:
+    """Basis (rref) of {sum c_i vecs_i : rows . c = 0}."""
+    basis, _ = rref([mat_apply(vecs, c) for c in kernel(rows, ctx, len(vecs))])
+    return basis
+
+
 def intersection(rows_a: list[Vect], rows_b: list[Vect], ctx: CycloCtx) -> list[Vect]:
-    """Basis (rref) of span(rows_a) intersected with span(rows_b)."""
+    """Basis (rref) of span(rows_a) intersected with span(rows_b): the
+    combinations of rows_a whose residues against rref(rows_b) cancel."""
     if not rows_a or not rows_b:
         return []
-    na, nb = len(rows_a), len(rows_b)
-    dim = len(rows_a[0])
-    sys_rows = []
-    for c in range(dim):
-        sys_rows.append(tuple([rows_a[i][c] for i in range(na)]
-                              + [-rows_b[j][c] for j in range(nb)]))
-    combos = kernel(sys_rows, ctx, na + nb)
-    out = []
-    for co in combos:
-        acc = vzero(ctx, dim)
-        for coeff, v in zip(co[:na], rows_a):
-            if coeff:
-                acc = vadd(acc, vscale(coeff, v))
-        if not is_zero_vect(acc):
-            out.append(acc)
-    basis, _ = rref(out)
-    return list(basis)
+    basis, pivots = rref(rows_b)
+    residues = [reduce_against(basis, pivots, v) for v in rows_a]
+    return combinations(rows_a, transpose(residues), ctx)
+
+
+def line_coeff(w: Vect, line: Vect) -> CycloNum:
+    """The c with w = c * line (line nonzero); ValueError when w is off
+    the line."""
+    p = next(i for i, x in enumerate(line) if x)
+    c = w[p] / line[p]
+    if vscale(c, line) != w:
+        raise ValueError("vector does not lie on the line")
+    return c
+
+
+def transpose(rows: list[Vect]) -> list[Vect]:
+    return [tuple(col) for col in zip(*rows)]
 
 
 def mat_apply(cols: list[Vect], v: Vect) -> Vect:
@@ -145,13 +153,10 @@ def mat_apply(cols: list[Vect], v: Vect) -> Vect:
 def mat_inverse(cols: list[Vect], ctx: CycloCtx) -> list[Vect] | None:
     """Inverse of a square matrix given by columns, or None if singular."""
     n = len(cols)
-    rows = []
     one, zero = ctx.one(), ctx.zero()
-    for i in range(n):
-        aug = [cols[j][i] for j in range(n)] + [one if i == j else zero for j in range(n)]
-        rows.append(tuple(aug))
+    rows = [row + tuple(one if i == j else zero for j in range(n))
+            for i, row in enumerate(transpose(cols))]
     red, pivots = rref(rows)
     if pivots[:n] != list(range(n)):
         return None
-    inv_rows = [row[n:] for row in red]
-    return [tuple(inv_rows[i][j] for i in range(n)) for j in range(n)]
+    return transpose([row[n:] for row in red])

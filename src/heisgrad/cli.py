@@ -21,8 +21,8 @@ from .color import (Bicharacter, classify_color, color_algebra,
 from .fine import (FineTwistedParams, TwistedFine, decompose_twisted_grading,
                    enumerate_super_fine, enumerate_twisted_fine,
                    heisenberg_fine, super_fine, twisted_fine)
-from .gradings import (grading_from_json, grading_to_json, universal_group,
-                       verify_grading)
+from .gradings import (elt_to_json, grading_from_json, grading_to_json,
+                       universal_group, verify_grading)
 from .liealg import json_int
 from .scalars import (CycloCtx, ScalarSyntaxError, divisors, format_scalar,
                       parse_scalar, scan_conductors)
@@ -120,13 +120,12 @@ def _emit(out, fmt: str, text_lines: list[str], payload: dict) -> None:
         out.write("\n".join(text_lines) + "\n")
 
 
-def _grading_lines(gr) -> list[str]:
-    lines = [f"group: {gr.group}"]
-    for g in gr.support:
-        vecs = "; ".join("(" + ", ".join(format_scalar(c) for c in v) + ")"
-                         for v in gr.components[g])
-        lines.append(f"  deg {g}: {vecs}")
-    return lines
+def _vec_text(v) -> str:
+    return "(" + ", ".join(format_scalar(c) for c in v) + ")"
+
+
+def _vec_json(v) -> list[str]:
+    return [format_scalar(c) for c in v]
 
 
 def _params_json(p: FineTwistedParams) -> dict:
@@ -155,11 +154,9 @@ def cmd_enumerate_fine(args, out) -> int:
         lines.append(f"class {i}: {p}")
         lines.append(f"  universal group: {gr.group}")
         lines.append(f"  toral: {'yes' if toral else 'no'}")
-        blocks = []
-        for blk in gr.family.blocks_i:
-            blocks.append({"type": "I", "l": blk.l, "alpha": format_scalar(blk.alpha)})
-        for blk in gr.family.blocks_ii:
-            blocks.append({"type": "II", "l": blk.l, "alpha": format_scalar(blk.alpha)})
+        blocks = [{"type": kind, "l": blk.l, "alpha": format_scalar(blk.alpha)}
+                  for kind, blks in (("I", gr.family.blocks_i), ("II", gr.family.blocks_ii))
+                  for blk in blks]
         lines.extend("  block " + b["type"] + f" (l={b['l']}, alpha={b['alpha']})"
                      for b in blocks)
         basis = [v for g in gr.support for v in gr.components[g]]
@@ -168,11 +165,11 @@ def cmd_enumerate_fine(args, out) -> int:
             "universal_group": str(gr.group),
             "toral": toral,
             "blocks": blocks,
-            "homogeneous_basis": [[format_scalar(c) for c in v] for v in basis],
+            "homogeneous_basis": [_vec_json(v) for v in basis],
             "grading": grading_to_json(gr),
         })
     payload = {
-        "lambda": [format_scalar(x) for x in lam],
+        "lambda": _vec_json(lam),
         "conductor": ctx.n,
         "count": len(reps),
         "rejected_l": rejected,
@@ -217,7 +214,7 @@ def _weyl_report_lines(gr, rep, lines, payload_list):
     gens = []
     for aut in rep.generators:
         lines.append(f"  generator {aut.name}: {perm_cycles(aut.perm)}")
-        matrix = [[format_scalar(c) for c in col] for col in aut.map]
+        matrix = [_vec_json(col) for col in aut.map]
         lines.append("    matrix columns: " + json.dumps(matrix))
         gens.append({"name": aut.name, "cycles": perm_cycles(aut.perm),
                      "matrix_columns": matrix})
@@ -258,7 +255,8 @@ def cmd_universal_group(args, out) -> int:
     gr, _ = _load_grading(args)
     group, regraded = universal_group(gr)
     lines = [f"universal grading group: {group}"]
-    lines.extend(_grading_lines(regraded)[1:])
+    lines.extend(f"  deg {g}: " + "; ".join(_vec_text(v) for v in regraded.components[g])
+                 for g in regraded.support)
     _emit(out, args.format, lines,
           {"universal_group": str(group), "grading": grading_to_json(regraded)})
     return 0
@@ -270,26 +268,16 @@ def cmd_decompose(args, out) -> int:
         u_new, blocks_i, blocks_ii, params = decompose_twisted_grading(gr)
     except ValueError as exc:
         raise CliError(str(exc), VALIDATION_ERROR)
-    lines = [f"block decomposition {params}",
-             "homogeneous u: (" + ", ".join(format_scalar(c) for c in u_new) + ")"]
-    for blk in blocks_i:
-        lines.append(f"  type-I block (l={blk.l}, alpha={format_scalar(blk.alpha)})")
-        for v in blk.elements():
-            lines.append("    (" + ", ".join(format_scalar(c) for c in v) + ")")
-    for blk in blocks_ii:
-        lines.append(f"  type-II block (l={blk.l}, alpha={format_scalar(blk.alpha)})")
-        for v in blk.elements():
-            lines.append("    (" + ", ".join(format_scalar(c) for c in v) + ")")
-    payload = {
-        "params": _params_json(params),
-        "u": [format_scalar(c) for c in u_new],
-        "blocks_i": [{"l": b.l, "alpha": format_scalar(b.alpha),
-                      "elements": [[format_scalar(c) for c in v]
-                                   for v in b.elements()]} for b in blocks_i],
-        "blocks_ii": [{"l": b.l, "alpha": format_scalar(b.alpha),
-                       "elements": [[format_scalar(c) for c in v]
-                                    for v in b.elements()]} for b in blocks_ii],
-    }
+    lines = [f"block decomposition {params}", "homogeneous u: " + _vec_text(u_new)]
+    payload = {"params": _params_json(params), "u": _vec_json(u_new)}
+    for kind, blocks in (("I", blocks_i), ("II", blocks_ii)):
+        entries = payload["blocks_" + kind.lower()] = []
+        for blk in blocks:
+            alpha = format_scalar(blk.alpha)
+            lines.append(f"  type-{kind} block (l={blk.l}, alpha={alpha})")
+            lines.extend("    " + _vec_text(v) for v in blk.elements())
+            entries.append({"l": blk.l, "alpha": alpha,
+                            "elements": [_vec_json(v) for v in blk.elements()]})
     _emit(out, args.format, lines, payload)
     return 0
 
@@ -320,17 +308,12 @@ def cmd_color_classify(args, out) -> int:
                              if d),
         "super-realizable: " + ("yes" if split is not None else "no"),
     ]
-    for name, g, v in basis:
-        lines.append(f"  {name} (deg {g}): ("
-                     + ", ".join(format_scalar(c) for c in v) + ")")
+    lines.extend(f"  {name} (deg {g}): {_vec_text(v)}" for name, g, v in basis)
     payload = {
         "color_type": color_type_to_json(t_out),
         "super_realizable": split is not None,
-        "standard_basis": [
-            {"name": name, "degree": {"free": list(g.free), "torsion": list(g.torsion)},
-             "vector": [format_scalar(c) for c in v]}
-            for name, g, v in basis
-        ],
+        "standard_basis": [{"name": name, "degree": elt_to_json(g), "vector": _vec_json(v)}
+                           for name, g, v in basis],
     }
     _emit(out, args.format, lines, payload)
     return 0

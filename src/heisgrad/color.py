@@ -9,12 +9,13 @@ recognition of arbitrary graded structures as standard forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ._linalg import (Vect, in_span, is_zero_vect, rref, vadd, vscale, vsub,
-                      vzero)
+from ._linalg import (Vect, in_span, is_zero_vect, line_coeff, rref, vadd,
+                      vscale, vsub, vzero)
 from .abelian import (AbGroup, GroupElt, canonicalize, express_in_terms,
                       generates, subgroup_presentation)
-from .gradings import (Grading, dual_vectors, elt_from_json, group_from_json,
-                       orthogonal_gram_schmidt, symplectic_gram_schmidt)
+from .gradings import (Grading, dual_vectors, elt_from_json, elt_to_json,
+                       group_from_json, orthogonal_gram_schmidt,
+                       symplectic_gram_schmidt)
 from .liealg import Algebra, VerifyReport, center, derived, json_int, json_typed
 from .scalars import (CycloCtx, CycloNum, format_scalar, parse_scalar,
                       sqrt_scalar)
@@ -249,11 +250,7 @@ def classify_color(a: Algebra, gr: Grading, eps: Bicharacter):
     if len(cen) != 1 or len(der) != 1 or not in_span(cen, der[0]):
         raise ValueError("structure is not Heisenberg: need [L,L] = Z(L) of dimension 1")
     z = cen[0]
-    g0 = None
-    for g in gr.support:
-        if in_span(list(gr.components[g]), z):
-            g0 = g
-            break
+    g0 = gr.degree_of(z)
     if g0 is None:
         raise ValueError("center is not homogeneous")
 
@@ -264,30 +261,16 @@ def classify_color(a: Algebra, gr: Grading, eps: Bicharacter):
         group2, images = canonicalize(subgroup_presentation(gr.group, support))
         remap = {g: images[i] for i, g in enumerate(support)}
         comps = {remap[g]: gr.components[g] for g in support}
-        # express each canonical generator of the subgroup through the
-        # support and evaluate the bicharacter there
-        gens = group2.generators()
-        combos = []
-        for gen in gens:
+        # the canonical generators of the subgroup, expressed through the
+        # support and mapped back into the ambient group; eps is
+        # biadditive, so its values there restrict it
+        ambient = []
+        for gen in group2.generators():
             combo = express_in_terms(group2, [remap[g] for g in support], gen)
             if combo is None:
                 raise AssertionError("support does not generate its own subgroup")
-            combos.append(combo)
-        one = eps.ctx.one()
-        vals = []
-        for ca in combos:
-            row = []
-            for cb in combos:
-                val = one
-                for i, ai in enumerate(ca):
-                    if not ai:
-                        continue
-                    for j, bj in enumerate(cb):
-                        if bj:
-                            val = val * eps(support[i], support[j]) ** (ai * bj)
-                row.append(val)
-            vals.append(row)
-        eps = Bicharacter(group2, vals, eps.ctx)
+            ambient.append(sum((c * g for c, g in zip(combo, support)), group.zero()))
+        eps = Bicharacter(group2, [[eps(x, y) for y in ambient] for x in ambient], eps.ctx)
         gr = Grading(a, group2, comps, gr.family)
         g0 = remap[g0]
         group = group2
@@ -298,12 +281,7 @@ def classify_color(a: Algebra, gr: Grading, eps: Bicharacter):
     def pairing(x: Vect, y: Vect) -> CycloNum:
         # [x, y] = pairing(x, y) z; alternating on degree 0 when g0 = 0
         # (eps(0, 0) = 1), symmetric on self-paired degrees (eps(g, g) = -1)
-        w = a.bracket(x, y)
-        piv = next(i for i, c in enumerate(z) if c)
-        rest = vsub(w, vscale(w[piv] / z[piv], z))
-        if not is_zero_vect(rest):
-            raise ValueError("bracket leaves the center line")
-        return w[piv] / z[piv]
+        return line_coeff(a.bracket(x, y), z)
 
     basis: list[tuple[str, GroupElt, Vect]] = [("z", g0, z)]
     dims: dict[GroupElt, int] = {}
@@ -393,11 +371,10 @@ def _complement_of_line(vectors: list[Vect], line: Vect, ctx) -> list[Vect]:
 def color_type_to_json(t: ColorType) -> dict:
     return {
         "group": {"rank": t.group.rank, "torsion": list(t.group.torsion)},
-        "g0": {"free": list(t.g0.free), "torsion": list(t.g0.torsion)},
+        "g0": elt_to_json(t.g0),
         "epsilon": [[format_scalar(v) for v in row] for row in t.epsilon.values],
         "dims": [
-            {"degree": {"free": list(g.free), "torsion": list(g.torsion)},
-             "dim": d}
+            {"degree": elt_to_json(g), "dim": d}
             for g, d in sorted(t.dims.items(), key=lambda kv: kv[0].key()) if d
         ],
     }

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from ._linalg import (Vect, in_span, intersection, is_zero_vect, kernel,
-                      rref, vadd, vscale, vsub, vzero)
+from ._linalg import (Vect, combinations, intersection, is_zero_vect,
+                      line_coeff, mat_apply, rank, transpose, vadd, vscale,
+                      vsub)
 from .abelian import AbGroup, GroupElt, group_product
 from .liealg import Algebra, heisenberg, heisenberg_super, twisted
 from .gradings import Grading, universal_group
@@ -124,6 +125,18 @@ class FineTwistedParams:
                 f"type-II scalars: {alphas}")
 
 
+def _orbit(mu: CycloNum, xi: CycloNum, l: int, paired: bool) -> Counter:
+    """The multiset {xi^t mu : 0 <= t < l}, with each value's negative too
+    when paired."""
+    return Counter(y for x in _class_members(mu, l, xi)
+                   for y in ((x, -x) if paired else (x,)))
+
+
+def _spectrum(lam) -> Counter:
+    """The multiset {+-lam_i}."""
+    return Counter(y for x in lam for y in (x, -x))
+
+
 def spectrum_check(lam: list[CycloNum], p: FineTwistedParams) -> bool:
     """Multiset equality of {+-lam_i} against the block orbit values
     {+-xi^t beta_j} and {xi^t alpha_i}."""
@@ -133,23 +146,12 @@ def spectrum_check(lam: list[CycloNum], p: FineTwistedParams) -> bool:
     xi = primitive_root(ctx, p.l, lam)
     if xi is None:
         return False
-    spec = Counter()
-    for x in lam:
-        spec[x] += 1
-        spec[-x] += 1
     need = Counter()
     for b in p.betas:
-        cur = b
-        for _ in range(p.l):
-            need[cur] += 1
-            need[-cur] += 1
-            cur = cur * xi
+        need += _orbit(b, xi, p.l, True)
     for a in p.alphas:
-        cur = a
-        for _ in range(p.l):
-            need[cur] += 1
-            cur = cur * xi
-    return spec == need
+        need += _orbit(a, xi, p.l, False)
+    return _spectrum(lam) == need
 
 
 # --- blocks ------------------------------------------------------------------
@@ -280,14 +282,9 @@ def block_i(a: Algebra, l: int, alpha: CycloNum,
     xs, ys = [], []
     inv2l = ctx.from_fraction(Fraction(1, 2 * l))
     for j in range(1, l + 1):
-        x = vzero(ctx, a.dim)
-        y = vzero(ctx, a.dim)
-        for q in range(1, l + 1):
-            x = vadd(x, vscale(xi ** (j * q), us[q - 1]))
-            y = vadd(y, vscale(xi ** ((j - 1) * q), vs[q - 1]))
-        sign = ctx.from_fraction(-((-1) ** j))
-        xs.append(x)
-        ys.append(vscale(sign * inv2l, y))
+        xs.append(mat_apply(us, [xi ** (j * q) for q in range(1, l + 1)]))
+        y = mat_apply(vs, [xi ** ((j - 1) * q) for q in range(1, l + 1)])
+        ys.append(vscale(ctx.from_fraction(-((-1) ** j)) * inv2l, y))
     blk = BlockI(l, alpha, tuple(xs), tuple(ys))
     verify_block_i(a, a.basis_vect(0), a.basis_vect(a.dim - 1), blk)
     return blk
@@ -301,14 +298,11 @@ def block_ii(a: Algebra, l: int, alpha: CycloNum,
     ctx = a.ctx
     zeta, us, vs = _block_slots(a, l, 2 * l, alpha, pairs)
     scale = ctx.i() / (2 * sqrt_int(l, ctx))
-    xs = []
-    for j in range(1, 2 * l + 1):
-        x = vzero(ctx, a.dim)
-        sgn = ctx.from_fraction((-1) ** (j - 1))
-        for q in range(1, l + 1):
-            term = vadd(us[q - 1], vscale(sgn, vs[q - 1]))
-            x = vadd(x, vscale(zeta ** ((j - 1) * q), term))
-        xs.append(vscale(scale, x))
+    # x_j sums zeta^((j-1)q) (u_q + (-1)^(j-1) v_q) over q
+    terms = [vadd(u, v) for u, v in zip(us, vs)], [vsub(u, v) for u, v in zip(us, vs)]
+    xs = [vscale(scale, mat_apply(terms[(j - 1) % 2],
+                                  [zeta ** ((j - 1) * q) for q in range(1, l + 1)]))
+          for j in range(1, 2 * l + 1)]
     blk = BlockII(l, alpha, tuple(xs))
     verify_block_ii(a, a.basis_vect(0), a.basis_vect(a.dim - 1), blk)
     return blk
@@ -594,21 +588,12 @@ def _extract_blocks(spec: Counter, l: int, s: int, r: int,
     mu = min(live, key=lambda v: v.sort_key())
     out = []
     if s > 0:
-        orbit = Counter()
-        cur = mu
-        for _ in range(l):
-            orbit[cur] += 1
-            orbit[-cur] += 1
-            cur = cur * xi
+        orbit = _orbit(mu, xi, l, True)
         if _counter_contains(spec, orbit):
             for betas, alphas in _extract_blocks(spec - orbit, l, s - 1, r, xi):
                 out.append(((mu,) + betas, alphas))
     if r > 0:
-        orbit = Counter()
-        cur = mu
-        for _ in range(l):
-            orbit[cur] += 1
-            cur = cur * xi
+        orbit = _orbit(mu, xi, l, False)
         if _counter_contains(spec, orbit):
             for betas, alphas in _extract_blocks(spec - orbit, l, s, r - 1, xi):
                 out.append((betas, (mu,) + alphas))
@@ -629,10 +614,7 @@ def enumerate_twisted_fine(lam: list[CycloNum]) -> list[FineTwistedParams]:
     twisted Heisenberg algebra with parameter vector lam."""
     ctx = lam[0].ctx
     k = len(lam)
-    spec = Counter()
-    for x in lam:
-        spec[x] += 1
-        spec[-x] += 1
+    spec = _spectrum(lam)
     found: list[FineTwistedParams] = []
     for l in divisors(2 * k):
         xi = primitive_root(ctx, l, lam)
@@ -733,7 +715,7 @@ def _graded_pieces(gr: Grading, ambient: list[Vect]) -> dict[GroupElt, list[Vect
         if inter:
             out[g] = inter
             total += len(inter)
-    if total != len(rref(ambient)[0]):
+    if total != rank(ambient):
         raise ValueError("subspace is not graded")
     return out
 
@@ -748,11 +730,7 @@ def decompose_twisted_grading(gr: Grading):
     ctx = a.ctx
     _, gr = universal_group(gr)
     u_new, pairs, z = homogenize_u(gr)
-    deg_u = None
-    for g in gr.support:
-        if in_span(list(gr.components[g]), u_new):
-            deg_u = g
-            break
+    deg_u = gr.degree_of(u_new)
     if deg_u is None:
         raise AssertionError("homogenized u is not homogeneous")
     l = deg_u.order()
@@ -767,31 +745,16 @@ def decompose_twisted_grading(gr: Grading):
             v = phi(v)
         return v
 
-    def z_coeff(v: Vect) -> CycloNum:
-        rest = vsub(v, vscale(v[a.dim - 1], z))
-        if not is_zero_vect(rest):
-            raise AssertionError("bracket does not land on the center line")
-        return v[a.dim - 1]
-
-    # eigenvalue-power kernels V_mu^l = ker(phi^l - mu^l)
+    # eigenvalue-power kernels V_mu^l = ker(phi^l - mu^l), inside
+    # [u', L], which the adjusted pairs span
     ambient = [p[0] for p in pairs] + [p[1] for p in pairs]
-    spectrum = []
-    for x in lam:
-        for v in (x, -x):
-            if all(v != w for w in spectrum):
-                spectrum.append(v)
-    spectrum.sort(key=lambda v: v.sort_key())
+    images = [phi_pow(v, l) for v in ambient]
+    spectrum = sorted(_spectrum(lam), key=lambda v: v.sort_key())
 
     def v_l(mu: CycloNum) -> list[Vect]:
-        rows = []
         mul = mu ** l
-        cols = [vsub(phi_pow(a.basis_vect(j), l), vscale(mul, a.basis_vect(j)))
-                for j in range(a.dim)]
-        for i in range(a.dim):
-            rows.append(tuple(cols[j][i] for j in range(a.dim)))
-        ker = kernel(rows, ctx, a.dim)
-        # restrict to [u', L]
-        return intersection(ker, ambient, ctx)
+        rows = transpose([vsub(img, vscale(mul, v)) for img, v in zip(images, ambient)])
+        return combinations(ambient, rows, ctx)
 
     remaining = _graded_pieces(gr, ambient)
     blocks_i: list[BlockI] = []
@@ -823,9 +786,9 @@ def decompose_twisted_grading(gr: Grading):
             raise AssertionError("leftover graded subspace without eigen content")
         mu, inter, vl = hit
         if l % 2 == 0:
-            x2 = _find_selfpaired(a, remaining, vl, ctx, phi, z_coeff)
+            x2 = _find_selfpaired(a, remaining, vl, ctx, phi, z)
             if x2 is not None:
-                c = z_coeff(a.bracket(x2, phi(x2)))
+                c = line_coeff(a.bracket(x2, phi(x2)), z)
                 t = sqrt_scalar((mu * mu) / c)
                 x2 = vscale(t, x2)
                 xs = [vscale(mu ** -j, phi_pow(x2, j)) for j in range(1, l + 1)]
@@ -839,7 +802,7 @@ def decompose_twisted_grading(gr: Grading):
             vl_partner = v_l(-mu)
         x = inter[0]
         y = _find_partner(a, remaining, x, vl_partner, ctx)
-        c = z_coeff(a.bracket(x, y))
+        c = line_coeff(a.bracket(x, y), z)
         y = vscale(mu / c, y)
         xs = [vscale(mu ** -j, phi_pow(x, j)) for j in range(1, l + 1)]
         ys = [vscale(mu ** -j, phi_pow(y, j)) for j in range(1, l + 1)]
@@ -858,31 +821,16 @@ def decompose_twisted_grading(gr: Grading):
 
 def _centralizer_in(a: Algebra, vecs: list[Vect], targets: list[Vect]) -> list[Vect]:
     """{x in span(vecs) : [x, t] = 0 for all t in targets} as a basis."""
-    if not vecs:
-        return []
-    rows = []
-    for t in targets:
-        images = [a.bracket(v, t) for v in vecs]
-        for c in range(a.dim):
-            rows.append(tuple(img[c] for img in images))
-    coeffs = kernel(rows, a.ctx, len(vecs))
-    out = []
-    for co in coeffs:
-        acc = vzero(a.ctx, a.dim)
-        for c, v in zip(co, vecs):
-            if c:
-                acc = vadd(acc, vscale(c, v))
-        out.append(acc)
-    basis, _ = rref(out)
-    return list(basis)
+    rows = [row for t in targets for row in transpose([a.bracket(v, t) for v in vecs])]
+    return combinations(vecs, rows, a.ctx)
 
 
-def _find_selfpaired(a: Algebra, remaining, vl: list[Vect], ctx, phi, z_coeff):
+def _find_selfpaired(a: Algebra, remaining, vl: list[Vect], ctx, phi, z: Vect):
     """A homogeneous x in the remaining part of V_mu^l with [x, phi(x)] != 0,
     or None when the pairing form vanishes identically there."""
 
     def q_value(v: Vect) -> CycloNum:
-        return z_coeff(a.bracket(v, phi(v)))
+        return line_coeff(a.bracket(v, phi(v)), z)
 
     for g in sorted(remaining, key=lambda e: e.key()):
         inter = intersection(remaining[g], vl, ctx)

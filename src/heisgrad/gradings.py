@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable
 
-from ._linalg import (Vect, is_zero_vect, mat_inverse, rank, rref,
-                      reduce_against, vadd, vscale, vsub)
+from ._linalg import (Vect, is_zero_vect, line_coeff, mat_apply, mat_inverse,
+                      rank, rref, reduce_against, transpose, vadd, vscale,
+                      vsub)
 from .abelian import (AbGroup, AbPresentation, GroupElt, canonicalize,
                       generates)
 from .liealg import (Algebra, VerifyReport, algebra_from_json, algebra_to_json,
@@ -28,6 +29,7 @@ __all__ = [
     "homogeneous_symplectic_basis", "homogeneous_orthogonal_basis",
     "darboux_homogeneous_basis",
     "grading_to_json", "grading_from_json", "group_from_json", "elt_from_json",
+    "elt_to_json",
 ]
 
 
@@ -51,8 +53,10 @@ class Grading:
         """The reduced (rows, pivots) of each component, by degree."""
         return {g: rref(list(self.components[g])) for g in self.support}
 
-    def component(self, g: GroupElt) -> tuple[Vect, ...]:
-        return self.components.get(g, ())
+    def degree_of(self, v: Vect) -> GroupElt | None:
+        """The first degree, in support order, whose component holds v."""
+        return next((g for g, (rows, pivots) in self.spans.items()
+                     if is_zero_vect(reduce_against(rows, pivots, v))), None)
 
 
 def _bracket_component(gr: Grading, g: GroupElt, h: GroupElt) -> list[Vect]:
@@ -254,18 +258,10 @@ def dual_vectors(pairing: Pairing, left: list[Vect], right: list[Vect]) -> list[
     if not left:
         return []
     ctx = left[0][0].ctx
-    gram = [[pairing(x, y) for y in right] for x in left]
-    inv = mat_inverse([tuple(gram[i][j] for i in range(len(left)))
-                       for j in range(len(right))], ctx)
+    inv = mat_inverse(transpose([[pairing(x, y) for y in right] for x in left]), ctx)
     if inv is None:
         raise ValueError("pairing between partnered components is degenerate")
-    duals = []
-    for q in range(len(left)):
-        acc = tuple(ctx.zero() for _ in right[0])
-        for p in range(len(right)):
-            if inv[q][p]:
-                acc = vadd(acc, vscale(inv[q][p], right[p]))
-        duals.append(acc)
+    duals = [mat_apply(right, col) for col in inv]
     for q in range(len(left)):
         for p in range(len(left)):
             want = ctx.one() if p == q else ctx.zero()
@@ -436,13 +432,7 @@ def darboux_homogeneous_basis(gr: Grading) -> list[Vect]:
         return tuple(out)
 
     # form on the quotient: <x, y> z = [x, y]
-    form = []
-    for i in idxs:
-        row = []
-        for j in idxs:
-            w = a.table[i][j]
-            row.append(w[z_idx] / z[z_idx])
-        form.append(tuple(row))
+    form = [tuple(line_coeff(a.table[i][j], z) for j in idxs) for i in idxs]
     pieces = []
     for g in gr.support:
         vecs = [project(v) for v in gr.components[g]]
@@ -474,7 +464,7 @@ def _check_darboux(a: Algebra, z: Vect, basis: list[Vect]):
 
 # --- JSON interface ---------------------------------------------------------
 
-def _elt_to_json(g: GroupElt) -> dict:
+def elt_to_json(g: GroupElt) -> dict:
     return {"free": list(g.free), "torsion": list(g.torsion)}
 
 
@@ -496,7 +486,7 @@ def grading_to_json(gr: Grading) -> dict:
         "group": {"rank": gr.group.rank, "torsion": list(gr.group.torsion)},
         "components": [
             {
-                "degree": _elt_to_json(g),
+                "degree": elt_to_json(g),
                 "vectors": [[format_scalar(c) for c in v] for v in gr.components[g]],
             }
             for g in gr.support

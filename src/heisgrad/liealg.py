@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._linalg import (Vect, is_zero_vect, kernel, mat_apply, mat_inverse,
-                      rref, vadd, vscale, vzero)
+from ._linalg import (Vect, is_zero_vect, kernel, line_coeff, mat_apply,
+                      mat_inverse, rref, transpose, vadd, vscale, vzero)
 from .scalars import CycloCtx, CycloNum, format_scalar, parse_scalar
 
 __all__ = [
@@ -213,10 +213,8 @@ def verify_axioms(a: Algebra) -> VerifyReport:
 
 def center(a: Algebra) -> list[Vect]:
     """Basis (rref) of {x : [x, L] = 0}."""
-    rows = []
-    for j in range(a.dim):
-        for c in range(a.dim):
-            rows.append(tuple(a.table[i][j][c] for i in range(a.dim)))
+    rows = [row for j in range(a.dim)
+            for row in transpose([a.table[i][j] for i in range(a.dim)])]
     return kernel(rows, a.ctx, a.dim)
 
 
@@ -263,15 +261,7 @@ def similitude_factor(f: LinMap, a: Algebra) -> CycloNum:
     c = center(a)
     if len(c) != 1:
         raise ValueError("algebra does not have a one-dimensional center")
-    z = c[0]
-    fz = mat_apply(f, z)
-    for i, zi in enumerate(z):
-        if zi:
-            lam = fz[i] / zi
-            break
-    if fz != vscale(lam, z):
-        raise ValueError("map does not preserve the center line")
-    return lam
+    return line_coeff(mat_apply(f, c[0]), c[0])
 
 
 # --- JSON interface ---------------------------------------------------------

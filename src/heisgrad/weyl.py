@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, lcm, prod
 
-from ._linalg import (Vect, in_span, is_zero_vect, mat_apply, mat_inverse,
-                      reduce_against, vscale)
+from ._linalg import (Vect, is_zero_vect, line_coeff, mat_apply, mat_inverse,
+                      reduce_against, rref, vscale)
 from .abelian import smith_normal_form
 from .fine import (FineTwistedParams, HeisenbergFine, SuperFine, TwistedFine,
                    class_ratios, rebase_block_i, rebase_block_ii,
@@ -556,18 +556,12 @@ def weyl_bruteforce(gr: Grading, cap: int = 12) -> PermGroup:
             if is_zero_vect(w):
                 continue
             k = pos[(g + h).key()]
-            b = basis[k]
-            piv = next(t for t, c in enumerate(b) if c)
-            coef = w[piv] / b[piv]
-            gamma[i][j] = coef
+            gamma[i][j] = line_coeff(w, basis[k])
             target[i][j] = k
 
-    cen = center(a)
-    der = derived(a)
-    parity = [a.vect_parity(v) for v in basis]
-    in_center = [in_span(cen, v) for v in basis]
-    in_derived = [in_span(der, v) for v in basis]
-    flags = list(zip(parity, in_center, in_derived))
+    cen, der = rref(center(a)), rref(derived(a))
+    flags = [(a.vect_parity(v), is_zero_vect(reduce_against(*cen, v)),
+              is_zero_vect(reduce_against(*der, v))) for v in basis]
 
     perm = [None] * n
     used = [False] * n

@@ -1,27 +1,38 @@
-"""The benchmark's tracer must find every hook it wraps.
+"""The benchmark's tracer must find every hook it wraps, and every
+recorded benchmark job must still print the same bytes.
 
 bench/tracing.py wraps public functions and the CycloNum / Algebra
 methods it counts by name; a refactor that renames or moves one of them
-would silently zero the per-layer metrics.  The module is loaded
-read-only from the bench directory.
+would silently zero the per-layer metrics.  bench/expected.json pins the
+stdout sha256 of every job of each workload at the recorded seeds.  The
+bench modules are loaded read-only from the bench directory.
 """
 
+import contextlib
+import hashlib
 import importlib.util
+import io
+import json
 import os
 import sys
 
-import heisgrad.cli  # noqa: F401  (loads every heisgrad module)
+import heisgrad.cli  # loads every heisgrad module
 from heisgrad.liealg import Algebra, heisenberg
 from heisgrad.scalars import CycloCtx, CycloNum
 
-TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("heisgrad_bench_tracing", TRACING)
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"heisgrad_bench_{name}", os.path.join(BENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load_bench("tracing")
 
 
 def _hooked_attributes(tracing):
@@ -56,3 +67,21 @@ def test_tracer_finds_every_hook_and_restores_it():
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
     assert vars(Algebra)["bracket"] is before[(Algebra, "bracket")]
+
+
+def test_recorded_benchmark_outputs_are_byte_identical():
+    workloads = _load_bench("workloads")
+    with open(os.path.join(BENCH, "expected.json"), encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert sorted(expected) == sorted(workloads.WORKLOADS)
+    for workload, seeds in expected.items():
+        for seed, record in seeds.items():
+            jobs = workloads.make_jobs(workload, int(seed))
+            assert workloads.inputs_digest(jobs) == record["inputs"], (workload, seed)
+            digests = []
+            for job in jobs:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    heisgrad.cli.main(job["argv"])
+                digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
+            assert digests == record["stdout"], (workload, seed)

@@ -199,6 +199,31 @@ def test_classify_normalizes_group_to_support(ctx):
     assert sorted(d for d in t4.dims.values() if d) == [1, 1, 1]
 
 
+def test_classify_restricts_a_nontrivial_epsilon_to_the_support(ctx):
+    # the torsion-free type with eps(e1, e2) = zeta_3, regraded by doubling
+    # into Z^2 with eps'(e1, e2) = zeta_12: eps'(2x, 2y) = eps(x, y)
+    grp = AbGroup(2, ())
+    one = ctx.one()
+    w = ctx.zeta(4)
+    t = ColorType(grp, grp.zero(), Bicharacter(grp, [[one, w], [w.inv(), one]]),
+                  {grp.zero(): 1, grp.elt((1, 0), ()): 1, grp.elt((-1, 0), ()): 1,
+                   grp.elt((0, 1), ()): 1, grp.elt((0, -1), ()): 1,
+                   grp.elt((1, 1), ()): 1, grp.elt((-1, -1), ()): 1})
+    a, gr = color_algebra(t, ctx)
+    doubled = Grading(a, grp, {2 * g: vs for g, vs in gr.components.items()})
+    eps = Bicharacter(grp, [[one, ctx.zeta()], [ctx.zeta().inv(), one]])
+    assert verify_color_axioms(a, doubled, eps).ok
+    t2, basis = classify_color(a, doubled, eps)
+    t2.validate()
+    assert t2.group == grp
+    assert sorted(t2.dims.values()) == [1] * 7
+    # the restricted eps is eps' at the ambient degrees of the basis vectors
+    for _, g, x in basis:
+        for _, h, y in basis:
+            assert t2.epsilon(g, h) == eps(doubled.degree_of(x), doubled.degree_of(y))
+    assert any(t2.epsilon(g, h) != one for _, g, _ in basis for _, h, _ in basis)
+
+
 def test_superalgebra_as_color_center_in_even_part():
     from heisgrad.fine import super_fine
     gr = super_fine(1, 2, 1)

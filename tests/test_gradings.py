@@ -366,6 +366,22 @@ def test_darboux_on_coarsening():
     assert len(basis) == 5
 
 
+def test_degree_of_finds_the_component():
+    # the Z_2 coarsening has components of dimensions 2 and 3
+    gr = heisenberg_fine(2)
+    target, gens = group_product([2])
+    out = coarsen(gr, [gens[0]] * 3)
+    even, odd = out.support
+    for g in out.support:
+        for v in out.components[g]:
+            assert out.degree_of(v) == g
+    u, v = out.components[odd][:2]
+    assert out.degree_of(vadd(u, vscale(out.algebra.ctx.from_fraction(3), v))) == odd
+    # zero lies in every component; the first in support order wins
+    assert out.degree_of(out.algebra.zero_vect()) == even
+    assert out.degree_of(vadd(out.components[even][0], u)) is None
+
+
 def test_darboux_on_transported_grading():
     rng = random.Random(3)
     gr = heisenberg_fine(2)

@@ -14,7 +14,8 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from heisgrad._linalg import intersection, kernel, rref
+from heisgrad._linalg import (combinations, in_span, intersection, kernel,
+                              line_coeff, rank, rref, vadd, vscale)
 from heisgrad.scalars import (CycloCtx, cyclotomic_poly, embed, format_scalar,
                               parse_scalar)
 
@@ -220,3 +221,43 @@ def test_sparse_rational_linalg_matches_sympy(n, n_rows, n_cols, data):
     meet_red, meet_pivots = meet.rref()
     got = intersection(as_vects(a, ctx), as_vects(b, ctx), ctx)
     assert as_fractions(got) == sympy_rows(meet_red)[:len(meet_pivots)]
+
+
+def field_matrix(n: int, rows: int, cols: int):
+    """Matrices over Q(zeta_n) whose entries take the shapes of
+    shaped_elements."""
+    row = st.lists(shaped_elements(n).map(lambda p: p[0]), min_size=cols, max_size=cols)
+    return st.lists(row.map(tuple), min_size=rows, max_size=rows)
+
+
+@given(st.sampled_from(CONDUCTORS), st.integers(1, 4), st.integers(2, 5), st.data())
+def test_subspace_operations_over_the_field(n, n_rows, n_cols, data):
+    ctx = CycloCtx(n)
+    a = data.draw(field_matrix(n, n_rows, n_cols))
+    b = data.draw(field_matrix(n, data.draw(st.integers(1, 4)), n_cols))
+    # the intersection: an rref basis inside both spans, of the dimension
+    # that rank(A) + rank(B) - rank(A u B) predicts
+    meet = intersection(a, b, ctx)
+    assert rref(meet)[0] == meet
+    assert all(in_span(a, w) and in_span(b, w) for w in meet)
+    assert len(meet) == rank(a) + rank(b) - rank(a + b)
+    # combinations sum c_i a_i with eqs . c = 0: w is one iff (w, 0) lies
+    # in the span of the rows (a_i, column i of eqs), and there are
+    # rank(those rows) - rank(eqs) of them
+    eqs = data.draw(field_matrix(n, data.draw(st.integers(0, 3)), n_rows))
+    got = combinations(a, eqs, ctx)
+    assert rref(got)[0] == got
+    lifted = [v + tuple(row[i] for row in eqs) for i, v in enumerate(a)]
+    tail = (ctx.zero(),) * len(eqs)
+    assert all(in_span(lifted, w + tail) for w in got)
+    assert len(got) == rank(lifted) - rank(eqs)
+    # line coordinates: on the line, at zero, and off it (line + e_j for
+    # j off the line's pivot is never on the line)
+    line = next((v for v in a if any(v)), (ctx.one(),) * n_cols)
+    c = data.draw(shaped_elements(n))[0]
+    assert line_coeff(vscale(c, line), line) == c
+    assert line_coeff((ctx.zero(),) * n_cols, line) == ctx.zero()
+    j = 1 if line[0] else 0
+    e_j = tuple(ctx.one() if i == j else ctx.zero() for i in range(n_cols))
+    with pytest.raises(ValueError):
+        line_coeff(vadd(line, e_j), line)
