@@ -362,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute", action="store_true",
                    help="also run the brute-force search")
     common(p)
-    p.add_argument("--cap", type=_positive_int, default=12,
-                   help="support-size cap for the brute-force search")
+    p.add_argument("--cap", type=_positive_int, default=16,
+                   help="support-size cap for the brute-force search "
+                        "(default %(default)s)")
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("verify", help="verify a grading spec")

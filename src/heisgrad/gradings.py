@@ -408,8 +408,8 @@ def darboux_homogeneous_basis(gr: Grading) -> list[Vect]:
     with [ui, ui'] = z and all other brackets zero.
 
     Pushes the grading to the symplectic quotient by the center, extracts
-    a homogeneous symplectic basis there, and lifts with zero
-    z-coordinate.
+    a homogeneous symplectic basis there, and lifts each vector into its
+    own component: the lift with zero z-coordinate, moved along z.
     """
     a = gr.algebra
     cen = center(a)
@@ -417,7 +417,6 @@ def darboux_homogeneous_basis(gr: Grading) -> list[Vect]:
         raise ValueError("algebra does not have a one-dimensional center")
     z = cen[0]
     z_idx = next(i for i, c in enumerate(z) if c)
-    dim_p = a.dim - 1
     idxs = [i for i in range(a.dim) if i != z_idx]
 
     def project(v: Vect) -> Vect:
@@ -426,10 +425,21 @@ def darboux_homogeneous_basis(gr: Grading) -> list[Vect]:
         return tuple(shifted[i] for i in idxs)
 
     def lift(v: Vect) -> Vect:
-        out = [a.ctx.zero()] * a.dim
-        for pos, i in enumerate(idxs):
-            out[i] = v[pos]
-        return tuple(out)
+        w = v[:z_idx] + (a.ctx.zero(),) + v[z_idx:]
+        for rows, pivots in gr.spans.values():
+            # w - c z lies in this component iff the residues agree up to c
+            rw = reduce_against(rows, pivots, w)
+            if is_zero_vect(rw):
+                return w
+            rz = reduce_against(rows, pivots, z)
+            if is_zero_vect(rz):
+                continue
+            try:
+                c = line_coeff(rw, rz)
+            except ValueError:
+                continue
+            return vsub(w, vscale(c, z))
+        raise AssertionError("a quotient basis vector lifts to no component")
 
     # form on the quotient: <x, y> z = [x, y]
     form = [tuple(line_coeff(a.table[i][j], z) for j in idxs) for i in idxs]

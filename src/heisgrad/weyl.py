@@ -507,7 +507,7 @@ class WeylReport:
     brute_order: int | None = None
 
 
-def weyl_group(gr: Grading, brute: bool = False, cap: int = 12) -> WeylReport:
+def weyl_group(gr: Grading, brute: bool = False, cap: int = 16) -> WeylReport:
     """Closure of the standard generators, the closed-form order, and
     (optionally) the brute-force order; disagreements are reported via
     the `agree` flag, with the closure as ground truth."""
@@ -528,16 +528,20 @@ class CapExceeded(ValueError):
     pass
 
 
-def weyl_bruteforce(gr: Grading, cap: int = 12) -> PermGroup:
-    """All support permutations that extend to an automorphism.
+def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
+    """The group of support permutations that extend to an automorphism.
 
-    Permutations are enumerated with pruning (center fixed, parity,
-    derived-subalgebra membership and degree additivity preserved); each
-    survivor is accepted iff the induced multiplicative system on the
-    per-component scalars is solvable, decided exactly via the Smith
-    normal form of the exponent matrix, computed once per grading (free
-    relations must have product 1; torsion relations are radicals,
-    always solvable over an algebraically closed extension)."""
+    Permutations are built point by point in a fixed search order with
+    pruning (center fixed, parity, derived-subalgebra membership and
+    degree additivity preserved).  One extends iff the induced system on
+    the per-component scalars is solvable: the free relations of one Smith
+    normal form per grading must hold (torsion relations are radicals,
+    always solvable), each checked once all its points are placed.  The
+    extendable permutations form a group, so only generators are sought
+    (Sims' subgroup search; Seress 2003, ch. 4): for t = n-1 down to 0,
+    with the first t points of the search order fixed, one leaf per image
+    of the t-th point outside the orbit of the group found so far.  The
+    nodes visited and the leaves tested are recorded on the result."""
     a = gr.algebra
     support = gr.support
     n = len(support)
@@ -566,7 +570,6 @@ def weyl_bruteforce(gr: Grading, cap: int = 12) -> PermGroup:
     perm = [None] * n
     used = [False] * n
     forced: dict[int, int] = {}
-    found: list[Perm] = []
 
     def compatible(i: int, m: int) -> bool:
         if flags[i] != flags[m]:
@@ -609,9 +612,13 @@ def weyl_bruteforce(gr: Grading, cap: int = 12) -> PermGroup:
                     trail.append(k)
         return True
 
-    # the exponent rows e_k - e_i - e_j depend only on the grading; a leaf
-    # is accepted iff the ratios gamma[p(i)][p(j)] / gamma[i][j] satisfy
-    # the free relations: the rows of U whose row of D is zero
+    order = sorted(range(n), key=lambda i: -sum(gamma[i][j] is not None
+                                                for j in range(n)))
+    depth_of = sorted(range(n), key=order.__getitem__)  # the inverse of order
+
+    # the exponent rows e_k - e_i - e_j depend only on the grading; a
+    # permutation p is accepted iff the ratios gamma[p(i)][p(j)] / gamma[i][j]
+    # satisfy the free relations: the rows of U whose row of D is zero
     pairs = [(i, j) for i in range(n) for j in range(n) if gamma[i][j] is not None]
     rows = []
     for i, j in pairs:
@@ -621,46 +628,70 @@ def weyl_bruteforce(gr: Grading, cap: int = 12) -> PermGroup:
         row[j] -= 1
         rows.append(row)
     u, d, _ = smith_normal_form(rows)
-    free = [[(pairs[c], e) for c, e in enumerate(urow) if e]
-            for urow, drow in zip(u, d) if not any(drow)]
     one = a.ctx.one()
 
-    def scalars_solvable(p: Perm) -> bool:
-        for rel in free:
-            prod = one
-            for (i, j), e in rel:
-                prod = prod * (gamma[p[i]][p[j]] / gamma[i][j]) ** e
-            if prod != one:
-                return False
-        return True
+    def sides(terms, p) -> list[CycloNum]:
+        # prod gamma[p(i)][p(j)]^|e|, over e > 0 and over e < 0
+        out = [one, one]
+        for (i, j), e in terms:
+            out[e < 0] = out[e < 0] * gamma[p[i]][p[j]] ** abs(e)
+        return out
 
-    order = sorted(range(n), key=lambda i: -sum(gamma[i][j] is not None
-                                                for j in range(n)))
+    # relation prod (gamma[p(i)][p(j)] / gamma[i][j])^e = 1, checked as
+    # num_p * den_1 == num_1 * den_p once the deepest of its points is placed
+    checks: list[list] = [[] for _ in range(n)]
+    for urow, drow in zip(u, d):
+        if not any(drow):
+            terms = [(pairs[c], e) for c, e in enumerate(urow) if e]
+            last = max(depth_of[x] for (i, j), _ in terms for x in (i, j))
+            checks[last].append((terms, *sides(terms, range(n))))
 
-    def search(depth: int):
+    def holds(terms, num1, den1) -> bool:
+        num, den = sides(terms, perm)
+        return num * den1 == num1 * den
+
+    nodes = leaves = 0
+
+    def search(depth: int, t: int, x: int) -> Perm | None:
+        # the first accepted leaf fixing order[:t] and sending order[t] to x
+        nonlocal nodes, leaves
+        nodes += 1
         if depth == n:
-            p = tuple(perm)
-            if scalars_solvable(p):
-                found.append(p)
-            return
+            leaves += 1
+            return tuple(perm)
         i = order[depth]
-        cands = [forced[i]] if i in forced else [m for m in range(n) if not used[m]]
+        want = i if depth < t else x if depth == t else None
+        cands = [forced[i]] if i in forced else range(n)
         for m in cands:
-            if used[m] or not compatible(i, m):
+            if used[m] or (want is not None and m != want) or not compatible(i, m):
                 continue
             trail: list[int] = []
             perm[i] = m
             used[m] = True
-            if propagate(i, m, trail):
-                search(depth + 1)
+            # the fixed identity prefix satisfies every relation
+            hit = (propagate(i, m, trail)
+                   and (depth < t or all(holds(*c) for c in checks[depth]))
+                   and search(depth + 1, t, x))
             perm[i] = None
             used[m] = False
             for k in trail:
                 del forced[k]
+            if hit:
+                return hit
+        return None
 
-    search(0)
-    group = PermGroup(n, found)  # keeps as gens only the few not yet in the chain
-    if group.order != len(found):
-        raise ValueError("the extendable permutations do not form a group")
-    group.elements = sorted(found)
+    # the chain holds the hits conjugated by the search order, so that its
+    # base 0..n-1 is that order
+    hits: list[Perm] = []
+    chain = PermGroup(n)
+    for t in range(n - 1, -1, -1):
+        for x in order[t + 1:]:
+            if depth_of[x] in chain.levels[t][1]:
+                continue
+            hit = search(0, t, x)
+            if hit is not None:
+                hits.append(hit)
+                chain = PermGroup(n, [tuple(depth_of[h[i]] for i in order) for h in hits])
+    group = PermGroup(n, hits)
+    group.nodes_visited, group.leaves_tested = nodes, leaves
     return group

@@ -1,13 +1,18 @@
 """Shared helpers: random automorphisms of the Heisenberg families and
-grading transport, used for randomized verification sweeps."""
+grading transport, used for randomized verification sweeps, and an
+exhaustive oracle for the Weyl-group brute force."""
 
 import random
 from fractions import Fraction
 
-from heisgrad._linalg import mat_apply, vadd, vscale
+from heisgrad._linalg import (is_zero_vect, line_coeff, mat_apply, reduce_against,
+                              rref, vadd, vscale)
+from heisgrad.abelian import smith_normal_form
 from heisgrad.fine import twist
 from heisgrad.gradings import Grading
-from heisgrad.liealg import Algebra, LinMap, compose_maps, identity_map, is_automorphism
+from heisgrad.liealg import (Algebra, LinMap, center, compose_maps, derived,
+                             identity_map, is_automorphism)
+from heisgrad.weyl import PermGroup
 
 
 def rand_fraction(rng: random.Random, nonzero=False) -> Fraction:
@@ -187,3 +192,131 @@ def transport_grading(gr: Grading, f: LinMap) -> Grading:
     comps = {g: tuple(mat_apply(f, v) for v in vecs)
              for g, vecs in gr.components.items()}
     return Grading(gr.algebra, gr.group, comps, {})
+
+
+def extendable_permutations(gr: Grading) -> list[tuple[int, ...]]:
+    """Every support permutation of a grading with one-dimensional
+    components that extends to an automorphism, by exhaustive search: an
+    oracle for `weyl_bruteforce`, which searches for generators only.
+
+    Permutations are enumerated with pruning (center fixed, parity,
+    derived-subalgebra membership and degree additivity preserved); each
+    leaf is accepted iff the free relations of the Smith normal form of
+    the exponent matrix hold for the ratios gamma[p(i)][p(j)] / gamma[i][j].
+    Raises AssertionError when the accepted leaves do not form a group."""
+    a = gr.algebra
+    support = gr.support
+    n = len(support)
+    basis = [gr.components[g][0] for g in support]
+    pos = {g.key(): i for i, g in enumerate(support)}
+
+    gamma = [[None] * n for _ in range(n)]
+    target = [[None] * n for _ in range(n)]
+    for i, g in enumerate(support):
+        for j, h in enumerate(support):
+            w = a.bracket(basis[i], basis[j])
+            if is_zero_vect(w):
+                continue
+            k = pos[(g + h).key()]
+            gamma[i][j] = line_coeff(w, basis[k])
+            target[i][j] = k
+
+    cen, der = rref(center(a)), rref(derived(a))
+    flags = [(a.vect_parity(v), is_zero_vect(reduce_against(*cen, v)),
+              is_zero_vect(reduce_against(*der, v))) for v in basis]
+
+    perm = [None] * n
+    used = [False] * n
+    forced = {}
+    found = []
+
+    def compatible(i, m):
+        if flags[i] != flags[m]:
+            return False
+        if (gamma[i][i] is None) != (gamma[m][m] is None):
+            return False
+        for j in range(n):
+            if perm[j] is None:
+                continue
+            for (x, y) in ((i, j), (j, i)):
+                px, py = (m if x == i else perm[x]), (m if y == i else perm[y])
+                if (gamma[x][y] is None) != (gamma[px][py] is None):
+                    return False
+        return True
+
+    def propagate(i, m, trail):
+        for j in range(n):
+            if perm[j] is None and j != i:
+                continue
+            for (x, y) in ((i, j), (j, i), (i, i)):
+                if x != i and y != i:
+                    continue
+                px = m if x == i else perm[x]
+                py = m if y == i else perm[y]
+                if gamma[x][y] is None:
+                    continue
+                k = target[x][y]
+                k2 = target[px][py]
+                if k2 is None:
+                    return False
+                if perm[k] is not None:
+                    if perm[k] != k2:
+                        return False
+                elif k in forced:
+                    if forced[k] != k2:
+                        return False
+                else:
+                    forced[k] = k2
+                    trail.append(k)
+        return True
+
+    pairs = [(i, j) for i in range(n) for j in range(n) if gamma[i][j] is not None]
+    rows = []
+    for i, j in pairs:
+        row = [0] * n
+        row[target[i][j]] += 1
+        row[i] -= 1
+        row[j] -= 1
+        rows.append(row)
+    u, d, _ = smith_normal_form(rows)
+    free = [[(pairs[c], e) for c, e in enumerate(urow) if e]
+            for urow, drow in zip(u, d) if not any(drow)]
+    one = a.ctx.one()
+
+    def scalars_solvable(p):
+        for rel in free:
+            prod = one
+            for (i, j), e in rel:
+                prod = prod * (gamma[p[i]][p[j]] / gamma[i][j]) ** e
+            if prod != one:
+                return False
+        return True
+
+    order = sorted(range(n), key=lambda i: -sum(gamma[i][j] is not None
+                                                for j in range(n)))
+
+    def search(depth):
+        if depth == n:
+            p = tuple(perm)
+            if scalars_solvable(p):
+                found.append(p)
+            return
+        i = order[depth]
+        cands = [forced[i]] if i in forced else range(n)
+        for m in cands:
+            if used[m] or not compatible(i, m):
+                continue
+            trail = []
+            perm[i] = m
+            used[m] = True
+            if propagate(i, m, trail):
+                search(depth + 1)
+            perm[i] = None
+            used[m] = False
+            for k in trail:
+                del forced[k]
+
+    search(0)
+    assert PermGroup(n, found).order == len(found), \
+        "the extendable permutations do not form a group"
+    return sorted(found)

@@ -67,6 +67,18 @@ def test_weyl_twisted_brute_golden():
     check_golden("weyl_twisted_4_1_0.txt", text)
 
 
+@pytest.mark.parametrize("command, spec, golden", [
+    ("universal-group", "grading_1_2_toral.json", "universal_group_1_2.txt"),
+    ("decompose", "grading_1_2_nontoral.json", "decompose_1_2.txt"),
+    ("color-classify", "color_z2.json", "color_classify_z2.txt"),
+])
+def test_json_input_text_golden(command, spec, golden):
+    # the README's grading.json and color.json inputs, one golden each
+    code, text = run_cli(command, os.path.join(GOLDEN, spec))
+    assert code == 0
+    check_golden(golden, text)
+
+
 def test_reports_are_deterministic():
     _, a = run_cli("enumerate-fine", "--twisted", "1,1,zeta(4),zeta(4)")
     _, b = run_cli("enumerate-fine", "--twisted", "1,1,zeta(4),zeta(4)")
@@ -179,6 +191,26 @@ def test_parse_error_exit_code():
 def test_cap_exit_code():
     code, _ = run_cli("weyl", "--heisenberg", "4", "--brute", "--cap", "3")
     assert code == 4
+
+
+def test_default_cap_admits_support_15():
+    code, text = run_cli("weyl", "--heisenberg", "7", "--brute")
+    assert code == 0
+    assert "  support size: 15\n" in text
+    assert "  brute-force order: 645120\n" in text
+
+
+def test_default_cap_rejects_support_17(capsys):
+    code, text = run_cli("weyl", "--heisenberg", "8", "--brute")
+    assert code == 4
+    assert text == ""
+    assert "support size 17 exceeds the cap 16" in capsys.readouterr().err
+
+
+def test_cap_default_in_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["weyl", "--help"])
+    assert "(default 16)" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x"])

@@ -391,6 +391,7 @@ def test_darboux_on_transported_grading():
         assert verify_grading(moved).ok
         basis = darboux_homogeneous_basis(moved)
         assert len(basis) == 5
+        assert all(moved.degree_of(v) is not None for v in basis)
 
 
 def test_grading_json_roundtrip():

@@ -21,6 +21,8 @@ from heisgrad.weyl import (CapExceeded, _landau, _perm_order, closure, compute_p
                            standard_generators, weyl_bruteforce, weyl_group,
                            weyl_order_formula)
 
+from _helpers import extendable_permutations
+
 
 @pytest.fixture(scope="module")
 def ctx16():
@@ -253,25 +255,43 @@ def test_repeated_generic_weyl_agrees(ctx16):
         assert set(bf.elements) == set(rep.group.elements)
 
 
-def test_odd_l_class_rotation_flagged():
-    # two l = 3 blocks with scalars 1 and i: epsilon = i rotates the
-    # scalar classes, so the closure is twice the closed-form count
-    # (the strict multiset split sees p = q = 1); the disagreement is
-    # reported, with the closure as ground truth
-    from math import lcm
+def _odd_l_rotation_grading():
+    # two l = 3 blocks with scalars 1 and i
     n = lcm(8, 6, 4)
     ctx = CycloCtx(n)
     xi = ctx.zeta(n // 3)
     lam = []
     for base in (ctx.one(), ctx.i()):
         lam += [(xi ** q) * base for q in range(1, 4)]
-    gr = twisted_fine(lam, FineTwistedParams(3, 2, 0, (ctx.one(), ctx.i()), ()))
+    return lam, twisted_fine(lam, FineTwistedParams(3, 2, 0, (ctx.one(), ctx.i()), ()))
+
+
+def test_odd_l_class_rotation_flagged():
+    # epsilon = i rotates the scalar classes, so the closure is twice the
+    # closed-form count (the strict multiset split sees p = q = 1); the
+    # disagreement is reported, with the closure as ground truth
+    lam, gr = _odd_l_rotation_grading()
     pq = compute_pq(lam, gr.family.params)
     assert (pq.p, pq.q) == (1, 1)
     rep = weyl_group(gr)
     assert rep.formula_order == 18
     assert rep.group.order == 36
     assert not rep.agree
+
+
+def test_flagged_formula_cases_confirmed_by_brute_force(ctx16, lam_iiii):
+    # the brute force, a third method, sides with the closure in both
+    # cases where the closed form undercounts
+    _, gr = _odd_l_rotation_grading()
+    assert len(gr.support) == 14
+    rep = weyl_group(gr, brute=True, cap=16)
+    assert rep.brute_order == 36 == rep.group.order
+    assert rep.formula_order == 18 and not rep.agree
+    one, ii = ctx16.one(), ctx16.i()
+    gr = twisted_fine(lam_iiii, FineTwistedParams(2, 2, 0, (one, ii), ()))
+    rep = weyl_group(gr, brute=True, cap=16)
+    assert rep.brute_order == 32 == rep.group.order
+    assert rep.formula_order == 16 and not rep.agree
 
 
 def test_triple_repeated_lambda_all_checks():
@@ -313,6 +333,36 @@ def test_bruteforce_on_super_grading():
 def test_bruteforce_cap():
     with pytest.raises(CapExceeded):
         weyl_bruteforce(heisenberg_fine(3), cap=3)
+    with pytest.raises(CapExceeded):
+        weyl_bruteforce(heisenberg_fine(8))  # support 17 > the default 16
+
+
+def _oracle_cases():
+    ctx16, ctx24 = CycloCtx(16), CycloCtx(24)
+    one, ii = ctx16.one(), ctx16.i()
+    out = [pytest.param(heisenberg_fine(k), id=f"heisenberg-{k}") for k in (1, 2, 3)]
+    out += [pytest.param(super_fine(k, m, r), id=f"super-{k},{m}-r{r}")
+            for k, m, r in ((1, 2, 0), (1, 2, 1), (2, 1, 0), (1, 3, 1))]
+    for name, lam in (("1,1,1", [ctx24.one()] * 3), ("1,1,i,i", [one, one, ii, ii])):
+        out += [pytest.param(twisted_fine(lam, p), id=f"twisted-{name}-{p.l},{p.s},{p.r}")
+                for p in enumerate_twisted_fine(lam)]
+    return out
+
+
+@pytest.mark.parametrize("gr", _oracle_cases())
+def test_bruteforce_matches_exhaustive_oracle(gr):
+    bf = weyl_bruteforce(gr)
+    assert bf.elements == extendable_permutations(gr)
+    assert bf.leaves_tested <= bf.nodes_visited
+
+
+@pytest.mark.parametrize("m, order", [(6, 1440), (8, 80640)])
+def test_bruteforce_tests_a_few_leaves_per_orbit_point(m, order):
+    # |W| extendable permutations, but one tested leaf per generator kept
+    bf = weyl_bruteforce(super_fine(1, m, 0))
+    assert bf.order == order
+    assert bf.leaves_tested <= 18
+    assert bf.leaves_tested == len(bf.gens)
 
 
 def test_closure_subset_of_bruteforce(ctx16, lam_iiii):
