@@ -9,14 +9,15 @@ recognition of arbitrary graded structures as standard forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ._linalg import (Vect, in_span, is_zero_vect, line_coeff, rref, vadd,
-                      vscale, vsub, vzero)
+from ._linalg import (Vect, in_span, is_zero_vect, line_coeff, mat_apply,
+                      mat_inverse, rref, vscale, vsub, vzero)
 from .abelian import (AbGroup, GroupElt, canonicalize, express_in_terms,
                       generates, subgroup_presentation)
-from .gradings import (Grading, dual_vectors, elt_from_json, elt_to_json,
-                       group_from_json, orthogonal_gram_schmidt,
-                       symplectic_gram_schmidt)
-from .liealg import Algebra, VerifyReport, center, derived, json_int, json_typed
+from .gradings import (Grading, decomposition_failure, dual_vectors,
+                       elt_from_json, elt_to_json, group_from_json,
+                       orthogonal_gram_schmidt, symplectic_gram_schmidt)
+from .liealg import (Algebra, VerifyReport, axiom_failures, center, derived,
+                     json_int, json_typed)
 from .scalars import (CycloCtx, CycloNum, format_scalar, parse_scalar,
                       sqrt_scalar)
 
@@ -193,30 +194,27 @@ def _deg_tag(g: GroupElt) -> str:
 
 
 def verify_color_axioms(a: Algebra, gr: Grading, eps: Bicharacter) -> VerifyReport:
-    """Color skew-symmetry and the color Jacobi identity on a homogeneous
-    basis (the component bases of the grading)."""
-    failures = []
-    items = []
-    for g in gr.support:
-        for v in gr.components[g]:
-            items.append((g, v))
-    for ga, va in items:
-        for gb, vb in items:
-            lhs = a.bracket(va, vb)
-            rhs = vscale(-eps(ga, gb), a.bracket(vb, va))
-            if lhs != rhs:
-                failures.append(f"color skew-symmetry fails on degrees {ga}, {gb}")
-                return VerifyReport(False, failures)
-    for ga, va in items:
-        for gb, vb in items:
-            for gc, vc in items:
-                lhs = a.bracket(va, a.bracket(vb, vc))
-                rhs = vadd(a.bracket(a.bracket(va, vb), vc),
-                           vscale(eps(ga, gb), a.bracket(vb, a.bracket(va, vc))))
-                if lhs != rhs:
-                    failures.append(
-                        f"color Jacobi fails on degrees {ga}, {gb}, {gc}")
-                    return VerifyReport(False, failures)
+    """Color skew-symmetry and the color Jacobi identity, checked on the
+    structure constants in the homogeneous basis that the component bases
+    of the grading form; components that are not a basis of a fail."""
+    support = gr.support
+    basis = [v for g in support for v in gr.components[g]]
+    inv = mat_inverse(basis, a.ctx) if len(basis) == a.dim else None
+    if inv is None:
+        return VerifyReport(False, [decomposition_failure(basis, a.dim)])
+    degrees = [g for g in support for _ in gr.components[g]]
+    # the brackets of the basis, row by row, in coordinates of the basis
+    dims = {g: len(gr.components[g]) for g in support}
+    rows = [[w for h in support for w in gr.brackets(g, h)[x * dims[h]:(x + 1) * dims[h]]]
+            for g in support for x in range(dims[g])]
+    terms = [tuple((j, tuple((k, c) for k, c in enumerate(mat_apply(inv, w)) if c))
+                   for j, w in enumerate(row) if not is_zero_vect(w)) for row in rows]
+    value = {(g, h): eps(g, h) for g in support for h in support}
+    factor = [[value[g, h] for h in degrees] for g in degrees]
+    for fail in axiom_failures(terms, factor):
+        kind = "skew-symmetry" if len(fail) == 2 else "Jacobi"
+        return VerifyReport(False, [f"color {kind} fails on degrees "
+                                    + ", ".join(str(degrees[i]) for i in fail)])
     return VerifyReport(True, [])
 
 
@@ -294,7 +292,7 @@ def classify_color(a: Algebra, gr: Grading, eps: Bicharacter):
 
     # the distinguished pair {g0, 0}
     others = [v for v in gr.components[g0] if not in_span([z], v)]
-    left = _complement_of_line(others, z, ctx)
+    left = _complement_of_line(others, z)
     if g0 != zero_elt:
         right = list(gr.components.get(zero_elt, ()))
         pairs = zip(left, dual_vectors(pairing, left, right))
@@ -354,15 +352,10 @@ def _check_standard_products(a: Algebra, eps: Bicharacter, g0, basis, z):
                 raise AssertionError(f"[{name}, {name}] is not z")
 
 
-def _complement_of_line(vectors: list[Vect], line: Vect, ctx) -> list[Vect]:
+def _complement_of_line(vectors: list[Vect], line: Vect) -> list[Vect]:
     """A basis of span(vectors + line) transverse to the line."""
     piv = next(i for i, c in enumerate(line) if c)
-    out = []
-    for v in vectors:
-        w = vsub(v, vscale(v[piv] / line[piv], line))
-        if not is_zero_vect(w):
-            out.append(w)
-    basis, _ = rref(out)
+    basis, _ = rref([vsub(v, vscale(v[piv] / line[piv], line)) for v in vectors])
     return list(basis)
 
 

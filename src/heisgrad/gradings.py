@@ -9,7 +9,7 @@ forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable
 
@@ -24,7 +24,8 @@ from .scalars import CycloNum, format_scalar
 
 __all__ = [
     "Grading", "PairedDecomposition",
-    "verify_grading", "universal_group", "is_toral_fine", "coarsen",
+    "verify_grading", "decomposition_failure", "universal_group",
+    "is_toral_fine", "coarsen",
     "dual_vectors", "symplectic_gram_schmidt", "orthogonal_gram_schmidt",
     "homogeneous_symplectic_basis", "homogeneous_orthogonal_basis",
     "darboux_homogeneous_basis",
@@ -43,6 +44,8 @@ class Grading:
     group: AbGroup
     components: dict[GroupElt, tuple[Vect, ...]]
     family: Any = None
+    # (i, j) -> brackets() of the i-th and j-th entries of components
+    _brackets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def support(self) -> list[GroupElt]:
@@ -58,101 +61,93 @@ class Grading:
         return next((g for g, (rows, pivots) in self.spans.items()
                      if is_zero_vect(reduce_against(rows, pivots, v))), None)
 
+    @cached_property
+    def _slots(self) -> dict[GroupElt, tuple[int, tuple[Vect, ...]]]:
+        return {g: (i, vs) for i, (g, vs) in enumerate(self.components.items())}
 
-def _bracket_component(gr: Grading, g: GroupElt, h: GroupElt) -> list[Vect]:
-    a = gr.algebra
-    out = []
-    for va in gr.components[g]:
-        for vb in gr.components[h]:
-            w = a.bracket(va, vb)
-            if not is_zero_vect(w):
-                out.append(w)
-    return out
+    def brackets(self, g: GroupElt, h: GroupElt) -> list[Vect]:
+        """[x, y] for x in the basis of component g and y in that of component
+        h, row by row (x outer), bracketed once per pair, on first use."""
+        (i, xs), (j, ys) = self._slots[g], self._slots[h]
+        block = self._brackets.get((i, j))
+        if block is None:
+            bracket = self.algebra.bracket
+            block = self._brackets[i, j] = [bracket(x, y) for x in xs for y in ys]
+        return block
+
+
+def decomposition_failure(vecs: list[Vect], dim: int) -> str:
+    """The failure message for component vectors that are not a basis."""
+    return (f"components do not decompose the algebra: {len(vecs)} vectors "
+            f"of rank {rank(vecs)} in dimension {dim}")
 
 
 def verify_grading(gr: Grading) -> VerifyReport:
     """Check span, independence, parity splitting (super), bracket
-    compatibility and that the support generates the group."""
+    compatibility and that the support generates the group; stops at the
+    first failure."""
     a = gr.algebra
-    failures = []
-    all_vecs = [v for g in gr.support for v in gr.components[g]]
-    if len(all_vecs) != a.dim or rank(all_vecs) != a.dim:
-        failures.append(
-            f"components do not decompose the algebra: {len(all_vecs)} vectors "
-            f"of rank {rank(all_vecs)} in dimension {a.dim}")
-        return VerifyReport(False, failures)
-    for g in gr.support:
-        if any(is_zero_vect(v) for v in gr.components[g]):
-            failures.append(f"zero vector listed in component {g}")
-            return VerifyReport(False, failures)
-    if a.is_super():
-        for g in gr.support:
-            comp = list(gr.components[g])
-            even = [tuple(c if a.parity[i] == 0 else a.ctx.zero()
-                          for i, c in enumerate(v)) for v in comp]
-            odd = [tuple(c if a.parity[i] == 1 else a.ctx.zero()
-                         for i, c in enumerate(v)) for v in comp]
-            pieces = [v for v in even + odd if not is_zero_vect(v)]
-            if rank(pieces) != len(comp):
-                failures.append(f"component {g} is not parity-graded")
-                return VerifyReport(False, failures)
     support = gr.support
+    all_vecs = [v for g in support for v in gr.components[g]]
+    if len(all_vecs) != a.dim or rank(all_vecs) != a.dim:
+        return VerifyReport(False, [decomposition_failure(all_vecs, a.dim)])
+    zero = a.ctx.zero()
+    for g in support if a.is_super() else ():
+        pieces = [tuple(c if a.parity[i] == p else zero for i, c in enumerate(v))
+                  for v in gr.components[g] for p in (0, 1)]
+        if rank(pieces) != len(gr.components[g]):
+            return VerifyReport(False, [f"component {g} is not parity-graded"])
     for g in support:
         for h in support:
-            prods = _bracket_component(gr, g, h)
+            prods = list(filter(any, gr.brackets(g, h)))  # the nonzero brackets
             if not prods:
                 continue
             target = g + h
             if target not in gr.components:
-                failures.append(
+                return VerifyReport(False, [
                     f"bracket of degrees {g} and {h} is nonzero but {target} "
-                    "is outside the support")
-                return VerifyReport(False, failures)
+                    "is outside the support"])
             basis, pivots = gr.spans[target]
-            for w in prods:
-                if not is_zero_vect(reduce_against(basis, pivots, w)):
-                    failures.append(
-                        f"bracket of degrees {g} and {h} leaves component {target}")
-                    return VerifyReport(False, failures)
+            if any(not is_zero_vect(reduce_against(basis, pivots, w)) for w in prods):
+                return VerifyReport(False, [
+                    f"bracket of degrees {g} and {h} leaves component {target}"])
     if not generates(gr.group, support):
-        failures.append("support does not generate the grading group")
-    return VerifyReport(not failures, failures)
-
-
-def _bracket_relations(gr: Grading) -> list[tuple[int, int, int]]:
-    """Indices (i, j, k) into the sorted support with 0 != [L_i, L_j] <= L_k."""
-    support = gr.support
-    pos = {g: i for i, g in enumerate(support)}
-    rels = []
-    for i, g in enumerate(support):
-        for j in range(i, len(support)):
-            h = support[j]
-            if _bracket_component(gr, g, h):
-                target = g + h
-                if target not in pos:
-                    raise ValueError("not a grading: bracket leaves the support")
-                rels.append((i, j, pos[target]))
-    return rels
+        return VerifyReport(False, ["support does not generate the grading group"])
+    return VerifyReport(True, [])
 
 
 def universal_group(gr: Grading) -> tuple[AbGroup, Grading]:
     """The universal grading group (one generator per support element,
-    one relation per nonzero bracket pair) and the regraded copy."""
+    one relation per nonzero bracket pair) and the regraded copy, which
+    keeps the brackets and spans computed so far under its new degrees."""
     support = gr.support
     n = len(support)
+    pos = {g: i for i, g in enumerate(support)}
     rows = []
-    for i, j, k in _bracket_relations(gr):
-        row = [0] * n
-        row[i] += 1
-        row[j] += 1
-        row[k] -= 1
-        if any(row):
-            rows.append(tuple(row))
+    for i, g in enumerate(support):
+        for j, h in enumerate(support[i:], start=i):
+            if any(map(any, gr.brackets(g, h))):  # a nonzero bracket
+                k = pos.get(g + h)
+                if k is None:
+                    raise ValueError("not a grading: bracket leaves the support")
+                row = [0] * n
+                row[i] += 1
+                row[j] += 1
+                row[k] -= 1
+                if any(row):
+                    rows.append(tuple(row))
     group, images = canonicalize(AbPresentation(n, tuple(dict.fromkeys(rows))))
     if len(set(images)) != n:
         raise ValueError("universal regrading identified two support degrees")
-    comps = {images[i]: gr.components[g] for i, g in enumerate(support)}
-    return group, Grading(gr.algebra, group, comps, gr.family)
+    # the components keep their slots, so the bracket memo carries over as is
+    new = dict(zip(support, images))
+    out = Grading(gr.algebra, group, {new[g]: c for g, c in gr.components.items()},
+                  gr.family)
+    out._brackets = dict(gr._brackets)
+    if "spans" in vars(gr):
+        old = dict(zip(images, support))
+        out.spans = {h: gr.spans[old[h]] for h in out.support}
+    return group, out
 
 
 def is_toral_fine(gr: Grading) -> bool:

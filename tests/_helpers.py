@@ -1,6 +1,7 @@
 """Shared helpers: random automorphisms of the Heisenberg families and
-grading transport, used for randomized verification sweeps, and an
-exhaustive oracle for the Weyl-group brute force."""
+grading transport, used for randomized verification sweeps, an
+exhaustive oracle for the Weyl-group brute force, and dense oracles for
+the sparse axiom checks."""
 
 import random
 from fractions import Fraction
@@ -10,8 +11,8 @@ from heisgrad._linalg import (is_zero_vect, line_coeff, mat_apply, reduce_agains
 from heisgrad.abelian import smith_normal_form
 from heisgrad.fine import twist
 from heisgrad.gradings import Grading
-from heisgrad.liealg import (Algebra, LinMap, center, compose_maps, derived,
-                             identity_map, is_automorphism)
+from heisgrad.liealg import (Algebra, LinMap, VerifyReport, center, compose_maps,
+                             derived, identity_map, is_automorphism)
 from heisgrad.weyl import PermGroup
 
 
@@ -320,3 +321,60 @@ def extendable_permutations(gr: Grading) -> list[tuple[int, ...]]:
     assert PermGroup(n, found).order == len(found), \
         "the extendable permutations do not form a group"
     return sorted(found)
+
+
+def dense_verify_axioms(a: Algebra) -> VerifyReport:
+    """(Super) skew-symmetry and Jacobi by dense brackets of basis vectors,
+    stopping at the Jacobi failure that makes 9 failures: an oracle for
+    the sparse `verify_axioms`."""
+    failures = []
+    dim = a.dim
+    for i in range(dim):
+        for j in range(i, dim):
+            sign = -1 if (a.parity[i] and a.parity[j]) else 1
+            lhs = a.table[i][j]
+            rhs = vscale(a.ctx.from_fraction(-sign), a.table[j][i])
+            if lhs != rhs:
+                failures.append(
+                    f"skew-symmetry fails on ({a.labels[i]}, {a.labels[j]})")
+    # [bi, [bj, bk]] = [[bi, bj], bk] + (-1)^(pi pj) [bj, [bi, bk]]
+    b = [a.basis_vect(i) for i in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                lhs = a.bracket(b[i], a.table[j][k])
+                t1 = a.bracket(a.table[i][j], b[k])
+                t2 = a.bracket(b[j], a.table[i][k])
+                sign = -1 if (a.parity[i] and a.parity[j]) else 1
+                rhs = vadd(t1, vscale(a.ctx.from_fraction(sign), t2))
+                if lhs != rhs:
+                    failures.append(
+                        "jacobi fails on "
+                        f"({a.labels[i]}, {a.labels[j]}, {a.labels[k]})")
+                    if len(failures) > 8:
+                        return VerifyReport(False, failures)
+    return VerifyReport(not failures, failures)
+
+
+def dense_verify_color_axioms(a: Algebra, gr: Grading, eps) -> VerifyReport:
+    """Color skew-symmetry and Jacobi by dense brackets of the component
+    vectors, stopping at the first failure: an oracle for the sparse
+    `verify_color_axioms` on gradings whose components form a basis."""
+    items = [(g, v) for g in gr.support for v in gr.components[g]]
+    for ga, va in items:
+        for gb, vb in items:
+            lhs = a.bracket(va, vb)
+            rhs = vscale(-eps(ga, gb), a.bracket(vb, va))
+            if lhs != rhs:
+                return VerifyReport(False, [
+                    f"color skew-symmetry fails on degrees {ga}, {gb}"])
+    for ga, va in items:
+        for gb, vb in items:
+            for gc, vc in items:
+                lhs = a.bracket(va, a.bracket(vb, vc))
+                rhs = vadd(a.bracket(a.bracket(va, vb), vc),
+                           vscale(eps(ga, gb), a.bracket(vb, a.bracket(va, vc))))
+                if lhs != rhs:
+                    return VerifyReport(False, [
+                        f"color Jacobi fails on degrees {ga}, {gb}, {gc}"])
+    return VerifyReport(True, [])

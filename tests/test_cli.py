@@ -181,6 +181,42 @@ def test_color_classify_command():
     assert "super-realizable: yes" in out
 
 
+def _z4_color_spec(mutate):
+    """The Z_4 color type of dimension 6 (g0 = 2, eps = -1, dims 0:1, 1:2,
+    2:2, 3:1) as a color-classify grading spec, with the two vectors of
+    degree 1 replaced by mutate(vectors)."""
+    from heisgrad.abelian import AbGroup
+    from heisgrad.color import Bicharacter, ColorType, color_algebra, color_type_to_json
+    from heisgrad.gradings import Grading
+    from heisgrad.scalars import CycloCtx
+    ctx = CycloCtx(12)
+    z4 = AbGroup(0, (4,))
+    deg = [z4.elt((), (c,)) for c in range(4)]
+    t = ColorType(z4, deg[2], Bicharacter(z4, [[ctx.from_fraction(-1)]]),
+                  {deg[0]: 1, deg[1]: 2, deg[2]: 2, deg[3]: 1})
+    a, gr = color_algebra(t, ctx)
+    comps = dict(gr.components)
+    comps[deg[1]] = mutate(comps[deg[1]])
+    gspec = grading_to_json(Grading(a, z4, comps))
+    tspec = color_type_to_json(t)
+    gspec["algebra"] = {"kind": "color", "type": tspec, "conductor": ctx.n}
+    return json.dumps({"conductor": ctx.n, "grading": gspec, "epsilon": tspec["epsilon"]})
+
+
+@pytest.mark.parametrize("mutate, count, rank", [
+    (lambda vs: vs[:1], 5, 5),
+    (lambda vs: (vs[0],) + vs, 7, 6),
+], ids=["vector-dropped", "vector-repeated"])
+def test_color_classify_rejects_components_that_are_not_a_basis(mutate, count, rank, capsys):
+    assert run_cli("color-classify", _z4_color_spec(lambda vs: vs))[0] == 0
+    capsys.readouterr()
+    code, out = run_cli("color-classify", _z4_color_spec(mutate))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "error: input fails the color axioms: components do not decompose the "
+        f"algebra: {count} vectors of rank {rank} in dimension 6\n")
+
+
 def test_parse_error_exit_code():
     code, _ = run_cli("enumerate-fine", "--twisted", "1,zeta(")
     assert code == 2

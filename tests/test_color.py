@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heisgrad._linalg import mat_apply, vscale
+from heisgrad._linalg import mat_apply, vadd, vscale
 from heisgrad.abelian import AbGroup, group_product
 from heisgrad.color import (Bicharacter, ColorType, classify_color,
                             color_algebra, color_type_from_json,
@@ -12,6 +12,8 @@ from heisgrad.color import (Bicharacter, ColorType, classify_color,
 from heisgrad.gradings import Grading, verify_grading
 from heisgrad.liealg import center, derived
 from heisgrad.scalars import CycloCtx
+
+from _helpers import dense_verify_color_axioms
 
 
 @pytest.fixture(scope="module")
@@ -301,3 +303,162 @@ def test_color_type_json_roundtrip(ctx):
     spec = color_type_to_json(t)
     t2 = color_type_from_json(spec, ctx)
     assert t2.group == t.group and t2.g0 == t.g0 and t2.dims == t.dims
+
+
+# --- the sparse axiom check against the dense oracle ------------------------
+
+def _color_cases():
+    """(name, algebra, grading, eps) for every color grading built in this
+    file, plus the broken-Jacobi table of test_liealg over the trivial group."""
+    from heisgrad.fine import super_fine
+    from heisgrad.liealg import Algebra, heisenberg
+    ctx = CycloCtx(12)
+    one, minus = ctx.one(), ctx.from_fraction(-1)
+    cases = []
+
+    def std(name, grp, g0, vals, dims, c=ctx):
+        eps = Bicharacter(grp, vals, c)
+        a, gr = color_algebra(ColorType(grp, g0, eps, dims), c)
+        cases.append((name, a, gr, eps))
+        return a, gr, eps
+
+    triv = AbGroup(0, ())
+    std("trivial", triv, triv.zero(), [], {triv.zero(): 5})
+    z2 = AbGroup(0, (2,))
+    even, odd = z2.elt((), (0,)), z2.elt((), (1,))
+    a, gr, eps = std("super", z2, even, [[minus]], {even: 3, odd: 2})
+    split = Grading(a, z2, {even: gr.components[even], odd: gr.components[odd]})
+    cases.append(("super-split", a, split, eps))
+    std("flip", z2, even, [[minus]], {even: 1, odd: 2})
+    zz = AbGroup(2, ())
+    w = ctx.zeta(4)
+    e1, e2 = zz.elt((1, 0), ()), zz.elt((0, 1), ())
+    std("torsion-free", zz, zz.zero(), [[one, w], [w.inv(), one]],
+        {zz.zero(): 1, e1: 1, -e1: 1, e2: 1, -e2: 1})
+    std("cube-root", zz, e1 + e2, [[one, w], [w.inv(), one]],
+        {e1 + e2: 1, zz.zero(): 0, e1: 1, e2: 1})
+    a, gr, _ = std("torsion-free-7", zz, zz.zero(), [[one, w], [w.inv(), one]],
+                   {zz.zero(): 1, e1: 1, -e1: 1, e2: 1, -e2: 1, e1 + e2: 1, -e1 - e2: 1})
+    cases.append(("doubled-z2", a, Grading(a, zz, {2 * g: vs for g, vs in
+                                                    gr.components.items()}),
+                  Bicharacter(zz, [[one, ctx.zeta()], [ctx.zeta().inv(), one]])))
+    h = heisenberg(1, ctx)
+    cases.append(("heisenberg", h, Grading(h, triv, {triv.zero(): tuple(
+        h.basis_vect(i) for i in range(3))}), Bicharacter(triv, [], ctx)))
+    z4 = AbGroup(0, (4,))
+    std("z4", z4, z4.elt((), (2,)), [[minus]],
+        {z4.elt((), (2,)): 1, z4.zero(): 0, z4.elt((), (1,)): 2})
+    z = AbGroup(1, ())
+    a, gr, eps = std("z", z, z.elt((4,), ()), [[one]],
+                     {z.elt((4,), ()): 1, z.zero(): 0, z.elt((1,), ()): 1,
+                      z.elt((3,), ()): 1})
+    cases.append(("doubled-z", a, Grading(a, z, {z.elt((2 * g.free[0],), ()): vs
+                                                  for g, vs in gr.components.items()}),
+                  eps))
+    c8 = CycloCtx(8)
+    z24 = AbGroup(0, (2, 4))
+    std("mixed", z24, z24.elt((), (1, 2)), [[c8.one(), -c8.one()], [-c8.one(), -c8.one()]],
+        {z24.elt((), (1, 2)): 3, z24.zero(): 2, z24.elt((), (0, 1)): 2,
+         z24.elt((), (1, 1)): 2, z24.elt((), (1, 3)): 1, z24.elt((), (0, 3)): 1}, c8)
+
+    sgr = super_fine(1, 2, 1)
+    sa = sgr.algebra
+    grp = sgr.group
+    n = grp.rank + len(grp.torsion)
+    prod, gens = group_product([0] * grp.rank + list(grp.torsion) + [2])
+    vals = [[sa.ctx.one()] * (n + 1) for _ in range(n + 1)]
+    vals[n][n] = sa.ctx.from_fraction(-1)
+    comps = {}
+    for g in sgr.support:
+        for v in sgr.components[g]:
+            coords = list(g.free) + list(g.torsion) + [sa.vect_parity(v)]
+            deg = sum((c * gen for c, gen in zip(coords, gens)), prod.zero())
+            comps.setdefault(deg, []).append(v)
+    cases.append(("super-as-color", sa, Grading(sa, prod, {g: tuple(v) for g, v in
+                                                          comps.items()}),
+                  Bicharacter(prod, vals, sa.ctx)))
+
+    h2 = heisenberg(2, ctx)
+    table = [list(row) for row in h2.table]
+    table[0][2] = h2.basis_vect(0)
+    table[2][0] = vscale(minus, h2.basis_vect(0))
+    bad = Algebra(ctx, h2.labels, h2.parity, tuple(tuple(r) for r in table))
+    cases.append(("broken-jacobi", bad, Grading(bad, triv, {triv.zero(): tuple(
+        bad.basis_vect(i) for i in range(bad.dim))}), Bicharacter(triv, [], ctx)))
+    return cases
+
+
+def _scrambled(gr, rng):
+    """The grading with each component basis recombined by a random
+    invertible lower-triangular matrix."""
+    ctx = gr.algebra.ctx
+
+    def q(nonzero):
+        num = rng.choice((1, 2, 3)) * rng.choice((1, -1)) if nonzero else rng.randint(-2, 2)
+        return ctx.from_fraction(Fraction(num, rng.choice((1, 2, 3))))
+
+    comps = {}
+    for g, vecs in gr.components.items():
+        mixed = []
+        for i, v in enumerate(vecs):
+            for u in vecs[:i]:
+                v = vadd(v, vscale(q(False), u))
+            mixed.append(vscale(q(True), v))
+        comps[g] = tuple(mixed)
+    return Grading(gr.algebra, gr.group, comps)
+
+
+def _random_bicharacter(grp, ctx, rng):
+    n = grp.rank + len(grp.torsion)
+    while True:
+        vals = [[None] * n for _ in range(n)]
+        for i in range(n):
+            vals[i][i] = ctx.from_fraction(rng.choice((1, -1)))
+            for j in range(i + 1, n):
+                v = ctx.zeta() ** rng.randrange(ctx.n)
+                vals[i][j], vals[j][i] = v, v.inv()
+        try:
+            return Bicharacter(grp, vals, ctx)
+        except ValueError:
+            continue
+
+
+def test_sparse_color_check_matches_the_dense_oracle():
+    rng = random.Random(11)
+    kinds = set()
+    for name, a, gr, eps in _color_cases():
+        variants = [(gr, eps), (_scrambled(gr, rng), eps)]
+        if eps.values:
+            variants += [(gr, _random_bicharacter(gr.group, eps.ctx, rng)) for _ in range(3)]
+        for grading, e in variants:
+            want = dense_verify_color_axioms(a, grading, e)
+            got = verify_color_axioms(a, grading, e)
+            assert (got.ok, got.failures) == (want.ok, want.failures), name
+            kinds.update(f.split(" fails")[0] for f in got.failures)
+    assert kinds == {"color skew-symmetry", "color Jacobi"}
+
+
+def test_flipped_epsilon_fails_the_same_pair_as_the_oracle(ctx):
+    grp = AbGroup(0, (2,))
+    even, odd = grp.elt((), (0,)), grp.elt((), (1,))
+    a, gr = color_algebra(ColorType(grp, even, Bicharacter(grp, [[ctx.from_fraction(-1)]]),
+                                    {even: 1, odd: 2}))
+    wrong = Bicharacter(grp, [[ctx.one()]])
+    report = verify_color_axioms(a, gr, wrong)
+    assert report.failures == dense_verify_color_axioms(a, gr, wrong).failures
+    assert report.failures == [f"color skew-symmetry fails on degrees {odd}, {odd}"]
+
+
+def test_color_check_brackets_each_basis_pair_once(monkeypatch):
+    from heisgrad.liealg import Algebra
+    calls = []
+    bracket = Algebra.bracket
+    monkeypatch.setattr(Algebra, "bracket",
+                        lambda self, x, y: calls.append(1) or bracket(self, x, y))
+    for name, a, gr, eps in _color_cases():
+        fresh = Grading(a, gr.group, dict(gr.components))
+        calls.clear()
+        verify_color_axioms(a, fresh, eps)
+        assert len(calls) <= a.dim ** 2, name
+        verify_color_axioms(a, fresh, eps)
+        assert len(calls) <= a.dim ** 2, name  # the brackets are kept

@@ -33,6 +33,38 @@ def test_verify_grading_reduces_each_component_once(monkeypatch):
     assert verify_grading(gr).ok and len(calls) == 6  # the spans are kept
 
 
+def test_universal_group_after_verify_brackets_nothing_new(monkeypatch):
+    import heisgrad.gradings as gradings
+    from heisgrad.liealg import Algebra
+    brackets, reductions = [], []
+    bracket = Algebra.bracket
+    monkeypatch.setattr(Algebra, "bracket",
+                        lambda self, x, y: brackets.append(1) or bracket(self, x, y))
+    monkeypatch.setattr(gradings, "rref",
+                        lambda rows: reductions.append(rows) or rref(rows))
+    ctx = CycloCtx(8)
+    built = twisted_fine_nontoral([ctx.one(), ctx.from_fraction(2)])
+    gr = Grading(built.algebra, built.group, dict(built.components))
+    brackets.clear()
+    assert verify_grading(gr).ok
+    n = len(gr.support)
+    assert len(brackets) == n * n  # one-dimensional components: one per pair
+    group, regraded = universal_group(gr)
+    assert len(brackets) == n * n
+    # the regraded copy keeps the brackets and spans under its new degrees
+    assert verify_grading(regraded).ok
+    assert len(brackets) == n * n and len(reductions) == n
+    assert list(regraded.spans) == regraded.support
+    for g in gr.support:
+        h = regraded.degree_of(gr.components[g][0])
+        assert regraded.components[h] == gr.components[g]
+        assert regraded.spans[h] == gr.spans[g]
+        for g2 in gr.support:
+            h2 = regraded.degree_of(gr.components[g2][0])
+            assert regraded.brackets(h, h2) == gr.brackets(g, g2)
+    assert len(brackets) == n * n
+
+
 def test_verify_coarsening_passes():
     gr = heisenberg_fine(1)
     # merge the e and ehat components

@@ -10,7 +10,7 @@ from heisgrad.liealg import (algebra_from_json, algebra_to_json, center,
                              similitude_factor, twisted, verify_axioms)
 from heisgrad.scalars import CycloCtx
 
-from _helpers import (random_heisenberg_automorphism,
+from _helpers import (dense_verify_axioms, random_heisenberg_automorphism,
                       random_super_automorphism, random_twisted_automorphism)
 
 
@@ -84,6 +84,52 @@ def test_perturbed_table_fails_jacobi():
     report = verify_axioms(bad)
     assert not report.ok
     assert any(f.startswith("jacobi") for f in report.failures)
+
+
+def _perturbed(a, rng, count):
+    """a with count random table entries replaced by random sparse
+    vectors, each with its skew partner entry half of the time."""
+    from heisgrad.liealg import Algebra
+    ctx = a.ctx
+    table = [list(row) for row in a.table]
+    for _ in range(count):
+        i, j = rng.randrange(a.dim), rng.randrange(a.dim)
+        v = [ctx.zero()] * a.dim
+        for k in rng.sample(range(a.dim), rng.randint(1, 2)):
+            v[k] = ctx.from_fraction(Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2)))
+        table[i][j] = tuple(v)
+        if rng.random() < 0.5:
+            sign = -1 if a.parity[i] and a.parity[j] else 1
+            table[j][i] = vscale(ctx.from_fraction(-sign), tuple(v))
+    return Algebra(ctx, a.labels, a.parity, tuple(tuple(r) for r in table))
+
+
+def test_sparse_axiom_check_matches_the_dense_oracle():
+    # the failure lists agree entry for entry, including the stop at the
+    # Jacobi failure that makes 9 failures
+    ctx4 = CycloCtx(4)
+    algebras = [heisenberg(1), heisenberg(2), heisenberg_super(1, 2),
+                heisenberg_super(0, 1), heisenberg_super(2, 1),
+                twisted([ctx4.one(), ctx4.from_fraction(2)]),
+                twisted([ctx4.one(), ctx4.i()])]
+    table = [list(row) for row in algebras[1].table]
+    table[0][2] = algebras[1].basis_vect(0)
+    table[2][0] = vscale(algebras[1].ctx.from_fraction(-1), algebras[1].basis_vect(0))
+    from heisgrad.liealg import Algebra
+    broken = Algebra(algebras[1].ctx, algebras[1].labels, algebras[1].parity,
+                     tuple(tuple(r) for r in table))
+    rng = random.Random(5)
+    cases = algebras + [broken] + [_perturbed(a, rng, rng.randint(1, 3))
+                                   for a in algebras for _ in range(4)]
+    cases += [_perturbed(a, rng, 40) for a in algebras[4:]]
+    lengths = set()
+    for a in cases:
+        want, got = dense_verify_axioms(a), verify_axioms(a)
+        assert (got.ok, got.failures) == (want.ok, want.failures)
+        lengths.add(len(got.failures))
+        if a is broken:
+            assert got.failures == dense_verify_axioms(broken).failures != []
+    assert 0 in lengths and max(lengths) > 9  # skew failures are not capped
 
 
 def test_is_automorphism_identity_and_torus():

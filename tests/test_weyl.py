@@ -14,8 +14,8 @@ from heisgrad.fine import (FineTwistedParams, enumerate_twisted_fine,
                            heisenberg_fine, super_fine, twisted_fine,
                            twisted_fine_nontoral, twisted_fine_toral)
 from heisgrad.liealg import compose_maps, identity_map
-from heisgrad.scalars import CycloCtx
-from heisgrad.cli import main
+from heisgrad.scalars import CycloCtx, parse_scalar
+from heisgrad.cli import auto_conductor, main
 from heisgrad.weyl import (CapExceeded, _landau, _perm_order, closure, compute_pq,
                            induced_permutation, perm_cycles,
                            standard_generators, weyl_bruteforce, weyl_group,
@@ -292,6 +292,56 @@ def test_flagged_formula_cases_confirmed_by_brute_force(ctx16, lam_iiii):
     rep = weyl_group(gr, brute=True, cap=16)
     assert rep.brute_order == 32 == rep.group.order
     assert rep.formula_order == 16 and not rep.agree
+
+
+# Every fine twisted class of these lambda, at the conductor the CLI picks:
+# the classes where the closure and the closed form disagree, as
+# ((l, s, r), closure order, formula order), in enumeration order.  The
+# first 15 lambda are the survey corpus; the last is the lambda of the
+# odd-l grading above, whose (3,2,0) class is that grading.
+DISAGREEMENTS = {
+    "1,1,i,i": [((2, 2, 0), 32, 16)],
+    "1,1,1": [],
+    "1,zeta(3),zeta(3)^2": [],
+    "1,i,-1,-i": [((2, 2, 0), 32, 16)],
+    "1,1,-1,-1": [],
+    "1,2,3,4,5,6": [],
+    "1,zeta(3),zeta(3)^2,2,2*zeta(3),2*zeta(3)^2": [],
+    "1,i,-1,-i,2,3,5": [],
+    "1,1,1,1": [],
+    "1,-1,1,-1,2,-2": [],
+    "1,zeta(3),zeta(3)^2,1,zeta(3),zeta(3)^2": [],
+    "1,zeta(6),zeta(6)^2,zeta(6)^3,zeta(6)^4,zeta(6)^5": [],
+    "1,i,1,i,1,i": [((1, 6, 0), 144, 72), ((2, 0, 6), 4608, 2304),
+                    ((2, 2, 2), 128, 64)],
+    "1,zeta(5),zeta(5)^2,zeta(5)^3,zeta(5)^4": [],
+    "1,zeta(8),zeta(8)^2,zeta(8)^3,zeta(8)^4,zeta(8)^5,zeta(8)^6,zeta(8)^7": [
+        ((2, 2, 4), 2048, 1024), ((2, 4, 0), 1024, 256), ((4, 0, 4), 128, 64),
+        ((4, 2, 0), 128, 64)],
+    "zeta(3),zeta(3)^2,1,i*zeta(3),i*zeta(3)^2,i": [
+        ((1, 6, 0), 12, 6), ((2, 0, 6), 384, 192), ((3, 2, 0), 36, 18),
+        ((6, 0, 2), 8, 4)],
+}
+
+
+@pytest.mark.parametrize("text", list(DISAGREEMENTS))
+def test_closed_form_disagreements_are_pinned(text):
+    # closure against the closed form on every class; brute force, under
+    # the default cap, on each disagreeing class it admits (the support-18
+    # classes of the zeta_8 orbit are left to the closure)
+    entries = text.split(",")
+    ctx = CycloCtx(auto_conductor(text, len(entries)))
+    lam = [parse_scalar(e, ctx) for e in entries]
+    found = []
+    for p in enumerate_twisted_fine(lam):
+        gr = twisted_fine(lam, p)
+        rep = weyl_group(gr)
+        assert rep.agree == (rep.group.order == rep.formula_order)
+        if not rep.agree:
+            found.append(((p.l, p.s, p.r), rep.group.order, rep.formula_order))
+            if len(gr.support) <= 16:
+                assert weyl_bruteforce(gr).order == rep.group.order
+    assert found == DISAGREEMENTS[text]
 
 
 def test_triple_repeated_lambda_all_checks():
