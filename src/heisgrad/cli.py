@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from math import lcm
 
 from .color import (Bicharacter, classify_color, color_algebra,
@@ -329,6 +330,7 @@ def _positive_int(text: str) -> int:
     return n
 
 
+@cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="heisgrad",

@@ -9,8 +9,7 @@ recognition of arbitrary graded structures as standard forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ._linalg import (Vect, in_span, is_zero_vect, line_coeff, mat_apply,
-                      mat_inverse, rref, vscale, vsub, vzero)
+from ._linalg import Vect, in_span, line_coeff, rref, vscale, vsub, vzero
 from .abelian import (AbGroup, GroupElt, canonicalize, express_in_terms,
                       generates, subgroup_presentation)
 from .gradings import (Grading, decomposition_failure, dual_vectors,
@@ -198,17 +197,10 @@ def verify_color_axioms(a: Algebra, gr: Grading, eps: Bicharacter) -> VerifyRepo
     structure constants in the homogeneous basis that the component bases
     of the grading form; components that are not a basis of a fail."""
     support = gr.support
-    basis = [v for g in support for v in gr.components[g]]
-    inv = mat_inverse(basis, a.ctx) if len(basis) == a.dim else None
-    if inv is None:
+    basis, _, terms = gr.table
+    if terms is None:
         return VerifyReport(False, [decomposition_failure(basis, a.dim)])
     degrees = [g for g in support for _ in gr.components[g]]
-    # the brackets of the basis, row by row, in coordinates of the basis
-    dims = {g: len(gr.components[g]) for g in support}
-    rows = [[w for h in support for w in gr.brackets(g, h)[x * dims[h]:(x + 1) * dims[h]]]
-            for g in support for x in range(dims[g])]
-    terms = [tuple((j, tuple((k, c) for k, c in enumerate(mat_apply(inv, w)) if c))
-                   for j, w in enumerate(row) if not is_zero_vect(w)) for row in rows]
     value = {(g, h): eps(g, h) for g in support for h in support}
     factor = [[value[g, h] for h in degrees] for g in degrees]
     for fail in axiom_failures(terms, factor):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ._linalg import (Vect, is_zero_vect, line_coeff, mat_apply, mat_inverse,
                       rank, rref, reduce_against, transpose, vadd, vscale,
@@ -23,7 +23,7 @@ from .liealg import (Algebra, VerifyReport, algebra_from_json, algebra_to_json,
 from .scalars import CycloNum, format_scalar
 
 __all__ = [
-    "Grading", "PairedDecomposition",
+    "Grading", "GradedTable", "PairedDecomposition",
     "verify_grading", "decomposition_failure", "universal_group",
     "is_toral_fine", "coarsen",
     "dual_vectors", "symplectic_gram_schmidt", "orthogonal_gram_schmidt",
@@ -32,6 +32,13 @@ __all__ = [
     "grading_to_json", "grading_from_json", "group_from_json", "elt_from_json",
     "elt_to_json",
 ]
+
+
+class GradedTable(NamedTuple):
+    """The structure constants of a grading's homogeneous basis, in that basis."""
+    basis: list[Vect]  # the component vectors, in support order
+    inverse: list[Vect] | None  # columns: coordinates in the basis; None if no basis
+    terms: tuple | None  # the nonzero [b_i, b_j]_k as in Algebra.terms; None likewise
 
 
 @dataclass
@@ -64,6 +71,22 @@ class Grading:
     @cached_property
     def _slots(self) -> dict[GroupElt, tuple[int, tuple[Vect, ...]]]:
         return {g: (i, vs) for i, (g, vs) in enumerate(self.components.items())}
+
+    @cached_property
+    def table(self) -> GradedTable:
+        """The brackets() of every pair of components in the coordinates of
+        the component basis, which is inverted once."""
+        support, a = self.support, self.algebra
+        basis = [v for g in support for v in self.components[g]]
+        inv = mat_inverse(basis, a.ctx) if len(basis) == a.dim else None
+        if inv is None:
+            return GradedTable(basis, None, None)
+        dims = {g: len(self.components[g]) for g in support}
+        rows = [[w for h in support for w in self.brackets(g, h)[x * dims[h]:(x + 1) * dims[h]]]
+                for g in support for x in range(dims[g])]
+        return GradedTable(basis, inv, tuple(
+            tuple((j, tuple((k, c) for k, c in enumerate(mat_apply(inv, w)) if c))
+                  for j, w in enumerate(row) if not is_zero_vect(w)) for row in rows))
 
     def brackets(self, g: GroupElt, h: GroupElt) -> list[Vect]:
         """[x, y] for x in the basis of component g and y in that of component

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._linalg import (Vect, is_zero_vect, kernel, line_coeff, mat_apply,
-                      mat_inverse, rref, transpose, vscale, vzero)
+from ._linalg import (Vect, is_zero_vect, kernel, line_coeff, mat_apply, rank,
+                      rref, transpose, vscale, vzero)
 from .scalars import CycloCtx, CycloNum, format_scalar, parse_scalar
 
 __all__ = [
@@ -249,9 +249,7 @@ def compose_maps(f: LinMap, g: LinMap) -> LinMap:
 
 def is_automorphism(f: LinMap, a: Algebra) -> bool:
     """True iff f is invertible, bracket-preserving and parity-preserving."""
-    if len(f) != a.dim:
-        return False
-    if mat_inverse(f, a.ctx) is None:
+    if len(f) != a.dim or rank(f) != a.dim:
         return False
     if a.is_super():
         for j in range(a.dim):

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, lcm, prod
 
-from ._linalg import (Vect, is_zero_vect, line_coeff, mat_apply, mat_inverse,
-                      reduce_against, rref, vscale)
+from ._linalg import (Vect, is_zero_vect, mat_apply, mat_inverse, reduce_against,
+                      rref, vscale)
 from .abelian import smith_normal_form
 from .fine import (FineTwistedParams, HeisenbergFine, SuperFine, TwistedFine,
                    class_ratios, rebase_block_i, rebase_block_ii,
                    scalar_class_data, scalar_class_key)
 from .gradings import Grading
-from .liealg import Algebra, LinMap, center, derived, is_automorphism
+from .liealg import Algebra, LinMap, center, derived
 from .scalars import CycloNum, root_of_unity_order
 
 __all__ = [
@@ -167,30 +167,39 @@ def closure(perms: list[Perm], degree: int | None = None) -> PermGroup:
     return PermGroup(len(perms[0]) if perms else degree, perms)
 
 
+def _line_table(gr: Grading, what: str):
+    """gr.table, for a grading whose components are lines forming a basis."""
+    if any(len(vecs) != 1 for vecs in gr.components.values()) or gr.table.terms is None:
+        raise ValueError(f"{what} requires one-dimensional components forming a basis")
+    return gr.table
+
+
 def induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
-    """The permutation of the (sorted) support induced by the
-    automorphism f; raises if f is not a grading self-equivalence."""
-    a = gr.algebra
-    if not is_automorphism(f, a):
+    """The permutation of the (sorted) support induced by the automorphism
+    f; raises if f is not a grading self-equivalence: f must keep parity, be
+    monomial in the basis b of gr.table, f(b_m) = c_m b_p(m) with p a
+    bijection, and send [b_m, b_n] = sum g_k b_k to sum c_k g_k b_p(k)."""
+    par = gr.algebra.parity
+    basis, inv, terms = _line_table(gr, "an induced permutation")
+    if len(f) != len(par) or any(par[i] != par[j] and c for j, col in enumerate(f)
+                                 for i, c in enumerate(col)):
         raise ValueError("map is not an algebra automorphism")
-    support = gr.support
-    spans = gr.spans
-    perm = []
-    for g in support:
-        images = [mat_apply(f, v) for v in gr.components[g]]
-        target = None
-        for i, h in enumerate(support):
-            rows, pivots = spans[h]
-            if len(rows) == len(images) and all(
-                    is_zero_vect(reduce_against(rows, pivots, w)) for w in images):
-                target = i
-                break
-        if target is None:
+    images = [[(k, c) for k, c in enumerate(mat_apply(inv, mat_apply(f, b))) if c]
+              for b in basis]
+    for g, image in zip(gr.support, images):
+        if len(image) != 1:
             raise ValueError(f"image of component {g} is not a component")
-        perm.append(target)
-    if sorted(perm) != list(range(len(support))):
+    perm, scale = zip(*(image[0] for image in images))
+    if sorted(perm) != list(range(len(basis))):
         raise ValueError("induced map on components is not a bijection")
-    return GradedAut(f, tuple(perm), name)
+    # p permutes the pairs, so the pairs with zero bracket go to such pairs
+    rows = [dict(row) for row in terms]
+    for m, row in enumerate(terms):
+        for n, t in row:  # c_m c_n [b_p(m), b_p(n)] = f([b_m, b_n])
+            if ({perm[k]: scale[k] * c for k, c in t}
+                    != {k: scale[m] * scale[n] * c for k, c in rows[perm[m]].get(perm[n], ())}):
+                raise ValueError("map is not an algebra automorphism")
+    return GradedAut(f, perm, name)
 
 
 # --- standard generators ------------------------------------------------------
@@ -547,21 +556,12 @@ def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
     n = len(support)
     if n > cap:
         raise CapExceeded(f"support size {n} exceeds the cap {cap}")
-    if any(len(gr.components[g]) != 1 for g in support):
-        raise ValueError("brute force requires one-dimensional components")
-    basis = [gr.components[g][0] for g in support]
-    pos = {g.key(): i for i, g in enumerate(support)}
-
+    basis, _, terms = _line_table(gr, "brute force")
     gamma: list[list[CycloNum | None]] = [[None] * n for _ in range(n)]
     target: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for i, g in enumerate(support):
-        for j, h in enumerate(support):
-            w = a.bracket(basis[i], basis[j])
-            if is_zero_vect(w):
-                continue
-            k = pos[(g + h).key()]
-            gamma[i][j] = line_coeff(w, basis[k])
-            target[i][j] = k
+    for i, row in enumerate(terms):
+        for j, ((k, c),) in row:  # one-dimensional components: one term
+            gamma[i][j], target[i][j] = c, k
 
     cen, der = rref(center(a)), rref(derived(a))
     flags = [(a.vect_parity(v), is_zero_vect(reduce_against(*cen, v)),

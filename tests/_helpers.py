@@ -1,7 +1,7 @@
 """Shared helpers: random automorphisms of the Heisenberg families and
 grading transport, used for randomized verification sweeps, an
 exhaustive oracle for the Weyl-group brute force, and dense oracles for
-the sparse axiom checks."""
+the sparse axiom checks, the induced permutations and `Grading.table`."""
 
 import random
 from fractions import Fraction
@@ -13,7 +13,7 @@ from heisgrad.fine import twist
 from heisgrad.gradings import Grading
 from heisgrad.liealg import (Algebra, LinMap, VerifyReport, center, compose_maps,
                              derived, identity_map, is_automorphism)
-from heisgrad.weyl import PermGroup
+from heisgrad.weyl import GradedAut, PermGroup
 
 
 def rand_fraction(rng: random.Random, nonzero=False) -> Fraction:
@@ -378,3 +378,49 @@ def dense_verify_color_axioms(a: Algebra, gr: Grading, eps) -> VerifyReport:
                     return VerifyReport(False, [
                         f"color Jacobi fails on degrees {ga}, {gb}, {gc}"])
     return VerifyReport(True, [])
+
+
+def dense_induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
+    """The permutation of the support induced by f, by the dense
+    `is_automorphism` and a reduction of each image against every
+    component span: an oracle for the monomial `induced_permutation`."""
+    a = gr.algebra
+    if not is_automorphism(f, a):
+        raise ValueError("map is not an algebra automorphism")
+    support = gr.support
+    spans = gr.spans
+    perm = []
+    for g in support:
+        images = [mat_apply(f, v) for v in gr.components[g]]
+        target = None
+        for i, h in enumerate(support):
+            rows, pivots = spans[h]
+            if len(rows) == len(images) and all(
+                    is_zero_vect(reduce_against(rows, pivots, w)) for w in images):
+                target = i
+                break
+        if target is None:
+            raise ValueError(f"image of component {g} is not a component")
+        perm.append(target)
+    if sorted(perm) != list(range(len(support))):
+        raise ValueError("induced map on components is not a bijection")
+    return GradedAut(f, tuple(perm), name)
+
+
+def assert_table_matches_dense(gr: Grading):
+    """gr.table against the dense brackets of the component vectors: the
+    inverse inverts the basis, and each [b_i, b_j] is the sum of its
+    nonzero terms c b_k (the zero vector when it has none)."""
+    a = gr.algebra
+    basis, inv, terms = gr.table
+    assert basis == [v for g in gr.support for v in gr.components[g]]
+    assert [mat_apply(inv, b) for b in basis] == [a.basis_vect(i) for i in range(a.dim)]
+    for i, row in enumerate(terms):
+        row = dict(row)
+        assert all(row.values())  # a listed pair has a nonzero term
+        for j, bj in enumerate(basis):
+            want = a.zero_vect()
+            for k, c in row.get(j, ()):
+                assert c
+                want = vadd(want, vscale(c, basis[k]))
+            assert a.bracket(basis[i], bj) == want, (i, j)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from heisgrad.cli import main
+from heisgrad.cli import build_parser, main
 from heisgrad.fine import heisenberg_fine, super_fine
 from heisgrad.gradings import grading_to_json
 
@@ -255,6 +255,16 @@ def test_cap_must_be_a_positive_integer(value, capsys):
         main(["weyl", "--heisenberg", "2", "--brute", "--cap", value])
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_parser_is_reused_after_a_parse_error(capsys):
+    alone = run_cli("weyl", "--heisenberg", "2", "--brute")
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl", "--heisenberg", "2", "--brute", "--cap", "0"])
+    assert exc.value.code == 2
+    assert run_cli("weyl", "--heisenberg", "2", "--brute") == alone
+    assert alone[0] == 0 and "brute-force order: 8" in alone[1]
+    assert build_parser() is build_parser()  # built once per process
 
 
 def test_cap_is_a_weyl_option_only():

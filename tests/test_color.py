@@ -13,7 +13,7 @@ from heisgrad.gradings import Grading, verify_grading
 from heisgrad.liealg import center, derived
 from heisgrad.scalars import CycloCtx
 
-from _helpers import dense_verify_color_axioms
+from _helpers import assert_table_matches_dense, dense_verify_color_axioms
 
 
 @pytest.fixture(scope="module")
@@ -462,3 +462,10 @@ def test_color_check_brackets_each_basis_pair_once(monkeypatch):
         assert len(calls) <= a.dim ** 2, name
         verify_color_axioms(a, fresh, eps)
         assert len(calls) <= a.dim ** 2, name  # the brackets are kept
+
+
+def test_graded_table_matches_dense_brackets():
+    rng = random.Random(5)
+    for name, a, gr, eps in _color_cases():
+        for grading in (gr, _scrambled(gr, rng)):
+            assert_table_matches_dense(grading)

@@ -160,6 +160,12 @@ def test_singular_map_is_not_automorphism():
     assert not is_automorphism(cols, a)
 
 
+def test_zero_map_is_not_automorphism():
+    # it preserves every bracket, [0, 0] = 0, but it is singular
+    for a in (heisenberg(2), heisenberg_super(1, 2)):
+        assert not is_automorphism([a.zero_vect()] * a.dim, a)
+
+
 def test_parity_violating_map_rejected():
     a = heisenberg_super(1, 1)
     cols = identity_map(a)

@@ -10,10 +10,12 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from sympy.utilities.iterables import partitions
 
 from heisgrad._linalg import vadd, vscale
-from heisgrad.fine import (FineTwistedParams, enumerate_twisted_fine,
+from heisgrad.abelian import AbGroup
+from heisgrad.fine import (FineTwistedParams, enumerate_super_fine, enumerate_twisted_fine,
                            heisenberg_fine, super_fine, twisted_fine,
                            twisted_fine_nontoral, twisted_fine_toral)
-from heisgrad.liealg import compose_maps, identity_map
+from heisgrad.gradings import Grading
+from heisgrad.liealg import Algebra, compose_maps, identity_map
 from heisgrad.scalars import CycloCtx, parse_scalar
 from heisgrad.cli import auto_conductor, main
 from heisgrad.weyl import (CapExceeded, _landau, _perm_order, closure, compute_pq,
@@ -21,7 +23,8 @@ from heisgrad.weyl import (CapExceeded, _landau, _perm_order, closure, compute_p
                            standard_generators, weyl_bruteforce, weyl_group,
                            weyl_order_formula)
 
-from _helpers import extendable_permutations
+from _helpers import (assert_table_matches_dense, dense_induced_permutation,
+                      extendable_permutations)
 
 
 @pytest.fixture(scope="module")
@@ -570,3 +573,136 @@ def test_bruteforce_generators_are_few():
         assert len(bf.gens) <= log2(bf.order)
         assert PermutationGroup([Permutation(list(g)) for g in bf.gens]).order() == bf.order
         assert closure(bf.gens, degree=len(gr.support)).elements == bf.elements
+
+
+# --- induced permutations and Grading.table against dense oracles ------------
+
+def _twisted_classes(text):
+    entries = text.split(",")
+    ctx = CycloCtx(auto_conductor(text, len(entries)))
+    lam = [parse_scalar(e, ctx) for e in entries]
+    return [pytest.param(twisted_fine(lam, p), id=f"twisted-{text}-{p.l},{p.s},{p.r}")
+            for p in enumerate_twisted_fine(lam)]
+
+
+def _generator_cases():
+    out = [pytest.param(heisenberg_fine(k), id=f"heisenberg-{k}") for k in range(1, 5)]
+    out += [pytest.param(gr, id=f"super-{k},{m}-r{r}")
+            for k, m in ((1, 6), (2, 3), (0, 4)) for r, gr in enumerate_super_fine(k, m)]
+    for text in ("1,1,i,i", "1,i,-1,-i", "1,zeta(3),zeta(3)^2"):
+        out += _twisted_classes(text)
+    return out
+
+
+@pytest.mark.parametrize("gr", _generator_cases())
+def test_induced_permutation_matches_the_dense_oracle(gr):
+    gens = standard_generators(gr)
+    assert gens
+    for name, f in gens:
+        assert induced_permutation(f, gr, name).perm == \
+            dense_induced_permutation(f, gr, name).perm, name
+
+
+def _rejected_maps():
+    """Maps that are not grading self-equivalences, with their grading."""
+    gr = heisenberg_fine(1)
+    a = gr.algebra
+    ident = identity_map(a)
+    smear = list(ident)
+    smear[0] = vadd(a.basis_vect(0), a.basis_vect(1))
+    # [2e, 3ehat] = 6z, but z goes to z
+    torus = [vscale(a.ctx.from_fraction(2), ident[0]),
+             vscale(a.ctx.from_fraction(3), ident[1]), ident[2]]
+    unsigned_flip = [ident[1], ident[0], ident[2]]
+    sgr = super_fine(1, 2, 0)
+    swap = list(identity_map(sgr.algebra))  # e1 <-> w1: an even and an odd vector
+    swap[0], swap[2] = swap[2], swap[0]
+    # on an abelian superalgebra only the parity check can reject the swap
+    zero = (a.ctx.zero(),) * 2
+    ab = Algebra(a.ctx, ("x", "y"), (0, 1), ((zero, zero), (zero, zero)))
+    z2 = AbGroup(0, (2,))
+    agr = Grading(ab, z2, {z2.elt((), (0,)): (ab.basis_vect(0),),
+                           z2.elt((), (1,)): (ab.basis_vect(1),)})
+    return [pytest.param(gr, smear, id="smear"), pytest.param(gr, torus, id="torus"),
+            pytest.param(gr, unsigned_flip, id="unsigned-flip"),
+            pytest.param(sgr, swap, id="parity-swap"),
+            pytest.param(agr, [ab.basis_vect(1), ab.basis_vect(0)], id="abelian-parity-swap")]
+
+
+@pytest.mark.parametrize("gr, f", _rejected_maps())
+def test_induced_permutation_and_oracle_reject_the_same_maps(gr, f):
+    with pytest.raises(ValueError):
+        dense_induced_permutation(f, gr)
+    with pytest.raises(ValueError):
+        induced_permutation(f, gr)
+
+
+def test_induced_permutation_requires_one_dimensional_components():
+    gr = heisenberg_fine(2)
+    triv = AbGroup(0, ())
+    coarse = Grading(gr.algebra, triv, {triv.zero(): tuple(
+        v for g in gr.support for v in gr.components[g])})
+    with pytest.raises(ValueError, match="one-dimensional components"):
+        induced_permutation(identity_map(gr.algebra), coarse)
+
+
+def _table_cases():
+    ctx16 = CycloCtx(16)
+    one, ii = ctx16.one(), ctx16.i()
+    two = [one, ctx16.from_fraction(2)]
+    out = [heisenberg_fine(k) for k in range(1, 7)]
+    out += [super_fine(k, m, r) for k, m, r in
+            ((0, 3, 1), (0, 4, 2), (1, 2, 0), (1, 2, 1), (1, 3, 1), (1, 4, 0), (2, 1, 0),
+             (4, 4, 0))]
+    out += [twisted_fine_toral(two), twisted_fine_nontoral(two), _odd_l_rotation_grading()[1]]
+    out += [twisted_fine(lam, p) for lam in ([one, one, ii, ii], [CycloCtx(24).one()] * 3)
+            for p in enumerate_twisted_fine(lam)]
+    return out
+
+
+def test_graded_table_matches_dense_brackets():
+    for gr in _table_cases():
+        assert_table_matches_dense(gr)
+
+
+def _count_calls(monkeypatch):
+    """Counts of Algebra.bracket and is_automorphism calls from here on."""
+    import heisgrad.liealg as liealg
+    import heisgrad.weyl as weyl
+    calls = {"bracket": 0, "is_automorphism": 0}
+    bracket, is_aut = Algebra.bracket, liealg.is_automorphism
+
+    def counted_bracket(self, x, y):
+        calls["bracket"] += 1
+        return bracket(self, x, y)
+
+    def counted_is_aut(f, a):
+        calls["is_automorphism"] += 1
+        return is_aut(f, a)
+
+    monkeypatch.setattr(Algebra, "bracket", counted_bracket)
+    monkeypatch.setattr(liealg, "is_automorphism", counted_is_aut)
+    monkeypatch.setattr(weyl, "is_automorphism", counted_is_aut, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: heisenberg_fine(6), lambda: super_fine(4, 4, 0)],
+                         ids=["heisenberg-6", "super-4,4-r0"])
+def test_weyl_group_brackets_each_basis_pair_once(monkeypatch, make):
+    gr = make()
+    calls = _count_calls(monkeypatch)
+    rep = weyl_group(gr)
+    assert rep.group.order == rep.formula_order
+    assert calls["bracket"] <= len(gr.support) ** 2
+    assert calls["is_automorphism"] == 0
+
+
+def test_brute_force_brackets_no_more_than_the_closure(monkeypatch, ctx16, lam_iiii):
+    calls = _count_calls(monkeypatch)
+    p = FineTwistedParams(2, 2, 0, (ctx16.one(), ctx16.i()), ())
+    weyl_group(twisted_fine(lam_iiii, p))
+    closure_calls = calls["bracket"]
+    calls["bracket"] = 0
+    assert weyl_group(twisted_fine(lam_iiii, p), brute=True).brute_order == 32
+    assert 0 < calls["bracket"] <= closure_calls
+    assert calls["is_automorphism"] == 0
