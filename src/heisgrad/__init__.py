@@ -8,7 +8,7 @@ from .gradings import (Grading, PairedDecomposition, verify_grading, universal_g
                        is_toral_fine, coarsen, homogeneous_symplectic_basis,
                        homogeneous_orthogonal_basis, darboux_homogeneous_basis)
 from .fine import (FineTwistedParams, BlockI, BlockII, heisenberg_fine, super_fine,
-                   enumerate_super_fine, twisted_fine, twisted_fine_toral,
+                   enumerate_super_fine, twisted_fine, twisted_fine_classes, twisted_fine_toral,
                    twisted_fine_nontoral, spectrum_check, enumerate_twisted_fine,
                    equivalent_fine, homogenize_u, decompose_twisted_grading)
 from .weyl import (PermGroup, induced_permutation, standard_generators, closure,

@@ -20,13 +20,13 @@ from .color import (Bicharacter, classify_color, color_algebra,
                     color_type_from_json, color_type_to_json,
                     epsilon_from_json, is_super_realizable)
 from .fine import (FineTwistedParams, TwistedFine, decompose_twisted_grading,
-                   enumerate_super_fine, enumerate_twisted_fine,
-                   heisenberg_fine, super_fine, twisted_fine)
+                   enumerate_super_fine, heisenberg_fine, super_fine,
+                   twisted_fine, twisted_fine_classes)
 from .gradings import (elt_to_json, grading_from_json, grading_to_json,
                        universal_group, verify_grading)
 from .liealg import json_int
-from .scalars import (CycloCtx, ScalarSyntaxError, divisors, format_scalar,
-                      parse_scalar, scan_conductors)
+from .scalars import (MAX_DIGITS, MAX_EXPONENT, CycloCtx, ScalarSyntaxError,
+                      divisors, format_scalar, parse_scalar, scan_conductors)
 from .weyl import CapExceeded, perm_cycles, weyl_group
 
 PARSE_ERROR = 2
@@ -137,20 +137,9 @@ def _params_json(p: FineTwistedParams) -> dict:
 
 def cmd_enumerate_fine(args, out) -> int:
     lam, ctx = _parse_lambda(args.twisted, args.conductor)
-    k = len(lam)
-    reps = enumerate_twisted_fine(lam)
-    seen_l = {p.l for p in reps}
-    rejected = [l for l in divisors(2 * k) if l not in seen_l]
-    lines = [
-        "twisted Heisenberg algebra with lambda = "
-        + ", ".join(format_scalar(x) for x in lam),
-        f"conductor: {ctx.n}",
-        f"fine grading classes up to equivalence: {len(reps)}",
-        "rejected block orders l: " + (", ".join(str(l) for l in rejected) or "(none)"),
-    ]
-    classes = []
-    for i, p in enumerate(reps, start=1):
-        gr = twisted_fine(lam, p)
+    lines, classes, seen_l = [], [], set()
+    for i, (p, gr) in enumerate(twisted_fine_classes(lam), start=1):
+        seen_l.add(p.l)
         toral = gr.group.is_torsion_free()
         lines.append(f"class {i}: {p}")
         lines.append(f"  universal group: {gr.group}")
@@ -160,19 +149,26 @@ def cmd_enumerate_fine(args, out) -> int:
                   for blk in blks]
         lines.extend("  block " + b["type"] + f" (l={b['l']}, alpha={b['alpha']})"
                      for b in blocks)
-        basis = [v for g in gr.support for v in gr.components[g]]
         classes.append({
             "params": _params_json(p),
             "universal_group": str(gr.group),
             "toral": toral,
             "blocks": blocks,
-            "homogeneous_basis": [_vec_json(v) for v in basis],
+            "homogeneous_basis": [_vec_json(v) for g in gr.support for v in gr.components[g]],
             "grading": grading_to_json(gr),
         })
+    rejected = [l for l in divisors(2 * len(lam)) if l not in seen_l]
+    lines[:0] = [
+        "twisted Heisenberg algebra with lambda = "
+        + ", ".join(format_scalar(x) for x in lam),
+        f"conductor: {ctx.n}",
+        f"fine grading classes up to equivalence: {len(classes)}",
+        "rejected block orders l: " + (", ".join(str(l) for l in rejected) or "(none)"),
+    ]
     payload = {
         "lambda": _vec_json(lam),
         "conductor": ctx.n,
-        "count": len(reps),
+        "count": len(classes),
         "rejected_l": rejected,
         "classes": classes,
     }
@@ -195,7 +191,7 @@ def _grading_for_weyl(args) -> list:
         lam, ctx = _parse_lambda(args.twisted, args.conductor)
         if args.params:
             return [twisted_fine(lam, _parse_params(args.params, ctx))]
-        return [twisted_fine(lam, p) for p in enumerate_twisted_fine(lam)]
+        return [gr for _, gr in twisted_fine_classes(lam)]
     raise CliError("choose one of --heisenberg, --super or --twisted", PARSE_ERROR)
 
 
@@ -335,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="heisgrad",
         description="Fine gradings, universal grading groups and Weyl groups "
-                    "of Heisenberg type algebras over exact cyclotomic scalars.")
+                    "of Heisenberg type algebras over exact cyclotomic scalars. "
+                    f"Scalars: integers up to {MAX_DIGITS} digits, |k| <= {MAX_EXPONENT} in x^k.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=False):

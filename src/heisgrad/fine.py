@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 from ._linalg import (Vect, combinations, intersection, is_zero_vect,
                       line_coeff, mat_apply, rank, transpose, vadd, vscale,
@@ -27,7 +27,7 @@ __all__ = [
     "FineTwistedParams", "BlockI", "BlockII",
     "HeisenbergFine", "SuperFine", "TwistedFine", "twist",
     "heisenberg_fine", "super_fine", "enumerate_super_fine",
-    "twisted_fine", "twisted_fine_nontoral", "twisted_fine_toral",
+    "twisted_fine", "twisted_fine_classes", "twisted_fine_nontoral", "twisted_fine_toral",
     "block_i", "block_ii", "rebase_block_i", "rebase_block_ii",
     "spectrum_check", "enumerate_twisted_fine", "equivalent_fine",
     "homogenize_u", "decompose_twisted_grading",
@@ -198,55 +198,60 @@ def _uv_vectors(a: Algebra, pair_index: int) -> tuple[Vect, Vect]:
     return vadd(e, eh), vsub(e, eh)
 
 
-def _slot_vectors(a: Algebra, pair_index: int, swapped: bool) -> tuple[Vect, Vect]:
-    u, v = _uv_vectors(a, pair_index)
-    return (v, u) if swapped else (u, v)
-
-
-def verify_block_i(a: Algebra, u: Vect, z: Vect, blk: BlockI) -> None:
+def verify_block_i(bracket, u: Vect, z: Vect, blk: BlockI) -> None:
+    """Check the type-I block identities on bracket(x, y).  The algebra is Lie,
+    so x-x and y-y pairs are checked for i < j only: [x_j, x_i] = -[x_i, x_j]."""
     l, alpha = blk.l, blk.alpha
     xs = (None,) + blk.xs  # 1-based
     ys = (None,) + blk.ys
-    sign = a.ctx.from_fraction((-1) ** l)
+    sign = alpha.ctx.from_fraction((-1) ** l)
     for i in range(1, l + 1):
         want = vscale(alpha, xs[i % l + 1])
-        if a.bracket(u, xs[i]) != want:
+        if bracket(u, xs[i]) != want:
             raise AssertionError(f"type-I block: ad(u) fails on x_{i}")
         want = vscale(alpha, ys[i + 1]) if i < l else vscale(sign * alpha, ys[1])
-        if a.bracket(u, ys[i]) != want:
+        if bracket(u, ys[i]) != want:
             raise AssertionError(f"type-I block: ad(u) fails on y_{i}")
     for i in range(1, l + 1):
         for j in range(1, l + 1):
-            if not is_zero_vect(a.bracket(xs[i], xs[j])):
+            if j > i and not is_zero_vect(bracket(xs[i], xs[j])):
                 raise AssertionError("type-I block: nonzero x-x bracket")
-            if not is_zero_vect(a.bracket(ys[i], ys[j])):
+            if j > i and not is_zero_vect(bracket(ys[i], ys[j])):
                 raise AssertionError("type-I block: nonzero y-y bracket")
-            w = a.bracket(xs[i], ys[j])
+            w = bracket(xs[i], ys[j])
             if (i + j) % l == 0:
-                want = vscale(a.ctx.from_fraction((-1) ** j) * alpha, z)
+                want = vscale(alpha.ctx.from_fraction((-1) ** j) * alpha, z)
                 if w != want:
                     raise AssertionError(f"type-I block: pairing fails on x_{i}, y_{j}")
             elif not is_zero_vect(w):
                 raise AssertionError("type-I block: unexpected nonzero x-y bracket")
 
 
-def verify_block_ii(a: Algebra, u: Vect, z: Vect, blk: BlockII) -> None:
+def verify_block_ii(bracket, u: Vect, z: Vect, blk: BlockII) -> None:
+    """As verify_block_i, for a type-II block; x-x pairs for i < j only."""
     l, alpha = blk.l, blk.alpha
     xs = (None,) + blk.xs
     n = 2 * l
     for i in range(1, n + 1):
         want = vscale(alpha, xs[i % n + 1])
-        if a.bracket(u, xs[i]) != want:
+        if bracket(u, xs[i]) != want:
             raise AssertionError(f"type-II block: ad(u) fails on x_{i}")
     for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            w = a.bracket(xs[i], xs[j])
+        for j in range(i + 1, n + 1):
+            w = bracket(xs[i], xs[j])
             if i + j == n + 1:
-                want = vscale(a.ctx.from_fraction((-1) ** i) * alpha, z)
+                want = vscale(alpha.ctx.from_fraction((-1) ** i) * alpha, z)
                 if w != want:
                     raise AssertionError(f"type-II block: pairing fails on x_{i}, x_{j}")
             elif not is_zero_vect(w):
                 raise AssertionError("type-II block: unexpected nonzero bracket")
+
+
+def _checked(a: Algebra, blk):
+    """blk, once its block identities hold for a.bracket."""
+    verify = verify_block_i if isinstance(blk, BlockI) else verify_block_ii
+    verify(a.bracket, a.basis_vect(0), a.basis_vect(a.dim - 1), blk)
+    return blk
 
 
 def _block_slots(a: Algebra, l: int, order: int, alpha: CycloNum,
@@ -266,9 +271,9 @@ def _block_slots(a: Algebra, l: int, order: int, alpha: CycloNum,
         if actual != val:
             raise ValueError(
                 f"pair {idx} has eigenvalue {actual!r}, slot needs {val!r}")
-        u, v = _slot_vectors(a, idx, swapped)
-        us.append(u)
-        vs.append(v)
+        u, v = _uv_vectors(a, idx)
+        us.append(v if swapped else u)
+        vs.append(u if swapped else v)
     return xi, us, vs
 
 
@@ -277,6 +282,10 @@ def block_i(a: Algebra, l: int, alpha: CycloNum,
     """Build a type-I block from l eigen-pairs of ad(u); pairs[q] gives
     the pair index and whether its (u_i, v_i) roles are swapped, and the
     pair's eigenvalue must be xi^(q+1) * alpha."""
+    return _checked(a, _block_i(a, l, alpha, pairs))
+
+
+def _block_i(a: Algebra, l: int, alpha: CycloNum, pairs) -> BlockI:
     ctx = a.ctx
     xi, us, vs = _block_slots(a, l, l, alpha, pairs)
     xs, ys = [], []
@@ -285,9 +294,7 @@ def block_i(a: Algebra, l: int, alpha: CycloNum,
         xs.append(mat_apply(us, [xi ** (j * q) for q in range(1, l + 1)]))
         y = mat_apply(vs, [xi ** ((j - 1) * q) for q in range(1, l + 1)])
         ys.append(vscale(ctx.from_fraction(-((-1) ** j)) * inv2l, y))
-    blk = BlockI(l, alpha, tuple(xs), tuple(ys))
-    verify_block_i(a, a.basis_vect(0), a.basis_vect(a.dim - 1), blk)
-    return blk
+    return BlockI(l, alpha, tuple(xs), tuple(ys))
 
 
 def block_ii(a: Algebra, l: int, alpha: CycloNum,
@@ -295,6 +302,10 @@ def block_ii(a: Algebra, l: int, alpha: CycloNum,
     """Build a type-II block (2l elements) from l eigen-pairs; pairs[q]
     must carry eigenvalue zeta^(q+1) * alpha for zeta a primitive 2l-th
     root (so the last slot carries -alpha)."""
+    return _checked(a, _block_ii(a, l, alpha, pairs))
+
+
+def _block_ii(a: Algebra, l: int, alpha: CycloNum, pairs) -> BlockII:
     ctx = a.ctx
     zeta, us, vs = _block_slots(a, l, 2 * l, alpha, pairs)
     scale = ctx.i() / (2 * sqrt_int(l, ctx))
@@ -303,9 +314,7 @@ def block_ii(a: Algebra, l: int, alpha: CycloNum,
     xs = [vscale(scale, mat_apply(terms[(j - 1) % 2],
                                   [zeta ** ((j - 1) * q) for q in range(1, l + 1)]))
           for j in range(1, 2 * l + 1)]
-    blk = BlockII(l, alpha, tuple(xs))
-    verify_block_ii(a, a.basis_vect(0), a.basis_vect(a.dim - 1), blk)
-    return blk
+    return BlockII(l, alpha, tuple(xs))
 
 
 def rebase_block_i(a: Algebra, blk: BlockI, new_alpha: CycloNum) -> BlockI:
@@ -325,9 +334,7 @@ def rebase_block_i(a: Algebra, blk: BlockI, new_alpha: CycloNum) -> BlockI:
         ys = tuple(vscale(delta ** (l - i), blk.xs[i - 1]) for i in range(1, l + 1))
     else:
         raise ValueError("scalar change is not compatible with the block span")
-    out = BlockI(l, new_alpha, xs, ys)
-    verify_block_i(a, a.basis_vect(0), a.basis_vect(a.dim - 1), out)
-    return out
+    return _checked(a, BlockI(l, new_alpha, xs, ys))
 
 
 def rebase_block_ii(a: Algebra, blk: BlockII, new_alpha: CycloNum) -> BlockII:
@@ -340,9 +347,7 @@ def rebase_block_ii(a: Algebra, blk: BlockII, new_alpha: CycloNum) -> BlockII:
     if delta ** (2 * l) != a.ctx.one():
         raise ValueError("scalar change is not compatible with the block span")
     xs = tuple(vscale(delta ** (1 - j), blk.xs[j - 1]) for j in range(1, 2 * l + 1))
-    out = BlockII(l, new_alpha, xs)
-    verify_block_ii(a, a.basis_vect(0), a.basis_vect(a.dim - 1), out)
-    return out
+    return _checked(a, BlockII(l, new_alpha, xs))
 
 
 # --- fine grading constructors ----------------------------------------------
@@ -404,9 +409,7 @@ def heisenberg_fine(k: int, ctx: CycloCtx | None = None) -> Grading:
         comps[gens[i] + level] = (a.basis_vect(2 * i),)
         comps[-gens[i] + level] = (a.basis_vect(2 * i + 1),)
     comps[2 * level] = (a.basis_vect(a.dim - 1),)
-    raw = Grading(a, group, comps, HeisenbergFine(k))
-    _, out = universal_group(raw)
-    return out
+    return universal_group(Grading(a, group, comps, HeisenbergFine(k)))[1]
 
 
 def super_fine(k: int, m: int, r: int, ctx: CycloCtx | None = None) -> Grading:
@@ -442,9 +445,8 @@ def super_fine(k: int, m: int, r: int, ctx: CycloCtx | None = None) -> Grading:
         comps[level - gens[1 + k + j]] = (uv[j][1],)
     for t in range(q):
         comps[level + gens[1 + k + r + t]] = (zs[t],)
-    raw = Grading(a, group, comps, SuperFine(k, m, r, tuple(uv), tuple(zs), z))
-    _, out = universal_group(raw)
-    return out
+    fam = SuperFine(k, m, r, tuple(uv), tuple(zs), z)
+    return universal_group(Grading(a, group, comps, fam))[1]
 
 
 def enumerate_super_fine(k: int, m: int) -> list[tuple[int, Grading]]:
@@ -468,16 +470,8 @@ def _assign_pairs(lam: list[CycloNum], values: list[CycloNum],
                   used: set[int]) -> list[tuple[int, bool]]:
     out = []
     for val in values:
-        hit = None
-        for i, x in enumerate(lam):
-            if i in used:
-                continue
-            if x == val:
-                hit = (i, False)
-                break
-            if x == -val:
-                hit = (i, True)
-                break
+        hit = next(((i, x != val) for i, x in enumerate(lam)
+                    if i not in used and x in (val, -val)), None)
         if hit is None:
             raise ValueError("spectrum does not supply the block slice")
         used.add(hit[0])
@@ -499,23 +493,26 @@ def twisted_fine(lam: list[CycloNum], p: FineTwistedParams) -> Grading:
     parameter vector lam, over its universal grading group."""
     if not spectrum_check(lam, p):
         raise ValueError("parameters fail the spectrum condition")
-    p = _normalize_params(lam, p)
+    return _twisted_fine(twisted(lam), lam, _normalize_params(lam, p))
+
+
+def _twisted_fine(a: Algebra, lam: list[CycloNum], p: FineTwistedParams) -> Grading:
+    """twisted_fine for normalized p on a = twisted(lam); the block checks
+    read the grading's bracket memo, so each pair is bracketed once."""
     if not spectrum_check(lam, p):  # normalization preserves the orbits
         raise AssertionError("normalization broke the spectrum condition")
-    a = twisted(lam)
-    ctx = a.ctx
     l, s, r = p.l, p.s, p.r
-    xi = primitive_root(ctx, l, lam)
+    xi = primitive_root(a.ctx, l, lam)
     used: set[int] = set()
     blocks_i = []
     for b in p.betas:
         values = [(xi ** q) * b for q in range(1, l + 1)]
-        blocks_i.append(block_i(a, l, b, _assign_pairs(lam, values, used)))
+        blocks_i.append(_block_i(a, l, b, _assign_pairs(lam, values, used)))
     blocks_ii = []
     for alpha in p.alphas:
         m = l // 2  # xi is a primitive 2m-th root
         values = [(xi ** q) * alpha for q in range(1, m + 1)]
-        blocks_ii.append(block_ii(a, m, alpha, _assign_pairs(lam, values, used)))
+        blocks_ii.append(_block_ii(a, m, alpha, _assign_pairs(lam, values, used)))
 
     factors = ([l] if l > 1 else []) + [0] * s + [0] + ([2] * (r - 1) if r else [])
     group, gens = group_product(factors)
@@ -547,6 +544,15 @@ def twisted_fine(lam: list[CycloNum], p: FineTwistedParams) -> Grading:
 
     family = TwistedFine(tuple(lam), p, u_vec, z_vec, tuple(blocks_i), tuple(blocks_ii))
     raw = Grading(a, group, comps, family)
+    degree = {id(v): g for g, (v,) in comps.items()}  # by identity: no O(dim) hash
+
+    def bracket(x, y):
+        return raw.brackets(degree[id(x)], degree[id(y)])[0]
+
+    for blk in blocks_i:
+        verify_block_i(bracket, u_vec, z_vec, blk)
+    for blk in blocks_ii:
+        verify_block_ii(bracket, u_vec, z_vec, blk)
     ugroup, out = universal_group(raw)
     if ugroup != expected_twisted_group(l, s, r):
         raise AssertionError(
@@ -558,15 +564,13 @@ def twisted_fine(lam: list[CycloNum], p: FineTwistedParams) -> Grading:
 def twisted_fine_nontoral(lam: list[CycloNum]) -> Grading:
     """The fine grading carried by the defining basis (nontoral for
     k > 0): all blocks of type II with l = 2."""
-    k = len(lam)
-    return twisted_fine(lam, FineTwistedParams(2, 0, k, (), tuple(lam)))
+    return twisted_fine(lam, FineTwistedParams(2, 0, len(lam), (), tuple(lam)))
 
 
 def twisted_fine_toral(lam: list[CycloNum]) -> Grading:
     """The toral fine grading carried by the ad(u)-eigenbasis: all blocks
     of type I with l = 1."""
-    k = len(lam)
-    return twisted_fine(lam, FineTwistedParams(1, k, 0, tuple(lam), ()))
+    return twisted_fine(lam, FineTwistedParams(1, len(lam), 0, tuple(lam), ()))
 
 
 # --- enumeration and equivalence ---------------------------------------------
@@ -637,6 +641,12 @@ def enumerate_twisted_fine(lam: list[CycloNum]) -> list[FineTwistedParams]:
     return reps
 
 
+def twisted_fine_classes(lam: list[CycloNum]) -> Iterator[tuple[FineTwistedParams, Grading]]:
+    """(p, twisted_fine(lam, p)) for each enumerated class p in turn, on one twisted(lam)."""
+    a = twisted(lam)
+    yield from ((p, _twisted_fine(a, lam, p)) for p in enumerate_twisted_fine(lam))
+
+
 def equivalent_fine(lam: list[CycloNum], p: FineTwistedParams,
                     q: FineTwistedParams) -> bool:
     """Equivalence of two fine-grading parameter tuples: equal shape
@@ -672,14 +682,8 @@ def homogenize_u(gr: Grading) -> tuple[Vect, list[tuple[Vect, Vect]], Vect]:
     a = gr.algebra
     lam = twist(a)
     k = len(lam)
-    witness = None
-    for g in gr.support:
-        for v in gr.components[g]:
-            if v[0]:  # nonzero u-coordinate: outside [L, L]
-                witness = v
-                break
-        if witness is not None:
-            break
+    # a nonzero u-coordinate puts a vector outside [L, L]
+    witness = next((v for g in gr.support for v in gr.components[g] if v[0]), None)
     if witness is None:
         raise ValueError("grading has no homogeneous element outside the derived subalgebra")
     u_new = vscale(witness[0].inv(), witness)
@@ -793,7 +797,7 @@ def decompose_twisted_grading(gr: Grading):
                 x2 = vscale(t, x2)
                 xs = [vscale(mu ** -j, phi_pow(x2, j)) for j in range(1, l + 1)]
                 blk = BlockII(l // 2, mu, tuple(xs))
-                verify_block_ii(a, u_new, z, blk)
+                verify_block_ii(a.bracket, u_new, z, blk)
                 blocks_ii.append(blk)
                 centralize(blk.elements())
                 continue
@@ -807,7 +811,7 @@ def decompose_twisted_grading(gr: Grading):
         xs = [vscale(mu ** -j, phi_pow(x, j)) for j in range(1, l + 1)]
         ys = [vscale(mu ** -j, phi_pow(y, j)) for j in range(1, l + 1)]
         blk = BlockI(l, mu, tuple(xs), tuple(ys))
-        verify_block_i(a, u_new, z, blk)
+        verify_block_i(a.bracket, u_new, z, blk)
         blocks_i.append(blk)
         centralize(blk.elements())
 

@@ -142,14 +142,17 @@ def verify_grading(gr: Grading) -> VerifyReport:
 def universal_group(gr: Grading) -> tuple[AbGroup, Grading]:
     """The universal grading group (one generator per support element,
     one relation per nonzero bracket pair) and the regraded copy, which
-    keeps the brackets and spans computed so far under its new degrees."""
+    keeps the brackets and spans computed so far under its new degrees.
+    A pair is read in either orientation: [x, y] = 0 iff [y, x] = 0."""
     support = gr.support
     n = len(support)
     pos = {g: i for i, g in enumerate(support)}
+    memo, ix = gr._brackets, [gr._slots[g][0] for g in support]  # the memo's keys
     rows = []
     for i, g in enumerate(support):
         for j, h in enumerate(support[i:], start=i):
-            if any(map(any, gr.brackets(g, h))):  # a nonzero bracket
+            block = memo.get((ix[i], ix[j])) or memo.get((ix[j], ix[i])) or gr.brackets(g, h)
+            if any(map(any, block)):  # a nonzero bracket
                 k = pos.get(g + h)
                 if k is None:
                     raise ValueError("not a grading: bracket leaves the support")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, log10
 
 __all__ = [
     "CycloCtx",
@@ -443,6 +443,8 @@ def sqrt_scalar(x: CycloNum) -> CycloNum:
 # parentheses.  This is the scalar syntax used by the CLI and JSON formats.
 
 _TOKEN = re.compile(r"\s*(\d+|zeta|i\b|\*|\+|-|/|\^|\(|\))")
+MAX_DIGITS = 1000  # of an integer literal, and of the coefficients of every value
+MAX_EXPONENT = 10_000  # |k| in x^k
 
 
 class ScalarSyntaxError(ValueError):
@@ -457,6 +459,8 @@ def _tokenize(text: str) -> list[str]:
             if text[pos:].strip() == "":
                 break
             raise ScalarSyntaxError(f"bad scalar syntax near {text[pos:]!r}")
+        if len(m.group(1)) > MAX_DIGITS:
+            raise ScalarSyntaxError(f"integer literal exceeds the limit of {MAX_DIGITS} digits")
         out.append(m.group(1))
         pos = m.end()
     return out
@@ -490,6 +494,11 @@ def parse_scalar(text: str, ctx: CycloCtx) -> CycloNum:
             raise ScalarSyntaxError(f"expected {expect!r}, found {t!r} in {text!r}")
         pos += 1
         return t
+
+    def bounded(v: CycloNum, power: int = 1) -> CycloNum:  # v, if v^power keeps the limit
+        if power * log10(max(map(abs, v.num + (v.den,)))) > MAX_DIGITS:
+            raise ScalarSyntaxError(f"a value exceeds the limit of {MAX_DIGITS} digits")
+        return v
 
     def parse_int() -> int:
         sign = 1
@@ -533,9 +542,11 @@ def parse_scalar(text: str, ctx: CycloCtx) -> CycloNum:
         if peek() == "^":
             take()
             e = parse_int()
+            if abs(e) > MAX_EXPONENT:
+                raise ScalarSyntaxError(f"exponent {e} exceeds the limit of {MAX_EXPONENT}")
             if e < 0 and not v:
                 raise ScalarSyntaxError(f"negative power of zero in {text!r}")
-            v = v ** e
+            v = bounded(bounded(v, abs(e)) ** e)
         return v
 
     def unary() -> CycloNum:
@@ -548,21 +559,21 @@ def parse_scalar(text: str, ctx: CycloCtx) -> CycloNum:
         v = unary()
         while peek() in ("*", "/"):
             if take() == "*":
-                v = v * unary()
+                v = bounded(v * unary())
             else:
                 d = unary()
                 if not d:
                     raise ScalarSyntaxError(f"division by zero in {text!r}")
-                v = v / d
+                v = bounded(v / d)
         return v
 
     def expr() -> CycloNum:
         v = term()
         while peek() in ("+", "-"):
             if take() == "+":
-                v = v + term()
+                v = bounded(v + term())
             else:
-                v = v - term()
+                v = bounded(v - term())
         return v
 
     v = expr()

@@ -85,3 +85,24 @@ def test_recorded_benchmark_outputs_are_byte_identical():
                     heisgrad.cli.main(job["argv"])
                 digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
             assert digests == record["stdout"], (workload, seed)
+
+
+def test_bracket_work_per_benchmark_pass_is_bounded(monkeypatch):
+    # the twisted constructor brackets each pair of a grading's basis once,
+    # sharing its memo between the block checks and the universal group;
+    # the bounds are the counts of the seed-23 batches at that design
+    workloads = _load_bench("workloads")
+    calls = [0]
+    bracket = Algebra.bracket
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(Algebra, "bracket", counted)
+    for workload, bound in (("enumerate", 1865), ("weyl-brute", 593)):
+        calls[0] = 0
+        for job in workloads.make_jobs(workload, 23):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                heisgrad.cli.main(job["argv"])
+        assert calls[0] <= bound, workload

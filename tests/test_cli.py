@@ -5,12 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 from heisgrad.cli import build_parser, main
 from heisgrad.fine import heisenberg_fine, super_fine
 from heisgrad.gradings import grading_to_json
+from heisgrad.scalars import MAX_DIGITS, MAX_EXPONENT
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -265,6 +267,29 @@ def test_parser_is_reused_after_a_parse_error(capsys):
     assert run_cli("weyl", "--heisenberg", "2", "--brute") == alone
     assert alone[0] == 0 and "brute-force order: 8" in alone[1]
     assert build_parser() is build_parser()  # built once per process
+
+
+@pytest.mark.parametrize("text", ["2^99999999", "1" * 5001, "(2^1000)^1000", "1,2*10^999*10^999"])
+def test_oversized_scalar_is_a_parse_error(text):
+    # a separate interpreter, so that an uncaught exception shows as a traceback
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "heisgrad.cli", "enumerate-fine",
+                           "--twisted", text], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "exceeds the limit of" in proc.stderr
+
+
+def test_scalar_limits_in_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"integers up to {MAX_DIGITS} digits, |k| <= {MAX_EXPONENT} in x^k" in text
 
 
 def test_cap_is_a_weyl_option_only():

@@ -3,21 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from heisgrad._linalg import in_span, is_zero_vect, mat_apply, same_span, vscale
+import heisgrad.fine as fine
+from heisgrad._linalg import in_span, is_zero_vect, mat_apply, same_span, vadd, vscale
 from heisgrad.abelian import AbGroup
+from heisgrad.cli import auto_conductor
 from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, block_i,
                            block_ii, decompose_twisted_grading,
                            enumerate_super_fine, enumerate_twisted_fine,
                            equivalent_fine, expected_twisted_group,
                            heisenberg_fine, homogenize_u, rebase_block_i,
                            rebase_block_ii, spectrum_check, super_fine,
-                           twist, twisted_fine, twisted_fine_nontoral,
-                           twisted_fine_toral)
+                           twist, twisted_fine, twisted_fine_classes,
+                           twisted_fine_nontoral, twisted_fine_toral)
 from heisgrad.gradings import is_toral_fine, universal_group, verify_grading
-from heisgrad.liealg import heisenberg, heisenberg_super, is_automorphism, twisted
-from heisgrad.scalars import CycloCtx
+from heisgrad.liealg import Algebra, heisenberg, heisenberg_super, is_automorphism, twisted
+from heisgrad.scalars import CycloCtx, parse_scalar
 
 from _helpers import random_twisted_automorphism, transport_grading
+from test_weyl import DISAGREEMENTS
 
 
 @pytest.fixture(scope="module")
@@ -503,3 +506,103 @@ def test_decompose_transported(ctx16):
         moved = transport_grading(base, f)
         _, _, _, q = decompose_twisted_grading(moved)
         assert equivalent_fine(lam, p0, q)
+
+
+# --- bracket work of the twisted constructor ------------------------------------
+
+def _lambda(text):
+    """The parameter vector named by text, at the conductor the CLI picks."""
+    entries = text.split(",")
+    ctx = CycloCtx(auto_conductor(text, len(entries)))
+    return [parse_scalar(e, ctx) for e in entries]
+
+
+def _count_brackets(monkeypatch):
+    calls = [0]
+    bracket = Algebra.bracket
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(Algebra, "bracket", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text", [
+    "1,zeta(6),zeta(6)^2,zeta(6)^3,zeta(6)^4,zeta(6)^5",
+    "1,i,-1,-i",
+    "1,zeta(3),zeta(3)^2,2,2*zeta(3),2*zeta(3)^2",
+])
+def test_each_class_brackets_each_pair_of_its_basis_once(monkeypatch, text):
+    # the block checks and the universal group share the grading's memo,
+    # which holds one orientation of each unordered pair, diagonal included
+    lam = _lambda(text)
+    calls = _count_brackets(monkeypatch)
+    built = []
+    monkeypatch.setattr(fine, "twisted", lambda lam: built.append(lam) or twisted(lam))
+    classes = list(twisted_fine_classes(lam))
+    assert len(built) == 1
+    assert calls[0] == sum(n * (n + 1) // 2 for n in (len(gr.support) for _, gr in classes))
+    for p, _ in classes:
+        calls[0] = 0
+        n = len(twisted_fine(lam, p).support)
+        assert calls[0] == n * (n + 1) // 2
+
+
+def _scale_first_y(a, blk):
+    two = a.ctx.from_fraction(2)
+    return BlockI(blk.l, blk.alpha, blk.xs, (vscale(two, blk.ys[0]),) + blk.ys[1:])
+
+
+def _swap_first_xs(a, blk):
+    xs = (blk.xs[1], blk.xs[0]) + blk.xs[2:]
+    if isinstance(blk, BlockI):
+        return BlockI(blk.l, blk.alpha, xs, blk.ys)
+    return BlockII(blk.l, blk.alpha, xs)
+
+
+def _shear_xs(a, blk):
+    # x_i + x_(i+1) keeps the ad(u) cycle, but the bracket of the first two
+    # picks up [x_2, x_3], which pairs into z, where the block needs 0
+    xs = blk.xs
+    return BlockII(blk.l, blk.alpha, tuple(vadd(x, y) for x, y in zip(xs, xs[1:] + xs[:1])))
+
+
+@pytest.mark.parametrize("shape, builder, corrupt, message", [
+    ((4, 1, 0), "block_i", _scale_first_y, "type-I block: ad(u) fails on y_1"),
+    ((4, 1, 0), "block_i", _swap_first_xs, "type-I block: ad(u) fails on x_1"),
+    ((4, 0, 2), "block_ii", _swap_first_xs, "type-II block: ad(u) fails on x_1"),
+    ((4, 0, 2), "block_ii", _shear_xs, "type-II block: unexpected nonzero bracket"),
+], ids=["I-scaled-y", "I-swapped-x", "II-swapped-x", "II-nonzero-x-x"])
+def test_block_checks_fire_on_the_memo_path(monkeypatch, ctx16, lam_iiii, shape,
+                                            builder, corrupt, message):
+    # twisted_fine checks its blocks on the grading's bracket memo, the
+    # public builders with a.bracket: a corrupted block fails both alike
+    one = ctx16.one()
+    l, s, r = shape
+    p = FineTwistedParams(l, s, r, (one,) * s, (one,) * r)
+    original = getattr(fine, "_" + builder)
+    calls = []
+
+    def corrupted(a, *args):
+        calls.append((a, args))
+        return corrupt(a, original(a, *args))
+
+    monkeypatch.setattr(fine, "_" + builder, corrupted)
+    with pytest.raises(AssertionError) as memo_path:
+        twisted_fine(lam_iiii, p)
+    a, args = calls[0]
+    with pytest.raises(AssertionError) as bracket_path:
+        getattr(fine, builder)(a, *args)
+    assert str(memo_path.value) == str(bracket_path.value) == message
+
+
+@pytest.mark.parametrize("text", list(DISAGREEMENTS))
+def test_per_lambda_classes_match_twisted_fine(text):
+    lam = _lambda(text)
+    got = list(twisted_fine_classes(lam))
+    want = [(p, twisted_fine(lam, p)) for p in enumerate_twisted_fine(lam)]
+    assert [p for p, _ in got] == [p for p, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert (g.group, g.components, g.family) == (w.group, w.components, w.family)

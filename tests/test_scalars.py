@@ -1,9 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from heisgrad.scalars import (CycloCtx, ScalarSyntaxError, cyclotomic_poly,
+from heisgrad.scalars import (MAX_DIGITS, MAX_EXPONENT, CycloCtx, ScalarSyntaxError, cyclotomic_poly,
                               divisors, embed, format_scalar, parse_scalar,
                               root_of_unity_order, scan_conductors, sqrt_int,
                               sqrt_rational, sqrt_scalar)
@@ -183,6 +184,34 @@ def test_parse_rejects_garbage():
     for text in ("1/0", "1/(1-1)", "0^-1"):
         with pytest.raises(ScalarSyntaxError):
             parse_scalar(text, ctx)
+
+
+def test_parse_limits_are_syntax_errors():
+    ctx = CycloCtx(8)
+    digits, exponent = MAX_DIGITS, MAX_EXPONENT
+    assert parse_scalar("9" * digits, ctx) == ctx.from_fraction(10 ** digits - 1)
+    assert parse_scalar(f"zeta(8)^{exponent}", ctx) == ctx.one()
+    assert parse_scalar(f"2^{digits * 3}", ctx) == ctx.from_fraction(2 ** (digits * 3))
+    for text, match in [
+        ("1" * (digits + 1), f"integer literal exceeds the limit of {digits} digits"),
+        (f"zeta({'1' * (digits + 1)})", "integer literal exceeds"),
+        (f"zeta(8)^{exponent + 1}", f"exponent {exponent + 1} exceeds the limit of {exponent}"),
+        (f"zeta(8)^-{exponent + 1}", "exceeds the limit"),
+        (f"2^{digits * 4}", f"a value exceeds the limit of {digits} digits"),
+        (f"(2^{digits})^{digits}", "a value exceeds the limit"),
+        (f"1/3^{digits * 3}", "a value exceeds the limit"),
+        ("*".join([f"10^{digits // 2}"] * 3), "a value exceeds the limit"),
+        (f"9*10^{digits - 1}-(-9*10^{digits - 1})", "a value exceeds the limit"),
+        (f"(9*10^{digits - 1})^{exponent}", "a value exceeds the limit"),
+        (f"1/10^{digits - 1}/10^{digits - 1}", "a value exceeds the limit"),
+        (f"(1+i)^{exponent}", "a value exceeds the limit"),  # small coefficients that grow
+        ("+".join(f"1/{p}" for p in range(2, 3000)), "a value exceeds the limit"),
+        ("1+" * 2000 + "*".join([f"10^{digits - 1}"] * 2000), "a value exceeds the limit"),
+    ]:
+        start = time.process_time()
+        with pytest.raises(ScalarSyntaxError, match=match):
+            parse_scalar(text, ctx)
+        assert time.process_time() - start < 1, text[:40]
 
 
 def test_scan_conductors():
