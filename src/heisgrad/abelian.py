@@ -137,6 +137,8 @@ class AbGroup:
     torsion: tuple[int, ...]
 
     def __post_init__(self):
+        if self.rank < 0:
+            raise ValueError(f"rank must be >= 0, not {self.rank}")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError(f"torsion {self.torsion} violates the divisibility chain")

@@ -137,7 +137,7 @@ def color_algebra(t: ColorType, ctx: CycloCtx | None = None) -> tuple[Algebra, G
     """The standard-form Heisenberg Lie color algebra of the given type,
     with its grading."""
     t.validate()
-    ctx = ctx or t.epsilon.values[0][0].ctx
+    ctx = ctx or t.epsilon.ctx
     zero_elt = t.group.zero()
     labels: list[str] = []
     degrees: list[GroupElt] = []
@@ -214,7 +214,7 @@ def is_super_realizable(t: ColorType):
     """When eps(g, -g+g0) is +-1 on the support, the split of the support
     by that sign; None otherwise."""
     t.validate()
-    ctx = t.epsilon.values[0][0].ctx
+    ctx = t.epsilon.ctx
     one = ctx.one()
     even, odd = [], []
     for g in t.support():
@@ -375,7 +375,7 @@ def color_type_from_json(spec: dict, ctx: CycloCtx) -> ColorType:
     spec = json_typed(spec, "object", "the color type")
     group = group_from_json(spec["group"])
     g0 = elt_from_json(group, spec["g0"])
-    eps = Bicharacter(group, epsilon_from_json(spec["epsilon"], ctx))
+    eps = Bicharacter(group, epsilon_from_json(spec["epsilon"], ctx), ctx)
     dims = {}
     for entry in json_typed(spec["dims"], "array", "dims"):
         entry = json_typed(entry, "object", "a dims entry")

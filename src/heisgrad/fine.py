@@ -28,7 +28,7 @@ __all__ = [
     "HeisenbergFine", "SuperFine", "TwistedFine", "twist",
     "heisenberg_fine", "super_fine", "enumerate_super_fine",
     "twisted_fine", "twisted_fine_classes", "twisted_fine_nontoral", "twisted_fine_toral",
-    "block_i", "block_ii", "rebase_block_i", "rebase_block_ii",
+    "block_i", "block_ii", "rebase_scales_i", "rebase_scales_ii",
     "spectrum_check", "enumerate_twisted_fine", "equivalent_fine",
     "homogenize_u", "decompose_twisted_grading",
     "primitive_root", "class_rep", "class_ratios", "scalar_class_key",
@@ -317,37 +317,29 @@ def _block_ii(a: Algebra, l: int, alpha: CycloNum, pairs) -> BlockII:
     return BlockII(l, alpha, tuple(xs))
 
 
-def rebase_block_i(a: Algebra, blk: BlockI, new_alpha: CycloNum) -> BlockI:
-    """A type-I block with scalar new_alpha spanning the same subspace.
-
-    Possible exactly when delta = new/old is an l-th root of unity (even
-    l) or a 2l-th root (odd l)."""
-    delta = new_alpha / blk.alpha
-    l = blk.l
-    if delta == a.ctx.one():
-        return blk
-    if delta ** l == a.ctx.one():
-        xs = tuple(vscale(delta ** (1 - i), blk.xs[i - 1]) for i in range(1, l + 1))
-        ys = tuple(vscale(delta ** (l - i), blk.ys[i - 1]) for i in range(1, l + 1))
-    elif l % 2 and delta ** (2 * l) == a.ctx.one():
-        xs = tuple(vscale(delta ** (1 - i), blk.ys[i - 1]) for i in range(1, l + 1))
-        ys = tuple(vscale(delta ** (l - i), blk.xs[i - 1]) for i in range(1, l + 1))
+def rebase_scales_i(l: int, delta: CycloNum) -> tuple[bool, list[CycloNum], list[CycloNum]]:
+    """How a type-I block with scalar alpha spans a block with scalar
+    delta * alpha: (swap, x_scales, y_scales) with new x_i = x_scales[i] *
+    old x_i and new y_i = y_scales[i] * old y_i, x and y exchanged on the
+    right when swap.  Possible exactly when delta is an l-th root of unity
+    (even l) or a 2l-th root (odd l)."""
+    one = delta.ctx.one()
+    if delta ** l == one:
+        swap = False
+    elif l % 2 and delta ** (2 * l) == one:
+        swap = True
     else:
         raise ValueError("scalar change is not compatible with the block span")
-    return _checked(a, BlockI(l, new_alpha, xs, ys))
+    return (swap, [delta ** (1 - i) for i in range(1, l + 1)],
+            [delta ** (l - i) for i in range(1, l + 1)])
 
 
-def rebase_block_ii(a: Algebra, blk: BlockII, new_alpha: CycloNum) -> BlockII:
-    """A type-II block with scalar new_alpha on the same subspace;
-    requires delta = new/old to be a 2l-th root of unity."""
-    delta = new_alpha / blk.alpha
-    l = blk.l
-    if delta == a.ctx.one():
-        return blk
-    if delta ** (2 * l) != a.ctx.one():
+def rebase_scales_ii(l: int, delta: CycloNum) -> list[CycloNum]:
+    """As rebase_scales_i for a type-II block of 2l elements: new x_j =
+    x_scales[j] * old x_j; requires delta to be a 2l-th root of unity."""
+    if delta ** (2 * l) != delta.ctx.one():
         raise ValueError("scalar change is not compatible with the block span")
-    xs = tuple(vscale(delta ** (1 - j), blk.xs[j - 1]) for j in range(1, 2 * l + 1))
-    return _checked(a, BlockII(l, new_alpha, xs))
+    return [delta ** (1 - j) for j in range(1, 2 * l + 1)]
 
 
 # --- fine grading constructors ----------------------------------------------

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, lcm, prod
 
-from ._linalg import (Vect, is_zero_vect, mat_apply, mat_inverse, reduce_against,
-                      rref, vscale)
+from ._linalg import Vect, is_zero_vect, mat_apply, reduce_against, rref, vscale
 from .abelian import smith_normal_form
 from .fine import (FineTwistedParams, HeisenbergFine, SuperFine, TwistedFine,
-                   class_ratios, rebase_block_i, rebase_block_ii,
+                   class_ratios, rebase_scales_i, rebase_scales_ii,
                    scalar_class_data, scalar_class_key)
 from .gradings import Grading
 from .liealg import Algebra, LinMap, center, derived
@@ -176,197 +175,151 @@ def _line_table(gr: Grading, what: str):
 
 def induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
     """The permutation of the (sorted) support induced by the automorphism
-    f; raises if f is not a grading self-equivalence: f must keep parity, be
-    monomial in the basis b of gr.table, f(b_m) = c_m b_p(m) with p a
-    bijection, and send [b_m, b_n] = sum g_k b_k to sum c_k g_k b_p(k)."""
-    par = gr.algebra.parity
-    basis, inv, terms = _line_table(gr, "an induced permutation")
-    if len(f) != len(par) or any(par[i] != par[j] and c for j, col in enumerate(f)
-                                 for i, c in enumerate(col)):
+    f; raises if f is not a grading self-equivalence: f must be monomial in
+    the basis b of gr.table, f(b_m) = c_m b_p(m), and pass _monomial_aut."""
+    basis, inv, _ = _line_table(gr, "an induced permutation")
+    if len(f) != gr.algebra.dim:
         raise ValueError("map is not an algebra automorphism")
     images = [[(k, c) for k, c in enumerate(mat_apply(inv, mat_apply(f, b))) if c]
               for b in basis]
     for g, image in zip(gr.support, images):
         if len(image) != 1:
             raise ValueError(f"image of component {g} is not a component")
-    perm, scale = zip(*(image[0] for image in images))
-    if sorted(perm) != list(range(len(basis))):
+    par = [gr.algebra.vect_parity(b) for b in basis]
+    return _monomial_aut(gr, tuple(zip(*(image[0] for image in images))), f, name, par)
+
+
+def _monomial_aut(gr: Grading, mono, f: LinMap, name: str,
+                  par: list[int | None]) -> GradedAut:
+    """f, with f(b_m) = c_m b_p(m) for (p, c) = mono on the basis b of
+    gr.table, once it is a grading self-equivalence: p a bijection keeping
+    the parities par of the b_m (None, a mixed vector, is rejected) that
+    sends [b_m, b_n] = sum g_k b_k to sum c_k g_k b_p(k)."""
+    perm, scale = mono
+    if sorted(perm) != list(range(len(perm))):
         raise ValueError("induced map on components is not a bijection")
+    if any(par[m] is None or par[m] != par[p] for m, p in enumerate(perm)):
+        raise ValueError("map is not an algebra automorphism")
     # p permutes the pairs, so the pairs with zero bracket go to such pairs
+    terms = gr.table.terms
     rows = [dict(row) for row in terms]
     for m, row in enumerate(terms):
         for n, t in row:  # c_m c_n [b_p(m), b_p(n)] = f([b_m, b_n])
             if ({perm[k]: scale[k] * c for k, c in t}
                     != {k: scale[m] * scale[n] * c for k, c in rows[perm[m]].get(perm[n], ())}):
                 raise ValueError("map is not an algebra automorphism")
-    return GradedAut(f, perm, name)
+    return GradedAut(f, tuple(perm), name)
 
 
 # --- standard generators ------------------------------------------------------
 #
-# Each family lists its generators as images of one homogeneous basis;
-# standard_generators inverts that basis once for all of them.
+# Each family writes its generators as moves (b, b', c), b -> c b', between
+# the component vectors of the grading; a vector no move names is fixed.
 
-Named = list[tuple[str, list[Vect]]]
-
-
-def _map_from_basis_images(a: Algebra, basis: list[Vect],
-                           image_lists: list[list[Vect]]) -> list[LinMap]:
-    """For each image list, the linear map (in algebra coordinates)
-    sending basis[m] to images[m]."""
-    inv = mat_inverse(list(basis), a.ctx)
-    if inv is None:
-        raise ValueError("basis vectors are not independent")
-    # column j of the map is sum_m inv[j][m] * images[m]
-    return [[mat_apply(images, col) for col in inv] for images in image_lists]
+Move = tuple[Vect, Vect, CycloNum]
+Named = list[tuple[str, list[Move]]]
 
 
-def _swap_runs(basis: list[Vect], p0: int, p1: int, width: int) -> list[Vect]:
-    """Images exchanging basis[p0:p0+width] with basis[p1:p1+width]."""
-    img = list(basis)
-    img[p0:p0 + width], img[p1:p1 + width] = basis[p1:p1 + width], basis[p0:p0 + width]
-    return img
+def _swap(a: Algebra, xs, ys) -> list[Move]:
+    """Moves exchanging xs[i] with ys[i]."""
+    one = a.ctx.one()
+    return [m for x, y in zip(xs, ys) for m in ((x, y, one), (y, x, one))]
 
 
-def _flip(a: Algebra, basis: list[Vect], p: int) -> list[Vect]:
-    """Images of the symplectic flip (b_p, b_p+1) -> (b_p+1, -b_p)."""
-    img = list(basis)
-    img[p], img[p + 1] = basis[p + 1], vscale(a.ctx.from_fraction(-1), basis[p])
-    return img
+def _flip(a: Algebra, x: Vect, y: Vect) -> list[Move]:
+    """Moves of the symplectic flip (x, y) -> (y, -x)."""
+    return [(x, y, a.ctx.one()), (y, x, a.ctx.from_fraction(-1))]
 
 
-def _heisenberg_generators(a: Algebra, fam: HeisenbergFine) -> tuple[list[Vect], Named]:
-    k = fam.k
-    basis = [a.basis_vect(i) for i in range(a.dim)]
-    gens = [(f"pair_swap({i + 1},{i + 2})", _swap_runs(basis, 2 * i, 2 * i + 2, 2))
-            for i in range(k - 1)]
-    gens.append(("symplectic_flip(1)", _flip(a, basis, 0)))
-    return basis, gens
+def _heisenberg_generators(a: Algebra, fam: HeisenbergFine) -> Named:
+    b = a.basis_vect
+    gens = [(f"pair_swap({i + 1},{i + 2})", _swap(a, (b(2 * i), b(2 * i + 1)),
+                                                  (b(2 * i + 2), b(2 * i + 3))))
+            for i in range(fam.k - 1)]
+    return gens + [("symplectic_flip(1)", _flip(a, b(0), b(1)))]
 
 
-def _super_generators(a: Algebra, fam: SuperFine) -> tuple[list[Vect], Named]:
-    k, r = fam.k, fam.r
-    basis = [a.basis_vect(i) for i in range(2 * k)]
-    for u, v in fam.uv:
-        basis += [u, v]
-    basis += list(fam.zs) + [fam.z]
-    gens = [("symplectic_flip(1)", _flip(a, basis, 0))] if k >= 1 else []
-    gens += [(f"pair_swap({i + 1},{i + 2})", _swap_runs(basis, 2 * i, 2 * i + 2, 2))
-             for i in range(k - 1)]
-    base_uv = 2 * k
-    if r >= 1:
+def _super_generators(a: Algebra, fam: SuperFine) -> Named:
+    b = a.basis_vect
+    gens = [("symplectic_flip(1)", _flip(a, b(0), b(1)))] if fam.k >= 1 else []
+    gens += [(f"pair_swap({i + 1},{i + 2})", _swap(a, (b(2 * i), b(2 * i + 1)),
+                                                   (b(2 * i + 2), b(2 * i + 3))))
+             for i in range(fam.k - 1)]
+    uv = fam.uv
+    if uv:
         # the odd pairing is symmetric, so the hyperbolic swap needs no sign
-        gens.append(("odd_flip(1)", _swap_runs(basis, base_uv, base_uv + 1, 1)))
-    gens += [(f"odd_pair_swap({j + 1},{j + 2})",
-              _swap_runs(basis, base_uv + 2 * j, base_uv + 2 * j + 2, 2))
-             for j in range(r - 1)]
-    base_z = 2 * k + 2 * r
-    gens += [(f"diag_swap({t + 1},{t + 2})", _swap_runs(basis, base_z + t, base_z + t + 1, 1))
+        gens.append(("odd_flip(1)", _swap(a, uv[0][:1], uv[0][1:])))
+    gens += [(f"odd_pair_swap({j + 1},{j + 2})", _swap(a, uv[j], uv[j + 1]))
+             for j in range(fam.r - 1)]
+    gens += [(f"diag_swap({t + 1},{t + 2})", _swap(a, fam.zs[t:t + 1], fam.zs[t + 1:t + 2]))
              for t in range(len(fam.zs) - 1)]
-    return basis, gens
+    return gens
 
 
-def _twisted_block_basis(fam: TwistedFine):
-    basis = [fam.u]
-    index = {}
-    for j, blk in enumerate(fam.blocks_i):
-        for i, x in enumerate(blk.xs):
-            index[("x", j, i)] = len(basis)
-            basis.append(x)
-        for i, y in enumerate(blk.ys):
-            index[("y", j, i)] = len(basis)
-            basis.append(y)
-    for t, blk in enumerate(fam.blocks_ii):
-        for i, x in enumerate(blk.xs):
-            index[("a", t, i)] = len(basis)
-            basis.append(x)
-    basis.append(fam.z)
-    return basis, index
-
-
-def _twisted_generators(a: Algebra, fam: TwistedFine) -> tuple[list[Vect], Named]:
-    p, lam = fam.params, list(fam.lam)
+def _twisted_generators(a: Algebra, fam: TwistedFine) -> Named:
+    p, lam, l = fam.params, list(fam.lam), fam.params.l
     blocks_i, blocks_ii = fam.blocks_i, fam.blocks_ii
-    l, s, r = p.l, p.s, p.r
     ctx = a.ctx
-    basis, index = _twisted_block_basis(fam)
-    u_pos, z_pos = 0, len(basis) - 1
+    ii, minus, sign = ctx.i(), ctx.from_fraction(-1), ctx.from_fraction((-1) ** l)
     gens: Named = []
-    ii = ctx.i()
-    minus = ctx.from_fraction(-1)
 
     # cyclic rotation inside one type-I block
     if l > 1:
-        for j in range(s):
-            img = list(basis)
-            for i in range(l):
-                img[index[("x", j, i)]] = vscale(ii, basis[index[("x", j, (i + 1) % l)]])
-            for i in range(l):
-                src = basis[index[("y", j, (i - 1) % l)]]
-                if i == 0:
-                    src = vscale(ctx.from_fraction((-1) ** l), src)
-                img[index[("y", j, i)]] = vscale(ii, src)
-            gens.append((f"cycle_I({j + 1})", img))
+        for j, blk in enumerate(blocks_i):
+            xs, ys = blk.xs, blk.ys
+            gens.append((f"cycle_I({j + 1})",
+                         [(xs[i], xs[(i + 1) % l], ii) for i in range(l)]
+                         + [(ys[i], ys[i - 1], sign * ii if i == 0 else ii)
+                            for i in range(l)]))
     if l % 2 == 0:
         # x/y exchange inside one type-I block
-        for j in range(s):
-            img = list(basis)
-            for i in range(l):
-                img[index[("x", j, i)]] = basis[index[("y", j, i)]]
-                img[index[("y", j, i)]] = vscale(minus, basis[index[("x", j, i)]])
-            gens.append((f"flip_I({j + 1})", img))
+        for j, blk in enumerate(blocks_i):
+            gens.append((f"flip_I({j + 1})", [m for x, y in zip(blk.xs, blk.ys)
+                                              for m in _flip(a, x, y)]))
         # half-period shift inside one type-II block
         m = l // 2
         c = ii if m % 2 else ctx.one()
-        for t in range(r):
-            img = list(basis)
-            for i in range(l):
-                img[index[("a", t, i)]] = vscale(c, basis[index[("a", t, (i + m) % l)]])
-            gens.append((f"half_shift_II({t + 1})", img))
+        for t, blk in enumerate(blocks_ii):
+            gens.append((f"half_shift_II({t + 1})",
+                         [(blk.xs[i], blk.xs[(i + m) % l], c) for i in range(l)]))
     else:
         # global x/y exchange, negating u (odd l)
-        img = list(basis)
-        img[u_pos] = vscale(minus, basis[u_pos])
-        for j in range(s):
+        moves = [(fam.u, fam.u, minus)]
+        for blk in blocks_i:
             for i in range(l):
                 sgn = ctx.from_fraction((-1) ** (i + 1))
-                img[index[("x", j, i)]] = vscale(sgn, basis[index[("y", j, i)]])
-                img[index[("y", j, i)]] = vscale(-sgn, basis[index[("x", j, i)]])
-        gens.append(("flip_all_I", img))
+                moves += [(blk.xs[i], blk.ys[i], sgn), (blk.ys[i], blk.xs[i], -sgn)]
+        gens.append(("flip_all_I", moves))
 
     # swaps of adjacent blocks with equal scalars
-    for j in range(s - 1):
+    for j in range(p.s - 1):
         if p.betas[j] == p.betas[j + 1]:
-            gens.append((f"swap_I({j + 1},{j + 2})", _swap_runs(
-                basis, index[("x", j, 0)], index[("x", j + 1, 0)], 2 * l)))
-    for t in range(r - 1):
+            gens.append((f"swap_I({j + 1},{j + 2})",
+                         _swap(a, blocks_i[j].elements(), blocks_i[j + 1].elements())))
+    for t in range(p.r - 1):
         if p.alphas[t] == p.alphas[t + 1]:
-            gens.append((f"swap_II({t + 1},{t + 2})", _swap_runs(
-                basis, index[("a", t, 0)], index[("a", t + 1, 0)], l)))
+            gens.append((f"swap_II({t + 1},{t + 2})",
+                         _swap(a, blocks_ii[t].xs, blocks_ii[t + 1].xs)))
 
     # spectrum rotations u -> u/eps for every root of unity eps that
-    # permutes the block-scalar class multisets
+    # permutes the block-scalar class multisets; block j goes onto block
+    # tau(j) rebased to the scalar eps * beta_j
     beta_cls, alpha_cls = scalar_class_data(lam, l)
     for eps in _epsilon_candidates(lam, p):
         tau_b = _class_bijection(p.betas, eps, *beta_cls)
         tau_a = _class_bijection(p.alphas, eps, *alpha_cls)
         if tau_b is None or tau_a is None:
             continue
-        img = list(basis)
-        img[u_pos] = vscale(eps.inv(), basis[u_pos])
-        img[z_pos] = vscale(eps, basis[z_pos])
-        for j in range(s):
-            blk = rebase_block_i(a, blocks_i[tau_b[j]], eps * p.betas[j])
-            for i in range(l):
-                img[index[("x", j, i)]] = blk.xs[i]
-                img[index[("y", j, i)]] = blk.ys[i]
-        for t in range(r):
-            blk = rebase_block_ii(a, blocks_ii[tau_a[t]], eps * p.alphas[t])
-            for i in range(l):
-                img[index[("a", t, i)]] = blk.xs[i]
+        moves = [(fam.u, fam.u, eps.inv()), (fam.z, fam.z, eps)]
+        for blk, beta, src in zip(blocks_i, p.betas, (blocks_i[j] for j in tau_b)):
+            swap, xsc, ysc = rebase_scales_i(l, eps * beta / src.alpha)
+            xs, ys = (src.ys, src.xs) if swap else (src.xs, src.ys)
+            moves += list(zip(blk.xs, xs, xsc)) + list(zip(blk.ys, ys, ysc))
+        for blk, alpha, src in zip(blocks_ii, p.alphas, (blocks_ii[t] for t in tau_a)):
+            moves += list(zip(blk.xs, src.xs, rebase_scales_ii(src.l, eps * alpha / src.alpha)))
         o = root_of_unity_order(eps)
-        gens.append((f"spectrum_rotation(order {o})", img))
-    return basis, gens
+        gens.append((f"spectrum_rotation(order {o})", moves))
+    return gens
 
 
 def _epsilon_candidates(lam: list[CycloNum], p: FineTwistedParams) -> list[CycloNum]:
@@ -398,15 +351,26 @@ _GENERATORS = {HeisenbergFine: _heisenberg_generators, SuperFine: _super_generat
                TwistedFine: _twisted_generators}
 
 
-def standard_generators(gr: Grading) -> list[tuple[str, LinMap]]:
+def standard_generators(gr: Grading) -> list[GradedAut]:
     """Explicit generator automorphisms of the Weyl group of a fine
-    grading produced by this package."""
+    grading produced by this package, each checked by _monomial_aut; the
+    matrix of each is built from the one inverse of gr.table."""
     build = _GENERATORS.get(type(gr.family))
     if build is None:
         raise ValueError("grading does not carry fine-grading provenance")
-    basis, gens = build(gr.algebra, gr.family)
-    maps = _map_from_basis_images(gr.algebra, basis, [img for _, img in gens])
-    return [(name, f) for (name, _), f in zip(gens, maps)]
+    basis, inv, _ = _line_table(gr, "the standard generators")
+    index = {b: m for m, b in enumerate(basis)}
+    par = [gr.algebra.vect_parity(b) for b in basis]  # once per grading
+    one = gr.algebra.ctx.one()
+    out = []
+    for name, moves in build(gr.algebra, gr.family):
+        perm, scale = list(range(len(basis))), [one] * len(basis)
+        for b, b2, c in moves:
+            perm[index[b]], scale[index[b]] = index[b2], c
+        images = [vscale(c, basis[k]) for k, c in zip(perm, scale)]
+        f = [mat_apply(images, col) for col in inv]  # column j is f(e_j)
+        out.append(_monomial_aut(gr, (perm, scale), f, name, par))
+    return out
 
 
 # --- closed-form orders -------------------------------------------------------
@@ -522,7 +486,7 @@ def weyl_group(gr: Grading, brute: bool = False, cap: int = 16) -> WeylReport:
     the `agree` flag, with the closure as ground truth."""
     if brute and len(gr.support) > cap:
         raise CapExceeded(f"support size {len(gr.support)} exceeds the cap {cap}")
-    auts = [induced_permutation(f, gr, name) for name, f in standard_generators(gr)]
+    auts = standard_generators(gr)
     group = closure([g.perm for g in auts], degree=len(gr.support))
     formula = weyl_order_formula(gr)
     brute_order = None

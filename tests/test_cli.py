@@ -422,6 +422,42 @@ def test_malformed_nested_color_json_is_a_parse_error(case, capsys):
     assert err.startswith("error: bad color spec") and message in err
 
 
+TRIVIAL_TYPE = {"group": {"rank": 0}, "g0": {}, "epsilon": [],
+                "dims": [{"degree": {}, "dim": 3}]}
+H3_ONE_COMPONENT = {"algebra": {"kind": "heisenberg", "k": 1}, "group": {"rank": 0},
+                    "components": [{"degree": {}, "vectors": [
+                        ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}]}
+
+
+@pytest.mark.parametrize("spec, basis", [
+    ({"color_type": TRIVIAL_TYPE}, ("(1, 0, 0)", "(0, 1, 0)", "(0, 0, 1)")),
+    ({"grading": H3_ONE_COMPONENT, "epsilon": []}, ("(0, 0, 1)", "(1, 0, 0)", "(0, 1, 0)")),
+], ids=["color-type", "trivially-graded-h3"])
+def test_color_classify_over_the_trivial_group(spec, basis, capsys):
+    # the empty epsilon carries no scalar, so the context comes from the spec
+    code, out = run_cli("color-classify", json.dumps(spec))
+    assert "Traceback" not in capsys.readouterr().err
+    assert code == 0
+    assert out == ("standard form located: group 1, center degree ()\n"
+                   "dims: ():3\n"
+                   "super-realizable: yes\n"
+                   f"  z (deg ()): {basis[0]}\n"
+                   f"  u0_1 (deg ()): {basis[1]}\n"
+                   f"  uh0_1 (deg ()): {basis[2]}\n")
+
+
+def test_verify_color_algebra_over_the_trivial_group():
+    spec = dict(H3_ONE_COMPONENT, algebra={"kind": "color", "type": TRIVIAL_TYPE})
+    assert run_cli("verify", json.dumps(spec)) == (0, "verification: pass\n")
+
+
+def test_negative_group_rank_is_a_parse_error(capsys):
+    spec = {"algebra": {"kind": "heisenberg", "k": 1}, "group": {"rank": -1}, "components": []}
+    code, out = run_cli("verify", json.dumps(spec))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: bad grading spec: rank must be >= 0, not -1\n"
+
+
 def test_verify_rejects_vector_of_wrong_length(capsys):
     spec = {
         "algebra": {"kind": "heisenberg", "k": 1},
@@ -476,10 +512,8 @@ def test_broken_generator_is_a_validation_error(monkeypatch, capsys):
     # a flip without its sign does not preserve [e, ehat] = z
     import heisgrad.weyl as weyl
 
-    def unsigned_flip(a, basis, p):
-        img = list(basis)
-        img[p], img[p + 1] = basis[p + 1], basis[p]
-        return img
+    def unsigned_flip(a, x, y):
+        return [(x, y, a.ctx.one()), (y, x, a.ctx.one())]
 
     monkeypatch.setattr(weyl, "_flip", unsigned_flip)
     code, out = run_cli("weyl", "--heisenberg", "1")

@@ -11,10 +11,11 @@ from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, block_i,
                            block_ii, decompose_twisted_grading,
                            enumerate_super_fine, enumerate_twisted_fine,
                            equivalent_fine, expected_twisted_group,
-                           heisenberg_fine, homogenize_u, rebase_block_i,
-                           rebase_block_ii, spectrum_check, super_fine,
+                           heisenberg_fine, homogenize_u, rebase_scales_i,
+                           rebase_scales_ii, spectrum_check, super_fine,
                            twist, twisted_fine, twisted_fine_classes,
-                           twisted_fine_nontoral, twisted_fine_toral)
+                           twisted_fine_nontoral, twisted_fine_toral,
+                           verify_block_i, verify_block_ii)
 from heisgrad.gradings import is_toral_fine, universal_group, verify_grading
 from heisgrad.liealg import Algebra, heisenberg, heisenberg_super, is_automorphism, twisted
 from heisgrad.scalars import CycloCtx, parse_scalar
@@ -204,31 +205,44 @@ def test_cross_block_brackets_vanish(ctx16, lam_iiii):
                     assert is_zero_vect(a.bracket(v, w))
 
 
+def _rebased_i(blk: BlockI, new_alpha) -> BlockI:
+    swap, xsc, ysc = rebase_scales_i(blk.l, new_alpha / blk.alpha)
+    xs, ys = (blk.ys, blk.xs) if swap else (blk.xs, blk.ys)
+    return BlockI(blk.l, new_alpha, tuple(map(vscale, xsc, xs)), tuple(map(vscale, ysc, ys)))
+
+
 def test_block_span_change_classes(ctx16):
     # type I: rescaling by an l-th root (even l) or 2l-th root (odd l)
-    # keeps the span; anything else is rejected
+    # keeps the span; anything else is rejected.  The rebased block, built
+    # from the scales, satisfies the block identities at its new scalar
     one, ii = ctx16.one(), ctx16.i()
     lam1 = [one]
     a1 = twisted(lam1)
+    u1, z1 = a1.basis_vect(0), a1.basis_vect(a1.dim - 1)
     blk = block_i(a1, 1, one, [(0, False)])
-    moved = rebase_block_i(a1, blk, -one)  # (-1)^2 = 1: allowed for l = 1
+    assert rebase_scales_i(1, -one)[0]  # (-1)^2 = 1: allowed for l = 1, x and y exchanged
+    moved = _rebased_i(blk, -one)
     assert same_span(moved.elements(), blk.elements())
+    verify_block_i(a1.bracket, u1, z1, moved)
     with pytest.raises(ValueError):
-        rebase_block_i(a1, blk, ii)  # i^2 != 1
+        rebase_scales_i(1, ii)  # i^2 != 1
 
     lam2 = [one, one]
     a2 = twisted(lam2)
     blk2 = block_i(a2, 2, one, [(0, True), (1, False)])
-    moved2 = rebase_block_i(a2, blk2, -one)
+    assert not rebase_scales_i(2, -one)[0]
+    moved2 = _rebased_i(blk2, -one)
     assert same_span(moved2.elements(), blk2.elements())
+    verify_block_i(a2.bracket, a2.basis_vect(0), a2.basis_vect(a2.dim - 1), moved2)
     with pytest.raises(ValueError):
-        rebase_block_i(a2, blk2, ii)
+        rebase_scales_i(2, ii)
 
     blk3 = block_ii(a1, 1, one, [(0, True)])
-    moved3 = rebase_block_ii(a1, blk3, -one)
+    moved3 = BlockII(1, -one, tuple(map(vscale, rebase_scales_ii(1, -one), blk3.xs)))
     assert same_span(moved3.elements(), blk3.elements())
+    verify_block_ii(a1.bracket, u1, z1, moved3)
     with pytest.raises(ValueError):
-        rebase_block_ii(a1, blk3, ctx16.zeta(2))  # primitive 8th root
+        rebase_scales_ii(1, ctx16.zeta(2))  # primitive 8th root
 
 
 # --- spectrum condition --------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 from sympy.utilities.iterables import partitions
 
-from heisgrad._linalg import vadd, vscale
+from heisgrad._linalg import mat_apply, mat_inverse, vadd, vscale
 from heisgrad.abelian import AbGroup
 from heisgrad.fine import (FineTwistedParams, enumerate_super_fine, enumerate_twisted_fine,
                            heisenberg_fine, super_fine, twisted_fine,
@@ -73,8 +73,9 @@ def test_closure_basics():
 
 def test_flip_has_matrix_order_4_but_perm_order_2():
     gr = heisenberg_fine(1)
-    name, flip = standard_generators(gr)[-1]
-    assert name == "symplectic_flip(1)"
+    aut = standard_generators(gr)[-1]
+    assert aut.name == "symplectic_flip(1)"
+    flip = aut.map
     sq = compose_maps(flip, flip)
     assert sq != identity_map(gr.algebra)
     fourth = compose_maps(sq, sq)
@@ -86,7 +87,7 @@ def test_flip_has_matrix_order_4_but_perm_order_2():
 
 def test_flip_commutation_with_pair_swaps():
     gr = heisenberg_fine(2)
-    gens = dict(standard_generators(gr))
+    gens = {g.name: g.map for g in standard_generators(gr)}
     swap = gens["pair_swap(1,2)"]
     flip1 = gens["symplectic_flip(1)"]
     # sigma mu_1 = mu_sigma(1) sigma at the permutation level
@@ -101,18 +102,17 @@ def test_flip_commutation_with_pair_swaps():
 
 def test_odd_flip_commutation_with_odd_pair_swap():
     gr = super_fine(0, 4, 2)
-    gens = dict(standard_generators(gr))
+    gens = {g.name: g.map for g in standard_generators(gr)}
     swap = gens["odd_pair_swap(1,2)"]
     flip1 = gens["odd_flip(1)"]
     left = induced_permutation(compose_maps(swap, flip1), gr).perm
     # mu'_sigma(1) on the second pair
     a = gr.algebra
     basis_pairs = gr.family.uv
-    from heisgrad.weyl import _map_from_basis_images
     basis = [v for pair in basis_pairs for v in pair] + [gr.family.z]
     images = list(basis)
     images[2], images[3] = basis[3], basis[2]
-    [flip2] = _map_from_basis_images(a, basis, [images])
+    flip2 = [mat_apply(images, col) for col in mat_inverse(basis, a.ctx)]
     right = induced_permutation(compose_maps(flip2, swap), gr).perm
     assert left == right
 
@@ -212,8 +212,7 @@ def test_spectrum_rotation_conjugates_cycles(ctx16):
     one, ii = ctx16.one(), ctx16.i()
     lam = [one, one, ii, ii]
     gr = twisted_fine(lam, FineTwistedParams(2, 2, 0, (one, ii), ()))
-    from heisgrad._linalg import mat_inverse
-    gens = {name: f for name, f in standard_generators(gr)}
+    gens = {g.name: g.map for g in standard_generators(gr)}
     rotations = [f for name, f in gens.items()
                  if name.startswith("spectrum_rotation")]
     assert rotations
@@ -596,11 +595,13 @@ def _generator_cases():
 
 @pytest.mark.parametrize("gr", _generator_cases())
 def test_induced_permutation_matches_the_dense_oracle(gr):
+    # the generators' own (sigma, c) and the reader of a dense map go
+    # through the one monomial check; the dense oracle shares no code
     gens = standard_generators(gr)
     assert gens
-    for name, f in gens:
-        assert induced_permutation(f, gr, name).perm == \
-            dense_induced_permutation(f, gr, name).perm, name
+    for aut in gens:
+        assert aut.perm == dense_induced_permutation(aut.map, gr).perm == \
+            induced_permutation(aut.map, gr).perm, aut.name
 
 
 def _rejected_maps():
@@ -623,10 +624,16 @@ def _rejected_maps():
     z2 = AbGroup(0, (2,))
     agr = Grading(ab, z2, {z2.elt((), (0,)): (ab.basis_vect(0),),
                            z2.elt((), (1,)): (ab.basis_vect(1),)})
+    # two even lines of an abelian algebra: only the bijection check can
+    # reject sending both onto one
+    even = Algebra(a.ctx, ("x", "y"), (0, 0), ((zero, zero), (zero, zero)))
+    egr = Grading(even, z2, {z2.elt((), (0,)): (even.basis_vect(0),),
+                             z2.elt((), (1,)): (even.basis_vect(1),)})
     return [pytest.param(gr, smear, id="smear"), pytest.param(gr, torus, id="torus"),
             pytest.param(gr, unsigned_flip, id="unsigned-flip"),
             pytest.param(sgr, swap, id="parity-swap"),
-            pytest.param(agr, [ab.basis_vect(1), ab.basis_vect(0)], id="abelian-parity-swap")]
+            pytest.param(agr, [ab.basis_vect(1), ab.basis_vect(0)], id="abelian-parity-swap"),
+            pytest.param(egr, [even.basis_vect(0)] * 2, id="abelian-collapse")]
 
 
 @pytest.mark.parametrize("gr, f", _rejected_maps())
@@ -666,11 +673,18 @@ def test_graded_table_matches_dense_brackets():
 
 
 def _count_calls(monkeypatch):
-    """Counts of Algebra.bracket and is_automorphism calls from here on."""
+    """Counts of Algebra.bracket, is_automorphism and mat_inverse calls from
+    here on."""
+    import heisgrad._linalg as linalg
+    import heisgrad.gradings as gradings
     import heisgrad.liealg as liealg
     import heisgrad.weyl as weyl
-    calls = {"bracket": 0, "is_automorphism": 0}
-    bracket, is_aut = Algebra.bracket, liealg.is_automorphism
+    calls = {"bracket": 0, "is_automorphism": 0, "mat_inverse": 0}
+    bracket, is_aut, inverse = Algebra.bracket, liealg.is_automorphism, linalg.mat_inverse
+
+    def counted_inverse(cols, ctx):
+        calls["mat_inverse"] += 1
+        return inverse(cols, ctx)
 
     def counted_bracket(self, x, y):
         calls["bracket"] += 1
@@ -683,6 +697,8 @@ def _count_calls(monkeypatch):
     monkeypatch.setattr(Algebra, "bracket", counted_bracket)
     monkeypatch.setattr(liealg, "is_automorphism", counted_is_aut)
     monkeypatch.setattr(weyl, "is_automorphism", counted_is_aut, raising=False)
+    for module in (linalg, gradings, weyl):
+        monkeypatch.setattr(module, "mat_inverse", counted_inverse, raising=False)
     return calls
 
 
@@ -695,6 +711,25 @@ def test_weyl_group_brackets_each_basis_pair_once(monkeypatch, make):
     assert rep.group.order == rep.formula_order
     assert calls["bracket"] <= len(gr.support) ** 2
     assert calls["is_automorphism"] == 0
+
+
+def _class_2_2_0_of_1_1_i_i():
+    ctx = CycloCtx(16)
+    one, ii = ctx.one(), ctx.i()
+    return twisted_fine([one, one, ii, ii], FineTwistedParams(2, 2, 0, (one, ii), ()))
+
+
+@pytest.mark.parametrize("make", [lambda: heisenberg_fine(6), lambda: super_fine(4, 4, 0),
+                                  _class_2_2_0_of_1_1_i_i],
+                         ids=["heisenberg-6", "super-4,4-r0", "twisted-1,1,i,i-2,2,0"])
+def test_weyl_group_inverts_one_matrix_per_grading(monkeypatch, make):
+    # the generators are moves between the component vectors: Grading.table
+    # inverts that basis once, and every printed matrix is built from it
+    gr = make()
+    calls = _count_calls(monkeypatch)
+    rep = weyl_group(gr)
+    assert rep.generators
+    assert calls["mat_inverse"] == 1
 
 
 def test_brute_force_brackets_no_more_than_the_closure(monkeypatch, ctx16, lam_iiii):
