@@ -124,6 +124,8 @@ class AbPresentation:
     relations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.n_gens < 0:
+            raise ValueError(f"n_gens must be >= 0, not {self.n_gens}")
         for row in self.relations:
             if len(row) != self.n_gens:
                 raise ValueError("relation length does not match generator count")

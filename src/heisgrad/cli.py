@@ -177,6 +177,10 @@ def cmd_enumerate_fine(args, out) -> int:
 
 
 def _grading_for_weyl(args) -> list:
+    for flag, value, family, given in (("--r", args.r, "--super", args.super),
+                                       ("--params", args.params, "--twisted", args.twisted)):
+        if value is not None and given is None:
+            raise CliError(f"{flag} applies to {family} only", PARSE_ERROR)
     if args.heisenberg is not None:
         return [heisenberg_fine(args.heisenberg)]
     if args.super is not None:
@@ -350,10 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate_fine)
 
     p = sub.add_parser("weyl", help="Weyl groups of fine gradings")
-    p.add_argument("--heisenberg", type=int, metavar="K")
-    p.add_argument("--super", metavar="K,M")
-    p.add_argument("--twisted", metavar="LAMBDA")
-    p.add_argument("--params", metavar="L,S,R;BETAS;ALPHAS")
+    family = p.add_mutually_exclusive_group()
+    family.add_argument("--heisenberg", type=int, metavar="K")
+    family.add_argument("--super", metavar="K,M")
+    family.add_argument("--twisted", metavar="LAMBDA")
+    p.add_argument("--params", metavar="L,S,R;BETAS;ALPHAS",
+                   help="a single class of --twisted")
     p.add_argument("--r", type=int, default=None,
                    help="restrict --super to a single r")
     p.add_argument("--fine", action="store_true",

@@ -31,41 +31,11 @@ __all__ = [
     "block_i", "block_ii", "rebase_scales_i", "rebase_scales_ii",
     "spectrum_check", "enumerate_twisted_fine", "equivalent_fine",
     "homogenize_u", "decompose_twisted_grading",
-    "primitive_root", "class_rep", "class_ratios", "scalar_class_key",
-    "scalar_class_data", "expected_twisted_group",
+    "primitive_root", "ScalarClasses", "expected_twisted_group",
 ]
 
 
 # --- scalar classes ----------------------------------------------------------
-
-def _class_members(x: CycloNum, modulus: int, root: CycloNum) -> list[CycloNum]:
-    out, cur = [], x
-    for _ in range(modulus):
-        out.append(cur)
-        cur = cur * root
-    return out
-
-
-def class_rep(x: CycloNum, modulus: int, root: CycloNum) -> CycloNum:
-    """The canonical (minimal) member of x's class up to multiplication by
-    the modulus-th roots of unity, which are the powers of root."""
-    return min(_class_members(x, modulus, root), key=lambda v: v.sort_key())
-
-
-def scalar_class_key(x: CycloNum, modulus: int, root: CycloNum):
-    return (modulus, class_rep(x, modulus, root).sort_key())
-
-
-def class_ratios(scalars, base: CycloNum, modulus: int,
-                 root: CycloNum) -> list[CycloNum]:
-    """Each value x / base * root^m (x in scalars, 0 <= m < modulus) once,
-    in the order first met."""
-    out = {}
-    for x in scalars:
-        for cur in _class_members(x / base, modulus, root):
-            out[cur] = None
-    return list(out)
-
 
 def primitive_root(ctx: CycloCtx, order: int, lam=()) -> CycloNum | None:
     """A primitive `order`-th root of unity in ctx, if one exists.
@@ -87,15 +57,62 @@ def primitive_root(ctx: CycloCtx, order: int, lam=()) -> CycloNum | None:
     return None
 
 
-def scalar_class_data(lam: list[CycloNum], l: int):
-    """The (modulus, root) pairs that define the classes of type-I and of
-    type-II block scalars for block order l: classes modulo the l-th roots
-    of unity, except type-I scalars for odd l, taken modulo 2l-th roots."""
-    xi = primitive_root(lam[0].ctx, l, lam)
-    if l % 2 == 0:
-        return (l, xi), (l, xi)
-    # -xi^((l+1)/2) is a primitive 2l-th root with square xi
-    return (2 * l, -(xi ** ((l + 1) // 2))), (l, xi)
+class ScalarClasses:
+    """The classes of the block scalars of block order l over lam: type-I
+    scalars (side 0) and type-II scalars (side 1) up to the l-th roots of
+    unity, except type-I scalars for odd l, taken up to the 2l-th roots.
+    roots[side] lists those roots, starting from 1; rep is memoized per
+    instance."""
+
+    def __init__(self, lam: list[CycloNum], l: int):
+        xi = primitive_root(lam[0].ctx, l, lam)
+        if xi is None:
+            raise ValueError(f"no primitive {l}-th root available")
+        roots = [lam[0].ctx.one()]
+        for _ in range(l - 1):
+            roots.append(roots[-1] * xi)
+        # for odd l the 2l-th roots are the l-th roots and their negatives
+        self.roots = (roots + [-r for r in roots] if l % 2 else roots, roots)
+        self._reps: tuple[dict, dict] = ({}, {})
+
+    def rep(self, x: CycloNum, side: int) -> CycloNum:
+        """The least member of x's class in sort_key order."""
+        reps = self._reps[side]
+        if x not in reps:
+            members = self._members(x, side)
+            reps.update(dict.fromkeys(members, min(members, key=lambda v: v.sort_key())))
+        return reps[x]
+
+    def _members(self, x: CycloNum, side: int) -> list[CycloNum]:
+        return [x] + [x * r for r in self.roots[side][1:]]
+
+    def profile(self, p: FineTwistedParams, eps: CycloNum | None = None):
+        """The class multisets of eps * p.betas and eps * p.alphas."""
+        return tuple(Counter(self.rep(x if eps is None else eps * x, side) for x in xs)
+                     for side, xs in enumerate((p.betas, p.alphas)))
+
+    def ratios(self, p: FineTwistedParams, q: FineTwistedParams) -> list[CycloNum]:
+        """The candidate eps of an equivalence of q with p: each x / y * root
+        for x among p's scalars of type I (type II when s = 0), y the first
+        of q's and root a root of that side, once, in the order first met."""
+        side = 0 if p.s else 1
+        xs, y = (p.betas, q.betas[0]) if p.s else (p.alphas, q.alphas[0])
+        return list(dict.fromkeys(m for x in xs for m in self._members(x / y, side)))
+
+    def equivalent(self, p: FineTwistedParams, q: FineTwistedParams) -> bool:
+        """Equal shape (l, s, r) and an eps with the class multisets of eps *
+        q's scalars equal to those of p's."""
+        if (p.l, p.s, p.r) != (q.l, q.s, q.r):
+            return False
+        want = self.profile(p)
+        return any(self.profile(q, eps) == want for eps in self.ratios(p, q))
+
+    def normalize(self, p: FineTwistedParams) -> FineTwistedParams:
+        """p with each block scalar replaced by its class representative, sorted."""
+        betas, alphas = (tuple(sorted((self.rep(x, side) for x in xs),
+                                      key=lambda v: v.sort_key()))
+                         for side, xs in enumerate((p.betas, p.alphas)))
+        return FineTwistedParams(p.l, p.s, p.r, betas, alphas)
 
 
 # --- parameters and the spectrum condition -----------------------------------
@@ -128,8 +145,10 @@ class FineTwistedParams:
 def _orbit(mu: CycloNum, xi: CycloNum, l: int, paired: bool) -> Counter:
     """The multiset {xi^t mu : 0 <= t < l}, with each value's negative too
     when paired."""
-    return Counter(y for x in _class_members(mu, l, xi)
-                   for y in ((x, -x) if paired else (x,)))
+    xs = [mu]
+    for _ in range(l - 1):
+        xs.append(xs[-1] * xi)
+    return Counter(y for x in xs for y in ((x, -x) if paired else (x,)))
 
 
 def _spectrum(lam) -> Counter:
@@ -448,16 +467,6 @@ def enumerate_super_fine(k: int, m: int) -> list[tuple[int, Grading]]:
     return [(r, super_fine(k, m, r)) for r in range(m // 2 + 1)]
 
 
-def _normalize_params(lam: list[CycloNum], p: FineTwistedParams) -> FineTwistedParams:
-    """Rescale block scalars to canonical class representatives and sort."""
-    (bm, br), (am, ar) = scalar_class_data(lam, p.l)
-    betas = sorted((class_rep(b, bm, br) for b in p.betas),
-                   key=lambda v: v.sort_key())
-    alphas = sorted((class_rep(x, am, ar) for x in p.alphas),
-                    key=lambda v: v.sort_key())
-    return FineTwistedParams(p.l, p.s, p.r, tuple(betas), tuple(alphas))
-
-
 def _assign_pairs(lam: list[CycloNum], values: list[CycloNum],
                   used: set[int]) -> list[tuple[int, bool]]:
     out = []
@@ -485,7 +494,7 @@ def twisted_fine(lam: list[CycloNum], p: FineTwistedParams) -> Grading:
     parameter vector lam, over its universal grading group."""
     if not spectrum_check(lam, p):
         raise ValueError("parameters fail the spectrum condition")
-    return _twisted_fine(twisted(lam), lam, _normalize_params(lam, p))
+    return _twisted_fine(twisted(lam), lam, ScalarClasses(lam, p.l).normalize(p))
 
 
 def _twisted_fine(a: Algebra, lam: list[CycloNum], p: FineTwistedParams) -> Grading:
@@ -596,15 +605,6 @@ def _extract_blocks(spec: Counter, l: int, s: int, r: int,
     return out
 
 
-def param_sort_key(lam: list[CycloNum], p: FineTwistedParams):
-    (bm, br), (am, ar) = scalar_class_data(lam, p.l)
-    bkeys = sorted(scalar_class_key(b, bm, br) for b in p.betas)
-    akeys = sorted(scalar_class_key(x, am, ar) for x in p.alphas)
-    return (p.l, p.s, p.r, tuple(bkeys), tuple(akeys),
-            tuple(b.sort_key() for b in p.betas),
-            tuple(x.sort_key() for x in p.alphas))
-
-
 def enumerate_twisted_fine(lam: list[CycloNum]) -> list[FineTwistedParams]:
     """Representatives of the equivalence classes of fine gradings on the
     twisted Heisenberg algebra with parameter vector lam."""
@@ -612,10 +612,12 @@ def enumerate_twisted_fine(lam: list[CycloNum]) -> list[FineTwistedParams]:
     k = len(lam)
     spec = _spectrum(lam)
     found: list[FineTwistedParams] = []
+    classes: dict[int, ScalarClasses] = {}
     for l in divisors(2 * k):
         xi = primitive_root(ctx, l, lam)
         if xi is None:
             continue
+        classes[l] = ScalarClasses(lam, l)
         per_block = 2 * k // l
         for s in range(per_block // 2 + 1):
             r = per_block - 2 * s
@@ -624,11 +626,14 @@ def enumerate_twisted_fine(lam: list[CycloNum]) -> list[FineTwistedParams]:
             for betas, alphas in _extract_blocks(spec, l, s, r, xi):
                 p = FineTwistedParams(l, s, r, betas, alphas)
                 if spectrum_check(lam, p):
-                    found.append(_normalize_params(lam, p))
-    found.sort(key=lambda p: param_sort_key(lam, p))
+                    found.append(classes[l].normalize(p))
+    # normalized scalars are sorted class representatives, so their own
+    # sort keys order the classes
+    found.sort(key=lambda p: (p.l, p.s, p.r, tuple(b.sort_key() for b in p.betas),
+                              tuple(x.sort_key() for x in p.alphas)))
     reps: list[FineTwistedParams] = []
     for p in found:
-        if not any(equivalent_fine(lam, p, q) for q in reps):
+        if not any(classes[p.l].equivalent(p, q) for q in reps):
             reps.append(p)
     return reps
 
@@ -643,26 +648,8 @@ def equivalent_fine(lam: list[CycloNum], p: FineTwistedParams,
                     q: FineTwistedParams) -> bool:
     """Equivalence of two fine-grading parameter tuples: equal shape
     (l, s, r) and a scalar epsilon matching the class multisets of the
-    block scalars (classes modulo l-th roots for even l, modulo 2l-th
-    roots for odd l on the type-I side)."""
-    if (p.l, p.s, p.r) != (q.l, q.s, q.r):
-        return False
-    (bm, br), (am, ar) = scalar_class_data(lam, p.l)
-    pb = Counter(scalar_class_key(b, bm, br) for b in p.betas)
-    pa = Counter(scalar_class_key(x, am, ar) for x in p.alphas)
-
-    def matches(eps: CycloNum) -> bool:
-        qb = Counter(scalar_class_key(eps * b, bm, br) for b in q.betas)
-        if qb != pb:
-            return False
-        qa = Counter(scalar_class_key(eps * x, am, ar) for x in q.alphas)
-        return qa == pa
-
-    if p.s:
-        cands = class_ratios(p.betas, q.betas[0], bm, br)
-    else:
-        cands = class_ratios(p.alphas, q.alphas[0], am, ar)
-    return any(matches(eps) for eps in cands)
+    block scalars (see ScalarClasses)."""
+    return (p.l, p.s, p.r) == (q.l, q.s, q.r) and ScalarClasses(lam, p.l).equivalent(p, q)
 
 
 # --- recovering block data from an arbitrary grading -------------------------

@@ -18,9 +18,8 @@ from math import factorial, lcm, prod
 
 from ._linalg import Vect, is_zero_vect, mat_apply, reduce_against, rref, vscale
 from .abelian import smith_normal_form
-from .fine import (FineTwistedParams, HeisenbergFine, SuperFine, TwistedFine,
-                   class_ratios, rebase_scales_i, rebase_scales_ii,
-                   scalar_class_data, scalar_class_key)
+from .fine import (FineTwistedParams, HeisenbergFine, ScalarClasses, SuperFine,
+                   TwistedFine, rebase_scales_i, rebase_scales_ii)
 from .gradings import Grading
 from .liealg import Algebra, LinMap, center, derived
 from .scalars import CycloNum, root_of_unity_order
@@ -301,15 +300,9 @@ def _twisted_generators(a: Algebra, fam: TwistedFine) -> Named:
             gens.append((f"swap_II({t + 1},{t + 2})",
                          _swap(a, blocks_ii[t].xs, blocks_ii[t + 1].xs)))
 
-    # spectrum rotations u -> u/eps for every root of unity eps that
-    # permutes the block-scalar class multisets; block j goes onto block
-    # tau(j) rebased to the scalar eps * beta_j
-    beta_cls, alpha_cls = scalar_class_data(lam, l)
-    for eps in _epsilon_candidates(lam, p):
-        tau_b = _class_bijection(p.betas, eps, *beta_cls)
-        tau_a = _class_bijection(p.alphas, eps, *alpha_cls)
-        if tau_b is None or tau_a is None:
-            continue
+    # spectrum rotations u -> u/eps; block j goes onto block tau(j) rebased
+    # to the scalar eps * beta_j
+    for eps, tau_b, tau_a in _spectrum_rotations(lam, p):
         moves = [(fam.u, fam.u, eps.inv()), (fam.z, fam.z, eps)]
         for blk, beta, src in zip(blocks_i, p.betas, (blocks_i[j] for j in tau_b)):
             swap, xsc, ysc = rebase_scales_i(l, eps * beta / src.alpha)
@@ -322,29 +315,32 @@ def _twisted_generators(a: Algebra, fam: TwistedFine) -> Named:
     return gens
 
 
-def _epsilon_candidates(lam: list[CycloNum], p: FineTwistedParams) -> list[CycloNum]:
+def _epsilon_candidates(classes: ScalarClasses, p: FineTwistedParams) -> list[CycloNum]:
     """The roots of unity other than 1 among the ratios of block-scalar
     classes, sorted."""
-    beta_cls, alpha_cls = scalar_class_data(lam, p.l)
-    scalars, (mod, root) = (p.betas, beta_cls) if p.s else (p.alphas, alpha_cls)
-    one = lam[0].ctx.one()
-    cands = [eps for eps in class_ratios(scalars, scalars[0], mod, root)
-             if eps != one and root_of_unity_order(eps) is not None]
+    cands = [eps for eps in classes.ratios(p, p)
+             if eps != eps.ctx.one() and root_of_unity_order(eps) is not None]
     return sorted(cands, key=lambda v: v.sort_key())
 
 
-def _class_bijection(scalars, eps, mod: int, root: CycloNum):
-    """tau with class(eps * scalars[j]) = class(scalars[tau(j)]), grouping
-    equal scalars; None when eps does not permute the class multiset."""
-    if not scalars:
-        return []
-    keys = [scalar_class_key(x, mod, root) for x in scalars]
-    if Counter(scalar_class_key(eps * x, mod, root) for x in scalars) != Counter(keys):
-        return None
+def _spectrum_rotations(lam: list[CycloNum], p: FineTwistedParams):
+    """(eps, tau_b, tau_a) for each candidate eps that permutes the class
+    multisets of the block scalars, in candidate order: tau sends j to an
+    index whose scalar has the class of eps times the j-th."""
+    classes = ScalarClasses(lam, p.l)
+    profile = classes.profile(p)
+    return [(eps, _class_bijection(classes, p.betas, eps, 0),
+             _class_bijection(classes, p.alphas, eps, 1))
+            for eps in _epsilon_candidates(classes, p) if classes.profile(p, eps) == profile]
+
+
+def _class_bijection(classes: ScalarClasses, scalars, eps: CycloNum, side: int) -> list[int]:
+    """tau with class(eps * scalars[j]) = class(scalars[tau(j)]), pairing
+    the indices of one class in order; eps must permute the classes."""
     pools: dict = {}
-    for j, key in enumerate(keys):
-        pools.setdefault(key, []).append(j)
-    return [pools[scalar_class_key(eps * x, mod, root)].pop(0) for x in scalars]
+    for j, x in enumerate(scalars):
+        pools.setdefault(classes.rep(x, side), []).append(j)
+    return [pools[classes.rep(eps * x, side)].pop(0) for x in scalars]
 
 
 _GENERATORS = {HeisenbergFine: _heisenberg_generators, SuperFine: _super_generators,
@@ -385,56 +381,39 @@ class PQSplit:
 
 
 def compute_pq(lam: list[CycloNum], p: FineTwistedParams) -> PQSplit:
-    ctx = lam[0].ctx
-    (bm, br), (am, ar) = scalar_class_data(lam, p.l)
-    bkeys = Counter(scalar_class_key(b, bm, br) for b in p.betas)
-    akeys = Counter(scalar_class_key(x, am, ar) for x in p.alphas)
+    classes = ScalarClasses(lam, p.l)
+    profile = classes.profile(p)
 
     def split_ok(eps, order) -> bool:
         # multiset reading: each orbit of classes has constant multiplicity
         # and order divides multiplicity * orbit length
-        for keys, mod, root, scalars in ((bkeys, bm, br, p.betas),
-                                         (akeys, am, ar, p.alphas)):
-            if not scalars:
-                continue
+        for side, keys in enumerate(profile):
             seen = set()
             for key in keys:
                 if key in seen:
                     continue
-                rep = min((x for x in scalars
-                           if scalar_class_key(x, mod, root) == key),
-                          key=lambda v: v.sort_key())
-                orbit = []
-                cur = rep
-                while True:
-                    k = scalar_class_key(cur, mod, root)
-                    if k in [o[0] for o in orbit]:
-                        break
-                    orbit.append((k, keys.get(k, 0)))
-                    cur = eps * cur
-                mults = {m for _, m in orbit}
+                orbit, cur = [], key
+                while cur not in orbit:
+                    orbit.append(cur)
+                    cur = classes.rep(eps * cur, side)
+                mults = {keys[k] for k in orbit}
                 if len(mults) != 1 or 0 in mults:
                     return False
-                mult = mults.pop()
-                if (mult * len(orbit)) % order:
+                if (mults.pop() * len(orbit)) % order:
                     return False
-                seen.update(k for k, _ in orbit)
+                seen.update(orbit)
         return True
 
-    best = (1, ctx.one())
-    for eps in _epsilon_candidates(lam, p):
+    best = (1, None)
+    for eps in _epsilon_candidates(classes, p):
         order = root_of_unity_order(eps)
-        if order is None or order <= best[0]:
-            continue
-        if split_ok(eps, order):
+        if order > best[0] and split_ok(eps, order):
             best = (order, eps)
     pval, eps = best
     q = 1
     if pval > 1:
-        mod, root = (bm, br) if p.s else (am, ar)
-        trivial = scalar_class_key(ctx.one(), mod, root)
-        cur = eps
-        while scalar_class_key(cur, mod, root) != trivial:
+        roots, cur = classes.roots[0 if p.s else 1], eps
+        while cur not in roots:  # the class of 1
             cur = cur * eps
             q += 1
     return PQSplit(pval, q)

@@ -1,18 +1,21 @@
 """Shared helpers: random automorphisms of the Heisenberg families and
 grading transport, used for randomized verification sweeps, an
-exhaustive oracle for the Weyl-group brute force, and dense oracles for
-the sparse axiom checks, the induced permutations and `Grading.table`."""
+exhaustive oracle for the Weyl-group brute force, dense oracles for
+the sparse axiom checks, the induced permutations and `Grading.table`,
+and a key-based oracle for the block-scalar classes."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from heisgrad._linalg import (is_zero_vect, line_coeff, mat_apply, reduce_against,
                               rref, vadd, vscale)
 from heisgrad.abelian import smith_normal_form
-from heisgrad.fine import twist
+from heisgrad.fine import primitive_root, twist
 from heisgrad.gradings import Grading
 from heisgrad.liealg import (Algebra, LinMap, VerifyReport, center, compose_maps,
                              derived, identity_map, is_automorphism)
+from heisgrad.scalars import root_of_unity_order
 from heisgrad.weyl import GradedAut, PermGroup
 
 
@@ -424,3 +427,147 @@ def assert_table_matches_dense(gr: Grading):
                 assert c
                 want = vadd(want, vscale(c, basis[k]))
             assert a.bracket(basis[i], bj) == want, (i, j)
+
+
+# --- block-scalar classes, one (modulus, root) pair per side ----------------
+#
+# The classes of the block scalars spelled out key by key: a class is
+# (modulus, sort key of its least member), with members walked as powers
+# of one primitive modulus-th root.  heisgrad.fine.ScalarClasses answers
+# the same questions through memoized representatives.
+
+def _class_members(x, modulus, root):
+    out, cur = [], x
+    for _ in range(modulus):
+        out.append(cur)
+        cur = cur * root
+    return out
+
+
+def class_rep(x, modulus, root):
+    """The least member of x's class up to the powers of root."""
+    return min(_class_members(x, modulus, root), key=lambda v: v.sort_key())
+
+
+def scalar_class_key(x, modulus, root):
+    return (modulus, class_rep(x, modulus, root).sort_key())
+
+
+def _class_ratios(scalars, base, modulus, root):
+    out = {}
+    for x in scalars:
+        for cur in _class_members(x / base, modulus, root):
+            out[cur] = None
+    return list(out)
+
+
+def scalar_class_data(lam, l):
+    """(modulus, root) of the type-I and of the type-II classes: the l-th
+    roots of unity, except the 2l-th roots for type I when l is odd."""
+    xi = primitive_root(lam[0].ctx, l, lam)
+    if l % 2 == 0:
+        return (l, xi), (l, xi)
+    # -xi^((l+1)/2) is a primitive 2l-th root with square xi
+    return (2 * l, -(xi ** ((l + 1) // 2))), (l, xi)
+
+
+def equivalent_fine(lam, p, q):
+    if (p.l, p.s, p.r) != (q.l, q.s, q.r):
+        return False
+    (bm, br), (am, ar) = scalar_class_data(lam, p.l)
+    pb = Counter(scalar_class_key(b, bm, br) for b in p.betas)
+    pa = Counter(scalar_class_key(x, am, ar) for x in p.alphas)
+
+    def matches(eps):
+        qb = Counter(scalar_class_key(eps * b, bm, br) for b in q.betas)
+        qa = Counter(scalar_class_key(eps * x, am, ar) for x in q.alphas)
+        return qb == pb and qa == pa
+
+    if p.s:
+        cands = _class_ratios(p.betas, q.betas[0], bm, br)
+    else:
+        cands = _class_ratios(p.alphas, q.alphas[0], am, ar)
+    return any(matches(eps) for eps in cands)
+
+
+def _epsilon_candidates(lam, p):
+    beta_cls, alpha_cls = scalar_class_data(lam, p.l)
+    scalars, (mod, root) = (p.betas, beta_cls) if p.s else (p.alphas, alpha_cls)
+    one = lam[0].ctx.one()
+    cands = [eps for eps in _class_ratios(scalars, scalars[0], mod, root)
+             if eps != one and root_of_unity_order(eps) is not None]
+    return sorted(cands, key=lambda v: v.sort_key())
+
+
+def _class_bijection(scalars, eps, mod, root):
+    """tau with class(eps * scalars[j]) = class(scalars[tau(j)]); None when
+    eps does not permute the class multiset."""
+    if not scalars:
+        return []
+    keys = [scalar_class_key(x, mod, root) for x in scalars]
+    if Counter(scalar_class_key(eps * x, mod, root) for x in scalars) != Counter(keys):
+        return None
+    pools = {}
+    for j, key in enumerate(keys):
+        pools.setdefault(key, []).append(j)
+    return [pools[scalar_class_key(eps * x, mod, root)].pop(0) for x in scalars]
+
+
+def spectrum_rotations(lam, p):
+    """(eps, tau_b, tau_a) for each candidate eps permuting both class
+    multisets, in candidate order."""
+    beta_cls, alpha_cls = scalar_class_data(lam, p.l)
+    out = []
+    for eps in _epsilon_candidates(lam, p):
+        tau_b = _class_bijection(p.betas, eps, *beta_cls)
+        tau_a = _class_bijection(p.alphas, eps, *alpha_cls)
+        if tau_b is not None and tau_a is not None:
+            out.append((eps, tau_b, tau_a))
+    return out
+
+
+def compute_pq(lam, p):
+    """(p, q) of the closed form: the largest order of a candidate eps whose
+    orbits of classes have constant multiplicity m with order | m * length,
+    and the least q with eps^q in the class of 1."""
+    (bm, br), (am, ar) = scalar_class_data(lam, p.l)
+    bkeys = Counter(scalar_class_key(b, bm, br) for b in p.betas)
+    akeys = Counter(scalar_class_key(x, am, ar) for x in p.alphas)
+
+    def split_ok(eps, order):
+        for keys, mod, root, scalars in ((bkeys, bm, br, p.betas),
+                                         (akeys, am, ar, p.alphas)):
+            seen = set()
+            for key in keys:
+                if key in seen:
+                    continue
+                cur = min((x for x in scalars if scalar_class_key(x, mod, root) == key),
+                          key=lambda v: v.sort_key())
+                orbit = []
+                while True:
+                    k = scalar_class_key(cur, mod, root)
+                    if k in [o[0] for o in orbit]:
+                        break
+                    orbit.append((k, keys.get(k, 0)))
+                    cur = eps * cur
+                mults = {m for _, m in orbit}
+                if len(mults) != 1 or 0 in mults or (mults.pop() * len(orbit)) % order:
+                    return False
+                seen.update(k for k, _ in orbit)
+        return True
+
+    best = (1, None)
+    for eps in _epsilon_candidates(lam, p):
+        order = root_of_unity_order(eps)
+        if order > best[0] and split_ok(eps, order):
+            best = (order, eps)
+    pval, eps = best
+    q = 1
+    if pval > 1:
+        mod, root = (bm, br) if p.s else (am, ar)
+        trivial = scalar_class_key(lam[0].ctx.one(), mod, root)
+        cur = eps
+        while scalar_class_key(cur, mod, root) != trivial:
+            cur = cur * eps
+            q += 1
+    return pval, q

@@ -108,3 +108,29 @@ def test_bracket_work_per_benchmark_pass_is_bounded(monkeypatch):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 heisgrad.cli.main(job["argv"])
         assert calls[0] <= bound, workload
+
+
+def test_scalar_work_per_benchmark_pass_is_bounded(monkeypatch):
+    # one ScalarClasses per (lam, l) memoizes each scalar's class
+    # representative, so the enumeration, its equivalence test, the
+    # spectrum rotations and the closed form share their products and sort
+    # keys; the bounds are the counts of the seed-23 batches at that design
+    workloads = _load_bench("workloads")
+    calls = {"mul": 0, "sort_key": 0}
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(CycloNum, "__mul__", counted("mul", CycloNum.__mul__))
+    monkeypatch.setattr(CycloNum, "__rmul__", counted("mul", CycloNum.__rmul__))
+    monkeypatch.setattr(CycloNum, "sort_key", counted("sort_key", CycloNum.sort_key))
+    for workload, bound in (("enumerate", {"mul": 12008, "sort_key": 858}),
+                            ("weyl-brute", {"mul": 12580, "sort_key": 231})):
+        calls.update(mul=0, sort_key=0)
+        for job in workloads.make_jobs(workload, 23):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                heisgrad.cli.main(job["argv"])
+        assert all(calls[name] <= bound[name] for name in bound), (workload, calls)

@@ -458,6 +458,36 @@ def test_negative_group_rank_is_a_parse_error(capsys):
     assert capsys.readouterr().err == "error: bad grading spec: rank must be >= 0, not -1\n"
 
 
+def test_negative_generator_count_is_a_parse_error(capsys):
+    spec = {"algebra": {"kind": "heisenberg", "k": 1},
+            "group": {"n_gens": -1, "relations": []}, "components": []}
+    code, out = run_cli("verify", json.dumps(spec))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: bad grading spec: n_gens must be >= 0, not -1\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--heisenberg", "2", "--super", "1,2"), "--super"),
+    (("--super", "1,2", "--twisted", "1,2"), "--twisted"),
+])
+def test_weyl_family_flags_are_exclusive(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl", *argv])
+    assert exc.value.code == 2
+    assert f"argument {flag}: not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--heisenberg", "1", "--r", "1"), "--r applies to --super only"),
+    (("--twisted", "1,2", "--r", "0"), "--r applies to --super only"),
+    (("--super", "1,2", "--params", "1,2,0;1,2"), "--params applies to --twisted only"),
+    (("--brute",), "choose one of --heisenberg, --super or --twisted"),
+])
+def test_weyl_flag_outside_its_family_is_a_parse_error(argv, message, capsys):
+    assert run_cli("weyl", *argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_rejects_vector_of_wrong_length(capsys):
     spec = {
         "algebra": {"kind": "heisenberg", "k": 1},

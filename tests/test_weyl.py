@@ -12,17 +12,19 @@ from sympy.utilities.iterables import partitions
 from heisgrad._linalg import mat_apply, mat_inverse, vadd, vscale
 from heisgrad.abelian import AbGroup
 from heisgrad.fine import (FineTwistedParams, enumerate_super_fine, enumerate_twisted_fine,
-                           heisenberg_fine, super_fine, twisted_fine,
+                           equivalent_fine, heisenberg_fine, super_fine, twisted_fine,
                            twisted_fine_nontoral, twisted_fine_toral)
 from heisgrad.gradings import Grading
 from heisgrad.liealg import Algebra, compose_maps, identity_map
 from heisgrad.scalars import CycloCtx, parse_scalar
 from heisgrad.cli import auto_conductor, main
-from heisgrad.weyl import (CapExceeded, _landau, _perm_order, closure, compute_pq,
+from heisgrad.weyl import (CapExceeded, _landau, _perm_order, _spectrum_rotations,
+                           closure, compute_pq,
                            induced_permutation, perm_cycles,
                            standard_generators, weyl_bruteforce, weyl_group,
                            weyl_order_formula)
 
+import _helpers as oracle
 from _helpers import (assert_table_matches_dense, dense_induced_permutation,
                       extendable_permutations)
 
@@ -344,6 +346,33 @@ def test_closed_form_disagreements_are_pinned(text):
             if len(gr.support) <= 16:
                 assert weyl_bruteforce(gr).order == rep.group.order
     assert found == DISAGREEMENTS[text]
+
+
+@pytest.mark.parametrize("text", list(DISAGREEMENTS))
+def test_scalar_classes_match_the_key_oracle(text):
+    # the closed form, the spectrum rotations and the equivalence test read
+    # the same classes as the key-by-key oracle on every enumerated class;
+    # each class also meets a copy with its scalars moved within their
+    # classes by roots of unity and reordered
+    entries = text.split(",")
+    ctx = CycloCtx(auto_conductor(text, len(entries)))
+    lam = [parse_scalar(e, ctx) for e in entries]
+    classes = enumerate_twisted_fine(lam)
+    copies = []
+    for p in classes:
+        pq = compute_pq(lam, p)
+        assert (pq.p, pq.q) == oracle.compute_pq(lam, p)
+        assert _spectrum_rotations(lam, p) == oracle.spectrum_rotations(lam, p)
+        (bm, br), (am, ar) = oracle.scalar_class_data(lam, p.l)
+        betas = [b * br ** (j + 1) for j, b in enumerate(p.betas)]
+        alphas = [x * ar ** (j + 1) for j, x in enumerate(p.alphas)]
+        copies.append(FineTwistedParams(p.l, p.s, p.r, tuple(reversed(betas)),
+                                        tuple(reversed(alphas))))
+    for p, q in zip(classes, copies):
+        assert equivalent_fine(lam, p, q) and equivalent_fine(lam, q, p)
+    for p in classes:
+        for q in classes + copies:
+            assert equivalent_fine(lam, p, q) == oracle.equivalent_fine(lam, p, q)
 
 
 def test_triple_repeated_lambda_all_checks():
