@@ -115,12 +115,12 @@ def combinations(vecs: list[Vect], rows: list[Vect], ctx: CycloCtx) -> list[Vect
     return basis
 
 
-def intersection(rows_a: list[Vect], rows_b: list[Vect], ctx: CycloCtx) -> list[Vect]:
-    """Basis (rref) of span(rows_a) intersected with span(rows_b): the
-    combinations of rows_a whose residues against rref(rows_b) cancel."""
-    if not rows_a or not rows_b:
+def intersection(rows_a: list[Vect], span_b: tuple, ctx: CycloCtx) -> list[Vect]:
+    """Basis (rref) of span(rows_a) intersected with that of span_b = rref(rows_b):
+    the combinations of rows_a whose residues against span_b cancel."""
+    basis, pivots = span_b
+    if not rows_a or not basis:
         return []
-    basis, pivots = rref(rows_b)
     residues = [reduce_against(basis, pivots, v) for v in rows_a]
     return combinations(rows_a, transpose(residues), ctx)
 

@@ -177,6 +177,7 @@ def color_algebra(t: ColorType, ctx: CycloCtx | None = None) -> tuple[Algebra, G
         table[s][s] = z_vec
     algebra = Algebra(ctx, tuple(labels), (0,) * dim,
                       tuple(tuple(row) for row in table))
+    algebra.skew = False
     comps: dict[GroupElt, list[Vect]] = {}
     for i, g in enumerate(degrees):
         comps.setdefault(g, []).append(algebra.basis_vect(i))

@@ -12,10 +12,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import ClassVar, Iterator
 
-from ._linalg import (Vect, combinations, intersection, is_zero_vect,
-                      line_coeff, mat_apply, rank, transpose, vadd, vscale,
+from ._linalg import (Vect, combinations, intersection, is_zero_vect, kernel,
+                      line_coeff, mat_apply, rref, transpose, vadd, vscale,
                       vsub)
 from .abelian import AbGroup, GroupElt, group_product
 from .liealg import Algebra, heisenberg, heisenberg_super, twisted
@@ -693,12 +694,13 @@ def _graded_pieces(gr: Grading, ambient: list[Vect]) -> dict[GroupElt, list[Vect
     """Intersections of a graded subspace with the components."""
     out = {}
     total = 0
+    span = rref(ambient)
     for g in gr.support:
-        inter = intersection(list(gr.components[g]), ambient, gr.algebra.ctx)
+        inter = intersection(list(gr.components[g]), span, gr.algebra.ctx)
         if inter:
             out[g] = inter
             total += len(inter)
-    if total != rank(ambient):
+    if total != len(span[0]):
         raise ValueError("subspace is not graded")
     return out
 
@@ -734,10 +736,11 @@ def decompose_twisted_grading(gr: Grading):
     images = [phi_pow(v, l) for v in ambient]
     spectrum = sorted(_spectrum(lam), key=lambda v: v.sort_key())
 
-    def v_l(mu: CycloNum) -> list[Vect]:
+    @cache
+    def v_l(mu: CycloNum) -> tuple[list[Vect], list[int]]:  # rref of V_mu^l, once per mu
         mul = mu ** l
         rows = transpose([vsub(img, vscale(mul, v)) for img, v in zip(images, ambient)])
-        return combinations(ambient, rows, ctx)
+        return rref([mat_apply(ambient, c) for c in kernel(rows, ctx, len(ambient))])
 
     remaining = _graded_pieces(gr, ambient)
     blocks_i: list[BlockI] = []
@@ -756,7 +759,7 @@ def decompose_twisted_grading(gr: Grading):
         hit = None
         for mu in spectrum:
             vl = v_l(mu)
-            if not vl:
+            if not vl[0]:
                 continue
             for g in sorted(remaining, key=lambda e: e.key()):
                 inter = intersection(remaining[g], vl, ctx)
@@ -808,9 +811,9 @@ def _centralizer_in(a: Algebra, vecs: list[Vect], targets: list[Vect]) -> list[V
     return combinations(vecs, rows, a.ctx)
 
 
-def _find_selfpaired(a: Algebra, remaining, vl: list[Vect], ctx, phi, z: Vect):
-    """A homogeneous x in the remaining part of V_mu^l with [x, phi(x)] != 0,
-    or None when the pairing form vanishes identically there."""
+def _find_selfpaired(a: Algebra, remaining, vl: tuple, ctx, phi, z: Vect):
+    """A homogeneous x in the remaining part of V_mu^l (vl, its rref) with
+    [x, phi(x)] != 0, or None when the pairing form vanishes identically there."""
 
     def q_value(v: Vect) -> CycloNum:
         return line_coeff(a.bracket(v, phi(v)), z)
@@ -829,9 +832,9 @@ def _find_selfpaired(a: Algebra, remaining, vl: list[Vect], ctx, phi, z: Vect):
     return None
 
 
-def _find_partner(a: Algebra, remaining, x: Vect, vl_partner: list[Vect], ctx) -> Vect:
+def _find_partner(a: Algebra, remaining, x: Vect, vl_partner: tuple, ctx) -> Vect:
     """A homogeneous y in the remaining part of the partner eigenspace
-    with [x, y] != 0."""
+    (vl_partner, its rref) with [x, y] != 0."""
     for g in sorted(remaining, key=lambda e: e.key()):
         for y in intersection(remaining[g], vl_partner, ctx):
             if not is_zero_vect(a.bracket(x, y)):

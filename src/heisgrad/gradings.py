@@ -98,6 +98,12 @@ class Grading:
             block = self._brackets[i, j] = [bracket(x, y) for x in xs for y in ys]
         return block
 
+    def spanning_brackets(self, g: GroupElt, h: GroupElt) -> list[Vect]:
+        """brackets(g, h), or the memoized brackets(h, g): in a skew algebra
+        (Algebra.skew) with parity-graded components both span [V_g, V_h]."""
+        i, j = self._slots[g][0], self._slots[h][0]
+        return self._brackets.get((i, j)) or self._brackets.get((j, i)) or self.brackets(g, h)
+
 
 def decomposition_failure(vecs: list[Vect], dim: int) -> str:
     """The failure message for component vectors that are not a basis."""
@@ -108,7 +114,9 @@ def decomposition_failure(vecs: list[Vect], dim: int) -> str:
 def verify_grading(gr: Grading) -> VerifyReport:
     """Check span, independence, parity splitting (super), bracket
     compatibility and that the support generates the group; stops at the
-    first failure."""
+    first failure.  In a skew algebra (Algebra.skew), parity-graded components
+    have [V_h, V_g] = [V_g, V_h], so each unordered pair is bracketed once, g
+    at or before h in support order; other algebras get both orientations."""
     a = gr.algebra
     support = gr.support
     all_vecs = [v for g in support for v in gr.components[g]]
@@ -120,9 +128,10 @@ def verify_grading(gr: Grading) -> VerifyReport:
                   for v in gr.components[g] for p in (0, 1)]
         if rank(pieces) != len(gr.components[g]):
             return VerifyReport(False, [f"component {g} is not parity-graded"])
-    for g in support:
-        for h in support:
-            prods = list(filter(any, gr.brackets(g, h)))  # the nonzero brackets
+    skew = a.skew
+    for i, g in enumerate(support):
+        for h in support[i:] if skew else support:
+            prods = list(filter(any, (gr.spanning_brackets if skew else gr.brackets)(g, h)))
             if not prods:
                 continue
             target = g + h
@@ -143,16 +152,15 @@ def universal_group(gr: Grading) -> tuple[AbGroup, Grading]:
     """The universal grading group (one generator per support element,
     one relation per nonzero bracket pair) and the regraded copy, which
     keeps the brackets and spans computed so far under its new degrees.
-    A pair is read in either orientation: [x, y] = 0 iff [y, x] = 0."""
+    A pair is read in either orientation, as verify_grading reads it in a
+    skew algebra: [V_g, V_h] = 0 iff [V_h, V_g] = 0."""
     support = gr.support
     n = len(support)
     pos = {g: i for i, g in enumerate(support)}
-    memo, ix = gr._brackets, [gr._slots[g][0] for g in support]  # the memo's keys
     rows = []
     for i, g in enumerate(support):
         for j, h in enumerate(support[i:], start=i):
-            block = memo.get((ix[i], ix[j])) or memo.get((ix[j], ix[i])) or gr.brackets(g, h)
-            if any(map(any, block)):  # a nonzero bracket
+            if any(map(any, gr.spanning_brackets(g, h))):  # a nonzero bracket
                 k = pos.get(g + h)
                 if k is None:
                     raise ValueError("not a grading: bracket leaves the support")
@@ -526,8 +534,10 @@ def grading_to_json(gr: Grading) -> dict:
 
 
 def grading_from_json(spec: dict, ctx=None) -> Grading:
+    """The grading of a JSON spec; one memo parses each scalar text once."""
     spec = json_typed(spec, "object", "the grading")
-    algebra = algebra_from_json(spec["algebra"], ctx)
+    memo: dict = {}
+    algebra = algebra_from_json(spec["algebra"], ctx, memo)
     gspec = json_typed(spec["group"], "object", "the group")
     images = None
     if "relations" in gspec:
@@ -551,7 +561,7 @@ def grading_from_json(spec: dict, ctx=None) -> Grading:
                 g = g + c * img
         else:
             g = elt_from_json(group, dspec)
-        vecs = tuple(vect_from_json(v, algebra.ctx, algebra.dim)
+        vecs = tuple(vect_from_json(v, algebra.ctx, algebra.dim, memo)
                      for v in json_typed(entry["vectors"], "array", "vectors"))
         if g in comps:
             raise ValueError(f"duplicate component degree {g}")

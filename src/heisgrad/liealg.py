@@ -48,12 +48,15 @@ class Algebra:
     spec: dict | None = None  # JSON form of a heisenberg, super or twisted algebra
     # terms[i] = ((j, ((k, c), ...)), ...): the nonzero c = [b_i, b_j]_k
     terms: tuple = field(init=False, repr=False, compare=False)
+    _zero: Vect = field(init=False, repr=False, compare=False)  # the one zero_vect()
+    skew = True  # [b_j, b_i] = -(-1)^(p_i p_j) [b_i, b_j]; color_algebra clears it
 
     def __post_init__(self):
         self.terms = tuple(
             tuple((j, tuple((k, c) for k, c in enumerate(t) if c))
                   for j, t in enumerate(row) if not is_zero_vect(t))
             for row in self.table)
+        self._zero = vzero(self.ctx, self.dim)
 
     @property
     def dim(self) -> int:
@@ -64,7 +67,7 @@ class Algebra:
         return tuple(one if j == i else zero for j in range(self.dim))
 
     def zero_vect(self) -> Vect:
-        return vzero(self.ctx, self.dim)
+        return self._zero
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
@@ -73,7 +76,8 @@ class Algebra:
         return any(self.parity)
 
     def bracket(self, a: Vect, b: Vect) -> Vect:
-        out = list(self.zero_vect())
+        """[a, b]; zero_vect() itself when no structure constant is met."""
+        out = None
         for ai, row in zip(a, self.terms):
             if not ai:
                 continue
@@ -81,10 +85,12 @@ class Algebra:
                 bj = b[j]
                 if not bj:
                     continue
+                if out is None:
+                    out = list(self._zero)
                 c = ai * bj
                 for k, tk in t:
                     out[k] = out[k] + c * tk
-        return tuple(out)
+        return self._zero if out is None else tuple(out)
 
     def vect_parity(self, v: Vect) -> int | None:
         """0/1 for a parity-homogeneous vector, None for mixed."""
@@ -307,15 +313,27 @@ def json_ints(value, what: str) -> tuple[int, ...]:
     return tuple(json_int(x, what) for x in json_typed(value, "array", what))
 
 
-def vect_from_json(value, ctx: CycloCtx, dim: int) -> Vect:
+def _scalar_from_json(text, ctx: CycloCtx, memo: dict) -> CycloNum:
+    """parse_scalar(text, ctx), once per distinct text of one JSON document:
+    memo holds the values parsed so far, all in ctx, and lives for one call."""
+    if not isinstance(text, str):  # no key (a list, say); parse_scalar says why
+        return parse_scalar(text, ctx)
+    if text not in memo:
+        memo[text] = parse_scalar(text, ctx)
+    return memo[text]
+
+
+def vect_from_json(value, ctx: CycloCtx, dim: int, memo: dict) -> Vect:
     vec = json_typed(value, "array", "a vector")
     if len(vec) != dim:
         raise ValueError(f"vector of length {len(vec)} in an algebra "
                          f"of dimension {dim}")
-    return tuple(parse_scalar(s, ctx) for s in vec)
+    return tuple(_scalar_from_json(s, ctx, memo) for s in vec)
 
 
-def algebra_from_json(spec: dict, ctx: CycloCtx | None = None) -> Algebra:
+def algebra_from_json(spec: dict, ctx: CycloCtx | None = None, memo=None) -> Algebra:
+    """The algebra of a JSON spec; lambda and a custom table share memo."""
+    memo = {} if memo is None else memo
     kind = json_typed(spec, "object", "the algebra").get("kind")
     if kind == "heisenberg":
         return heisenberg(json_int(spec["k"], "k"), ctx)
@@ -327,7 +345,8 @@ def algebra_from_json(spec: dict, ctx: CycloCtx | None = None) -> Algebra:
             if n is None:
                 raise ValueError("twisted algebra spec needs a conductor or context")
             ctx = CycloCtx(json_int(n, "conductor"))
-        lam = [parse_scalar(s, ctx) for s in json_typed(spec["lambda"], "array", "lambda")]
+        lam = [_scalar_from_json(s, ctx, memo)
+               for s in json_typed(spec["lambda"], "array", "lambda")]
         return twisted(lam)
     if kind == "color":
         from .color import color_algebra, color_type_from_json
@@ -344,7 +363,7 @@ def algebra_from_json(spec: dict, ctx: CycloCtx | None = None) -> Algebra:
         if len(parity) != dim or len(rows) != dim or any(
                 len(json_typed(row, "array", "a table row")) != dim for row in rows):
             raise ValueError(f"parity and table must match the {dim} labels")
-        table = tuple(tuple(vect_from_json(t, ctx, dim) for t in row) for row in rows)
+        table = tuple(tuple(vect_from_json(t, ctx, dim, memo) for t in row) for row in rows)
         alg = Algebra(ctx, labels, parity, table)
         report = verify_axioms(alg)
         if not report.ok:

@@ -174,6 +174,7 @@ class CycloNum:
         self.den = den
 
     def _coerce(self, other):
+        # +, - and * take a CycloNum of the identical ctx object without this call
         if isinstance(other, CycloNum):
             if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError(
@@ -185,7 +186,7 @@ class CycloNum:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is CycloNum and other.ctx is self.ctx else self._coerce(other)
         if o is None:
             return NotImplemented
         if not any(o.num):
@@ -200,7 +201,7 @@ class CycloNum:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is CycloNum and other.ctx is self.ctx else self._coerce(other)
         if o is None:
             return NotImplemented
         if not any(o.num):
@@ -222,16 +223,21 @@ class CycloNum:
         return CycloNum(self.ctx, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is CycloNum and other.ctx is self.ctx else self._coerce(other)
         if o is None:
             return NotImplemented
         ctx = self.ctx
-        # a zero or rational factor only scales: no convolution, no reduction
+        # a zero or rational factor only scales: no convolution, no reduction,
+        # and no gcd when an integer factor prime to y.den keeps y canonical
         x, y = (o, self) if not any(o.num[1:]) else (self, o)
         if not any(x.num[1:]):
             c = x.num[0]
             if not c or not any(y.num):
                 return ctx._zero
+            if x.den == 1 and (c == 1 or c == -1):
+                return y if c == 1 else -y
+            if x.den == 1 and gcd(c, y.den) == 1:
+                return CycloNum(ctx, tuple(c * b for b in y.num), y.den)
             return _make(ctx, [c * b for b in y.num], x.den * y.den)
         prod = [0] * (2 * ctx.degree - 1)
         for i, a in enumerate(self.num):

@@ -89,10 +89,11 @@ def test_recorded_benchmark_outputs_are_byte_identical():
 
 def test_bracket_work_per_benchmark_pass_is_bounded(monkeypatch):
     # the twisted constructor brackets each pair of a grading's basis once,
-    # sharing its memo between the block checks and the universal group, and
-    # the Weyl generators are checked on Grading.table, not by rebracketing
-    # rebased blocks; the bounds are the counts of the seed-23 batches at
-    # that design
+    # sharing its memo between the block checks and the universal group, the
+    # Weyl generators are checked on Grading.table, not by rebracketing
+    # rebased blocks, and verify brackets each unordered pair of components
+    # once, which the universal group then reads; the bounds are the counts
+    # of the seed-23 batches at that design
     workloads = _load_bench("workloads")
     calls = [0]
     bracket = Algebra.bracket
@@ -102,9 +103,10 @@ def test_bracket_work_per_benchmark_pass_is_bounded(monkeypatch):
         return bracket(self, x, y)
 
     monkeypatch.setattr(Algebra, "bracket", counted)
-    for workload, bound in (("enumerate", 1865), ("weyl-brute", 454)):
+    for workload, bound in (("enumerate", 1865), ("weyl-brute", 454), ("roundtrip", 927)):
+        jobs = workloads.make_jobs(workload, 23)  # the roundtrip inputs take brackets too
         calls[0] = 0
-        for job in workloads.make_jobs(workload, 23):
+        for job in jobs:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 heisgrad.cli.main(job["argv"])
         assert calls[0] <= bound, workload
@@ -134,3 +136,24 @@ def test_scalar_work_per_benchmark_pass_is_bounded(monkeypatch):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 heisgrad.cli.main(job["argv"])
         assert all(calls[name] <= bound[name] for name in bound), (workload, calls)
+
+
+def test_scalar_parses_per_roundtrip_pass_are_bounded(monkeypatch):
+    # a JSON grading parses each distinct scalar text of its vectors, custom
+    # table and lambda once; the bound is the count of the seed-23 roundtrip
+    # batch at that design
+    import heisgrad.liealg
+    workloads = _load_bench("workloads")
+    calls = [0]
+    parse = heisgrad.liealg.parse_scalar
+
+    def counted(text, ctx):
+        calls[0] += 1
+        return parse(text, ctx)
+
+    jobs = workloads.make_jobs("roundtrip", 23)
+    monkeypatch.setattr(heisgrad.liealg, "parse_scalar", counted)
+    for job in jobs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            heisgrad.cli.main(job["argv"])
+    assert calls[0] <= 249, calls[0]

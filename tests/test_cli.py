@@ -9,10 +9,12 @@ import time
 
 import pytest
 
+from heisgrad.abelian import AbGroup
 from heisgrad.cli import build_parser, main
+from heisgrad.color import Bicharacter, ColorType, color_algebra, color_type_to_json
 from heisgrad.fine import heisenberg_fine, super_fine
 from heisgrad.gradings import grading_to_json
-from heisgrad.scalars import MAX_DIGITS, MAX_EXPONENT
+from heisgrad.scalars import MAX_DIGITS, MAX_EXPONENT, CycloCtx
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -449,6 +451,111 @@ def test_color_classify_over_the_trivial_group(spec, basis, capsys):
 def test_verify_color_algebra_over_the_trivial_group():
     spec = dict(H3_ONE_COMPONENT, algebra={"kind": "color", "type": TRIVIAL_TYPE})
     assert run_cli("verify", json.dumps(spec)) == (0, "verification: pass\n")
+
+
+def _component(degree, *vectors):
+    """A component over free generators; each vector is a string of digits."""
+    return {"degree": {"free": list(degree)}, "vectors": [list(v) for v in vectors]}
+
+
+HEIS2 = {"kind": "heisenberg", "k": 2}
+# verify brackets each unordered pair of components once, g at or before h
+# in support order: the pair that fails first comes as (i, j) with i < j
+BROKEN_GRADINGS = {
+    "outside-the-support": (
+        {"algebra": HEIS1, "group": {"rank": 2}, "components": [
+            _component((0, 0), "001"), _component((0, 1), "010"), _component((1, 0), "100")]},
+        "bracket of degrees (0,1) and (1,0) is nonzero but (1,1) is outside the support"),
+    "leaves-its-component": (
+        {"algebra": HEIS2, "group": {"rank": 2}, "components": [
+            _component((0, 0), "00001"), _component((0, 1), "01000"),
+            _component((1, 0), "10000"), _component((1, 1), "00100"),
+            _component((-1, -1), "00010")]},
+        "bracket of degrees (0,1) and (1,0) leaves component (1,1)"),
+    "not-parity-graded": (
+        {"algebra": {"kind": "super", "k": 1, "m": 1}, "group": {"rank": 1}, "components": [
+            _component((0,), "1010", "0001"), _component((1,), "0100", "0010")]},
+        "component (0) is not parity-graded"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_GRADINGS))
+def test_verify_failure_messages(case):
+    spec, failure = BROKEN_GRADINGS[case]
+    assert run_cli("verify", json.dumps(spec)) == (3, f"verification: FAIL\n  {failure}\n")
+
+
+def test_verify_scans_both_orientations_of_a_color_algebra():
+    # the Z_4 type with eps = -1 has [s, s] = z on its self-paired vectors,
+    # so its table is not skew; with x = u + s and y = uhat + s, [x, y] = 2z
+    # but [y, x] = 0, and only the orientation (1, 0) shows the failure
+    ctx = CycloCtx(4)
+    z4 = AbGroup(0, (4,))
+    deg = [z4.elt((), (c,)) for c in range(4)]
+    t = ColorType(z4, deg[2], Bicharacter(z4, [[ctx.from_fraction(-1)]]),
+                  {deg[0]: 1, deg[1]: 2, deg[2]: 2, deg[3]: 1})
+    assert color_algebra(t, ctx)[0].labels == ("z", "u0_1", "uh0_1", "s1_1", "s1_2", "s3_1")
+    spec = {"algebra": {"kind": "color", "type": color_type_to_json(t), "conductor": 4},
+            "group": {"rank": 0, "torsion": [2]},
+            "components": [
+                {"degree": {"torsion": [0]}, "vectors": [list(v) for v in (
+                    "100000", "001100", "010000")]},
+                {"degree": {"torsion": [1]}, "vectors": [list(v) for v in (
+                    "010100", "000010", "000001")]}]}
+    assert run_cli("verify", json.dumps(spec)) == (3, (
+        "verification: FAIL\n  bracket of degrees (1m2) and (0m2) leaves component (1m2)\n"))
+
+
+def test_custom_table_that_is_not_skew_is_rejected_at_load(capsys):
+    # so the unordered scan of verify never sees a table that is not skew
+    table = [[["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+             [["0", "0", "0"]] * 3, [["0", "0", "0"]] * 3]
+    spec = {"algebra": {"kind": "custom", "labels": ["e", "f", "z"], "table": table},
+            "group": {"rank": 0}, "components": [_component((), "100", "010", "001")]}
+    assert run_cli("verify", json.dumps(spec)) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: bad grading spec: custom table fails the algebra axioms: "
+        "skew-symmetry fails on (e, f)\n")
+
+
+H3_TABLE = [[["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+            [["0", "0", "-1"], ["0", "0", "0"], ["0", "0", "0"]],
+            [["0", "0", "0"]] * 3]
+
+
+def _with_scalar(where: str, value) -> dict:
+    """A grading of H3 with one scalar replaced by value: the first or the
+    last one read, of the vectors, the custom table or lambda."""
+    spec = json.loads(json.dumps(H3_ONE_COMPONENT))
+    vectors = spec["components"][0]["vectors"]
+    if where.startswith("table"):
+        spec["algebra"] = {"kind": "custom", "labels": ["e", "f", "z"],
+                           "table": json.loads(json.dumps(H3_TABLE))}
+        cell = spec["algebra"]["table"][0][0] if where == "table-first" else \
+            spec["algebra"]["table"][2][2]
+        cell[0 if where == "table-first" else 2] = value
+    elif where.startswith("lambda"):
+        spec["algebra"] = {"kind": "twisted", "lambda": ["1", "1"], "conductor": 4}
+        spec["components"][0]["vectors"] = [
+            ["1" if i == j else "0" for j in range(6)] for i in range(6)]
+        spec["algebra"]["lambda"][0 if where == "lambda-first" else 1] = value
+    elif where == "vector-first":
+        vectors[0][0] = value
+    else:  # after every text of the document has been read once
+        vectors[2][0] = vectors[2][1] = value
+    return spec
+
+
+@pytest.mark.parametrize("where", ["vector-first", "vector-repeated", "table-first",
+                                   "table-repeated", "lambda-first", "lambda-repeated"])
+@pytest.mark.parametrize("value, shown", [
+    (["1"], "['1']"), ({"a": 1}, "{'a': 1}"), (1, "1"), (None, "None")],
+    ids=["list", "dict", "number", "null"])
+def test_scalar_that_is_not_a_string_is_a_parse_error(where, value, shown, capsys):
+    code, out = run_cli("verify", json.dumps(_with_scalar(where, value)))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: bad grading spec: a scalar must be a string, got {shown}\n")
 
 
 def test_negative_group_rank_is_a_parse_error(capsys):

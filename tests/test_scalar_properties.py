@@ -182,6 +182,70 @@ def test_shortcut_arithmetic_matches_sympy(n, data):
         x + CycloCtx(5).zero()
 
 
+@st.composite
+def product_factors(draw, ctx: CycloCtx):
+    """(element of ctx, its coefficient list) of the shapes the operators
+    take a fast path on: 0, 1, -1, another integer (prime to the other
+    denominator or not), a non-integer rational, or a general element."""
+    shape = draw(st.sampled_from(("0", "1", "-1", "integer", "rational", "general")))
+    if shape in ("0", "1", "-1"):
+        cs = [Fraction(int(shape))]
+    elif shape == "integer":
+        cs = [Fraction(draw(st.integers(-30, 30)))]
+    elif shape == "rational":
+        cs = [draw(st.fractions(min_value=-20, max_value=20, max_denominator=12))]
+    else:
+        cs = draw(coefficient_lists(ctx.n, extra=4))
+    return ctx.reduce(cs), cs
+
+
+def convolve(a, b) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@given(st.sampled_from((1, 4, 12, 16)), st.data())
+def test_operator_fast_paths_match_the_general_path(n, data):
+    # operands of one ctx object skip the coercion, and a product by an
+    # integer skips the gcd or returns the other operand (1) or its
+    # negation (-1); each result must be the canonical value that
+    # ctx.reduce gives on the rational coefficients
+    ctx = CycloCtx(n)
+    (x, cx), (y, cy) = data.draw(product_factors(ctx)), data.draw(product_factors(ctx))
+    sums = [a + b for a, b in zip(x.coeffs, y.coeffs)]
+    diffs = [a - b for a, b in zip(x.coeffs, y.coeffs)]
+    for got, want in ((x * y, convolve(cx, cy)), (y * x, convolve(cx, cy)),
+                      (x + y, sums), (y + x, sums), (x - y, diffs),
+                      (y - x, [-c for c in diffs])):
+        assert canonical(got)
+        assert got == ctx.reduce(want) and got.ctx == ctx
+    one, minus = ctx.one(), ctx.from_fraction(-1)
+    w = ctx.zeta() + ctx.from_fraction(Fraction(1, 2))  # rational at n = 1
+    for v in (x, y, w):
+        if not v.is_rational():  # of two rationals either may be the factor
+            assert one * v is v and v * one is v
+    assert canonical(3 * w) and canonical(2 * w) and 2 * w == w + w
+    assert minus * y == -y == y * minus and canonical(minus * y)
+    # an equal ctx that is another object, an int and a Fraction still mix
+    twin = CycloCtx(n).reduce(cy)
+    assert twin.ctx is not ctx
+    assert x * twin == x * y and x + twin == x + y and x - twin == x - y
+    assert twin * x == x * y and twin + x == x + y and twin - x == y - x
+    assert x * 3 == 3 * x == x * ctx.from_fraction(3)
+    assert x * Fraction(-2, 3) == x * ctx.from_fraction(Fraction(-2, 3))
+    assert x + 1 == x + one and x - Fraction(1, 2) == x - ctx.from_fraction(Fraction(1, 2))
+    # another conductor does not
+    stranger = CycloCtx(5).one()
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError, match="conductor mismatch"):
+            op(x, stranger)
+        with pytest.raises(ValueError, match="conductor mismatch"):
+            op(stranger, x)
+
+
 def sparse_rational_matrix(rows: int, cols: int):
     entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
                       st.integers(-2, 2).map(Fraction),
@@ -219,7 +283,7 @@ def test_sparse_rational_linalg_matches_sympy(n, n_rows, n_cols, data):
     combos = sympy.Matrix.hstack(ma.T, -mb.T).nullspace()
     meet = sympy.Matrix([[0] * n_cols] + [list(c[:n_rows, 0].T * ma) for c in combos])
     meet_red, meet_pivots = meet.rref()
-    got = intersection(as_vects(a, ctx), as_vects(b, ctx), ctx)
+    got = intersection(as_vects(a, ctx), rref(as_vects(b, ctx)), ctx)
     assert as_fractions(got) == sympy_rows(meet_red)[:len(meet_pivots)]
 
 
@@ -237,7 +301,7 @@ def test_subspace_operations_over_the_field(n, n_rows, n_cols, data):
     b = data.draw(field_matrix(n, data.draw(st.integers(1, 4)), n_cols))
     # the intersection: an rref basis inside both spans, of the dimension
     # that rank(A) + rank(B) - rank(A u B) predicts
-    meet = intersection(a, b, ctx)
+    meet = intersection(a, rref(b), ctx)
     assert rref(meet)[0] == meet
     assert all(in_span(a, w) and in_span(b, w) for w in meet)
     assert len(meet) == rank(a) + rank(b) - rank(a + b)
