@@ -16,7 +16,6 @@ __all__ = [
     "Vect", "vzero", "vadd", "vsub", "vscale", "is_zero_vect",
     "rref", "rank", "in_span", "reduce_against", "kernel", "combinations",
     "intersection", "line_coeff", "transpose", "mat_inverse", "mat_apply",
-    "same_span",
 ]
 
 
@@ -86,12 +85,6 @@ def reduce_against(basis_rref: list[Vect], pivots: list[int], v: Vect) -> Vect:
 def in_span(rows: list[Vect], v: Vect) -> bool:
     basis, pivots = rref(rows)
     return is_zero_vect(reduce_against(basis, pivots, v))
-
-
-def same_span(rows_a: list[Vect], rows_b: list[Vect]) -> bool:
-    ra, pa = rref(rows_a)
-    rb, pb = rref(rows_b)
-    return ra == rb and pa == pb
 
 
 def kernel(rows: list[Vect], ctx: CycloCtx, n_unknowns: int) -> list[Vect]:

@@ -9,7 +9,7 @@ recognition of arbitrary graded structures as standard forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ._linalg import Vect, in_span, line_coeff, rref, vscale, vsub, vzero
+from ._linalg import Vect, in_span, line_coeff, rref, vscale, vsub
 from .abelian import (AbGroup, GroupElt, canonicalize, express_in_terms,
                       generates, subgroup_presentation)
 from .gradings import (Grading, decomposition_failure, dual_vectors,
@@ -166,17 +166,14 @@ def color_algebra(t: ColorType, ctx: CycloCtx | None = None) -> tuple[Algebra, G
             selfs.append((add(f"s{_deg_tag(g)}_{i}", g), g))
 
     dim = len(labels)
-    zv = [ctx.zero()] * dim
-    zv[z_idx] = ctx.one()
-    z_vec = tuple(zv)
-    table = [[vzero(ctx, dim)] * dim for _ in range(dim)]
+    one = ctx.one()
+    terms = [()] * dim  # each basis vector but z brackets with one other
     for u, uh, g in pairs:
-        table[u][uh] = z_vec
-        table[uh][u] = vscale(-t.epsilon(-g + t.g0, g), z_vec)
+        terms[u] = ((uh, ((z_idx, one),)),)
+        terms[uh] = ((u, ((z_idx, -t.epsilon(-g + t.g0, g)),)),)
     for s, g in selfs:
-        table[s][s] = z_vec
-    algebra = Algebra(ctx, tuple(labels), (0,) * dim,
-                      tuple(tuple(row) for row in table))
+        terms[s] = ((s, ((z_idx, one),)),)
+    algebra = Algebra(ctx, tuple(labels), (0,) * dim, tuple(terms))
     algebra.skew = False
     comps: dict[GroupElt, list[Vect]] = {}
     for i, g in enumerate(degrees):

@@ -29,7 +29,7 @@ __all__ = [
     "HeisenbergFine", "SuperFine", "TwistedFine", "twist",
     "heisenberg_fine", "super_fine", "enumerate_super_fine",
     "twisted_fine", "twisted_fine_classes", "twisted_fine_nontoral", "twisted_fine_toral",
-    "block_i", "block_ii", "rebase_scales_i", "rebase_scales_ii",
+    "rebase_scales_i", "rebase_scales_ii",
     "spectrum_check", "enumerate_twisted_fine", "equivalent_fine",
     "homogenize_u", "decompose_twisted_grading",
     "primitive_root", "ScalarClasses", "expected_twisted_group",
@@ -208,7 +208,8 @@ def twist(a: Algebra) -> list[CycloNum]:
     its structure constants [u, e_i] = lam_i ehat_i."""
     if (a.spec or {}).get("kind") != "twisted":
         raise ValueError("the algebra is not a twisted Heisenberg algebra")
-    return [a.table[0][1 + 2 * i][2 + 2 * i] for i in range(a.dim // 2 - 1)]
+    u_row = dict(a.terms[0])
+    return [dict(u_row[1 + 2 * i])[2 + 2 * i] for i in range(a.dim // 2 - 1)]
 
 
 def _uv_vectors(a: Algebra, pair_index: int) -> tuple[Vect, Vect]:
@@ -267,13 +268,6 @@ def verify_block_ii(bracket, u: Vect, z: Vect, blk: BlockII) -> None:
                 raise AssertionError("type-II block: unexpected nonzero bracket")
 
 
-def _checked(a: Algebra, blk):
-    """blk, once its block identities hold for a.bracket."""
-    verify = verify_block_i if isinstance(blk, BlockI) else verify_block_ii
-    verify(a.bracket, a.basis_vect(0), a.basis_vect(a.dim - 1), blk)
-    return blk
-
-
 def _block_slots(a: Algebra, l: int, order: int, alpha: CycloNum,
                  pairs: list[tuple[int, bool]]):
     """A primitive order-th root xi and the slot vectors (us, vs) of the l
@@ -297,15 +291,10 @@ def _block_slots(a: Algebra, l: int, order: int, alpha: CycloNum,
     return xi, us, vs
 
 
-def block_i(a: Algebra, l: int, alpha: CycloNum,
-            pairs: list[tuple[int, bool]]) -> BlockI:
-    """Build a type-I block from l eigen-pairs of ad(u); pairs[q] gives
-    the pair index and whether its (u_i, v_i) roles are swapped, and the
-    pair's eigenvalue must be xi^(q+1) * alpha."""
-    return _checked(a, _block_i(a, l, alpha, pairs))
-
-
-def _block_i(a: Algebra, l: int, alpha: CycloNum, pairs) -> BlockI:
+def _block_i(a: Algebra, l: int, alpha: CycloNum, pairs: list[tuple[int, bool]]) -> BlockI:
+    """A type-I block from l eigen-pairs of ad(u); pairs[q] gives the pair
+    index and whether its (u_i, v_i) roles are swapped, and the pair's
+    eigenvalue must be xi^(q+1) * alpha.  verify_block_i checks it."""
     ctx = a.ctx
     xi, us, vs = _block_slots(a, l, l, alpha, pairs)
     xs, ys = [], []
@@ -317,15 +306,10 @@ def _block_i(a: Algebra, l: int, alpha: CycloNum, pairs) -> BlockI:
     return BlockI(l, alpha, tuple(xs), tuple(ys))
 
 
-def block_ii(a: Algebra, l: int, alpha: CycloNum,
-             pairs: list[tuple[int, bool]]) -> BlockII:
-    """Build a type-II block (2l elements) from l eigen-pairs; pairs[q]
-    must carry eigenvalue zeta^(q+1) * alpha for zeta a primitive 2l-th
-    root (so the last slot carries -alpha)."""
-    return _checked(a, _block_ii(a, l, alpha, pairs))
-
-
-def _block_ii(a: Algebra, l: int, alpha: CycloNum, pairs) -> BlockII:
+def _block_ii(a: Algebra, l: int, alpha: CycloNum, pairs: list[tuple[int, bool]]) -> BlockII:
+    """A type-II block (2l elements) from l eigen-pairs; pairs[q] must carry
+    eigenvalue zeta^(q+1) * alpha for zeta a primitive 2l-th root (so the
+    last slot carries -alpha).  verify_block_ii checks it."""
     ctx = a.ctx
     zeta, us, vs = _block_slots(a, l, 2 * l, alpha, pairs)
     scale = ctx.i() / (2 * sqrt_int(l, ctx))
@@ -756,23 +740,16 @@ def decompose_twisted_grading(gr: Grading):
         remaining = new
 
     while remaining:
-        hit = None
-        for mu in spectrum:
-            vl = v_l(mu)
-            if not vl[0]:
-                continue
-            for g in sorted(remaining, key=lambda e: e.key()):
-                inter = intersection(remaining[g], vl, ctx)
-                if inter:
-                    hit = (mu, inter, vl)
-                    break
-            if hit:
-                break
+        degrees = sorted(remaining, key=lambda e: e.key())
+        # remaining[g] meets V_mu^l, once per (g, mu) of this round
+        meet = cache(lambda g, mu: intersection(remaining[g], v_l(mu), ctx))
+        hit = next(((mu, meet(g, mu)) for mu in spectrum if v_l(mu)[0]
+                    for g in degrees if meet(g, mu)), None)
         if hit is None:
             raise AssertionError("leftover graded subspace without eigen content")
-        mu, inter, vl = hit
+        mu, inter = hit
         if l % 2 == 0:
-            x2 = _find_selfpaired(a, remaining, vl, ctx, phi, z)
+            x2 = _find_selfpaired(a, (meet(g, mu) for g in degrees), phi, z)
             if x2 is not None:
                 c = line_coeff(a.bracket(x2, phi(x2)), z)
                 t = sqrt_scalar((mu * mu) / c)
@@ -783,11 +760,9 @@ def decompose_twisted_grading(gr: Grading):
                 blocks_ii.append(blk)
                 centralize(blk.elements())
                 continue
-            vl_partner = vl  # V_mu^l = V_(-mu)^l for even l
-        else:
-            vl_partner = v_l(-mu)
+        partner = mu if l % 2 == 0 else -mu  # V_mu^l = V_(-mu)^l for even l
         x = inter[0]
-        y = _find_partner(a, remaining, x, vl_partner, ctx)
+        y = _find_partner(a, x, (meet(g, partner) for g in degrees))
         c = line_coeff(a.bracket(x, y), z)
         y = vscale(mu / c, y)
         xs = [vscale(mu ** -j, phi_pow(x, j)) for j in range(1, l + 1)]
@@ -811,15 +786,15 @@ def _centralizer_in(a: Algebra, vecs: list[Vect], targets: list[Vect]) -> list[V
     return combinations(vecs, rows, a.ctx)
 
 
-def _find_selfpaired(a: Algebra, remaining, vl: tuple, ctx, phi, z: Vect):
-    """A homogeneous x in the remaining part of V_mu^l (vl, its rref) with
-    [x, phi(x)] != 0, or None when the pairing form vanishes identically there."""
+def _find_selfpaired(a: Algebra, meets, phi, z: Vect):
+    """A homogeneous x in the remaining part of V_mu^l (meets, its
+    intersections with the remaining components) with [x, phi(x)] != 0, or
+    None when the pairing form vanishes identically there."""
 
     def q_value(v: Vect) -> CycloNum:
         return line_coeff(a.bracket(v, phi(v)), z)
 
-    for g in sorted(remaining, key=lambda e: e.key()):
-        inter = intersection(remaining[g], vl, ctx)
+    for inter in meets:
         n = len(inter)
         for i in range(n):
             if q_value(inter[i]):
@@ -832,11 +807,11 @@ def _find_selfpaired(a: Algebra, remaining, vl: tuple, ctx, phi, z: Vect):
     return None
 
 
-def _find_partner(a: Algebra, remaining, x: Vect, vl_partner: tuple, ctx) -> Vect:
+def _find_partner(a: Algebra, x: Vect, meets) -> Vect:
     """A homogeneous y in the remaining part of the partner eigenspace
-    (vl_partner, its rref) with [x, y] != 0."""
-    for g in sorted(remaining, key=lambda e: e.key()):
-        for y in intersection(remaining[g], vl_partner, ctx):
+    (meets, its intersections with the remaining components) with [x, y] != 0."""
+    for inter in meets:
+        for y in inter:
             if not is_zero_vect(a.bracket(x, y)):
                 return y
     raise AssertionError("no pairing partner found for the extracted orbit")

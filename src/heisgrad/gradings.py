@@ -19,7 +19,8 @@ from ._linalg import (Vect, is_zero_vect, line_coeff, mat_apply, mat_inverse,
 from .abelian import (AbGroup, AbPresentation, GroupElt, canonicalize,
                       generates)
 from .liealg import (Algebra, VerifyReport, algebra_from_json, algebra_to_json,
-                     center, json_int, json_ints, json_typed, vect_from_json)
+                     center, json_int, json_ints, json_typed, terms_of_table,
+                     vect_from_json)
 from .scalars import CycloNum, format_scalar
 
 __all__ = [
@@ -84,9 +85,8 @@ class Grading:
         dims = {g: len(self.components[g]) for g in support}
         rows = [[w for h in support for w in self.brackets(g, h)[x * dims[h]:(x + 1) * dims[h]]]
                 for g in support for x in range(dims[g])]
-        return GradedTable(basis, inv, tuple(
-            tuple((j, tuple((k, c) for k, c in enumerate(mat_apply(inv, w)) if c))
-                  for j, w in enumerate(row) if not is_zero_vect(w)) for row in rows))
+        return GradedTable(basis, inv, terms_of_table(
+            [mat_apply(inv, w) if any(w) else w for w in row] for row in rows))
 
     def brackets(self, g: GroupElt, h: GroupElt) -> list[Vect]:
         """[x, y] for x in the basis of component g and y in that of component
@@ -471,7 +471,8 @@ def darboux_homogeneous_basis(gr: Grading) -> list[Vect]:
         raise AssertionError("a quotient basis vector lifts to no component")
 
     # form on the quotient: <x, y> z = [x, y]
-    form = [tuple(line_coeff(a.table[i][j], z) for j in idxs) for i in idxs]
+    form = [tuple(line_coeff(a.bracket(a.basis_vect(i), a.basis_vect(j)), z) for j in idxs)
+            for i in idxs]
     pieces = []
     for g in gr.support:
         vecs = [project(v) for v in gr.components[g]]

@@ -1,10 +1,9 @@
 """Structure-constant Lie (super)algebras over a cyclotomic field.
 
 An Algebra is a basis with labels, a parity vector (all zero for plain
-Lie algebras) and a full bracket table.  The table is the constructor
-and JSON form; the bracket itself runs over the nonzero structure
-constants only, collected once when the algebra is built.  The
-Heisenberg constructors cover the plain, super and twisted families.
+Lie algebras) and its nonzero structure constants, which the Heisenberg
+constructors (plain, super and twisted) write directly.  A dense bracket
+table is only an input and JSON form: Algebra.from_table converts it.
 """
 
 from __future__ import annotations
@@ -12,15 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._linalg import (Vect, is_zero_vect, kernel, line_coeff, mat_apply, rank,
-                      rref, transpose, vscale, vzero)
+                      rref, vzero)
 from .scalars import CycloCtx, CycloNum, format_scalar, parse_scalar
 
 __all__ = [
     "Algebra", "LinMap", "VerifyReport",
     "heisenberg", "heisenberg_super", "twisted",
     "axiom_failures", "verify_axioms", "center", "derived",
-    "is_automorphism", "similitude_factor",
-    "identity_map", "compose_maps",
+    "is_automorphism", "similitude_factor", "terms_of_table",
     "algebra_to_json", "algebra_from_json",
     "json_typed", "json_int", "json_ints", "vect_from_json",
 ]
@@ -39,24 +37,24 @@ class VerifyReport:
 
 @dataclass
 class Algebra:
-    """A finite-dimensional (super)algebra given by its bracket table."""
+    """A finite-dimensional (super)algebra given by its structure constants."""
 
     ctx: CycloCtx
     labels: tuple[str, ...]
     parity: tuple[int, ...]
-    table: tuple[tuple[Vect, ...], ...]  # table[i][j] = [b_i, b_j]
+    # terms[i] = ((j, ((k, c), ...)), ...): the nonzero c = [b_i, b_j]_k, j and k ascending
+    terms: tuple
     spec: dict | None = None  # JSON form of a heisenberg, super or twisted algebra
-    # terms[i] = ((j, ((k, c), ...)), ...): the nonzero c = [b_i, b_j]_k
-    terms: tuple = field(init=False, repr=False, compare=False)
     _zero: Vect = field(init=False, repr=False, compare=False)  # the one zero_vect()
     skew = True  # [b_j, b_i] = -(-1)^(p_i p_j) [b_i, b_j]; color_algebra clears it
 
     def __post_init__(self):
-        self.terms = tuple(
-            tuple((j, tuple((k, c) for k, c in enumerate(t) if c))
-                  for j, t in enumerate(row) if not is_zero_vect(t))
-            for row in self.table)
         self._zero = vzero(self.ctx, self.dim)
+
+    @classmethod
+    def from_table(cls, ctx, labels, parity, table) -> Algebra:
+        """The algebra of a dense bracket table, table[i][j] = [b_i, b_j]."""
+        return cls(ctx, labels, parity, terms_of_table(table))
 
     @property
     def dim(self) -> int:
@@ -99,14 +97,20 @@ class Algebra:
             return seen.pop()
         return None
 
+    def dense(self, t) -> Vect:
+        """The vector with the sparse coordinates t = ((k, c), ...) of terms."""
+        out = list(self._zero)
+        for k, c in t:
+            out[k] = c
+        return tuple(out)
 
-def _empty_table(ctx: CycloCtx, dim: int):
-    z = vzero(ctx, dim)
-    return [[z] * dim for _ in range(dim)]
 
-
-def _freeze_table(table) -> tuple[tuple[Vect, ...], ...]:
-    return tuple(tuple(row) for row in table)
+def terms_of_table(rows) -> tuple:
+    """The nonzero entries of rows[i][j], dense vectors, in the layout of
+    Algebra.terms."""
+    return tuple(tuple((j, tuple((k, c) for k, c in enumerate(w) if c))
+                       for j, w in enumerate(row) if not is_zero_vect(w))
+                 for row in rows)
 
 
 def heisenberg(k: int, ctx: CycloCtx | None = None) -> Algebra:
@@ -132,17 +136,13 @@ def heisenberg_super(k: int, m: int, ctx: CycloCtx | None = None) -> Algebra:
     labels += [f"w{j}" for j in range(1, m + 1)]
     labels.append("z")
     parity = [0] * (2 * k) + [1] * m + [0]
-    table = _empty_table(ctx, dim)
-    one = ctx.one()
-    z_vec = tuple(one if i == dim - 1 else ctx.zero() for i in range(dim))
+    one, z = ctx.one(), dim - 1
+    terms = []
     for i in range(k):
         e, eh = 2 * i, 2 * i + 1
-        table[e][eh] = z_vec
-        table[eh][e] = vscale(-one, z_vec)
-    for j in range(m):
-        w = 2 * k + j
-        table[w][w] = z_vec
-    return Algebra(ctx, tuple(labels), tuple(parity), _freeze_table(table),
+        terms += [((eh, ((z, one),)),), ((e, ((z, -one),)),)]
+    terms += [((w, ((z, one),)),) for w in range(2 * k, 2 * k + m)]
+    return Algebra(ctx, tuple(labels), tuple(parity), tuple(terms) + ((),),
                    {"kind": "super", "k": k, "m": m})
 
 
@@ -165,22 +165,14 @@ def twisted(lam: list[CycloNum]) -> Algebra:
     for i in range(1, k + 1):
         labels += [f"e{i}", f"ehat{i}"]
     labels.append("z")
-    table = _empty_table(ctx, dim)
-    zero = ctx.zero()
-    z_vec = tuple(ctx.one() if i == dim - 1 else zero for i in range(dim))
-
-    def unit(i, c):
-        return tuple(c if j == i else zero for j in range(dim))
-
-    for i in range(k):
+    z = dim - 1
+    u_row, terms = [], []
+    for i, c in enumerate(lam):
         e, eh = 1 + 2 * i, 2 + 2 * i
-        table[e][eh] = vscale(lam[i], z_vec)
-        table[eh][e] = vscale(-lam[i], z_vec)
-        table[0][e] = unit(eh, lam[i])
-        table[e][0] = unit(eh, -lam[i])
-        table[0][eh] = unit(e, lam[i])
-        table[eh][0] = unit(e, -lam[i])
-    return Algebra(ctx, tuple(labels), (0,) * dim, _freeze_table(table),
+        u_row += [(e, ((eh, c),)), (eh, ((e, c),))]
+        terms += [((0, ((eh, -c),)), (eh, ((z, c),))),
+                  ((0, ((e, -c),)), (e, ((z, -c),)))]
+    return Algebra(ctx, tuple(labels), (0,) * dim, (tuple(u_row), *terms, ()),
                    {"kind": "twisted", "lambda": [format_scalar(x) for x in lam],
                     "conductor": ctx.n})
 
@@ -230,27 +222,20 @@ def verify_axioms(a: Algebra) -> VerifyReport:
 
 
 def center(a: Algebra) -> list[Vect]:
-    """Basis (rref) of {x : [x, L] = 0}."""
-    rows = [row for j in range(a.dim)
-            for row in transpose([a.table[i][j] for i in range(a.dim)])]
-    return kernel(rows, a.ctx, a.dim)
+    """Basis (rref) of {x : [x, L] = 0}: sum_i x_i [b_i, b_j]_k = 0 for
+    each (j, k) that some structure constant has."""
+    rows = {}
+    for i, row in enumerate(a.terms):
+        for j, t in row:
+            for k, c in t:
+                rows.setdefault((j, k), list(a.zero_vect()))[i] = c
+    return kernel([tuple(r) for r in rows.values()], a.ctx, a.dim)
 
 
 def derived(a: Algebra) -> list[Vect]:
     """Basis (rref) of [L, L]."""
-    rows = [a.table[i][j] for i in range(a.dim) for j in range(a.dim)
-            if not is_zero_vect(a.table[i][j])]
-    basis, _ = rref(rows)
+    basis, _ = rref([a.dense(t) for row in a.terms for _, t in row])
     return basis
-
-
-def identity_map(a: Algebra) -> LinMap:
-    return [a.basis_vect(i) for i in range(a.dim)]
-
-
-def compose_maps(f: LinMap, g: LinMap) -> LinMap:
-    """The map f o g."""
-    return [mat_apply(f, col) for col in g]
 
 
 def is_automorphism(f: LinMap, a: Algebra) -> bool:
@@ -266,7 +251,7 @@ def is_automorphism(f: LinMap, a: Algebra) -> bool:
     for i, row in enumerate(a.terms):
         nonzero = dict(row)
         for j in range(a.dim):
-            lhs = mat_apply(f, a.table[i][j]) if j in nonzero else zero
+            lhs = mat_apply(f, a.dense(nonzero[j])) if j in nonzero else zero
             if lhs != a.bracket(f[i], f[j]):
                 return False
     return True
@@ -290,8 +275,8 @@ def algebra_to_json(a: Algebra) -> dict:
         "conductor": a.ctx.n,
         "labels": list(a.labels),
         "parity": list(a.parity),
-        "table": [[[format_scalar(c) for c in a.table[i][j]]
-                   for j in range(a.dim)] for i in range(a.dim)],
+        "table": [[[format_scalar(c) for c in a.dense(row.get(j, ()))]
+                   for j in range(a.dim)] for row in map(dict, a.terms)],
     }
 
 
@@ -364,7 +349,7 @@ def algebra_from_json(spec: dict, ctx: CycloCtx | None = None, memo=None) -> Alg
                 len(json_typed(row, "array", "a table row")) != dim for row in rows):
             raise ValueError(f"parity and table must match the {dim} labels")
         table = tuple(tuple(vect_from_json(t, ctx, dim, memo) for t in row) for row in rows)
-        alg = Algebra(ctx, labels, parity, table)
+        alg = Algebra.from_table(ctx, labels, parity, table)
         report = verify_axioms(alg)
         if not report.ok:
             raise ValueError("custom table fails the algebra axioms: "

@@ -1,22 +1,148 @@
-"""Shared helpers: random automorphisms of the Heisenberg families and
-grading transport, used for randomized verification sweeps, an
-exhaustive oracle for the Weyl-group brute force, dense oracles for
-the sparse axiom checks, the induced permutations and `Grading.table`,
-and a key-based oracle for the block-scalar classes."""
+"""Shared helpers: linear maps, spans and checked blocks that only the
+tests use, random automorphisms of the Heisenberg families and grading
+transport, used for randomized verification sweeps, an exhaustive oracle
+for the Weyl-group brute force, dense structure-constant tables (each
+family's own fill, and the table an algebra's sparse terms write out),
+dense oracles for the center, the derived algebra, the sparse axiom
+checks, the induced permutations and `Grading.table`, and a key-based
+oracle for the block-scalar classes."""
 
 import random
 from collections import Counter
 from fractions import Fraction
 
-from heisgrad._linalg import (is_zero_vect, line_coeff, mat_apply, reduce_against,
-                              rref, vadd, vscale)
+from heisgrad import fine
+from heisgrad._linalg import (is_zero_vect, kernel, line_coeff, mat_apply, reduce_against,
+                              rref, transpose, vadd, vscale, vzero)
 from heisgrad.abelian import smith_normal_form
-from heisgrad.fine import primitive_root, twist
+from heisgrad.fine import BlockI, primitive_root, twist, verify_block_i, verify_block_ii
 from heisgrad.gradings import Grading
-from heisgrad.liealg import (Algebra, LinMap, VerifyReport, center, compose_maps,
-                             derived, identity_map, is_automorphism)
+from heisgrad.liealg import Algebra, LinMap, VerifyReport, center, derived, is_automorphism
 from heisgrad.scalars import root_of_unity_order
 from heisgrad.weyl import GradedAut, PermGroup
+
+
+def identity_map(a: Algebra) -> LinMap:
+    return [a.basis_vect(i) for i in range(a.dim)]
+
+
+def compose_maps(f: LinMap, g: LinMap) -> LinMap:
+    """The map f o g."""
+    return [mat_apply(f, col) for col in g]
+
+
+def same_span(rows_a, rows_b) -> bool:
+    ra, pa = rref(rows_a)
+    rb, pb = rref(rows_b)
+    return ra == rb and pa == pb
+
+
+def checked(a: Algebra, blk):
+    """blk, once its block identities hold for a.bracket."""
+    verify = verify_block_i if isinstance(blk, BlockI) else verify_block_ii
+    verify(a.bracket, a.basis_vect(0), a.basis_vect(a.dim - 1), blk)
+    return blk
+
+
+def block_i(a: Algebra, l, alpha, pairs):
+    """The checked type-I block of fine._block_i (looked up on the module,
+    so that a test may replace it)."""
+    return checked(a, fine._block_i(a, l, alpha, pairs))
+
+
+def block_ii(a: Algebra, l, alpha, pairs):
+    """The checked type-II block of fine._block_ii."""
+    return checked(a, fine._block_ii(a, l, alpha, pairs))
+
+
+# --- dense structure-constant tables ----------------------------------------
+
+def dense_table(a: Algebra):
+    """table[i][j] = [b_i, b_j] as dense vectors, written out from a.terms."""
+    table = [[vzero(a.ctx, a.dim)] * a.dim for _ in range(a.dim)]
+    for i, row in enumerate(a.terms):
+        for j, t in row:
+            w = list(vzero(a.ctx, a.dim))
+            for k, c in t:
+                w[k] = c
+            table[i][j] = tuple(w)
+    return table
+
+
+def heisenberg_super_table(k, m, ctx):
+    """The dense table of H_{2k+1,m} filled entry by entry:
+    [e_i, ehat_i] = z = -[ehat_i, e_i] and [w_j, w_j] = z."""
+    dim = 2 * k + m + 1
+    table = [[vzero(ctx, dim)] * dim for _ in range(dim)]
+    one = ctx.one()
+    z_vec = tuple(one if i == dim - 1 else ctx.zero() for i in range(dim))
+    for i in range(k):
+        e, eh = 2 * i, 2 * i + 1
+        table[e][eh] = z_vec
+        table[eh][e] = vscale(-one, z_vec)
+    for j in range(m):
+        w = 2 * k + j
+        table[w][w] = z_vec
+    return table
+
+
+def twisted_table(lam):
+    """The dense table of the twisted Heisenberg algebra filled entry by
+    entry: [e_i, ehat_i] = lam_i z, [u, e_i] = lam_i ehat_i, [u, ehat_i] =
+    lam_i e_i, and the skew partners."""
+    ctx, k = lam[0].ctx, len(lam)
+    dim = 2 * k + 2
+    table = [[vzero(ctx, dim)] * dim for _ in range(dim)]
+    zero = ctx.zero()
+    z_vec = tuple(ctx.one() if i == dim - 1 else zero for i in range(dim))
+
+    def unit(i, c):
+        return tuple(c if j == i else zero for j in range(dim))
+
+    for i in range(k):
+        e, eh = 1 + 2 * i, 2 + 2 * i
+        table[e][eh] = vscale(lam[i], z_vec)
+        table[eh][e] = vscale(-lam[i], z_vec)
+        table[0][e] = unit(eh, lam[i])
+        table[e][0] = unit(eh, -lam[i])
+        table[0][eh] = unit(e, lam[i])
+        table[eh][0] = unit(e, -lam[i])
+    return table
+
+
+def color_table(a: Algebra, gr: Grading, t):
+    """The dense table of color_algebra(t) filled from its labels and the
+    degrees of its grading: [u, uh] = z and [uh, u] = -eps(-g + g0, g) z for
+    each pair u, uh with u of degree g, and [s, s] = z."""
+    dim, index = a.dim, {name: i for i, name in enumerate(a.labels)}
+    degree = {next(i for i, c in enumerate(v) if c): g
+              for g, vecs in gr.components.items() for v in vecs}
+    table = [[vzero(a.ctx, dim)] * dim for _ in range(dim)]
+    z_vec = a.basis_vect(index["z"])
+    for name, i in index.items():
+        if name.startswith("uh"):
+            u = index["u" + name[2:]]
+            table[u][i] = z_vec
+            table[i][u] = vscale(-t.epsilon(-degree[u] + t.g0, degree[u]), z_vec)
+        elif name.startswith("s"):
+            table[i][i] = z_vec
+    return table
+
+
+def dense_center(a: Algebra):
+    """Basis (rref) of {x : [x, L] = 0}, from every entry of the dense table."""
+    table = dense_table(a)
+    rows = [row for j in range(a.dim)
+            for row in transpose([table[i][j] for i in range(a.dim)])]
+    return kernel(rows, a.ctx, a.dim)
+
+
+def dense_derived(a: Algebra):
+    """Basis (rref) of [L, L], from every nonzero entry of the dense table."""
+    table = dense_table(a)
+    basis, _ = rref([table[i][j] for i in range(a.dim) for j in range(a.dim)
+                     if not is_zero_vect(table[i][j])])
+    return basis
 
 
 def rand_fraction(rng: random.Random, nonzero=False) -> Fraction:
@@ -331,12 +457,12 @@ def dense_verify_axioms(a: Algebra) -> VerifyReport:
     stopping at the Jacobi failure that makes 9 failures: an oracle for
     the sparse `verify_axioms`."""
     failures = []
-    dim = a.dim
+    dim, table = a.dim, dense_table(a)
     for i in range(dim):
         for j in range(i, dim):
             sign = -1 if (a.parity[i] and a.parity[j]) else 1
-            lhs = a.table[i][j]
-            rhs = vscale(a.ctx.from_fraction(-sign), a.table[j][i])
+            lhs = table[i][j]
+            rhs = vscale(a.ctx.from_fraction(-sign), table[j][i])
             if lhs != rhs:
                 failures.append(
                     f"skew-symmetry fails on ({a.labels[i]}, {a.labels[j]})")
@@ -345,9 +471,9 @@ def dense_verify_axioms(a: Algebra) -> VerifyReport:
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                lhs = a.bracket(b[i], a.table[j][k])
-                t1 = a.bracket(a.table[i][j], b[k])
-                t2 = a.bracket(b[j], a.table[i][k])
+                lhs = a.bracket(b[i], table[j][k])
+                t1 = a.bracket(table[i][j], b[k])
+                t2 = a.bracket(b[j], table[i][k])
                 sign = -1 if (a.parity[i] and a.parity[j]) else 1
                 rhs = vadd(t1, vscale(a.ctx.from_fraction(sign), t2))
                 if lhs != rhs:

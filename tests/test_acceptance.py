@@ -11,8 +11,7 @@ import pytest
 
 from heisgrad._linalg import rref
 from heisgrad.abelian import AbGroup, smith_normal_form
-from heisgrad.fine import (FineTwistedParams, block_i, block_ii,
-                           decompose_twisted_grading, enumerate_super_fine,
+from heisgrad.fine import (FineTwistedParams, decompose_twisted_grading, enumerate_super_fine,
                            enumerate_twisted_fine, equivalent_fine,
                            expected_twisted_group, heisenberg_fine,
                            primitive_root, super_fine, twisted_fine,
@@ -25,7 +24,7 @@ from heisgrad.liealg import center, heisenberg, heisenberg_super, twisted, verif
 from heisgrad.scalars import CycloCtx, sqrt_int
 from heisgrad.weyl import weyl_bruteforce, weyl_group
 
-from _helpers import (random_heisenberg_automorphism,
+from _helpers import (block_i, block_ii, random_heisenberg_automorphism,
                       random_twisted_automorphism, transport_grading)
 
 

@@ -157,3 +157,40 @@ def test_scalar_parses_per_roundtrip_pass_are_bounded(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             heisgrad.cli.main(job["argv"])
     assert calls[0] <= 249, calls[0]
+
+
+def test_intersections_per_roundtrip_pass_are_bounded(monkeypatch):
+    # decompose meets each remaining component with each V_mu^l once per
+    # extraction round, and the hit search, the self-paired search and the
+    # partner search share those meets; the bound is the count of the
+    # seed-23 roundtrip batch at that design
+    import heisgrad.fine
+    workloads = _load_bench("workloads")
+    calls = [0]
+    intersection = heisgrad.fine.intersection
+
+    def counted(*args):
+        calls[0] += 1
+        return intersection(*args)
+
+    jobs = workloads.make_jobs("roundtrip", 23)
+    monkeypatch.setattr(heisgrad.fine, "intersection", counted)
+    for job in jobs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            heisgrad.cli.main(job["argv"])
+    assert calls[0] <= 44, calls[0]
+
+
+def test_building_heisenberg_40_tests_few_scalars(monkeypatch):
+    # the constructor writes its 2k + 1 nonzero structure constants directly,
+    # with no dense table to scan; the bound is the count at that design
+    calls = [0]
+    truth = CycloNum.__bool__
+
+    def counted(self):
+        calls[0] += 1
+        return truth(self)
+
+    monkeypatch.setattr(CycloNum, "__bool__", counted)
+    a = heisenberg(40)
+    assert a.dim == 81 and calls[0] <= 100, calls[0]

@@ -13,7 +13,7 @@ from heisgrad.gradings import Grading, verify_grading
 from heisgrad.liealg import center, derived
 from heisgrad.scalars import CycloCtx
 
-from _helpers import assert_table_matches_dense, dense_verify_color_axioms
+from _helpers import assert_table_matches_dense, dense_table, dense_verify_color_axioms
 
 
 @pytest.fixture(scope="module")
@@ -379,10 +379,10 @@ def _color_cases():
                   Bicharacter(prod, vals, sa.ctx)))
 
     h2 = heisenberg(2, ctx)
-    table = [list(row) for row in h2.table]
+    table = dense_table(h2)
     table[0][2] = h2.basis_vect(0)
     table[2][0] = vscale(minus, h2.basis_vect(0))
-    bad = Algebra(ctx, h2.labels, h2.parity, tuple(tuple(r) for r in table))
+    bad = Algebra.from_table(ctx, h2.labels, h2.parity, table)
     cases.append(("broken-jacobi", bad, Grading(bad, triv, {triv.zero(): tuple(
         bad.basis_vect(i) for i in range(bad.dim))}), Bicharacter(triv, [], ctx)))
     return cases

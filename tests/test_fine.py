@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 import heisgrad.fine as fine
-from heisgrad._linalg import in_span, is_zero_vect, mat_apply, same_span, vadd, vscale
+from heisgrad._linalg import in_span, is_zero_vect, mat_apply, vadd, vscale
 from heisgrad.abelian import AbGroup
 from heisgrad.cli import auto_conductor
-from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, block_i,
-                           block_ii, decompose_twisted_grading,
+from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, decompose_twisted_grading,
                            enumerate_super_fine, enumerate_twisted_fine,
                            equivalent_fine, expected_twisted_group,
                            heisenberg_fine, homogenize_u, rebase_scales_i,
@@ -20,7 +19,9 @@ from heisgrad.gradings import is_toral_fine, universal_group, verify_grading
 from heisgrad.liealg import Algebra, heisenberg, heisenberg_super, is_automorphism, twisted
 from heisgrad.scalars import CycloCtx, parse_scalar
 
-from _helpers import random_twisted_automorphism, transport_grading
+import _helpers
+from _helpers import (block_i, block_ii, random_twisted_automorphism, same_span,
+                      transport_grading)
 from test_weyl import DISAGREEMENTS
 
 
@@ -592,7 +593,8 @@ def _shear_xs(a, blk):
 def test_block_checks_fire_on_the_memo_path(monkeypatch, ctx16, lam_iiii, shape,
                                             builder, corrupt, message):
     # twisted_fine checks its blocks on the grading's bracket memo, the
-    # public builders with a.bracket: a corrupted block fails both alike
+    # checked builders of the tests with a.bracket: a corrupted block fails
+    # both alike
     one = ctx16.one()
     l, s, r = shape
     p = FineTwistedParams(l, s, r, (one,) * s, (one,) * r)
@@ -608,7 +610,7 @@ def test_block_checks_fire_on_the_memo_path(monkeypatch, ctx16, lam_iiii, shape,
         twisted_fine(lam_iiii, p)
     a, args = calls[0]
     with pytest.raises(AssertionError) as bracket_path:
-        getattr(fine, builder)(a, *args)
+        getattr(_helpers, builder)(a, *args)
     assert str(memo_path.value) == str(bracket_path.value) == message
 
 

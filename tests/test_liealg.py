@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from heisgrad._linalg import mat_apply, vscale
-from heisgrad.liealg import (algebra_from_json, algebra_to_json, center,
-                             compose_maps, derived, heisenberg,
-                             heisenberg_super, identity_map, is_automorphism,
-                             similitude_factor, twisted, verify_axioms)
-from heisgrad.scalars import CycloCtx
+from heisgrad.liealg import (Algebra, algebra_from_json, algebra_to_json, center,
+                             derived, heisenberg, heisenberg_super, is_automorphism,
+                             similitude_factor, terms_of_table, twisted, verify_axioms)
+from heisgrad.scalars import CycloCtx, parse_scalar
 
-from _helpers import (dense_verify_axioms, random_heisenberg_automorphism,
-                      random_super_automorphism, random_twisted_automorphism)
+from _helpers import (color_table, compose_maps, dense_center, dense_derived, dense_table,
+                      dense_verify_axioms, heisenberg_super_table, identity_map,
+                      random_heisenberg_automorphism, random_super_automorphism,
+                      random_twisted_automorphism, twisted_table)
 
 
 def test_heisenberg_h3():
@@ -75,12 +76,11 @@ def test_perturbed_table_fails_jacobi():
     # set [e1, e2] = e1 (with its skew partner) so skew-symmetry still
     # holds but the triple (ehat1, e1, e2) violates the Jacobi identity
     a = heisenberg(2)
-    table = [list(row) for row in a.table]
+    table = dense_table(a)
     e1 = a.basis_vect(0)
     table[0][2] = e1
     table[2][0] = vscale(a.ctx.from_fraction(-1), e1)
-    from heisgrad.liealg import Algebra
-    bad = Algebra(a.ctx, a.labels, a.parity, tuple(tuple(r) for r in table))
+    bad = Algebra.from_table(a.ctx, a.labels, a.parity, table)
     report = verify_axioms(bad)
     assert not report.ok
     assert any(f.startswith("jacobi") for f in report.failures)
@@ -89,9 +89,8 @@ def test_perturbed_table_fails_jacobi():
 def _perturbed(a, rng, count):
     """a with count random table entries replaced by random sparse
     vectors, each with its skew partner entry half of the time."""
-    from heisgrad.liealg import Algebra
     ctx = a.ctx
-    table = [list(row) for row in a.table]
+    table = dense_table(a)
     for _ in range(count):
         i, j = rng.randrange(a.dim), rng.randrange(a.dim)
         v = [ctx.zero()] * a.dim
@@ -101,7 +100,7 @@ def _perturbed(a, rng, count):
         if rng.random() < 0.5:
             sign = -1 if a.parity[i] and a.parity[j] else 1
             table[j][i] = vscale(ctx.from_fraction(-sign), tuple(v))
-    return Algebra(ctx, a.labels, a.parity, tuple(tuple(r) for r in table))
+    return Algebra.from_table(ctx, a.labels, a.parity, table)
 
 
 def test_sparse_axiom_check_matches_the_dense_oracle():
@@ -112,12 +111,11 @@ def test_sparse_axiom_check_matches_the_dense_oracle():
                 heisenberg_super(0, 1), heisenberg_super(2, 1),
                 twisted([ctx4.one(), ctx4.from_fraction(2)]),
                 twisted([ctx4.one(), ctx4.i()])]
-    table = [list(row) for row in algebras[1].table]
+    table = dense_table(algebras[1])
     table[0][2] = algebras[1].basis_vect(0)
     table[2][0] = vscale(algebras[1].ctx.from_fraction(-1), algebras[1].basis_vect(0))
-    from heisgrad.liealg import Algebra
-    broken = Algebra(algebras[1].ctx, algebras[1].labels, algebras[1].parity,
-                     tuple(tuple(r) for r in table))
+    broken = Algebra.from_table(algebras[1].ctx, algebras[1].labels, algebras[1].parity,
+                                table)
     rng = random.Random(5)
     cases = algebras + [broken] + [_perturbed(a, rng, rng.randint(1, 3))
                                    for a in algebras for _ in range(4)]
@@ -202,7 +200,7 @@ def test_json_roundtrip_families():
         spec = algebra_to_json(a)
         b = algebra_from_json(spec)
         assert b.labels == a.labels
-        assert b.table == a.table
+        assert b.terms == a.terms
 
 
 def test_json_color_kind():
@@ -244,11 +242,12 @@ def test_json_custom_verified_on_load():
 
 def dense_bracket(a, u, v):
     """[u, v] summed over the whole dense structure-constant table."""
+    table = dense_table(a)
     out = [a.ctx.zero()] * a.dim
     for i in range(a.dim):
         for j in range(a.dim):
             for k in range(a.dim):
-                out[k] = out[k] + u[i] * v[j] * a.table[i][j][k]
+                out[k] = out[k] + u[i] * v[j] * table[i][j][k]
     return tuple(out)
 
 
@@ -260,52 +259,65 @@ def dense_is_automorphism(f, a):
     if any(c and a.parity[i] != a.parity[j]
            for j in range(a.dim) for i, c in enumerate(f[j])):
         return False
-    return all(mat_apply(f, a.table[i][j]) == dense_bracket(a, f[i], f[j])
+    table = dense_table(a)
+    return all(mat_apply(f, table[i][j]) == dense_bracket(a, f[i], f[j])
                for i in range(a.dim) for j in range(a.dim))
 
 
 def _perturbed_heisenberg():
     a = heisenberg(2)
-    table = [list(row) for row in a.table]
+    table = heisenberg_super_table(2, 0, a.ctx)
     table[0][2] = a.basis_vect(0)
     table[2][0] = vscale(a.ctx.from_fraction(-1), a.basis_vect(0))
-    from heisgrad.liealg import Algebra
-    return Algebra(a.ctx, a.labels, a.parity, tuple(tuple(r) for r in table))
+    return Algebra.from_table(a.ctx, a.labels, a.parity, table), table
 
 
 def _moved(a, rng):
     """a in the basis given by the columns of a random unitriangular matrix,
-    so that most structure constants are nonzero."""
+    so that most structure constants are nonzero, with its dense table."""
     from heisgrad._linalg import mat_inverse
-    from heisgrad.liealg import Algebra
     cols = [tuple(a.ctx.one() if r == c else
                   a.ctx.from_fraction(rng.randint(-2, 2)) if r < c else a.ctx.zero()
                   for r in range(a.dim)) for c in range(a.dim)]
     back = mat_inverse(cols, a.ctx)
-    table = tuple(tuple(mat_apply(back, a.bracket(cols[i], cols[j]))
-                        for j in range(a.dim)) for i in range(a.dim))
-    return Algebra(a.ctx, a.labels, a.parity, table)
+    table = [[mat_apply(back, a.bracket(cols[i], cols[j])) for j in range(a.dim)]
+             for i in range(a.dim)]
+    return Algebra.from_table(a.ctx, a.labels, a.parity, table), table
 
 
-def _sample_algebras():
+SL2_SPEC = {
+    "kind": "custom", "conductor": 3, "labels": ["e", "f", "h"],
+    "table": [[["0", "0", "0"], ["0", "0", "1"], ["-2", "0", "0"]],
+              [["0", "0", "-1"], ["0", "0", "0"], ["0", "2", "0"]],
+              [["2", "0", "0"], ["0", "-2", "0"], ["0", "0", "0"]]]}
+
+
+def _sample_pairs():
+    """The sample algebras, each with the dense table it was filled from:
+    the family fills of tests/_helpers.py, or the table of a custom input."""
     from heisgrad.abelian import AbGroup
     from heisgrad.color import Bicharacter, ColorType, color_algebra
-    ctx4, ctx12 = CycloCtx(4), CycloCtx(12)
+    ctx1, ctx4, ctx12 = CycloCtx(1), CycloCtx(4), CycloCtx(12)
     grp = AbGroup(2, ())
     z3 = ctx12.zeta(4)
     eps = Bicharacter(grp, [[ctx12.one(), z3], [z3.inv(), ctx12.one()]])
     e1, e2 = grp.elt((1, 0), ()), grp.elt((0, 1), ())
-    color, _ = color_algebra(ColorType(grp, grp.zero(), eps, {
-        grp.zero(): 1, e1: 1, -e1: 1, e2: 1, -e2: 1}), ctx12)
-    sl2 = algebra_from_json({
-        "kind": "custom", "conductor": 3, "labels": ["e", "f", "h"],
-        "table": [[["0", "0", "0"], ["0", "0", "1"], ["-2", "0", "0"]],
-                  [["0", "0", "-1"], ["0", "0", "0"], ["0", "2", "0"]],
-                  [["2", "0", "0"], ["0", "-2", "0"], ["0", "0", "0"]]]})
-    return [heisenberg(3), heisenberg_super(1, 2),
-            twisted([ctx4.one(), ctx4.i(), ctx4.from_fraction(Fraction(2, 3))]),
-            color, sl2, _perturbed_heisenberg(),
+    ctype = ColorType(grp, grp.zero(), eps, {grp.zero(): 1, e1: 1, -e1: 1, e2: 1, -e2: 1})
+    color, cgr = color_algebra(ctype, ctx12)
+    sl2 = algebra_from_json(SL2_SPEC)
+    lam = [ctx4.one(), ctx4.i(), ctx4.from_fraction(Fraction(2, 3))]
+    return [(heisenberg(3), heisenberg_super_table(3, 0, ctx1)),
+            (heisenberg_super(1, 2), heisenberg_super_table(1, 2, ctx4)),
+            (twisted(lam), twisted_table(lam)),
+            (color, color_table(color, cgr, ctype)),
+            (sl2, [[tuple(parse_scalar(c, sl2.ctx) for c in t) for t in row]
+                   for row in SL2_SPEC["table"]]),
+            _perturbed_heisenberg(),
             _moved(twisted([ctx4.one(), ctx4.i()]), random.Random(3))]
+
+
+def _sample_algebras():
+    return [a for a, _ in _sample_pairs()]
 
 
 def _random_vect(a, rng):
@@ -317,22 +329,23 @@ def _random_vect(a, rng):
 
 def test_sparse_bracket_matches_dense_reference():
     rng = random.Random(2024)
-    for a in _sample_algebras():
+    for a, table in _sample_pairs():
         for _ in range(12):
             u, v = _random_vect(a, rng), _random_vect(a, rng)
             assert a.bracket(u, v) == dense_bracket(a, u, v)
         for i in range(a.dim):
             for j in range(a.dim):
-                assert a.bracket(a.basis_vect(i), a.basis_vect(j)) == a.table[i][j]
+                assert a.bracket(a.basis_vect(i), a.basis_vect(j)) == table[i][j]
 
 
 def test_sparse_terms_list_exactly_the_nonzero_constants():
-    for a in _sample_algebras():
+    for a, table in _sample_pairs():
         listed = {(i, j, k): c for i, row in enumerate(a.terms)
                   for j, t in row for k, c in t}
-        dense = {(i, j, k): a.table[i][j][k] for i in range(a.dim)
-                 for j in range(a.dim) for k in range(a.dim) if a.table[i][j][k]}
+        dense = {(i, j, k): table[i][j][k] for i in range(a.dim)
+                 for j in range(a.dim) for k in range(a.dim) if table[i][j][k]}
         assert listed == dense
+        assert dense_table(a) == [list(row) for row in table]
 
 
 def test_is_automorphism_matches_dense_reference():
@@ -357,3 +370,82 @@ def test_is_automorphism_matches_dense_reference():
         f = random_heisenberg_automorphism(heis, rng)
         assert is_automorphism(f, heis) and dense_is_automorphism(f, heis)
     assert True in outcomes and False in outcomes
+
+
+# --- structure constants written directly, against the dense fills ---------
+
+def test_family_terms_match_their_dense_fills():
+    # each constructor writes its nonzero constants directly; the dense
+    # tables are filled entry by entry as the constructors once did
+    for ctx in (CycloCtx(1), CycloCtx(4), CycloCtx(12)):
+        for k, m in ((1, 0), (2, 0), (5, 0), (0, 1), (0, 3), (1, 2), (3, 4)):
+            a = heisenberg_super(k, m, ctx)
+            assert a.terms == terms_of_table(heisenberg_super_table(k, m, ctx)), (k, m)
+            if m == 0:
+                assert heisenberg(k, ctx).terms == a.terms
+    for n, texts in ((4, ["1"]), (4, ["1", "i", "-1", "-i"]), (8, ["2/3", "zeta(8)", "-3"]),
+                     (12, ["1", "zeta(3)", "zeta(3)^2", "5", "-i", "1/2"])):
+        ctx = CycloCtx(n)
+        lam = [parse_scalar(x, ctx) for x in texts]
+        assert twisted(lam).terms == terms_of_table(twisted_table(lam)), texts
+
+
+def test_color_terms_match_their_dense_fill():
+    from heisgrad.abelian import AbGroup
+    from heisgrad.color import Bicharacter, ColorType, color_algebra
+    ctx = CycloCtx(12)
+    one, z3 = ctx.one(), ctx.zeta(4)
+    z2, line, free = AbGroup(0, (2,)), AbGroup(1, ()), AbGroup(2, ())
+    even, odd = z2.elt((), (0,)), z2.elt((), (1,))
+    cube = Bicharacter(free, [[one, z3], [z3.inv(), one]])
+    g0 = free.elt((1, 1), ())
+    types = [
+        ColorType(z2, even, Bicharacter(z2, [[-one]]), {even: 3, odd: 2}),
+        ColorType(line, line.elt((4,), ()), Bicharacter(line, [[one]]),
+                  {line.elt((4,), ()): 1, line.elt((1,), ()): 2, line.elt((3,), ()): 2}),
+        ColorType(free, g0, cube, {g0: 1, free.zero(): 0, free.elt((1, 0), ()): 2,
+                                   free.elt((0, 1), ()): 2}),
+        ColorType(free, free.zero(), cube,
+                  {free.zero(): 3, free.elt((1, 0), ()): 2, free.elt((-1, 0), ()): 2,
+                   free.elt((0, 1), ()): 1, free.elt((0, -1), ()): 1}),
+    ]
+    for t in types:
+        a, gr = color_algebra(t, ctx)
+        assert a.terms == terms_of_table(color_table(a, gr, t)), t.dims
+
+
+def test_center_and_derived_match_the_dense_oracles():
+    # both bases are reduced row echelon forms, unique for their spaces
+    for a in _sample_algebras():
+        assert center(a) == dense_center(a), a.labels
+        assert derived(a) == dense_derived(a), a.labels
+
+
+def test_custom_table_json_round_trip_is_byte_identical():
+    import json
+    # sl2 with its "0" entries, a table with nonzero constants everywhere,
+    # and a superalgebra's table with its parity
+    moved, _ = _moved(twisted([CycloCtx(4).one(), CycloCtx(4).i()]), random.Random(3))
+    sup = heisenberg_super(1, 2)
+    for spec in (dict(SL2_SPEC, parity=[0, 0, 0]), algebra_to_json(moved),
+                 algebra_to_json(Algebra(sup.ctx, sup.labels, sup.parity, sup.terms))):
+        text = json.dumps(spec, sort_keys=True)
+        out = algebra_to_json(algebra_from_json(json.loads(text)))
+        assert json.dumps(out, sort_keys=True) == text
+    assert algebra_to_json(algebra_from_json(SL2_SPEC))["table"] == SL2_SPEC["table"]
+
+
+def test_table_conversion_drops_zeros_and_sorts():
+    ctx = CycloCtx(4)
+    zero, one, i = ctx.zero(), ctx.one(), ctx.i()
+    table = [[(zero, zero, zero), (zero, i, one), (zero, zero, zero)],
+             [(one, zero, zero), (zero, zero, zero), (zero, zero, -i)],
+             [(zero, zero, zero), (zero, zero, zero), (zero, zero, zero)]]
+    assert terms_of_table(table) == (
+        ((1, ((1, i), (2, one))),),
+        ((0, ((0, one),)), (2, ((2, -i),))),
+        ())
+    a = Algebra.from_table(ctx, ("x", "y", "w"), (0, 0, 0), table)
+    assert a.terms == terms_of_table(table)
+    assert dense_table(a) == table
+    assert Algebra.from_table(ctx, ("x",), (0,), [[(zero,)]]).terms == ((),)
