@@ -11,10 +11,11 @@ from __future__ import annotations
 from .scalars import CycloCtx, CycloNum
 
 Vect = tuple[CycloNum, ...]
+SparseVect = dict[int, CycloNum]  # the nonzero coordinates {index: value} of a vector
 
 __all__ = [
-    "Vect", "vzero", "vadd", "vsub", "vscale", "is_zero_vect",
-    "rref", "rank", "in_span", "reduce_against", "kernel", "combinations",
+    "Vect", "SparseVect", "vzero", "vadd", "vsub", "vscale", "is_zero_vect",
+    "sparse", "sparse_apply", "rref", "rank", "in_span", "reduce_against", "kernel", "combinations",
     "intersection", "line_coeff", "transpose", "mat_inverse", "mat_apply",
 ]
 
@@ -141,6 +142,21 @@ def mat_apply(cols: list[Vect], v: Vect) -> Vect:
                 if x:
                     out[i] = out[i] + c * x
     return tuple(out)
+
+
+def sparse(v: Vect) -> SparseVect:
+    """The nonzero coordinates of v, index ascending."""
+    return {i: c for i, c in enumerate(v) if c}
+
+
+def sparse_apply(cols: list[SparseVect], v: SparseVect) -> SparseVect:
+    """mat_apply on nonzero coordinates only: sum of v_i cols[i], sparse
+    columns and vector in, the nonzero coordinates out (in order met)."""
+    out: SparseVect = {}
+    for i, c in v.items():
+        for k, x in cols[i].items():
+            out[k] = out[k] + c * x if k in out else c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def mat_inverse(cols: list[Vect], ctx: CycloCtx) -> list[Vect] | None:

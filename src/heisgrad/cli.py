@@ -149,13 +149,14 @@ def cmd_enumerate_fine(args, out) -> int:
                   for blk in blks]
         lines.extend("  block " + b["type"] + f" (l={b['l']}, alpha={b['alpha']})"
                      for b in blocks)
+        grading = grading_to_json(gr)
         classes.append({
             "params": _params_json(p),
             "universal_group": str(gr.group),
             "toral": toral,
             "blocks": blocks,
-            "homogeneous_basis": [_vec_json(v) for g in gr.support for v in gr.components[g]],
-            "grading": grading_to_json(gr),
+            "homogeneous_basis": [v for c in grading["components"] for v in c["vectors"]],
+            "grading": grading,
         })
     rejected = [l for l in divisors(2 * len(lam)) if l not in seen_l]
     lines[:0] = [
@@ -213,9 +214,10 @@ def _weyl_report_lines(gr, rep, lines, payload_list):
     lines.append(f"  abelian: {'yes' if abelian else 'no'}; "
                  f"dihedral pattern: {'yes' if dihedral else 'no'}")
     gens = []
+    zero = gr.algebra.ctx.zero()  # the entries no generator column touches
     for aut in rep.generators:
         lines.append(f"  generator {aut.name}: {perm_cycles(aut.perm)}")
-        matrix = [_vec_json(col) for col in aut.map]
+        matrix = [["0" if c is zero else format_scalar(c) for c in col] for col in aut.map]
         lines.append("    matrix columns: " + json.dumps(matrix))
         gens.append({"name": aut.name, "cycles": perm_cycles(aut.perm),
                      "matrix_columns": matrix})

@@ -195,13 +195,13 @@ def verify_color_axioms(a: Algebra, gr: Grading, eps: Bicharacter) -> VerifyRepo
     structure constants in the homogeneous basis that the component bases
     of the grading form; components that are not a basis of a fail."""
     support = gr.support
-    basis, _, terms = gr.table
-    if terms is None:
-        return VerifyReport(False, [decomposition_failure(basis, a.dim)])
+    table = gr.table
+    if table.terms is None:
+        return VerifyReport(False, [decomposition_failure(table.basis, a.dim)])
     degrees = [g for g in support for _ in gr.components[g]]
     value = {(g, h): eps(g, h) for g in support for h in support}
     factor = [[value[g, h] for h in degrees] for g in degrees]
-    for fail in axiom_failures(terms, factor):
+    for fail in axiom_failures(table.terms, factor):
         kind = "skew-symmetry" if len(fail) == 2 else "Jacobi"
         return VerifyReport(False, [f"color {kind} fails on degrees "
                                     + ", ".join(str(degrees[i]) for i in fail)])

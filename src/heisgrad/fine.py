@@ -62,8 +62,9 @@ class ScalarClasses:
     """The classes of the block scalars of block order l over lam: type-I
     scalars (side 0) and type-II scalars (side 1) up to the l-th roots of
     unity, except type-I scalars for odd l, taken up to the 2l-th roots.
-    roots[side] lists those roots, starting from 1; rep is memoized per
-    instance."""
+    roots[side] lists those roots, starting from 1; roots[1] is the power
+    list [xi^t : t < l] of the primitive l-th root xi that primitive_root
+    picks, from which the blocks are built.  rep is memoized per instance."""
 
     def __init__(self, lam: list[CycloNum], l: int):
         xi = primitive_root(lam[0].ctx, l, lam)
@@ -268,19 +269,17 @@ def verify_block_ii(bracket, u: Vect, z: Vect, blk: BlockII) -> None:
                 raise AssertionError("type-II block: unexpected nonzero bracket")
 
 
-def _block_slots(a: Algebra, l: int, order: int, alpha: CycloNum,
+def _block_slots(a: Algebra, l: int, powers: list[CycloNum], alpha: CycloNum,
                  pairs: list[tuple[int, bool]]):
-    """A primitive order-th root xi and the slot vectors (us, vs) of the l
-    eigen-pairs, pairs[q] carrying the eigenvalue xi^(q+1) * alpha."""
+    """The slot vectors (us, vs) of the l eigen-pairs, pairs[q] carrying the
+    eigenvalue xi^(q+1) * alpha, for powers = [xi^t : t < order] of a
+    primitive root xi."""
     lam = twist(a)
-    xi = primitive_root(a.ctx, order, lam)
-    if xi is None:
-        raise ValueError(f"no primitive {order}-th root available")
     if len(pairs) != l:
         raise ValueError("need exactly l eigen-pairs")
     us, vs = [], []
     for q, (idx, swapped) in enumerate(pairs, start=1):
-        val = (xi ** q) * alpha
+        val = powers[q % len(powers)] * alpha
         actual = -lam[idx] if swapped else lam[idx]
         if actual != val:
             raise ValueError(
@@ -288,35 +287,40 @@ def _block_slots(a: Algebra, l: int, order: int, alpha: CycloNum,
         u, v = _uv_vectors(a, idx)
         us.append(v if swapped else u)
         vs.append(u if swapped else v)
-    return xi, us, vs
+    return us, vs
 
 
-def _block_i(a: Algebra, l: int, alpha: CycloNum, pairs: list[tuple[int, bool]]) -> BlockI:
-    """A type-I block from l eigen-pairs of ad(u); pairs[q] gives the pair
-    index and whether its (u_i, v_i) roles are swapped, and the pair's
-    eigenvalue must be xi^(q+1) * alpha.  verify_block_i checks it."""
-    ctx = a.ctx
-    xi, us, vs = _block_slots(a, l, l, alpha, pairs)
+def _block_i(a: Algebra, powers: list[CycloNum], alpha: CycloNum,
+             pairs: list[tuple[int, bool]]) -> BlockI:
+    """A type-I block from l eigen-pairs of ad(u), for powers = [xi^t : t < l]
+    of a primitive l-th root xi; pairs[q] gives the pair index and whether
+    its (u_i, v_i) roles are swapped, and the pair's eigenvalue must be
+    xi^(q+1) * alpha.  verify_block_i checks it."""
+    ctx, l = a.ctx, len(powers)
+    us, vs = _block_slots(a, l, powers, alpha, pairs)
     xs, ys = [], []
     inv2l = ctx.from_fraction(Fraction(1, 2 * l))
     for j in range(1, l + 1):
-        xs.append(mat_apply(us, [xi ** (j * q) for q in range(1, l + 1)]))
-        y = mat_apply(vs, [xi ** ((j - 1) * q) for q in range(1, l + 1)])
+        xs.append(mat_apply(us, [powers[j * q % l] for q in range(1, l + 1)]))
+        y = mat_apply(vs, [powers[(j - 1) * q % l] for q in range(1, l + 1)])
         ys.append(vscale(ctx.from_fraction(-((-1) ** j)) * inv2l, y))
     return BlockI(l, alpha, tuple(xs), tuple(ys))
 
 
-def _block_ii(a: Algebra, l: int, alpha: CycloNum, pairs: list[tuple[int, bool]]) -> BlockII:
-    """A type-II block (2l elements) from l eigen-pairs; pairs[q] must carry
-    eigenvalue zeta^(q+1) * alpha for zeta a primitive 2l-th root (so the
-    last slot carries -alpha).  verify_block_ii checks it."""
-    ctx = a.ctx
-    zeta, us, vs = _block_slots(a, l, 2 * l, alpha, pairs)
+def _block_ii(a: Algebra, powers: list[CycloNum], alpha: CycloNum,
+              pairs: list[tuple[int, bool]]) -> BlockII:
+    """A type-II block (2l elements) from l eigen-pairs, for powers =
+    [zeta^t : t < 2l] of a primitive 2l-th root zeta; pairs[q] must carry
+    eigenvalue zeta^(q+1) * alpha (so the last slot carries -alpha).
+    verify_block_ii checks it."""
+    ctx, order = a.ctx, len(powers)
+    l = order // 2
+    us, vs = _block_slots(a, l, powers, alpha, pairs)
     scale = ctx.i() / (2 * sqrt_int(l, ctx))
     # x_j sums zeta^((j-1)q) (u_q + (-1)^(j-1) v_q) over q
     terms = [vadd(u, v) for u, v in zip(us, vs)], [vsub(u, v) for u, v in zip(us, vs)]
     xs = [vscale(scale, mat_apply(terms[(j - 1) % 2],
-                                  [zeta ** ((j - 1) * q) for q in range(1, l + 1)]))
+                                  [powers[(j - 1) * q % order] for q in range(1, l + 1)]))
           for j in range(1, 2 * l + 1)]
     return BlockII(l, alpha, tuple(xs))
 
@@ -479,26 +483,27 @@ def twisted_fine(lam: list[CycloNum], p: FineTwistedParams) -> Grading:
     parameter vector lam, over its universal grading group."""
     if not spectrum_check(lam, p):
         raise ValueError("parameters fail the spectrum condition")
-    return _twisted_fine(twisted(lam), lam, ScalarClasses(lam, p.l).normalize(p))
+    classes = ScalarClasses(lam, p.l)
+    return _twisted_fine(twisted(lam), lam, classes.normalize(p), classes.roots[1])
 
 
-def _twisted_fine(a: Algebra, lam: list[CycloNum], p: FineTwistedParams) -> Grading:
-    """twisted_fine for normalized p on a = twisted(lam); the block checks
-    read the grading's bracket memo, so each pair is bracketed once."""
+def _twisted_fine(a: Algebra, lam: list[CycloNum], p: FineTwistedParams,
+                  powers: list[CycloNum]) -> Grading:
+    """twisted_fine for normalized p on a = twisted(lam), with powers =
+    ScalarClasses(lam, p.l).roots[1]; the block checks read the grading's
+    bracket memo, so each pair is bracketed once."""
     if not spectrum_check(lam, p):  # normalization preserves the orbits
         raise AssertionError("normalization broke the spectrum condition")
     l, s, r = p.l, p.s, p.r
-    xi = primitive_root(a.ctx, l, lam)
     used: set[int] = set()
     blocks_i = []
     for b in p.betas:
-        values = [(xi ** q) * b for q in range(1, l + 1)]
-        blocks_i.append(_block_i(a, l, b, _assign_pairs(lam, values, used)))
+        values = [powers[q % l] * b for q in range(1, l + 1)]
+        blocks_i.append(_block_i(a, powers, b, _assign_pairs(lam, values, used)))
     blocks_ii = []
-    for alpha in p.alphas:
-        m = l // 2  # xi is a primitive 2m-th root
-        values = [(xi ** q) * alpha for q in range(1, m + 1)]
-        blocks_ii.append(_block_ii(a, m, alpha, _assign_pairs(lam, values, used)))
+    for alpha in p.alphas:  # xi is a primitive 2m-th root, m = l/2
+        values = [powers[q] * alpha for q in range(1, l // 2 + 1)]
+        blocks_ii.append(_block_ii(a, powers, alpha, _assign_pairs(lam, values, used)))
 
     factors = ([l] if l > 1 else []) + [0] * s + [0] + ([2] * (r - 1) if r else [])
     group, gens = group_product(factors)
@@ -565,27 +570,28 @@ def _counter_contains(big: Counter, small: Counter) -> bool:
     return all(big[k] >= v for k, v in small.items())
 
 
-def _extract_blocks(spec: Counter, l: int, s: int, r: int,
-                    xi: CycloNum) -> list[tuple[tuple, tuple]]:
+def _extract_blocks(spec: Counter, l: int, s: int, r: int, xi: CycloNum,
+                    key) -> list[tuple[tuple, tuple]]:
     """All ways to split the spectrum multiset into s type-I orbits and
     r type-II orbits; the block scalar of an orbit is pinned to the
-    minimal element it contains, so the search never revisits a choice."""
+    minimal element it contains in sort-key order (key gives the sort key
+    of a spectrum value), so the search never revisits a choice."""
     if s == 0 and r == 0:
         return [((), ())] if not +spec else []
     live = [x for x, c in spec.items() if c > 0]
     if not live:
         return []
-    mu = min(live, key=lambda v: v.sort_key())
+    mu = min(live, key=key)
     out = []
     if s > 0:
         orbit = _orbit(mu, xi, l, True)
         if _counter_contains(spec, orbit):
-            for betas, alphas in _extract_blocks(spec - orbit, l, s - 1, r, xi):
+            for betas, alphas in _extract_blocks(spec - orbit, l, s - 1, r, xi, key):
                 out.append(((mu,) + betas, alphas))
     if r > 0:
         orbit = _orbit(mu, xi, l, False)
         if _counter_contains(spec, orbit):
-            for betas, alphas in _extract_blocks(spec - orbit, l, s, r - 1, xi):
+            for betas, alphas in _extract_blocks(spec - orbit, l, s, r - 1, xi, key):
                 out.append((betas, (mu,) + alphas))
     return out
 
@@ -596,6 +602,7 @@ def enumerate_twisted_fine(lam: list[CycloNum]) -> list[FineTwistedParams]:
     ctx = lam[0].ctx
     k = len(lam)
     spec = _spectrum(lam)
+    key = {x: x.sort_key() for x in spec}.__getitem__  # once per spectrum value
     found: list[FineTwistedParams] = []
     classes: dict[int, ScalarClasses] = {}
     for l in divisors(2 * k):
@@ -608,7 +615,7 @@ def enumerate_twisted_fine(lam: list[CycloNum]) -> list[FineTwistedParams]:
             r = per_block - 2 * s
             if r and l % 2:
                 continue
-            for betas, alphas in _extract_blocks(spec, l, s, r, xi):
+            for betas, alphas in _extract_blocks(spec, l, s, r, xi, key):
                 p = FineTwistedParams(l, s, r, betas, alphas)
                 if spectrum_check(lam, p):
                     found.append(classes[l].normalize(p))
@@ -624,9 +631,13 @@ def enumerate_twisted_fine(lam: list[CycloNum]) -> list[FineTwistedParams]:
 
 
 def twisted_fine_classes(lam: list[CycloNum]) -> Iterator[tuple[FineTwistedParams, Grading]]:
-    """(p, twisted_fine(lam, p)) for each enumerated class p in turn, on one twisted(lam)."""
-    a = twisted(lam)
-    yield from ((p, _twisted_fine(a, lam, p)) for p in enumerate_twisted_fine(lam))
+    """(p, twisted_fine(lam, p)) for each enumerated class p in turn, on one
+    twisted(lam), with one power list of xi per block order."""
+    a, powers = twisted(lam), {}
+    for p in enumerate_twisted_fine(lam):
+        if p.l not in powers:
+            powers[p.l] = ScalarClasses(lam, p.l).roots[1]
+        yield p, _twisted_fine(a, lam, p, powers[p.l])
 
 
 def equivalent_fine(lam: list[CycloNum], p: FineTwistedParams,

@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, NamedTuple
 
-from ._linalg import (Vect, is_zero_vect, line_coeff, mat_apply, mat_inverse,
-                      rank, rref, reduce_against, transpose, vadd, vscale,
-                      vsub)
+from ._linalg import (SparseVect, Vect, is_zero_vect, line_coeff, mat_apply,
+                      mat_inverse, rank, rref, reduce_against, sparse,
+                      sparse_apply, transpose, vadd, vscale, vsub)
 from .abelian import (AbGroup, AbPresentation, GroupElt, canonicalize,
                       generates)
 from .liealg import (Algebra, VerifyReport, algebra_from_json, algebra_to_json,
-                     center, json_int, json_ints, json_typed, terms_of_table,
-                     vect_from_json)
+                     center, json_int, json_ints, json_typed, vect_from_json)
 from .scalars import CycloNum, format_scalar
 
 __all__ = [
@@ -38,8 +37,13 @@ __all__ = [
 class GradedTable(NamedTuple):
     """The structure constants of a grading's homogeneous basis, in that basis."""
     basis: list[Vect]  # the component vectors, in support order
-    inverse: list[Vect] | None  # columns: coordinates in the basis; None if no basis
+    parity: list[int | None]  # of each basis vector; None for a parity-mixed one
+    inverse: list[SparseVect] | None  # column j: e_j in the basis; None if no basis
     terms: tuple | None  # the nonzero [b_i, b_j]_k as in Algebra.terms; None likewise
+
+    def coordinates(self, w: Vect) -> SparseVect:
+        """The nonzero coordinates of w in the basis."""
+        return sparse_apply(self.inverse, sparse(w))
 
 
 @dataclass
@@ -70,28 +74,69 @@ class Grading:
                      if is_zero_vect(reduce_against(rows, pivots, v))), None)
 
     @cached_property
-    def _slots(self) -> dict[GroupElt, tuple[int, tuple[Vect, ...]]]:
-        return {g: (i, vs) for i, (g, vs) in enumerate(self.components.items())}
+    def _slots(self) -> dict[GroupElt, tuple[int, tuple[Vect, ...], list[SparseVect]]]:
+        """The position of each component in components, its vectors and
+        their nonzero coordinates, which the bracket memo brackets from."""
+        return {g: (i, vs, [sparse(v) for v in vs])
+                for i, (g, vs) in enumerate(self.components.items())}
 
     @cached_property
     def table(self) -> GradedTable:
-        """The brackets() of every pair of components in the coordinates of
-        the component basis, which is inverted once."""
-        support, a = self.support, self.algebra
+        """brackets() of the components in the coordinates of the component
+        basis, inverted once into sparse columns.  In a skew algebra
+        (Algebra.skew) a pair of components whose vectors are all
+        parity-homogeneous is bracketed and mapped once, in the orientation
+        the memo holds, and [b_n, b_m] = -(-1)^(p_m p_n) [b_m, b_n] fills the
+        other; color algebras and parity-mixed vectors get both orientations."""
+        support, a, memo = self.support, self.algebra, self._brackets
         basis = [v for g in support for v in self.components[g]]
+        parity = [a.vect_parity(v) for v in self.nonzero_basis()]
         inv = mat_inverse(basis, a.ctx) if len(basis) == a.dim else None
         if inv is None:
-            return GradedTable(basis, None, None)
-        dims = {g: len(self.components[g]) for g in support}
-        rows = [[w for h in support for w in self.brackets(g, h)[x * dims[h]:(x + 1) * dims[h]]]
-                for g in support for x in range(dims[g])]
-        return GradedTable(basis, inv, terms_of_table(
-            [mat_apply(inv, w) if any(w) else w for w in row] for row in rows))
+            return GradedTable(basis, parity, None, None)
+        table = GradedTable(basis, parity, [sparse(col) for col in inv], None)
+        rows: list[dict] = [{} for _ in basis]
+        start = [0]  # the x-th component in support order spans basis[start[x]:start[x + 1]]
+        for g in support:
+            start.append(start[-1] + len(self.components[g]))
+        slot = [self._slots[g][0] for g in support]
+        homogeneous = [None not in parity[m:n] for m, n in zip(start, start[1:])]
+        zero, one = a.zero_vect(), a.ctx.one()
+
+        def put(x, y, mirror):
+            # rows[m][n] = [b_m, b_n] for m in the x-th component, n in the
+            # y-th; rows[n][m] as well when mirror
+            width = start[y + 1] - start[y]
+            for e, w in enumerate(self.brackets(support[x], support[y])):
+                coords = None if w is zero else table.coordinates(w)
+                if coords:
+                    m, n = start[x] + e // width, start[y] + e % width
+                    rows[m][n] = tuple(sorted(coords.items()))
+                    if mirror:
+                        sign = one if parity[m] and parity[n] else -one
+                        rows[n][m] = tuple((k, sign * c) for k, c in rows[m][n])
+
+        for x in range(len(support)):
+            put(x, x, False)
+            for y in range(x + 1, len(support)):
+                if not (a.skew and homogeneous[x] and homogeneous[y]):
+                    put(x, y, False)
+                    put(y, x, False)
+                elif (slot[x], slot[y]) not in memo and (slot[y], slot[x]) in memo:
+                    put(y, x, True)  # the orientation the memo holds
+                else:
+                    put(x, y, True)
+        return table._replace(terms=tuple(tuple(sorted(row.items())) for row in rows))
+
+    def nonzero_basis(self) -> list[SparseVect]:
+        """The nonzero coordinates of the basis vectors of table, in its order."""
+        return [v for g in self.support for v in self._slots[g][2]]
 
     def brackets(self, g: GroupElt, h: GroupElt) -> list[Vect]:
         """[x, y] for x in the basis of component g and y in that of component
-        h, row by row (x outer), bracketed once per pair, on first use."""
-        (i, xs), (j, ys) = self._slots[g], self._slots[h]
+        h, row by row (x outer), bracketed once per pair, on first use, from
+        the nonzero coordinates of x."""
+        (i, _, xs), (j, ys, _) = self._slots[g], self._slots[h]
         block = self._brackets.get((i, j))
         if block is None:
             bracket = self.algebra.bracket
@@ -154,13 +199,13 @@ def universal_group(gr: Grading) -> tuple[AbGroup, Grading]:
     keeps the brackets and spans computed so far under its new degrees.
     A pair is read in either orientation, as verify_grading reads it in a
     skew algebra: [V_g, V_h] = 0 iff [V_h, V_g] = 0."""
-    support = gr.support
+    support, zero = gr.support, gr.algebra.zero_vect()
     n = len(support)
     pos = {g: i for i, g in enumerate(support)}
     rows = []
     for i, g in enumerate(support):
         for j, h in enumerate(support[i:], start=i):
-            if any(map(any, gr.spanning_brackets(g, h))):  # a nonzero bracket
+            if any(w is not zero and any(w) for w in gr.spanning_brackets(g, h)):
                 k = pos.get(g + h)
                 if k is None:
                     raise ValueError("not a grading: bracket leaves the support")
@@ -178,6 +223,8 @@ def universal_group(gr: Grading) -> tuple[AbGroup, Grading]:
     out = Grading(gr.algebra, group, {new[g]: c for g, c in gr.components.items()},
                   gr.family)
     out._brackets = dict(gr._brackets)
+    if "_slots" in vars(gr):
+        out._slots = {new[g]: slot for g, slot in gr._slots.items()}
     if "spans" in vars(gr):
         old = dict(zip(images, support))
         out.spans = {h: gr.spans[old[h]] for h in out.support}

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._linalg import (Vect, is_zero_vect, kernel, line_coeff, mat_apply, rank,
-                      rref, vzero)
+from ._linalg import (SparseVect, Vect, is_zero_vect, kernel, line_coeff,
+                      mat_apply, rank, rref, sparse, vzero)
 from .scalars import CycloCtx, CycloNum, format_scalar, parse_scalar
 
 __all__ = [
@@ -73,13 +73,14 @@ class Algebra:
     def is_super(self) -> bool:
         return any(self.parity)
 
-    def bracket(self, a: Vect, b: Vect) -> Vect:
-        """[a, b]; zero_vect() itself when no structure constant is met."""
+    def bracket(self, a: Vect | SparseVect, b: Vect) -> Vect:
+        """[a, b], with a dense or given by its nonzero coordinates (as
+        _linalg.sparse writes them); zero_vect() itself when no structure
+        constant is met."""
         out = None
-        for ai, row in zip(a, self.terms):
-            if not ai:
-                continue
-            for j, t in row:
+        terms = self.terms
+        for i, ai in (a if isinstance(a, dict) else sparse(a)).items():
+            for j, t in terms[i]:
                 bj = b[j]
                 if not bj:
                     continue
@@ -90,9 +91,10 @@ class Algebra:
                     out[k] = out[k] + c * tk
         return self._zero if out is None else tuple(out)
 
-    def vect_parity(self, v: Vect) -> int | None:
-        """0/1 for a parity-homogeneous vector, None for mixed."""
-        seen = {self.parity[i] for i, c in enumerate(v) if c}
+    def vect_parity(self, v: Vect | SparseVect) -> int | None:
+        """0/1 for a parity-homogeneous vector, dense or given by its nonzero
+        coordinates, None for mixed."""
+        seen = {self.parity[i] for i in (v if isinstance(v, dict) else sparse(v))}
         if len(seen) == 1:
             return seen.pop()
         return None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, lcm, prod
 
-from ._linalg import Vect, is_zero_vect, mat_apply, reduce_against, rref, vscale
+from ._linalg import Vect, is_zero_vect, mat_apply, reduce_against, rref, sparse_apply
 from .abelian import smith_normal_form
 from .fine import (FineTwistedParams, HeisenbergFine, ScalarClasses, SuperFine,
                    TwistedFine, rebase_scales_i, rebase_scales_ii)
@@ -176,27 +176,26 @@ def induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
     """The permutation of the (sorted) support induced by the automorphism
     f; raises if f is not a grading self-equivalence: f must be monomial in
     the basis b of gr.table, f(b_m) = c_m b_p(m), and pass _monomial_aut."""
-    basis, inv, _ = _line_table(gr, "an induced permutation")
+    table = _line_table(gr, "an induced permutation")
     if len(f) != gr.algebra.dim:
         raise ValueError("map is not an algebra automorphism")
-    images = [[(k, c) for k, c in enumerate(mat_apply(inv, mat_apply(f, b))) if c]
-              for b in basis]
+    images = [table.coordinates(mat_apply(f, b)) for b in table.basis]
     for g, image in zip(gr.support, images):
         if len(image) != 1:
             raise ValueError(f"image of component {g} is not a component")
-    par = [gr.algebra.vect_parity(b) for b in basis]
-    return _monomial_aut(gr, tuple(zip(*(image[0] for image in images))), f, name, par)
+    mono = tuple(zip(*(term for image in images for term in image.items())))
+    return _monomial_aut(gr, mono, f, name)
 
 
-def _monomial_aut(gr: Grading, mono, f: LinMap, name: str,
-                  par: list[int | None]) -> GradedAut:
+def _monomial_aut(gr: Grading, mono, f: LinMap, name: str) -> GradedAut:
     """f, with f(b_m) = c_m b_p(m) for (p, c) = mono on the basis b of
     gr.table, once it is a grading self-equivalence: p a bijection keeping
-    the parities par of the b_m (None, a mixed vector, is rejected) that
-    sends [b_m, b_n] = sum g_k b_k to sum c_k g_k b_p(k)."""
+    the parities of the b_m (a mixed vector is rejected) that sends
+    [b_m, b_n] = sum g_k b_k to sum c_k g_k b_p(k)."""
     perm, scale = mono
     if sorted(perm) != list(range(len(perm))):
         raise ValueError("induced map on components is not a bijection")
+    par = gr.table.parity
     if any(par[m] is None or par[m] != par[p] for m, p in enumerate(perm)):
         raise ValueError("map is not an algebra automorphism")
     # p permutes the pairs, so the pairs with zero bracket go to such pairs
@@ -349,23 +348,25 @@ _GENERATORS = {HeisenbergFine: _heisenberg_generators, SuperFine: _super_generat
 
 def standard_generators(gr: Grading) -> list[GradedAut]:
     """Explicit generator automorphisms of the Weyl group of a fine
-    grading produced by this package, each checked by _monomial_aut; the
-    matrix of each is built from the one inverse of gr.table."""
+    grading produced by this package, each checked by _monomial_aut.  The
+    matrix of each is built on nonzero coordinates from the sparse inverse
+    of gr.table: column j, f(e_j), is the sum of inv_j[m] c_m b_p(m)."""
     build = _GENERATORS.get(type(gr.family))
     if build is None:
         raise ValueError("grading does not carry fine-grading provenance")
-    basis, inv, _ = _line_table(gr, "the standard generators")
+    a, table = gr.algebra, _line_table(gr, "the standard generators")
+    basis, nonzero = table.basis, gr.nonzero_basis()
     index = {b: m for m, b in enumerate(basis)}
-    par = [gr.algebra.vect_parity(b) for b in basis]  # once per grading
-    one = gr.algebra.ctx.one()
+    one = a.ctx.one()
     out = []
-    for name, moves in build(gr.algebra, gr.family):
+    for name, moves in build(a, gr.family):
         perm, scale = list(range(len(basis))), [one] * len(basis)
         for b, b2, c in moves:
             perm[index[b]], scale[index[b]] = index[b2], c
-        images = [vscale(c, basis[k]) for k, c in zip(perm, scale)]
-        f = [mat_apply(images, col) for col in inv]  # column j is f(e_j)
-        out.append(_monomial_aut(gr, (perm, scale), f, name, par))
+        # f(e_j) = sum of inv_j[m] c_m b_p(m) over the nonzero inv_j[m]
+        f = [a.dense(sparse_apply(nonzero, {perm[m]: c * scale[m] for m, c in col.items()}).items())
+             for col in table.inverse]
+        out.append(_monomial_aut(gr, (perm, scale), f, name))
     return out
 
 
@@ -499,16 +500,16 @@ def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
     n = len(support)
     if n > cap:
         raise CapExceeded(f"support size {n} exceeds the cap {cap}")
-    basis, _, terms = _line_table(gr, "brute force")
+    table = _line_table(gr, "brute force")
     gamma: list[list[CycloNum | None]] = [[None] * n for _ in range(n)]
     target: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for i, row in enumerate(terms):
+    for i, row in enumerate(table.terms):
         for j, ((k, c),) in row:  # one-dimensional components: one term
             gamma[i][j], target[i][j] = c, k
 
     cen, der = rref(center(a)), rref(derived(a))
-    flags = [(a.vect_parity(v), is_zero_vect(reduce_against(*cen, v)),
-              is_zero_vect(reduce_against(*der, v))) for v in basis]
+    flags = [(par, is_zero_vect(reduce_against(*cen, v)), is_zero_vect(reduce_against(*der, v)))
+             for par, v in zip(table.parity, table.basis)]
 
     perm = [None] * n
     used = [False] * n

@@ -44,15 +44,20 @@ def checked(a: Algebra, blk):
     return blk
 
 
+def xi_powers(a: Algebra, order):
+    """[xi^t : t < order] for the primitive order-th root the blocks use."""
+    return fine.ScalarClasses(twist(a), order).roots[1]
+
+
 def block_i(a: Algebra, l, alpha, pairs):
     """The checked type-I block of fine._block_i (looked up on the module,
     so that a test may replace it)."""
-    return checked(a, fine._block_i(a, l, alpha, pairs))
+    return checked(a, fine._block_i(a, xi_powers(a, l), alpha, pairs))
 
 
 def block_ii(a: Algebra, l, alpha, pairs):
     """The checked type-II block of fine._block_ii."""
-    return checked(a, fine._block_ii(a, l, alpha, pairs))
+    return checked(a, fine._block_ii(a, xi_powers(a, 2 * l), alpha, pairs))
 
 
 # --- dense structure-constant tables ----------------------------------------
@@ -541,9 +546,12 @@ def assert_table_matches_dense(gr: Grading):
     inverse inverts the basis, and each [b_i, b_j] is the sum of its
     nonzero terms c b_k (the zero vector when it has none)."""
     a = gr.algebra
-    basis, inv, terms = gr.table
+    basis, parity, inv, terms = gr.table
     assert basis == [v for g in gr.support for v in gr.components[g]]
-    assert [mat_apply(inv, b) for b in basis] == [a.basis_vect(i) for i in range(a.dim)]
+    assert parity == [a.vect_parity(b) for b in basis]
+    assert all(all(col.values()) for col in inv)  # sparse columns: nonzero entries only
+    dense_inv = [a.dense(col.items()) for col in inv]
+    assert [mat_apply(dense_inv, b) for b in basis] == [a.basis_vect(i) for i in range(a.dim)]
     for i, row in enumerate(terms):
         row = dict(row)
         assert all(row.values())  # a listed pair has a nonzero term

@@ -92,8 +92,10 @@ def test_bracket_work_per_benchmark_pass_is_bounded(monkeypatch):
     # sharing its memo between the block checks and the universal group, the
     # Weyl generators are checked on Grading.table, not by rebracketing
     # rebased blocks, and verify brackets each unordered pair of components
-    # once, which the universal group then reads; the bounds are the counts
-    # of the seed-23 batches at that design
+    # once, which the universal group then reads; Grading.table brackets each
+    # unordered pair of parity-homogeneous components once, in the orientation
+    # the memo holds; the bounds are the counts of the seed-23 batches at that
+    # design
     workloads = _load_bench("workloads")
     calls = [0]
     bracket = Algebra.bracket
@@ -103,7 +105,7 @@ def test_bracket_work_per_benchmark_pass_is_bounded(monkeypatch):
         return bracket(self, x, y)
 
     monkeypatch.setattr(Algebra, "bracket", counted)
-    for workload, bound in (("enumerate", 1865), ("weyl-brute", 454), ("roundtrip", 927)):
+    for workload, bound in (("enumerate", 1865), ("weyl-brute", 253), ("roundtrip", 927)):
         jobs = workloads.make_jobs(workload, 23)  # the roundtrip inputs take brackets too
         calls[0] = 0
         for job in jobs:
@@ -194,3 +196,25 @@ def test_building_heisenberg_40_tests_few_scalars(monkeypatch):
     monkeypatch.setattr(CycloNum, "__bool__", counted)
     a = heisenberg(40)
     assert a.dim == 81 and calls[0] <= 100, calls[0]
+
+
+def test_zero_tests_per_weyl_closure_pass_are_bounded(monkeypatch):
+    # the bracket memo brackets from the nonzero coordinates of the
+    # component vectors, Grading.table maps only nonzero brackets through
+    # the sparse inverse, the generator matrices are sums over its nonzero
+    # entries, and a zero bracket is told by identity; the bound is the
+    # count of the seed-23 weyl-closure batch at that design
+    workloads = _load_bench("workloads")
+    calls = [0]
+    truth = CycloNum.__bool__
+
+    def counted(self):
+        calls[0] += 1
+        return truth(self)
+
+    jobs = workloads.make_jobs("weyl-closure", 23)
+    monkeypatch.setattr(CycloNum, "__bool__", counted)
+    for job in jobs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            heisgrad.cli.main(job["argv"])
+    assert calls[0] <= 4318, calls[0]

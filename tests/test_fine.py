@@ -17,7 +17,7 @@ from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, decompose_twisted
                            verify_block_i, verify_block_ii)
 from heisgrad.gradings import is_toral_fine, universal_group, verify_grading
 from heisgrad.liealg import Algebra, heisenberg, heisenberg_super, is_automorphism, twisted
-from heisgrad.scalars import CycloCtx, parse_scalar
+from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar
 
 import _helpers
 from _helpers import (block_i, block_ii, random_twisted_automorphism, same_span,
@@ -328,7 +328,7 @@ def test_enumeration_complete_at_desk_scale(ctx16, lam_iiii):
             r = per - 2 * s
             if r and l % 2:
                 continue
-            for betas, alphas in _extract_blocks(spec, l, s, r, xi):
+            for betas, alphas in _extract_blocks(spec, l, s, r, xi, CycloNum.sort_key):
                 p = FineTwistedParams(l, s, r, betas, alphas)
                 if spectrum_check(lam_iiii, p):
                     assert any(equivalent_fine(lam_iiii, p, q) for q in reps)
@@ -610,7 +610,7 @@ def test_block_checks_fire_on_the_memo_path(monkeypatch, ctx16, lam_iiii, shape,
         twisted_fine(lam_iiii, p)
     a, args = calls[0]
     with pytest.raises(AssertionError) as bracket_path:
-        getattr(_helpers, builder)(a, *args)
+        _helpers.checked(a, getattr(fine, "_" + builder)(a, *args))
     assert str(memo_path.value) == str(bracket_path.value) == message
 
 

@@ -15,7 +15,8 @@ from heisgrad.gradings import (Grading, PairedDecomposition,
 from heisgrad.liealg import heisenberg
 from heisgrad.scalars import CycloCtx
 
-from _helpers import random_heisenberg_automorphism, transport_grading
+from _helpers import (assert_table_matches_dense, random_heisenberg_automorphism,
+                      transport_grading)
 
 
 def test_verify_fine_grading_passes():
@@ -462,3 +463,54 @@ def test_grading_json_rejects_wrong_vector_length():
     spec["components"][0]["vectors"][0][2:] = []
     with pytest.raises(ValueError, match="length 2"):
         grading_from_json(spec)
+
+
+# --- Grading.table: which pairs of components it brackets in both orientations
+
+def _parity_mixed_super_grading():
+    """A Z^2-grading of H_(3,2) read from JSON: e +- u and ehat +- v span two
+    components, u = w1 + i w2 and v = w1 - i w2, so four of its basis
+    vectors mix parities."""
+    vectors = (["1", "0", "1", "i", "0"], ["1", "0", "-1", "-i", "0"],
+               ["0", "1", "1", "-i", "0"], ["0", "1", "-1", "i", "0"],
+               ["0", "0", "0", "0", "1"])
+    return grading_from_json({
+        "algebra": {"kind": "super", "k": 1, "m": 2},
+        "group": {"rank": 2, "torsion": []},
+        "components": [{"degree": {"free": [1, 0]}, "vectors": vectors[:2]},
+                       {"degree": {"free": [-1, 1]}, "vectors": vectors[2:4]},
+                       {"degree": {"free": [0, 1]}, "vectors": vectors[4:]}]})
+
+
+def _color_grading():
+    from heisgrad.color import Bicharacter, ColorType, color_algebra
+    ctx = CycloCtx(12)
+    grp = AbGroup(0, (2,))
+    even, odd = grp.elt((), (0,)), grp.elt((), (1,))
+    _, gr = color_algebra(ColorType(grp, even, Bicharacter(grp, [[ctx.from_fraction(-1)]]),
+                                    {even: 3, odd: 2}), ctx)
+    return gr
+
+
+@pytest.mark.parametrize("make, both", [
+    (lambda: super_fine(1, 4, 1), False),
+    (lambda: twisted_fine_nontoral([CycloCtx(8).one(), CycloCtx(8).from_fraction(2)]), False),
+    (_parity_mixed_super_grading, True),
+    (_color_grading, True),
+], ids=["super-skew", "twisted-skew", "json-parity-mixed", "color"])
+def test_graded_table_brackets_both_orientations_only_where_needed(make, both):
+    # a skew algebra brackets each unordered pair of parity-homogeneous
+    # components once and fills the other orientation by the sign rule; a
+    # color algebra (not skew) and a component with a parity-mixed vector
+    # get both orientations, and the dense brackets agree with each table
+    built = make()
+    gr = Grading(built.algebra, built.group, dict(built.components))
+    assert verify_grading(gr).ok
+    memo = gr._brackets
+    memo.clear()
+    assert_table_matches_dense(gr)
+    assert (None in gr.table.parity) == (make is _parity_mixed_super_grading)
+    n = len(gr.support)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert all(((i, j) in memo and (j, i) in memo) == both for i, j in pairs)
+    assert all((i, j) in memo or (j, i) in memo for i, j in pairs)

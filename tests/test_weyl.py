@@ -16,7 +16,7 @@ from heisgrad.fine import (FineTwistedParams, enumerate_super_fine, enumerate_tw
                            twisted_fine_nontoral, twisted_fine_toral)
 from heisgrad.gradings import Grading
 from heisgrad.liealg import Algebra
-from heisgrad.scalars import CycloCtx, parse_scalar
+from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar
 from heisgrad.cli import auto_conductor, main
 from heisgrad.weyl import (CapExceeded, _landau, _perm_order, _spectrum_rotations,
                            closure, compute_pq,
@@ -701,6 +701,27 @@ def test_graded_table_matches_dense_brackets():
         assert_table_matches_dense(gr)
 
 
+def test_generator_matrices_match_the_dense_product():
+    # f = B diag(c) P B^-1: the columns of B are the component vectors, P
+    # sends the m-th to the p(m)-th and c scales, as the family's moves
+    # say; dense products against the sparse sums of standard_generators
+    from heisgrad.weyl import _GENERATORS
+    for gr in _table_cases():
+        a = gr.algebra
+        basis = [v for g in gr.support for v in gr.components[g]]
+        inverse = mat_inverse(basis, a.ctx)
+        moves = _GENERATORS[type(gr.family)](a, gr.family)
+        gens = standard_generators(gr)
+        assert [aut.name for aut in gens] == [name for name, _ in moves]
+        for aut, (name, named) in zip(gens, moves):
+            perm, q = list(range(len(basis))), identity_map(a)
+            for b, b2, c in named:
+                m, p = basis.index(b), basis.index(b2)
+                perm[m], q[m] = p, vscale(c, a.basis_vect(p))
+            assert aut.perm == tuple(perm), name
+            assert aut.map == compose_maps(compose_maps(basis, q), inverse), name
+
+
 def _count_calls(monkeypatch):
     """Counts of Algebra.bracket, is_automorphism and mat_inverse calls from
     here on."""
@@ -738,8 +759,27 @@ def test_weyl_group_brackets_each_basis_pair_once(monkeypatch, make):
     calls = _count_calls(monkeypatch)
     rep = weyl_group(gr)
     assert rep.group.order == rep.formula_order
-    assert calls["bracket"] <= len(gr.support) ** 2
+    n = len(gr.support)
+    assert calls["bracket"] <= n * (n + 1) // 2
     assert calls["is_automorphism"] == 0
+
+
+def test_heisenberg_40_generators_test_few_scalars(monkeypatch):
+    # the table maps only nonzero brackets through the sparse inverse, and
+    # each matrix column sums over the nonzero entries of one inverse
+    # column; what is left is the dense inversion of the basis and the
+    # sparse form of its columns.  The bound is the count at that design
+    gr = heisenberg_fine(40)
+    calls = [0]
+    truth = CycloNum.__bool__
+
+    def counted(self):
+        calls[0] += 1
+        return truth(self)
+
+    monkeypatch.setattr(CycloNum, "__bool__", counted)
+    gens = standard_generators(gr)
+    assert len(gens) == 40 and calls[0] <= 34073, calls[0]
 
 
 def _class_2_2_0_of_1_1_i_i():
