@@ -10,7 +10,7 @@ recovers block data from an arbitrary grading on a twisted algebra.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import ClassVar, Iterator
@@ -64,7 +64,8 @@ class ScalarClasses:
     unity, except type-I scalars for odd l, taken up to the 2l-th roots.
     roots[side] lists those roots, starting from 1; roots[1] is the power
     list [xi^t : t < l] of the primitive l-th root xi that primitive_root
-    picks, from which the blocks are built.  rep is memoized per instance."""
+    picks, from which the blocks and their orbits are built.  rep and the
+    rotation candidates are memoized: build one instance per (lam, l)."""
 
     def __init__(self, lam: list[CycloNum], l: int):
         xi = primitive_root(lam[0].ctx, l, lam)
@@ -76,6 +77,7 @@ class ScalarClasses:
         # for odd l the 2l-th roots are the l-th roots and their negatives
         self.roots = (roots + [-r for r in roots] if l % 2 else roots, roots)
         self._reps: tuple[dict, dict] = ({}, {})
+        self._candidates: dict[FineTwistedParams, list[CycloNum]] = {}
 
     def rep(self, x: CycloNum, side: int) -> CycloNum:
         """The least member of x's class in sort_key order."""
@@ -87,6 +89,16 @@ class ScalarClasses:
 
     def _members(self, x: CycloNum, side: int) -> list[CycloNum]:
         return [x] + [x * r for r in self.roots[side][1:]]
+
+    def orbit(self, mu: CycloNum, paired: bool) -> Counter:
+        """The block orbit {xi^t mu : t < l} as a multiset, with each value's
+        negative too when paired (a type-I block)."""
+        return Counter(y for x in self._members(mu, 1) for y in ((x, -x) if paired else (x,)))
+
+    def orbits(self, p: FineTwistedParams) -> Counter:
+        """The union of the block orbits of p's scalars, type I paired."""
+        return sum((self.orbit(x, side == 0) for side, xs in enumerate((p.betas, p.alphas))
+                    for x in xs), Counter())
 
     def profile(self, p: FineTwistedParams, eps: CycloNum | None = None):
         """The class multisets of eps * p.betas and eps * p.alphas."""
@@ -100,6 +112,15 @@ class ScalarClasses:
         side = 0 if p.s else 1
         xs, y = (p.betas, q.betas[0]) if p.s else (p.alphas, q.alphas[0])
         return list(dict.fromkeys(m for x in xs for m in self._members(x / y, side)))
+
+    def candidates(self, p: FineTwistedParams) -> list[CycloNum]:
+        """The roots of unity other than 1 among the ratios of p's classes,
+        sorted: the candidate eps of a spectrum rotation of p."""
+        if p not in self._candidates:
+            cands = [eps for eps in self.ratios(p, p)
+                     if eps != eps.ctx.one() and root_of_unity_order(eps) is not None]
+            self._candidates[p] = sorted(cands, key=lambda v: v.sort_key())
+        return self._candidates[p]
 
     def equivalent(self, p: FineTwistedParams, q: FineTwistedParams) -> bool:
         """Equal shape (l, s, r) and an eps with the class multisets of eps *
@@ -144,35 +165,26 @@ class FineTwistedParams:
                 f"type-II scalars: {alphas}")
 
 
-def _orbit(mu: CycloNum, xi: CycloNum, l: int, paired: bool) -> Counter:
-    """The multiset {xi^t mu : 0 <= t < l}, with each value's negative too
-    when paired."""
-    xs = [mu]
-    for _ in range(l - 1):
-        xs.append(xs[-1] * xi)
-    return Counter(y for x in xs for y in ((x, -x) if paired else (x,)))
-
-
 def _spectrum(lam) -> Counter:
     """The multiset {+-lam_i}."""
     return Counter(y for x in lam for y in (x, -x))
 
 
+def _fitting_classes(lam: list[CycloNum], p: FineTwistedParams) -> ScalarClasses | None:
+    """ScalarClasses(lam, p.l) when p passes the spectrum condition, else None."""
+    if p.l * (p.r + 2 * p.s) != 2 * len(lam):
+        return None
+    try:
+        classes = ScalarClasses(lam, p.l)
+    except ValueError:  # no primitive l-th root in the field
+        return None
+    return classes if classes.orbits(p) == _spectrum(lam) else None
+
+
 def spectrum_check(lam: list[CycloNum], p: FineTwistedParams) -> bool:
     """Multiset equality of {+-lam_i} against the block orbit values
     {+-xi^t beta_j} and {xi^t alpha_i}."""
-    ctx = lam[0].ctx
-    if p.l * (p.r + 2 * p.s) != 2 * len(lam):
-        return False
-    xi = primitive_root(ctx, p.l, lam)
-    if xi is None:
-        return False
-    need = Counter()
-    for b in p.betas:
-        need += _orbit(b, xi, p.l, True)
-    for a in p.alphas:
-        need += _orbit(a, xi, p.l, False)
-    return _spectrum(lam) == need
+    return _fitting_classes(lam, p) is not None
 
 
 # --- blocks ------------------------------------------------------------------
@@ -383,8 +395,8 @@ class SuperFine:
 
 @dataclass(frozen=True)
 class TwistedFine:
-    """The parameter vector, the normalized parameters, u, z and the
-    blocks that carry the grading."""
+    """The parameter vector, the normalized parameters, u, z, the blocks
+    that carry the grading and the ScalarClasses they were built with."""
 
     name: ClassVar[str] = "twisted"
     lam: tuple[CycloNum, ...]
@@ -393,6 +405,7 @@ class TwistedFine:
     z: Vect
     blocks_i: tuple[BlockI, ...]
     blocks_ii: tuple[BlockII, ...]
+    classes: ScalarClasses = field(compare=False, repr=False)
 
     def title(self) -> str:
         return f"twisted fine grading {self.params}"
@@ -481,20 +494,20 @@ def expected_twisted_group(l: int, s: int, r: int) -> AbGroup:
 def twisted_fine(lam: list[CycloNum], p: FineTwistedParams) -> Grading:
     """The fine grading named by p on the twisted Heisenberg algebra with
     parameter vector lam, over its universal grading group."""
-    if not spectrum_check(lam, p):
+    classes = _fitting_classes(lam, p)
+    if classes is None:
         raise ValueError("parameters fail the spectrum condition")
-    classes = ScalarClasses(lam, p.l)
-    return _twisted_fine(twisted(lam), lam, classes.normalize(p), classes.roots[1])
+    return _twisted_fine(twisted(lam), lam, classes.normalize(p), classes)
 
 
 def _twisted_fine(a: Algebra, lam: list[CycloNum], p: FineTwistedParams,
-                  powers: list[CycloNum]) -> Grading:
-    """twisted_fine for normalized p on a = twisted(lam), with powers =
-    ScalarClasses(lam, p.l).roots[1]; the block checks read the grading's
-    bracket memo, so each pair is bracketed once."""
-    if not spectrum_check(lam, p):  # normalization preserves the orbits
+                  classes: ScalarClasses) -> Grading:
+    """twisted_fine for normalized p on a = twisted(lam), with classes =
+    ScalarClasses(lam, p.l); the block checks read the grading's bracket
+    memo, so each pair is bracketed once."""
+    if classes.orbits(p) != _spectrum(lam):  # normalization preserves the orbits
         raise AssertionError("normalization broke the spectrum condition")
-    l, s, r = p.l, p.s, p.r
+    l, s, r, powers = p.l, p.s, p.r, classes.roots[1]
     used: set[int] = set()
     blocks_i = []
     for b in p.betas:
@@ -533,7 +546,7 @@ def _twisted_fine(a: Algebra, lam: list[CycloNum], p: FineTwistedParams,
         for i in range(1, l + 1):
             put(i * cyc + level + extra, blk.xs[i - 1])
 
-    family = TwistedFine(tuple(lam), p, u_vec, z_vec, tuple(blocks_i), tuple(blocks_ii))
+    family = TwistedFine(tuple(lam), p, u_vec, z_vec, tuple(blocks_i), tuple(blocks_ii), classes)
     raw = Grading(a, group, comps, family)
     degree = {id(v): g for g, (v,) in comps.items()}  # by identity: no O(dim) hash
 
@@ -566,16 +579,12 @@ def twisted_fine_toral(lam: list[CycloNum]) -> Grading:
 
 # --- enumeration and equivalence ---------------------------------------------
 
-def _counter_contains(big: Counter, small: Counter) -> bool:
-    return all(big[k] >= v for k, v in small.items())
-
-
-def _extract_blocks(spec: Counter, l: int, s: int, r: int, xi: CycloNum,
+def _extract_blocks(spec: Counter, s: int, r: int, classes: ScalarClasses,
                     key) -> list[tuple[tuple, tuple]]:
     """All ways to split the spectrum multiset into s type-I orbits and
-    r type-II orbits; the block scalar of an orbit is pinned to the
-    minimal element it contains in sort-key order (key gives the sort key
-    of a spectrum value), so the search never revisits a choice."""
+    r type-II orbits of classes; the block scalar of an orbit is pinned to
+    the minimal element it contains in sort-key order (key gives the sort
+    key of a spectrum value), so the search never revisits a choice."""
     if s == 0 and r == 0:
         return [((), ())] if not +spec else []
     live = [x for x, c in spec.items() if c > 0]
@@ -583,42 +592,37 @@ def _extract_blocks(spec: Counter, l: int, s: int, r: int, xi: CycloNum,
         return []
     mu = min(live, key=key)
     out = []
-    if s > 0:
-        orbit = _orbit(mu, xi, l, True)
-        if _counter_contains(spec, orbit):
-            for betas, alphas in _extract_blocks(spec - orbit, l, s - 1, r, xi, key):
-                out.append(((mu,) + betas, alphas))
-    if r > 0:
-        orbit = _orbit(mu, xi, l, False)
-        if _counter_contains(spec, orbit):
-            for betas, alphas in _extract_blocks(spec - orbit, l, s, r - 1, xi, key):
-                out.append((betas, (mu,) + alphas))
+    for paired, rest in ((True, (s - 1, r)), (False, (s, r - 1))):
+        if min(rest) < 0:
+            continue
+        orbit = classes.orbit(mu, paired)
+        if all(spec[x] >= c for x, c in orbit.items()):
+            for betas, alphas in _extract_blocks(spec - orbit, *rest, classes, key):
+                out.append(((mu,) + betas, alphas) if paired else (betas, (mu,) + alphas))
     return out
 
 
-def enumerate_twisted_fine(lam: list[CycloNum]) -> list[FineTwistedParams]:
-    """Representatives of the equivalence classes of fine gradings on the
-    twisted Heisenberg algebra with parameter vector lam."""
-    ctx = lam[0].ctx
+def _enumerate(lam: list[CycloNum]) -> tuple[list[FineTwistedParams], dict[int, ScalarClasses]]:
+    """enumerate_twisted_fine(lam) and the ScalarClasses of each block
+    order l that has a primitive l-th root, keyed by l.  Every extracted
+    split of the spectrum passes the spectrum condition by construction."""
     k = len(lam)
     spec = _spectrum(lam)
     key = {x: x.sort_key() for x in spec}.__getitem__  # once per spectrum value
     found: list[FineTwistedParams] = []
     classes: dict[int, ScalarClasses] = {}
     for l in divisors(2 * k):
-        xi = primitive_root(ctx, l, lam)
-        if xi is None:
+        try:
+            classes[l] = ScalarClasses(lam, l)
+        except ValueError:  # no primitive l-th root in the field
             continue
-        classes[l] = ScalarClasses(lam, l)
         per_block = 2 * k // l
         for s in range(per_block // 2 + 1):
             r = per_block - 2 * s
             if r and l % 2:
                 continue
-            for betas, alphas in _extract_blocks(spec, l, s, r, xi, key):
-                p = FineTwistedParams(l, s, r, betas, alphas)
-                if spectrum_check(lam, p):
-                    found.append(classes[l].normalize(p))
+            for betas, alphas in _extract_blocks(spec, s, r, classes[l], key):
+                found.append(classes[l].normalize(FineTwistedParams(l, s, r, betas, alphas)))
     # normalized scalars are sorted class representatives, so their own
     # sort keys order the classes
     found.sort(key=lambda p: (p.l, p.s, p.r, tuple(b.sort_key() for b in p.betas),
@@ -627,17 +631,22 @@ def enumerate_twisted_fine(lam: list[CycloNum]) -> list[FineTwistedParams]:
     for p in found:
         if not any(classes[p.l].equivalent(p, q) for q in reps):
             reps.append(p)
-    return reps
+    return reps, classes
+
+
+def enumerate_twisted_fine(lam: list[CycloNum]) -> list[FineTwistedParams]:
+    """Representatives of the equivalence classes of fine gradings on the
+    twisted Heisenberg algebra with parameter vector lam."""
+    return _enumerate(lam)[0]
 
 
 def twisted_fine_classes(lam: list[CycloNum]) -> Iterator[tuple[FineTwistedParams, Grading]]:
     """(p, twisted_fine(lam, p)) for each enumerated class p in turn, on one
-    twisted(lam), with one power list of xi per block order."""
-    a, powers = twisted(lam), {}
-    for p in enumerate_twisted_fine(lam):
-        if p.l not in powers:
-            powers[p.l] = ScalarClasses(lam, p.l).roots[1]
-        yield p, _twisted_fine(a, lam, p, powers[p.l])
+    twisted(lam), with the ScalarClasses the enumeration built."""
+    reps, classes = _enumerate(lam)
+    a = twisted(lam)
+    for p in reps:
+        yield p, _twisted_fine(a, lam, p, classes[p.l])
 
 
 def equivalent_fine(lam: list[CycloNum], p: FineTwistedParams,
@@ -720,15 +729,20 @@ def decompose_twisted_grading(gr: Grading):
     def phi(v: Vect) -> Vect:
         return a.bracket(u_new, v)
 
-    def phi_pow(v: Vect, n: int) -> Vect:
-        for _ in range(n):
+    def walk(v: Vect) -> list[Vect]:  # [phi^j(v) : j = 1..l], one bracket each
+        out = []
+        for _ in range(l):
             v = phi(v)
-        return v
+            out.append(v)
+        return out
+
+    def block_orbit(x: Vect, mu: CycloNum) -> list[Vect]:  # [mu^-j phi^j(x) : j = 1..l]
+        return [vscale(mu ** -j, w) for j, w in enumerate(walk(x), start=1)]
 
     # eigenvalue-power kernels V_mu^l = ker(phi^l - mu^l), inside
     # [u', L], which the adjusted pairs span
     ambient = [p[0] for p in pairs] + [p[1] for p in pairs]
-    images = [phi_pow(v, l) for v in ambient]
+    images = [walk(v)[-1] for v in ambient]
     spectrum = sorted(_spectrum(lam), key=lambda v: v.sort_key())
 
     @cache
@@ -765,8 +779,7 @@ def decompose_twisted_grading(gr: Grading):
                 c = line_coeff(a.bracket(x2, phi(x2)), z)
                 t = sqrt_scalar((mu * mu) / c)
                 x2 = vscale(t, x2)
-                xs = [vscale(mu ** -j, phi_pow(x2, j)) for j in range(1, l + 1)]
-                blk = BlockII(l // 2, mu, tuple(xs))
+                blk = BlockII(l // 2, mu, tuple(block_orbit(x2, mu)))
                 verify_block_ii(a.bracket, u_new, z, blk)
                 blocks_ii.append(blk)
                 centralize(blk.elements())
@@ -776,9 +789,7 @@ def decompose_twisted_grading(gr: Grading):
         y = _find_partner(a, x, (meet(g, partner) for g in degrees))
         c = line_coeff(a.bracket(x, y), z)
         y = vscale(mu / c, y)
-        xs = [vscale(mu ** -j, phi_pow(x, j)) for j in range(1, l + 1)]
-        ys = [vscale(mu ** -j, phi_pow(y, j)) for j in range(1, l + 1)]
-        blk = BlockI(l, mu, tuple(xs), tuple(ys))
+        blk = BlockI(l, mu, tuple(block_orbit(x, mu)), tuple(block_orbit(y, mu)))
         verify_block_i(a.bracket, u_new, z, blk)
         blocks_i.append(blk)
         centralize(blk.elements())

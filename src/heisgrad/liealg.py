@@ -91,13 +91,11 @@ class Algebra:
                     out[k] = out[k] + c * tk
         return self._zero if out is None else tuple(out)
 
-    def vect_parity(self, v: Vect | SparseVect) -> int | None:
-        """0/1 for a parity-homogeneous vector, dense or given by its nonzero
-        coordinates, None for mixed."""
-        seen = {self.parity[i] for i in (v if isinstance(v, dict) else sparse(v))}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+    def vect_parity(self, v: SparseVect) -> int | None:
+        """0/1 for a parity-homogeneous vector given by its nonzero
+        coordinates (_linalg.sparse), None for mixed."""
+        seen = {self.parity[i] for i in v}
+        return seen.pop() if len(seen) == 1 else None
 
     def dense(self, t) -> Vect:
         """The vector with the sparse coordinates t = ((k, c), ...) of terms."""

@@ -21,7 +21,6 @@ from math import gcd, lcm, log10
 __all__ = [
     "CycloCtx",
     "CycloNum",
-    "zeta",
     "embed",
     "sqrt_int",
     "sqrt_rational",
@@ -344,10 +343,6 @@ class CycloNum:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.num[0], self.den)
-
-
-def zeta(ctx: CycloCtx, k: int = 1) -> CycloNum:
-    return ctx.zeta(k)
 
 
 def embed(x: CycloNum, ctx: CycloCtx) -> CycloNum:

@@ -255,7 +255,7 @@ def _super_generators(a: Algebra, fam: SuperFine) -> Named:
 
 
 def _twisted_generators(a: Algebra, fam: TwistedFine) -> Named:
-    p, lam, l = fam.params, list(fam.lam), fam.params.l
+    p, l = fam.params, fam.params.l
     blocks_i, blocks_ii = fam.blocks_i, fam.blocks_ii
     ctx = a.ctx
     ii, minus, sign = ctx.i(), ctx.from_fraction(-1), ctx.from_fraction((-1) ** l)
@@ -301,7 +301,7 @@ def _twisted_generators(a: Algebra, fam: TwistedFine) -> Named:
 
     # spectrum rotations u -> u/eps; block j goes onto block tau(j) rebased
     # to the scalar eps * beta_j
-    for eps, tau_b, tau_a in _spectrum_rotations(lam, p):
+    for eps, tau_b, tau_a in _spectrum_rotations(fam.classes, p):
         moves = [(fam.u, fam.u, eps.inv()), (fam.z, fam.z, eps)]
         for blk, beta, src in zip(blocks_i, p.betas, (blocks_i[j] for j in tau_b)):
             swap, xsc, ysc = rebase_scales_i(l, eps * beta / src.alpha)
@@ -314,23 +314,14 @@ def _twisted_generators(a: Algebra, fam: TwistedFine) -> Named:
     return gens
 
 
-def _epsilon_candidates(classes: ScalarClasses, p: FineTwistedParams) -> list[CycloNum]:
-    """The roots of unity other than 1 among the ratios of block-scalar
-    classes, sorted."""
-    cands = [eps for eps in classes.ratios(p, p)
-             if eps != eps.ctx.one() and root_of_unity_order(eps) is not None]
-    return sorted(cands, key=lambda v: v.sort_key())
-
-
-def _spectrum_rotations(lam: list[CycloNum], p: FineTwistedParams):
+def _spectrum_rotations(classes: ScalarClasses, p: FineTwistedParams):
     """(eps, tau_b, tau_a) for each candidate eps that permutes the class
     multisets of the block scalars, in candidate order: tau sends j to an
     index whose scalar has the class of eps times the j-th."""
-    classes = ScalarClasses(lam, p.l)
     profile = classes.profile(p)
     return [(eps, _class_bijection(classes, p.betas, eps, 0),
              _class_bijection(classes, p.alphas, eps, 1))
-            for eps in _epsilon_candidates(classes, p) if classes.profile(p, eps) == profile]
+            for eps in classes.candidates(p) if classes.profile(p, eps) == profile]
 
 
 def _class_bijection(classes: ScalarClasses, scalars, eps: CycloNum, side: int) -> list[int]:
@@ -382,7 +373,11 @@ class PQSplit:
 
 
 def compute_pq(lam: list[CycloNum], p: FineTwistedParams) -> PQSplit:
-    classes = ScalarClasses(lam, p.l)
+    """The PQSplit of p, on a ScalarClasses(lam, p.l) of its own."""
+    return _compute_pq(ScalarClasses(lam, p.l), p)
+
+
+def _compute_pq(classes: ScalarClasses, p: FineTwistedParams) -> PQSplit:
     profile = classes.profile(p)
 
     def split_ok(eps, order) -> bool:
@@ -406,7 +401,7 @@ def compute_pq(lam: list[CycloNum], p: FineTwistedParams) -> PQSplit:
         return True
 
     best = (1, None)
-    for eps in _epsilon_candidates(classes, p):
+    for eps in classes.candidates(p):
         order = root_of_unity_order(eps)
         if order > best[0] and split_ok(eps, order):
             best = (order, eps)
@@ -435,7 +430,7 @@ def weyl_order_formula(gr: Grading) -> int:
         return 2 ** (r + k) * factorial(k) * factorial(r) * factorial(m - 2 * r)
     if isinstance(fam, TwistedFine):
         p = fam.params
-        pq = compute_pq(list(fam.lam), p)
+        pq = _compute_pq(fam.classes, p)
         m_mults = _multiplicities(p.betas)
         n_mults = _multiplicities(p.alphas)
         if p.l % 2 == 0:

@@ -4,8 +4,9 @@ transport, used for randomized verification sweeps, an exhaustive oracle
 for the Weyl-group brute force, dense structure-constant tables (each
 family's own fill, and the table an algebra's sparse terms write out),
 dense oracles for the center, the derived algebra, the sparse axiom
-checks, the induced permutations and `Grading.table`, and a key-based
-oracle for the block-scalar classes."""
+checks, the induced permutations and `Grading.table`, a key-based
+oracle for the block-scalar classes, and the spectrum condition and the
+enumeration walked with their own powers of xi."""
 
 import random
 from collections import Counter
@@ -13,12 +14,12 @@ from fractions import Fraction
 
 from heisgrad import fine
 from heisgrad._linalg import (is_zero_vect, kernel, line_coeff, mat_apply, reduce_against,
-                              rref, transpose, vadd, vscale, vzero)
+                              rref, sparse, transpose, vadd, vscale, vzero)
 from heisgrad.abelian import smith_normal_form
 from heisgrad.fine import BlockI, primitive_root, twist, verify_block_i, verify_block_ii
 from heisgrad.gradings import Grading
 from heisgrad.liealg import Algebra, LinMap, VerifyReport, center, derived, is_automorphism
-from heisgrad.scalars import root_of_unity_order
+from heisgrad.scalars import divisors, root_of_unity_order
 from heisgrad.weyl import GradedAut, PermGroup
 
 
@@ -357,7 +358,7 @@ def extendable_permutations(gr: Grading) -> list[tuple[int, ...]]:
             target[i][j] = k
 
     cen, der = rref(center(a)), rref(derived(a))
-    flags = [(a.vect_parity(v), is_zero_vect(reduce_against(*cen, v)),
+    flags = [(a.vect_parity(sparse(v)), is_zero_vect(reduce_against(*cen, v)),
               is_zero_vect(reduce_against(*der, v))) for v in basis]
 
     perm = [None] * n
@@ -548,7 +549,7 @@ def assert_table_matches_dense(gr: Grading):
     a = gr.algebra
     basis, parity, inv, terms = gr.table
     assert basis == [v for g in gr.support for v in gr.components[g]]
-    assert parity == [a.vect_parity(b) for b in basis]
+    assert parity == [a.vect_parity(sparse(b)) for b in basis]
     assert all(all(col.values()) for col in inv)  # sparse columns: nonzero entries only
     dense_inv = [a.dense(col.items()) for col in inv]
     assert [mat_apply(dense_inv, b) for b in basis] == [a.basis_vect(i) for i in range(a.dim)]
@@ -705,3 +706,99 @@ def compute_pq(lam, p):
             cur = cur * eps
             q += 1
     return pval, q
+
+
+# --- the spectrum condition and the enumeration on their own orbits ---------
+#
+# Each block orbit is walked as powers of the primitive root that
+# primitive_root picks, apart from heisgrad.fine.ScalarClasses.orbit.
+
+def block_orbit(mu, xi, l, paired):
+    """The multiset {xi^t mu : 0 <= t < l}, with each value's negative too
+    when paired."""
+    xs = [mu]
+    for _ in range(l - 1):
+        xs.append(xs[-1] * xi)
+    return Counter(y for x in xs for y in ((x, -x) if paired else (x,)))
+
+
+def spectrum(lam):
+    """The multiset {+-lam_i}."""
+    return Counter(y for x in lam for y in (x, -x))
+
+
+def spectrum_check(lam, p):
+    """Multiset equality of {+-lam_i} against the block orbit values."""
+    if p.l * (p.r + 2 * p.s) != 2 * len(lam):
+        return False
+    xi = primitive_root(lam[0].ctx, p.l, lam)
+    if xi is None:
+        return False
+    need = Counter()
+    for b in p.betas:
+        need += block_orbit(b, xi, p.l, True)
+    for a in p.alphas:
+        need += block_orbit(a, xi, p.l, False)
+    return spectrum(lam) == need
+
+
+def extract_blocks(spec, l, s, r, xi, key):
+    """All splits of the spectrum multiset into s type-I and r type-II
+    orbits, each block scalar pinned to the least member of its orbit."""
+    if s == 0 and r == 0:
+        return [((), ())] if not +spec else []
+    live = [x for x, c in spec.items() if c > 0]
+    if not live:
+        return []
+    mu = min(live, key=key)
+    out = []
+    if s > 0:
+        orbit = block_orbit(mu, xi, l, True)
+        if all(spec[x] >= c for x, c in orbit.items()):
+            for betas, alphas in extract_blocks(spec - orbit, l, s - 1, r, xi, key):
+                out.append(((mu,) + betas, alphas))
+    if r > 0:
+        orbit = block_orbit(mu, xi, l, False)
+        if all(spec[x] >= c for x, c in orbit.items()):
+            for betas, alphas in extract_blocks(spec - orbit, l, s, r - 1, xi, key):
+                out.append((betas, (mu,) + alphas))
+    return out
+
+
+def shapes(lam):
+    """(l, s, r, xi) for every block order l with a primitive l-th root and
+    every split of the 2k spectrum values into s type-I and r type-II blocks."""
+    k = len(lam)
+    for l in divisors(2 * k):
+        xi = primitive_root(lam[0].ctx, l, lam)
+        if xi is None:
+            continue
+        per = 2 * k // l
+        for s in range(per // 2 + 1):
+            r = per - 2 * s
+            if not (r and l % 2):
+                yield l, s, r, xi
+
+
+def enumerate_twisted_fine(lam):
+    """Every split that passes the spectrum condition, with each scalar
+    replaced by its class_rep, sorted, and kept when no earlier one is
+    equivalent to it."""
+    found = []
+    for l, s, r, xi in shapes(lam):
+        (bm, br), (am, ar) = scalar_class_data(lam, l)
+        for betas, alphas in extract_blocks(spectrum(lam), l, s, r, xi,
+                                            lambda v: v.sort_key()):
+            p = fine.FineTwistedParams(l, s, r, betas, alphas)
+            if spectrum_check(lam, p):
+                found.append(fine.FineTwistedParams(
+                    l, s, r,
+                    tuple(sorted((class_rep(b, bm, br) for b in betas), key=lambda v: v.sort_key())),
+                    tuple(sorted((class_rep(x, am, ar) for x in alphas), key=lambda v: v.sort_key()))))
+    found.sort(key=lambda p: (p.l, p.s, p.r, tuple(b.sort_key() for b in p.betas),
+                              tuple(x.sort_key() for x in p.alphas)))
+    reps = []
+    for p in found:
+        if not any(equivalent_fine(lam, p, q) for q in reps):
+            reps.append(p)
+    return reps

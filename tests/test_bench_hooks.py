@@ -94,8 +94,8 @@ def test_bracket_work_per_benchmark_pass_is_bounded(monkeypatch):
     # rebased blocks, and verify brackets each unordered pair of components
     # once, which the universal group then reads; Grading.table brackets each
     # unordered pair of parity-homogeneous components once, in the orientation
-    # the memo holds; the bounds are the counts of the seed-23 batches at that
-    # design
+    # the memo holds; decompose walks each block orbit once; the bounds are
+    # the counts of the seed-23 batches at that design
     workloads = _load_bench("workloads")
     calls = [0]
     bracket = Algebra.bracket
@@ -105,7 +105,7 @@ def test_bracket_work_per_benchmark_pass_is_bounded(monkeypatch):
         return bracket(self, x, y)
 
     monkeypatch.setattr(Algebra, "bracket", counted)
-    for workload, bound in (("enumerate", 1865), ("weyl-brute", 253), ("roundtrip", 927)):
+    for workload, bound in (("enumerate", 1865), ("weyl-brute", 253), ("roundtrip", 911)):
         jobs = workloads.make_jobs(workload, 23)  # the roundtrip inputs take brackets too
         calls[0] = 0
         for job in jobs:
@@ -116,9 +116,10 @@ def test_bracket_work_per_benchmark_pass_is_bounded(monkeypatch):
 
 def test_scalar_work_per_benchmark_pass_is_bounded(monkeypatch):
     # one ScalarClasses per (lam, l) memoizes each scalar's class
-    # representative, so the enumeration, its equivalence test, the
-    # spectrum rotations and the closed form share their products and sort
-    # keys; the bounds are the counts of the seed-23 batches at that design
+    # representative and the rotation candidates of each class, so the
+    # enumeration, its equivalence test, the spectrum rotations and the
+    # closed form share their products and sort keys; the bounds are the
+    # counts of the seed-23 batches at that design
     workloads = _load_bench("workloads")
     calls = {"mul": 0, "sort_key": 0}
 
@@ -131,13 +132,41 @@ def test_scalar_work_per_benchmark_pass_is_bounded(monkeypatch):
     monkeypatch.setattr(CycloNum, "__mul__", counted("mul", CycloNum.__mul__))
     monkeypatch.setattr(CycloNum, "__rmul__", counted("mul", CycloNum.__rmul__))
     monkeypatch.setattr(CycloNum, "sort_key", counted("sort_key", CycloNum.sort_key))
-    for workload, bound in (("enumerate", {"mul": 12008, "sort_key": 858}),
-                            ("weyl-brute", {"mul": 12580, "sort_key": 231})):
+    for workload, bound in (("enumerate", {"mul": 9914, "sort_key": 340}),
+                            ("weyl-brute", {"mul": 10848, "sort_key": 103})):
         calls.update(mul=0, sort_key=0)
         for job in workloads.make_jobs(workload, 23):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 heisgrad.cli.main(job["argv"])
         assert all(calls[name] <= bound[name] for name in bound), (workload, calls)
+
+
+def test_scalar_classes_per_benchmark_pass_are_bounded(monkeypatch):
+    # the enumeration builds one ScalarClasses per block order l of each
+    # lambda, the per-lambda builder reuses them, twisted_fine builds one,
+    # and the Weyl layer reads the instance the grading carries; each
+    # instance finds its primitive root once, and nothing else looks for
+    # one; the bounds are the counts of the seed-23 batches at that design
+    import heisgrad.fine
+    workloads = _load_bench("workloads")
+    calls = {"classes": 0, "primitive_root": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(heisgrad.fine.ScalarClasses, "__init__",
+                        counted("classes", heisgrad.fine.ScalarClasses.__init__))
+    monkeypatch.setattr(heisgrad.fine, "primitive_root",
+                        counted("primitive_root", heisgrad.fine.primitive_root))
+    for workload, bound in (("enumerate", 20), ("weyl-brute", 9)):
+        calls.update(classes=0, primitive_root=0)
+        for job in workloads.make_jobs(workload, 23):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                heisgrad.cli.main(job["argv"])
+        assert calls["classes"] <= bound and calls["primitive_root"] <= bound, (workload, calls)
 
 
 def test_scalar_parses_per_roundtrip_pass_are_bounded(monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heisgrad._linalg import mat_apply, vadd, vscale
+from heisgrad._linalg import mat_apply, sparse, vadd, vscale
 from heisgrad.abelian import AbGroup, group_product
 from heisgrad.color import (Bicharacter, ColorType, classify_color,
                             color_algebra, color_type_from_json,
@@ -242,7 +242,7 @@ def test_superalgebra_as_color_center_in_even_part():
     comps = {}
     for g in gr.support:
         for v in gr.components[g]:
-            par = a.vect_parity(v)
+            par = a.vect_parity(sparse(v))
             coords = list(g.free) + list(g.torsion) + [par]
             deg = prod.zero()
             for c, gen in zip(coords, gens):
@@ -258,7 +258,7 @@ def test_superalgebra_as_color_center_in_even_part():
     g_z, v_z = named["z"]
     assert v_z == z
     assert g_z == t.g0
-    assert a.vect_parity(z) == 0
+    assert a.vect_parity(sparse(z)) == 0
 
 
 def test_classify_mixed_type_with_scramble():
@@ -371,7 +371,7 @@ def _color_cases():
     comps = {}
     for g in sgr.support:
         for v in sgr.components[g]:
-            coords = list(g.free) + list(g.torsion) + [sa.vect_parity(v)]
+            coords = list(g.free) + list(g.torsion) + [sa.vect_parity(sparse(v))]
             deg = sum((c * gen for c, gen in zip(coords, gens)), prod.zero())
             comps.setdefault(deg, []).append(v)
     cases.append(("super-as-color", sa, Grading(sa, prod, {g: tuple(v) for g, v in

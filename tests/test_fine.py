@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import heisgrad.fine as fine
 from heisgrad._linalg import in_span, is_zero_vect, mat_apply, vadd, vscale
@@ -311,7 +312,7 @@ def test_enumeration_complete_at_desk_scale(ctx16, lam_iiii):
     # every parameter tuple passing the spectrum condition is equivalent
     # to one of the enumerated representatives
     from collections import Counter
-    from heisgrad.fine import _extract_blocks, primitive_root
+    from heisgrad.fine import ScalarClasses, _extract_blocks
     from heisgrad.scalars import divisors
     reps = enumerate_twisted_fine(lam_iiii)
     k = len(lam_iiii)
@@ -320,15 +321,16 @@ def test_enumeration_complete_at_desk_scale(ctx16, lam_iiii):
         spec[x] += 1
         spec[-x] += 1
     for l in divisors(2 * k):
-        xi = primitive_root(ctx16, l, lam_iiii)
-        if xi is None:
+        try:
+            classes = ScalarClasses(lam_iiii, l)
+        except ValueError:
             continue
         per = 2 * k // l
         for s in range(per // 2 + 1):
             r = per - 2 * s
             if r and l % 2:
                 continue
-            for betas, alphas in _extract_blocks(spec, l, s, r, xi, CycloNum.sort_key):
+            for betas, alphas in _extract_blocks(spec, s, r, classes, CycloNum.sort_key):
                 p = FineTwistedParams(l, s, r, betas, alphas)
                 if spectrum_check(lam_iiii, p):
                     assert any(equivalent_fine(lam_iiii, p, q) for q in reps)
@@ -622,3 +624,47 @@ def test_per_lambda_classes_match_twisted_fine(text):
     assert [p for p, _ in got] == [p for p, _ in want]
     for (_, g), (_, w) in zip(got, want):
         assert (g.group, g.components, g.family) == (w.group, w.components, w.family)
+
+
+# --- the enumeration against the orbit oracle ----------------------------------
+
+@st.composite
+def lambda_texts(draw):
+    """1-6 entries c * zeta(m)^j with m <= 12 for the whole list and c a small
+    signed integer, drawn from a pool of at most three values so that
+    repeats and orbits are likely."""
+    m = draw(st.integers(1, 12))
+    entry = st.tuples(st.sampled_from((1, -1, 2, -2, 3)), st.integers(0, m - 1))
+    pool = draw(st.lists(entry, min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    # a whole coset c * <zeta(m)> now and then
+    picks = [(c, (j + t) % m) for t, (c, j) in enumerate(picks)] if draw(st.booleans()) else picks
+    return ",".join(f"{c}*zeta({m})^{j}" if j else str(c) for c, j in picks)
+
+
+@given(lambda_texts())
+def test_enumeration_matches_the_orbit_oracle(text):
+    # the block orbits of ScalarClasses against orbits walked as powers of
+    # their own xi: the spectrum condition on every extracted split and on
+    # the first entries of lambda for every shape, the extraction itself and
+    # the enumeration; the per-lambda builder matches the per-class one
+    lam = _lambda(text)
+    spec = _helpers.spectrum(lam)
+    for l, s, r, xi in _helpers.shapes(lam):
+        splits = _helpers.extract_blocks(spec, l, s, r, xi, CycloNum.sort_key)
+        assert fine._extract_blocks(spec, s, r, fine.ScalarClasses(lam, l),
+                                    CycloNum.sort_key) == splits
+        naive = (tuple(lam[:s]), tuple(lam[j % len(lam)] for j in range(r)))
+        for betas, alphas in splits + [naive]:
+            p = FineTwistedParams(l, s, r, betas, alphas)
+            assert spectrum_check(lam, p) == _helpers.spectrum_check(lam, p)
+        # every extracted split passes, so the enumeration does not check them
+        assert all(_helpers.spectrum_check(lam, FineTwistedParams(l, s, r, *split))
+                   for split in splits)
+    reps = enumerate_twisted_fine(lam)
+    assert reps == _helpers.enumerate_twisted_fine(lam)
+    got = list(twisted_fine_classes(lam))
+    assert [p for p, _ in got] == reps
+    for p, gr in got:
+        want = twisted_fine(lam, p)
+        assert (gr.group, gr.components, gr.family) == (want.group, want.components, want.family)

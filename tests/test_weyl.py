@@ -11,9 +11,9 @@ from sympy.utilities.iterables import partitions
 
 from heisgrad._linalg import mat_apply, mat_inverse, vadd, vscale
 from heisgrad.abelian import AbGroup
-from heisgrad.fine import (FineTwistedParams, enumerate_super_fine, enumerate_twisted_fine,
-                           equivalent_fine, heisenberg_fine, super_fine, twisted_fine,
-                           twisted_fine_nontoral, twisted_fine_toral)
+from heisgrad.fine import (FineTwistedParams, ScalarClasses, enumerate_super_fine,
+                           enumerate_twisted_fine, equivalent_fine, heisenberg_fine, super_fine,
+                           twisted_fine, twisted_fine_nontoral, twisted_fine_toral)
 from heisgrad.gradings import Grading
 from heisgrad.liealg import Algebra
 from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar
@@ -362,7 +362,8 @@ def test_scalar_classes_match_the_key_oracle(text):
     for p in classes:
         pq = compute_pq(lam, p)
         assert (pq.p, pq.q) == oracle.compute_pq(lam, p)
-        assert _spectrum_rotations(lam, p) == oracle.spectrum_rotations(lam, p)
+        rotations = _spectrum_rotations(ScalarClasses(lam, p.l), p)
+        assert rotations == oracle.spectrum_rotations(lam, p)
         (bm, br), (am, ar) = oracle.scalar_class_data(lam, p.l)
         betas = [b * br ** (j + 1) for j, b in enumerate(p.betas)]
         alphas = [x * ar ** (j + 1) for j, x in enumerate(p.alphas)]
