@@ -173,8 +173,8 @@ def color_algebra(t: ColorType, ctx: CycloCtx | None = None) -> tuple[Algebra, G
         terms[uh] = ((u, ((z_idx, -t.epsilon(-g + t.g0, g)),)),)
     for s, g in selfs:
         terms[s] = ((s, ((z_idx, one),)),)
-    algebra = Algebra(ctx, tuple(labels), (0,) * dim, tuple(terms))
-    algebra.skew = False
+    spec = {"kind": "color", "type": color_type_to_json(t), "conductor": ctx.n}
+    algebra = Algebra(ctx, tuple(labels), (0,) * dim, tuple(terms), spec)
     comps: dict[GroupElt, list[Vect]] = {}
     for i, g in enumerate(degrees):
         comps.setdefault(g, []).append(algebra.basis_vect(i))

@@ -44,9 +44,8 @@ class Algebra:
     parity: tuple[int, ...]
     # terms[i] = ((j, ((k, c), ...)), ...): the nonzero c = [b_i, b_j]_k, j and k ascending
     terms: tuple
-    spec: dict | None = None  # JSON form of a heisenberg, super or twisted algebra
+    spec: dict | None = None  # JSON form of a heisenberg, super, twisted or color algebra
     _zero: Vect = field(init=False, repr=False, compare=False)  # the one zero_vect()
-    skew = True  # [b_j, b_i] = -(-1)^(p_i p_j) [b_i, b_j]; color_algebra clears it
 
     def __post_init__(self):
         self._zero = vzero(self.ctx, self.dim)
@@ -55,6 +54,12 @@ class Algebra:
     def from_table(cls, ctx, labels, parity, table) -> Algebra:
         """The algebra of a dense bracket table, table[i][j] = [b_i, b_j]."""
         return cls(ctx, labels, parity, terms_of_table(table))
+
+    @property
+    def skew(self) -> bool:
+        """[b_j, b_i] = -(-1)^(p_i p_j) [b_i, b_j]; false for a color algebra,
+        whose table is skew only up to its bicharacter."""
+        return (self.spec or {}).get("kind") != "color"
 
     @property
     def dim(self) -> int:

@@ -47,8 +47,7 @@ class PermGroup:
     """A stabilizer chain on the base 0..degree-1: level i holds the strong
     generators fixing the points below i and a transversal (orbit point of
     i -> coset representative u with u[i] = point, and u's inverse).  Each
-    of gens is sifted through the chain built so far and kept only when it
-    is not yet in the group."""
+    of gens is added in turn."""
 
     def __init__(self, degree: int, gens: list[Perm] | tuple = ()):
         self.degree = degree
@@ -56,10 +55,16 @@ class PermGroup:
         ident = tuple(range(degree))
         self.levels = [([], {i: (ident, ident)}) for i in range(degree)]
         for g in gens:
-            i, h = self._sift(g)
-            if i < degree:
-                self.gens.append(g)
-                self._grow(0, i, h)
+            self.add(g)
+
+    def add(self, g: Perm) -> None:
+        """Sift g through the chain and, when it is not yet in the group,
+        keep it and grow the chain in place."""
+        i, h = self._sift(g)
+        if i < self.degree:
+            self.gens.append(g)
+            self._grow(0, i, h)
+            self.__dict__.pop("elements", None)
 
     @property
     def order(self) -> int:
@@ -488,8 +493,9 @@ def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
     extendable permutations form a group, so only generators are sought
     (Sims' subgroup search; Seress 2003, ch. 4): for t = n-1 down to 0,
     with the first t points of the search order fixed, one leaf per image
-    of the t-th point outside the orbit of the group found so far.  The
-    nodes visited and the leaves tested are recorded on the result."""
+    of the t-th point outside the orbit of the group found so far, held in
+    one stabilizer chain that each hit grows.  The nodes visited and the
+    leaves tested are recorded on the result."""
     a = gr.algebra
     support = gr.support
     n = len(support)
@@ -510,36 +516,20 @@ def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
     used = [False] * n
     forced: dict[int, int] = {}
 
-    def compatible(i: int, m: int) -> bool:
+    def place(i: int, m: int, trail: list[int]) -> bool:
+        # perm[i] = m keeps the flags and which brackets with placed points
+        # vanish; each nonzero one forces its target's image (forced, trail)
         if flags[i] != flags[m]:
-            return False
-        if (gamma[i][i] is None) != (gamma[m][m] is None):
             return False
         for j in range(n):
             if perm[j] is None:
                 continue
-            for (x, y) in ((i, j), (j, i)):
-                px, py = (m if x == i else perm[x]), (m if y == i else perm[y])
-                if (gamma[x][y] is None) != (gamma[px][py] is None):
+            for x, y in ((i, j), (j, i)) if j != i else ((i, i),):
+                k, k2 = target[x][y], target[perm[x]][perm[y]]
+                if (k is None) != (k2 is None):
                     return False
-        return True
-
-    def propagate(i: int, m: int, trail: list[int]) -> bool:
-        # record forced images of bracket targets; detect conflicts
-        for j in range(n):
-            if perm[j] is None and j != i:
-                continue
-            for (x, y) in ((i, j), (j, i), (i, i)):
-                if x != i and y != i:
+                if k is None:
                     continue
-                px = m if x == i else perm[x]
-                py = m if y == i else perm[y]
-                if gamma[x][y] is None:
-                    continue
-                k = target[x][y]
-                k2 = target[px][py]
-                if k2 is None:
-                    return False
                 if perm[k] is not None:
                     if perm[k] != k2:
                         return False
@@ -602,13 +592,13 @@ def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
         want = i if depth < t else x if depth == t else None
         cands = [forced[i]] if i in forced else range(n)
         for m in cands:
-            if used[m] or (want is not None and m != want) or not compatible(i, m):
+            if used[m] or (want is not None and m != want):
                 continue
             trail: list[int] = []
             perm[i] = m
             used[m] = True
             # the fixed identity prefix satisfies every relation
-            hit = (propagate(i, m, trail)
+            hit = (place(i, m, trail)
                    and (depth < t or all(holds(*c) for c in checks[depth]))
                    and search(depth + 1, t, x))
             perm[i] = None
@@ -619,8 +609,8 @@ def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
                 return hit
         return None
 
-    # the chain holds the hits conjugated by the search order, so that its
-    # base 0..n-1 is that order
+    # the chain grows by each hit conjugated by the search order, so that
+    # its base 0..n-1 is that order
     hits: list[Perm] = []
     chain = PermGroup(n)
     for t in range(n - 1, -1, -1):
@@ -630,7 +620,7 @@ def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
             hit = search(0, t, x)
             if hit is not None:
                 hits.append(hit)
-                chain = PermGroup(n, [tuple(depth_of[h[i]] for i in order) for h in hits])
+                chain.add(tuple(depth_of[hit[i]] for i in order))
     group = PermGroup(n, hits)
     group.nodes_visited, group.leaves_tested = nodes, leaves
     return group

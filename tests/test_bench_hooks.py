@@ -141,6 +141,30 @@ def test_scalar_work_per_benchmark_pass_is_bounded(monkeypatch):
         assert all(calls[name] <= bound[name] for name in bound), (workload, calls)
 
 
+def test_bruteforce_work_per_benchmark_pass_is_bounded(monkeypatch):
+    # each candidate image gets one placement test, which checks the
+    # vanishing brackets and forces the bracket targets together, and the
+    # search keeps one stabilizer chain grown by each hit; the bounds are
+    # the nodes visited and leaves tested, summed over the weyl_bruteforce
+    # calls of the seed-23 weyl-brute batch at that design
+    import heisgrad.weyl
+    workloads = _load_bench("workloads")
+    groups = []
+    bruteforce = heisgrad.weyl.weyl_bruteforce
+
+    def recorded(*args, **kwargs):
+        groups.append(bruteforce(*args, **kwargs))
+        return groups[-1]
+
+    monkeypatch.setattr(heisgrad.weyl, "weyl_bruteforce", recorded)
+    for job in workloads.make_jobs("weyl-brute", 23):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            heisgrad.cli.main(job["argv"])
+    nodes = sum(g.nodes_visited for g in groups)
+    leaves = sum(g.leaves_tested for g in groups)
+    assert len(groups) == 6 and nodes <= 751 and leaves <= 21, (len(groups), nodes, leaves)
+
+
 def test_scalar_classes_per_benchmark_pass_are_bounded(monkeypatch):
     # the enumeration builds one ScalarClasses per block order l of each
     # lambda, the per-lambda builder reuses them, twisted_fine builds one,

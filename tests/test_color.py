@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from heisgrad.color import (Bicharacter, ColorType, classify_color,
                             color_algebra, color_type_from_json,
                             color_type_to_json, is_super_realizable,
                             verify_color_axioms)
-from heisgrad.gradings import Grading, verify_grading
+from heisgrad.gradings import Grading, grading_from_json, grading_to_json, verify_grading
 from heisgrad.liealg import center, derived
 from heisgrad.scalars import CycloCtx
 
@@ -469,3 +470,21 @@ def test_graded_table_matches_dense_brackets():
     for name, a, gr, eps in _color_cases():
         for grading in (gr, _scrambled(gr, rng)):
             assert_table_matches_dense(grading)
+
+
+_STANDARD_CASES = ("trivial", "super", "flip", "torsion-free", "cube-root", "torsion-free-7",
+                   "z4", "z", "mixed")
+
+
+@pytest.mark.parametrize("name", _STANDARD_CASES)
+def test_color_algebra_json_round_trip(name):
+    # a color algebra writes its type, not a custom table, and reads back
+    _, a, gr, eps = next(case for case in _color_cases() if case[0] == name)
+    doc = json.loads(json.dumps(grading_to_json(gr)))
+    assert doc["algebra"]["kind"] == "color"
+    back = grading_from_json(doc)
+    assert back.algebra == a and not back.algebra.skew
+    assert back.components == gr.components
+    assert verify_color_axioms(back.algebra, back, eps).ok
+    with pytest.raises(AttributeError):
+        back.algebra.skew = True

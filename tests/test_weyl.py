@@ -19,7 +19,7 @@ from heisgrad.liealg import Algebra
 from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar
 from heisgrad.cli import auto_conductor, main
 from heisgrad.weyl import (CapExceeded, _landau, _perm_order, _spectrum_rotations,
-                           closure, compute_pq,
+                           PermGroup, closure, compute_pq,
                            induced_permutation, perm_cycles,
                            standard_generators, weyl_bruteforce, weyl_group,
                            weyl_order_formula)
@@ -526,9 +526,19 @@ def test_chain_matches_sympy_and_breadth_first_search(drawn):
     assert group.order == ref.order()
     assert group.is_abelian() == ref.is_abelian
     assert len(group.gens) <= log2(group.order)
+    # the same chain grown one add at a time, once with elements read after each
+    grown, peeked = PermGroup(degree), PermGroup(degree)
+    for p in perms:
+        grown.add(p)
+        peeked.add(p)
+        if peeked.order <= 5040:
+            assert len(peeked.elements) == peeked.order
+    assert grown.order == peeked.order == group.order
+    assert grown.gens == peeked.gens == group.gens
     if group.order <= 5040:  # the breadth-first reference stays cheap
         assert group.elements == sorted(_bfs_elements(perms, degree))
         assert {tuple(p.array_form) for p in ref.generate()} == set(group.elements)
+        assert grown.elements == peeked.elements == group.elements
 
 
 def _cyclic(n):
