@@ -1,9 +1,10 @@
 """Exact linear algebra over a cyclotomic field.
 
-Vectors are tuples of CycloNum; matrices are lists of row tuples.  All
-pivoting is first-nonzero in a fixed scan order, so results are
-deterministic.  Row operations skip zero entries, which most of the
-sparse matrices here are made of.
+Vectors are tuples of CycloNum; matrices are lists of row tuples.  The
+echelon forms pivot on the first nonzero in a fixed scan order, so
+results are deterministic.  Row operations skip zero entries, which most
+of the sparse matrices here are made of; mat_inverse works on the
+nonzero entries alone.
 """
 
 from __future__ import annotations
@@ -159,13 +160,35 @@ def sparse_apply(cols: list[SparseVect], v: SparseVect) -> SparseVect:
     return {k: x for k, x in out.items() if x}
 
 
-def mat_inverse(cols: list[Vect], ctx: CycloCtx) -> list[Vect] | None:
-    """Inverse of a square matrix given by columns, or None if singular."""
-    n = len(cols)
-    one, zero = ctx.one(), ctx.zero()
-    rows = [row + tuple(one if i == j else zero for j in range(n))
-            for i, row in enumerate(transpose(cols))]
-    red, pivots = rref(rows)
-    if pivots[:n] != list(range(n)):
-        return None
-    return transpose([row[n:] for row in red])
+def mat_inverse(cols: list[Vect] | list[SparseVect], ctx: CycloCtx) -> list | None:
+    """Inverse of a square matrix given by columns, dense or as SparseVect
+    (as Algebra.bracket takes them), in the same form; None if singular.
+    Gauss-Jordan on the nonzero entries of the rows of [M | I], M's at keys
+    0..n-1 and I's at n..2n-1: column c pivots on the row with the fewest
+    nonzeros of those not yet used that have one in column c."""
+    n, dense, zero = len(cols), bool(cols) and not isinstance(cols[0], dict), ctx.zero()
+    rows: list[SparseVect] = [{n + i: ctx.one()} for i in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in (sparse(col) if dense else col).items():
+            rows[i][j] = x
+    free = list(range(n))
+    for c in range(n):
+        r = min((r for r in free if c in rows[r]), key=lambda r: len(rows[r]), default=None)
+        if r is None:
+            return None
+        free.remove(r)
+        inv = rows[r][c].inv()
+        prow = rows[r] = {k: inv * x for k, x in rows[r].items()}
+        for row in rows:
+            if row is not prow and c in row:
+                f = row.pop(c)
+                for k, y in prow.items():
+                    if k != c:
+                        x = row.get(k, zero) - f * y
+                        if x:
+                            row[k] = x
+                        else:
+                            del row[k]
+    rows.sort(key=min)  # now row c is e_c beside row c of the inverse
+    out = [{c: row[k] for c, row in enumerate(rows) if k in row} for k in range(n, 2 * n)]
+    return [tuple(col.get(i, zero) for i in range(n)) for col in out] if dense else out

@@ -83,18 +83,19 @@ class Grading:
     @cached_property
     def table(self) -> GradedTable:
         """brackets() of the components in the coordinates of the component
-        basis, inverted once into sparse columns.  In a skew algebra
+        basis, inverted once on its nonzero coordinates.  In a skew algebra
         (Algebra.skew) a pair of components whose vectors are all
         parity-homogeneous is bracketed and mapped once, in the orientation
         the memo holds, and [b_n, b_m] = -(-1)^(p_m p_n) [b_m, b_n] fills the
         other; color algebras and parity-mixed vectors get both orientations."""
         support, a, memo = self.support, self.algebra, self._brackets
         basis = [v for g in support for v in self.components[g]]
-        parity = [a.vect_parity(v) for v in self.nonzero_basis()]
-        inv = mat_inverse(basis, a.ctx) if len(basis) == a.dim else None
+        nonzero = self.nonzero_basis()
+        parity = [a.vect_parity(v) for v in nonzero]
+        inv = mat_inverse(nonzero, a.ctx) if len(basis) == a.dim else None
         if inv is None:
             return GradedTable(basis, parity, None, None)
-        table = GradedTable(basis, parity, [sparse(col) for col in inv], None)
+        table = GradedTable(basis, parity, inv, None)
         rows: list[dict] = [{} for _ in basis]
         start = [0]  # the x-th component in support order spans basis[start[x]:start[x + 1]]
         for g in support:

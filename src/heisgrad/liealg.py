@@ -9,6 +9,7 @@ table is only an input and JSON form: Algebra.from_table converts it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ._linalg import (SparseVect, Vect, is_zero_vect, kernel, line_coeff,
                       mat_apply, rank, rref, sparse, vzero)
@@ -66,8 +67,13 @@ class Algebra:
         return len(self.labels)
 
     def basis_vect(self, i: int) -> Vect:
+        """e_i, one object per i, so that it can be found by identity."""
+        return self._units[i]
+
+    @cached_property
+    def _units(self) -> list[Vect]:
         one, zero = self.ctx.one(), self.ctx.zero()
-        return tuple(one if j == i else zero for j in range(self.dim))
+        return [tuple(one if j == i else zero for j in range(self.dim)) for i in range(self.dim)]
 
     def zero_vect(self) -> Vect:
         return self._zero

@@ -268,8 +268,9 @@ class CycloNum:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # square only while bits remain
+                base = base * base
         return result
 
     def inv(self) -> "CycloNum":

@@ -15,8 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, lcm, prod
+from operator import itemgetter
 
-from ._linalg import Vect, is_zero_vect, mat_apply, reduce_against, rref, sparse_apply
+from ._linalg import Vect, is_zero_vect, mat_apply, reduce_against, rref, sparse, sparse_apply
 from .abelian import smith_normal_form
 from .fine import (FineTwistedParams, HeisenbergFine, ScalarClasses, SuperFine,
                    TwistedFine, rebase_scales_i, rebase_scales_ii)
@@ -52,7 +53,7 @@ class PermGroup:
     def __init__(self, degree: int, gens: list[Perm] | tuple = ()):
         self.degree = degree
         self.gens: list[Perm] = []
-        ident = tuple(range(degree))
+        self.ident = ident = tuple(range(degree))
         self.levels = [([], {i: (ident, ident)}) for i in range(degree)]
         for g in gens:
             self.add(g)
@@ -72,7 +73,7 @@ class PermGroup:
 
     @cached_property
     def elements(self) -> list[Perm]:
-        out = [tuple(range(self.degree))]
+        out = [self.ident]
         for _, trans in reversed(self.levels):
             out = [_pmul(u, g) for u, _ in trans.values() for g in out]
         return sorted(out)
@@ -86,6 +87,8 @@ class PermGroup:
                 if rep is None:
                     return i, g
                 g = _pmul(rep[1], g)
+                if g == self.ident:
+                    break
         return self.degree, g
 
     def _grow(self, lo: int, hi: int, h: Perm) -> None:
@@ -94,12 +97,15 @@ class PermGroup:
         for gens, trans in self.levels[lo:hi + 1]:
             gens.append(h)
             pairs = [(p, h) for p in trans]  # the new (point, generator) pairs
+            schreier = []  # those off the tree: a tree edge's generator is 1
             for p, s in pairs:
                 if s[p] not in trans:
                     u = _pmul(s, trans[p][0])
                     trans[s[p]] = (u, tuple(sorted(range(len(u)), key=u.__getitem__)))
                     pairs.extend((s[p], t) for t in gens)
-            todo.append(pairs)
+                else:
+                    schreier.append((p, s))
+            todo.append(schreier)
         for i in range(hi, lo - 1, -1):
             trans = self.levels[i][1]
             for p, s in todo[i - lo]:
@@ -123,7 +129,8 @@ class PermGroup:
 
 
 def _pmul(a: Perm, b: Perm) -> Perm:
-    return tuple(map(a.__getitem__, b))
+    # one C call; itemgetter takes no empty index list and gives a bare item for one
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(map(a.__getitem__, b))
 
 
 def _landau(n: int) -> int:
@@ -346,22 +353,30 @@ def standard_generators(gr: Grading) -> list[GradedAut]:
     """Explicit generator automorphisms of the Weyl group of a fine
     grading produced by this package, each checked by _monomial_aut.  The
     matrix of each is built on nonzero coordinates from the sparse inverse
-    of gr.table: column j, f(e_j), is the sum of inv_j[m] c_m b_p(m)."""
+    of gr.table: column j, f(e_j), is the sum of inv_j[m] c_m b_p(m), and
+    e_j itself when no moved b_m takes part."""
     build = _GENERATORS.get(type(gr.family))
     if build is None:
         raise ValueError("grading does not carry fine-grading provenance")
     a, table = gr.algebra, _line_table(gr, "the standard generators")
     basis, nonzero = table.basis, gr.nonzero_basis()
-    index = {b: m for m, b in enumerate(basis)}
+    at = {id(b): m for m, b in enumerate(basis)}
+
+    def index(b: Vect) -> int:  # the same object's position, else an equal copy's
+        return at[id(b)] if id(b) in at else nonzero.index(sparse(b))
+
     one = a.ctx.one()
     out = []
     for name, moves in build(a, gr.family):
-        perm, scale = list(range(len(basis))), [one] * len(basis)
+        perm, scale, moved = list(range(len(basis))), [one] * len(basis), set()
         for b, b2, c in moves:
-            perm[index[b]], scale[index[b]] = index[b2], c
+            m = index(b)
+            perm[m], scale[m] = index(b2), c
+            moved.add(m)
         # f(e_j) = sum of inv_j[m] c_m b_p(m) over the nonzero inv_j[m]
-        f = [a.dense(sparse_apply(nonzero, {perm[m]: c * scale[m] for m, c in col.items()}).items())
-             for col in table.inverse]
+        f = [a.basis_vect(j) if moved.isdisjoint(col) else
+             a.dense(sparse_apply(nonzero, {perm[m]: c * scale[m] for m, c in col.items()}).items())
+             for j, col in enumerate(table.inverse)]
         out.append(_monomial_aut(gr, (perm, scale), f, name))
     return out
 
@@ -420,11 +435,6 @@ def _compute_pq(classes: ScalarClasses, p: FineTwistedParams) -> PQSplit:
     return PQSplit(pval, q)
 
 
-def _multiplicities(scalars) -> list[int]:
-    counts = Counter(scalars)
-    return sorted(counts.values())
-
-
 def weyl_order_formula(gr: Grading) -> int:
     """Closed-form order of the Weyl group of a fine grading."""
     fam = gr.family
@@ -435,18 +445,13 @@ def weyl_order_formula(gr: Grading) -> int:
         return 2 ** (r + k) * factorial(k) * factorial(r) * factorial(m - 2 * r)
     if isinstance(fam, TwistedFine):
         p = fam.params
-        pq = _compute_pq(fam.classes, p)
-        m_mults = _multiplicities(p.betas)
-        n_mults = _multiplicities(p.alphas)
-        if p.l % 2 == 0:
-            out = pq.q * (2 * p.l) ** p.s * 2**p.r
-            for v in m_mults + n_mults:
-                out *= factorial(v)
-        else:
-            out = 2 * pq.q * p.l**p.s
-            for v in m_mults:
-                out *= factorial(v)
-        return out
+        q = _compute_pq(fam.classes, p).q
+        # the blocks of one scalar are permuted freely: v! for v of them
+        swaps = [factorial(v) for v in Counter(p.betas).values()]
+        if p.l % 2:
+            return 2 * q * p.l**p.s * prod(swaps)
+        swaps += [factorial(v) for v in Counter(p.alphas).values()]
+        return q * (2 * p.l) ** p.s * 2**p.r * prod(swaps)
     raise ValueError("grading does not carry fine-grading provenance")
 
 

@@ -13,6 +13,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import sys
 
@@ -118,8 +119,9 @@ def test_scalar_work_per_benchmark_pass_is_bounded(monkeypatch):
     # one ScalarClasses per (lam, l) memoizes each scalar's class
     # representative and the rotation candidates of each class, so the
     # enumeration, its equivalence test, the spectrum rotations and the
-    # closed form share their products and sort keys; the bounds are the
-    # counts of the seed-23 batches at that design
+    # closed form share their products and sort keys, and x ** e squares
+    # only while bits remain; the bounds are the counts of the seed-23
+    # batches at that design (mul 9914 and 10848 before the last)
     workloads = _load_bench("workloads")
     calls = {"mul": 0, "sort_key": 0}
 
@@ -132,8 +134,8 @@ def test_scalar_work_per_benchmark_pass_is_bounded(monkeypatch):
     monkeypatch.setattr(CycloNum, "__mul__", counted("mul", CycloNum.__mul__))
     monkeypatch.setattr(CycloNum, "__rmul__", counted("mul", CycloNum.__rmul__))
     monkeypatch.setattr(CycloNum, "sort_key", counted("sort_key", CycloNum.sort_key))
-    for workload, bound in (("enumerate", {"mul": 9914, "sort_key": 340}),
-                            ("weyl-brute", {"mul": 10848, "sort_key": 103})):
+    for workload, bound in (("enumerate", {"mul": 9906, "sort_key": 340}),
+                            ("weyl-brute", {"mul": 9644, "sort_key": 103})):
         calls.update(mul=0, sort_key=0)
         for job in workloads.make_jobs(workload, 23):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -254,9 +256,12 @@ def test_building_heisenberg_40_tests_few_scalars(monkeypatch):
 def test_zero_tests_per_weyl_closure_pass_are_bounded(monkeypatch):
     # the bracket memo brackets from the nonzero coordinates of the
     # component vectors, Grading.table maps only nonzero brackets through
-    # the sparse inverse, the generator matrices are sums over its nonzero
-    # entries, and a zero bracket is told by identity; the bound is the
-    # count of the seed-23 weyl-closure batch at that design
+    # the sparse inverse, which Gauss-Jordan builds on the nonzero
+    # coordinates of the basis, a generator matrix column is e_j unless a
+    # moved basis vector meets it and else a sum over the nonzero entries
+    # of an inverse column, and a zero bracket is told by identity; the
+    # bound is the count of the seed-23 weyl-closure batch at that design
+    # (4318 with the dense inversion and a sum for every column)
     workloads = _load_bench("workloads")
     calls = [0]
     truth = CycloNum.__bool__
@@ -270,4 +275,41 @@ def test_zero_tests_per_weyl_closure_pass_are_bounded(monkeypatch):
     for job in jobs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             heisgrad.cli.main(job["argv"])
-    assert calls[0] <= 4318, calls[0]
+    assert calls[0] <= 1679, calls[0]
+
+
+def test_permutation_products_per_chain_are_bounded(monkeypatch):
+    # the stabilizer chain of the heisenberg_fine(20) generators (degree 41)
+    # tests no Schreier generator of a Schreier tree edge, which is 1; the
+    # bound is the count at that design (16,801 when every pair was tested)
+    import heisgrad.weyl as weyl
+    from heisgrad.fine import heisenberg_fine
+    perms = [aut.perm for aut in weyl.standard_generators(heisenberg_fine(20))]
+    calls = [0]
+    pmul = weyl._pmul
+
+    def counted(a, b):
+        calls[0] += 1
+        return pmul(a, b)
+
+    monkeypatch.setattr(weyl, "_pmul", counted)
+    group = weyl.closure(perms)
+    assert group.order == 2**20 * math.factorial(20) and calls[0] <= 16001, calls[0]
+
+
+def test_standard_generators_hash_no_dense_vector(monkeypatch):
+    # the moves' vectors are found by basis position (the same object) or
+    # by their nonzero coordinates; 44,955 scalar hashes when the basis
+    # index was a dict keyed on the dense vectors
+    from heisgrad.fine import heisenberg_fine
+    from heisgrad.weyl import standard_generators
+    gr = heisenberg_fine(40)
+    calls = [0]
+    hash_ = CycloNum.__hash__
+
+    def counted(self):
+        calls[0] += 1
+        return hash_(self)
+
+    monkeypatch.setattr(CycloNum, "__hash__", counted)
+    assert len(standard_generators(gr)) == 40 and calls[0] <= 1000, calls[0]

@@ -4,7 +4,8 @@ Elements are drawn as rational coefficient lists; sympy's polynomial
 arithmetic modulo its own cyclotomic polynomial is the independent
 oracle for products, inverses and the coefficient order.  Zero, rational
 and monomial operands take shortcuts in the arithmetic, and sympy's
-rational matrices check the row operations that skip zero entries.
+rational matrices check the row operations that skip zero entries and
+the inverse, in the regular representation of the field.
 """
 
 from fractions import Fraction
@@ -15,7 +16,8 @@ import sympy
 from hypothesis import given, strategies as st
 
 from heisgrad._linalg import (combinations, in_span, intersection, kernel,
-                              line_coeff, rank, rref, vadd, vscale)
+                              line_coeff, mat_inverse, rank, rref, sparse, vadd,
+                              vscale)
 from heisgrad.scalars import (CycloCtx, cyclotomic_poly, embed, format_scalar,
                               parse_scalar)
 
@@ -325,3 +327,48 @@ def test_subspace_operations_over_the_field(n, n_rows, n_cols, data):
     e_j = tuple(ctx.one() if i == j else ctx.zero() for i in range(n_cols))
     with pytest.raises(ValueError):
         line_coeff(vadd(line, e_j), line)
+
+
+def regular_representation(m, n: int) -> sympy.Matrix:
+    """The rational matrix of the rows m over Q(zeta_n): each entry x is the
+    d x d block whose column k is x zeta_n^k, reduced by sympy."""
+    d = CycloCtx(n).degree
+    big = sympy.zeros(len(m) * d, len(m[0]) * d if m else 0)
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            for k in range(d):
+                for r, q in enumerate(sympy_coeffs([0] * k + list(x.coeffs), n)):
+                    big[i * d + r, j * d + k] = sympy.Rational(q.numerator, q.denominator)
+    return big
+
+
+@given(st.sampled_from((1, 3, 4, 8, 12)), st.integers(0, 4), st.booleans(), st.data())
+def test_mat_inverse_matches_sympy(n, size, dependent, data):
+    # the field embeds in the rational d x d matrices, so M is invertible
+    # iff its regular representation is, and the inverse of that is the
+    # representation of M^-1: entry (i, j) is the first column of block (i, j)
+    ctx = CycloCtx(n)
+    d, zero = ctx.degree, ctx.zero()
+    # M = L U with columns permuted, L unit lower and U upper triangular
+    # with a nonzero diagonal, so invertible until a column is made dependent
+    lower, upper = (data.draw(field_matrix(n, size, size)) for _ in "LU")
+    for i in range(size):
+        upper[i] = upper[i][:i] + (data.draw(shaped_elements(n))[0] or ctx.one(),) \
+            + upper[i][i + 1:]
+    order = data.draw(st.permutations(range(size)))
+    cols = [tuple(sum((lower[i][k] * upper[k][j] for k in range(min(i, j))),
+                      upper[i][j] if i <= j else zero) for i in range(size)) for j in order]
+    if dependent and size:  # the last column a combination of the others
+        c = data.draw(shaped_elements(n))[0]
+        cols[-1] = vadd(vscale(c, cols[0]), cols[-2]) if size > 1 else vscale(zero, cols[0])
+    big = regular_representation([tuple(col[i] for col in cols) for i in range(size)], n)
+    dense, sparse_in = mat_inverse(cols, ctx), mat_inverse([sparse(col) for col in cols], ctx)
+    if dependent and size:
+        assert big.rank() < size * d and dense is None and sparse_in is None
+        return
+    want = big.inv()
+    assert [[x.coeffs for x in col] for col in dense] == [
+        [tuple(Fraction(int(q.p), int(q.q)) for q in want[i * d:(i + 1) * d, j * d])
+         for i in range(size)] for j in range(size)]
+    assert sparse_in == [sparse(col) for col in dense]
+    assert all(list(col) == sorted(col) for col in sparse_in)

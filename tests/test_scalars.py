@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from heisgrad.scalars import (MAX_DIGITS, MAX_EXPONENT, CycloCtx, ScalarSyntaxError, cyclotomic_poly,
-                              divisors, embed, format_scalar, parse_scalar,
+from heisgrad.scalars import (MAX_DIGITS, MAX_EXPONENT, CycloCtx, CycloNum, ScalarSyntaxError,
+                              cyclotomic_poly, divisors, embed, format_scalar, parse_scalar,
                               root_of_unity_order, scan_conductors, sqrt_int,
                               sqrt_rational, sqrt_scalar)
 
@@ -239,3 +239,27 @@ def test_hash_agrees_with_eq():
     z = ctx.zeta()
     assert hash((z + 1) * (z - 1)) == hash(z * z - 1)
     assert len({z ** 12, ctx.one(), 1, Fraction(1)}) == 1
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 24])
+def test_power_squares_only_while_bits_remain(monkeypatch, n):
+    # square-and-multiply: bit_length(e) - 1 squarings and popcount(e)
+    # products into the result, and values equal to repeated products
+    ctx = CycloCtx(n)
+    x = ctx.zeta() + ctx.from_fraction(Fraction(1, 3))  # rational at n = 1
+    powers = [ctx.one()]
+    for _ in range(64):
+        powers.append(powers[-1] * x)
+    calls = [0]
+    mul = CycloNum.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloNum, "__mul__", counted)
+    assert x ** 0 == ctx.one() and calls[0] == 0
+    for e in range(1, 65):
+        calls[0] = 0
+        assert x ** e == powers[e], e
+        assert calls[0] <= e.bit_length() + bin(e).count("1") - 1, (e, calls[0])

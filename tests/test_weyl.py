@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 from sympy.utilities.iterables import partitions
 
-from heisgrad._linalg import mat_apply, mat_inverse, vadd, vscale
+from heisgrad._linalg import mat_apply, mat_inverse, sparse, vadd, vscale
 from heisgrad.abelian import AbGroup
 from heisgrad.fine import (FineTwistedParams, ScalarClasses, enumerate_super_fine,
                            enumerate_twisted_fine, equivalent_fine, heisenberg_fine, super_fine,
@@ -69,6 +69,9 @@ def test_closure_basics():
     g = closure([(1, 0, 2)])
     assert g.order == 2
     assert closure([], degree=3).order == 1
+    # degree 0 has no levels and no point to compose on
+    empty = closure([], degree=0)
+    assert empty.order == 1 and empty.elements == [()] and empty.gens == []
     assert perm_cycles((1, 0, 2)) == "(0 1)"
     assert g.elements == [(0, 1, 2), (1, 0, 2)]
 
@@ -512,7 +515,7 @@ def _bfs_elements(perms, degree):
 
 @st.composite
 def generating_sets(draw):
-    degree = draw(st.integers(1, 9))
+    degree = draw(st.integers(0, 10))
     perms = draw(st.lists(st.permutations(range(degree)), max_size=4))
     return degree, [tuple(p) for p in perms]
 
@@ -712,6 +715,21 @@ def test_graded_table_matches_dense_brackets():
         assert_table_matches_dense(gr)
 
 
+def test_sparse_inverse_of_every_table_basis():
+    # mat_inverse on the nonzero coordinates of the component basis gives
+    # the columns c_j, index ascending, with sum c_j[m] b_m = e_j, the
+    # sparse form of the dense call's columns, and gr.table's inverse
+    for gr in _table_cases():
+        a = gr.algebra
+        basis = [v for g in gr.support for v in gr.components[g]]
+        inverse = mat_inverse(gr.nonzero_basis(), a.ctx)
+        assert inverse == [sparse(col) for col in mat_inverse(basis, a.ctx)]
+        assert inverse == gr.table.inverse
+        for j, col in enumerate(inverse):
+            assert list(col) == sorted(col)
+            assert mat_apply(basis, a.dense(col.items())) == a.basis_vect(j)
+
+
 def test_generator_matrices_match_the_dense_product():
     # f = B diag(c) P B^-1: the columns of B are the component vectors, P
     # sends the m-th to the p(m)-th and c scales, as the family's moves
@@ -731,6 +749,19 @@ def test_generator_matrices_match_the_dense_product():
                 perm[m], q[m] = p, vscale(c, a.basis_vect(p))
             assert aut.perm == tuple(perm), name
             assert aut.map == compose_maps(compose_maps(basis, q), inverse), name
+
+
+def test_standard_generators_find_equal_copies_by_coordinates():
+    # the moves name the family's own vector objects, found by identity; a
+    # grading built on equal copies of them is read by nonzero coordinates
+    for gr in _table_cases():
+        copy = Grading(gr.algebra, gr.group,
+                       {g: tuple(tuple(list(v)) for v in vs) for g, vs in gr.components.items()},
+                       gr.family)
+        assert all(v is not w for g in gr.support
+                   for v, w in zip(gr.components[g], copy.components[g]))
+        assert ([(aut.name, aut.perm, aut.map) for aut in standard_generators(copy)]
+                == [(aut.name, aut.perm, aut.map) for aut in standard_generators(gr)])
 
 
 def _count_calls(monkeypatch):
@@ -776,10 +807,11 @@ def test_weyl_group_brackets_each_basis_pair_once(monkeypatch, make):
 
 
 def test_heisenberg_40_generators_test_few_scalars(monkeypatch):
-    # the table maps only nonzero brackets through the sparse inverse, and
-    # each matrix column sums over the nonzero entries of one inverse
-    # column; what is left is the dense inversion of the basis and the
-    # sparse form of its columns.  The bound is the count at that design
+    # the table maps only nonzero brackets through the sparse inverse, the
+    # basis is inverted on its nonzero coordinates, each matrix column no
+    # moved basis vector meets is e_j, and each other sums over the nonzero
+    # entries of one inverse column.  The bound is the count at that design
+    # (34,073 with the dense inversion and a sum for every column)
     gr = heisenberg_fine(40)
     calls = [0]
     truth = CycloNum.__bool__
@@ -790,7 +822,7 @@ def test_heisenberg_40_generators_test_few_scalars(monkeypatch):
 
     monkeypatch.setattr(CycloNum, "__bool__", counted)
     gens = standard_generators(gr)
-    assert len(gens) == 40 and calls[0] <= 34073, calls[0]
+    assert len(gens) == 40 and calls[0] <= 3519, calls[0]
 
 
 def _class_2_2_0_of_1_1_i_i():
