@@ -27,7 +27,7 @@ from .gradings import (elt_to_json, grading_from_json, grading_to_json,
 from .liealg import json_int
 from .scalars import (MAX_DIGITS, MAX_EXPONENT, CycloCtx, ScalarSyntaxError,
                       divisors, format_scalar, parse_scalar, scan_conductors)
-from .weyl import CapExceeded, perm_cycles, weyl_group
+from .weyl import CapExceeded, generator_matrix, perm_cycles, weyl_group
 
 PARSE_ERROR = 2
 VALIDATION_ERROR = 3
@@ -200,8 +200,8 @@ def _grading_for_weyl(args) -> list:
     raise CliError("choose one of --heisenberg, --super or --twisted", PARSE_ERROR)
 
 
-def _weyl_report_lines(gr, rep, lines, payload_list):
-    fam = gr.family
+def _weyl_report_lines(rep, lines, payload_list):
+    gr, fam = rep.grading, rep.grading.family
     lines.append(fam.title())
     lines.append(f"  support size: {len(gr.support)}")
     lines.append(f"  closure order: {rep.group.order}")
@@ -217,7 +217,8 @@ def _weyl_report_lines(gr, rep, lines, payload_list):
     zero = gr.algebra.ctx.zero()  # the entries no generator column touches
     for aut in rep.generators:
         lines.append(f"  generator {aut.name}: {perm_cycles(aut.perm)}")
-        matrix = [["0" if c is zero else format_scalar(c) for c in col] for col in aut.map]
+        matrix = [["0" if c is zero else format_scalar(c) for c in col]
+                  for col in generator_matrix(gr, aut)]
         lines.append("    matrix columns: " + json.dumps(matrix))
         gens.append({"name": aut.name, "cycles": perm_cycles(aut.perm),
                      "matrix_columns": matrix})
@@ -239,8 +240,7 @@ def cmd_weyl(args, out) -> int:
     lines: list[str] = []
     payload: list[dict] = []
     for gr in _grading_for_weyl(args):
-        rep = weyl_group(gr, brute=args.brute, cap=args.cap)
-        _weyl_report_lines(gr, rep, lines, payload)
+        _weyl_report_lines(weyl_group(gr, brute=args.brute, cap=args.cap), lines, payload)
     _emit(out, args.format, lines, {"gradings": payload})
     return 0
 

@@ -90,7 +90,7 @@ class Grading:
         other; color algebras and parity-mixed vectors get both orientations."""
         support, a, memo = self.support, self.algebra, self._brackets
         basis = [v for g in support for v in self.components[g]]
-        nonzero = self.nonzero_basis()
+        nonzero = self.nonzero_basis
         parity = [a.vect_parity(v) for v in nonzero]
         inv = mat_inverse(nonzero, a.ctx) if len(basis) == a.dim else None
         if inv is None:
@@ -129,6 +129,7 @@ class Grading:
                     put(x, y, True)
         return table._replace(terms=tuple(tuple(sorted(row.items())) for row in rows))
 
+    @cached_property
     def nonzero_basis(self) -> list[SparseVect]:
         """The nonzero coordinates of the basis vectors of table, in its order."""
         return [v for g in self.support for v in self._slots[g][2]]

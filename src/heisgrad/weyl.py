@@ -27,7 +27,7 @@ from .scalars import CycloNum, root_of_unity_order
 
 __all__ = [
     "GradedAut", "PermGroup", "PQSplit",
-    "induced_permutation", "standard_generators", "closure",
+    "induced_permutation", "standard_generators", "generator_matrix", "closure",
     "compute_pq", "weyl_order_formula", "weyl_group", "weyl_bruteforce",
     "WeylReport", "perm_cycles",
 ]
@@ -37,10 +37,10 @@ Perm = tuple[int, ...]
 
 @dataclass
 class GradedAut:
-    """An automorphism together with its permutation of the support."""
+    """A grading self-equivalence, b_m -> scale[m] b_perm[m] on the basis b of Grading.table."""
 
-    map: LinMap
     perm: Perm
+    scale: tuple[CycloNum, ...]
     name: str = ""
 
 
@@ -185,9 +185,9 @@ def _line_table(gr: Grading, what: str):
 
 
 def induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
-    """The permutation of the (sorted) support induced by the automorphism
-    f; raises if f is not a grading self-equivalence: f must be monomial in
-    the basis b of gr.table, f(b_m) = c_m b_p(m), and pass _monomial_aut."""
+    """The (sigma, c) of the automorphism f on the basis b of gr.table;
+    raises if f is not a grading self-equivalence: f must be monomial in
+    that basis, f(b_m) = c_m b_sigma(m), and pass _monomial_aut."""
     table = _line_table(gr, "an induced permutation")
     if len(f) != gr.algebra.dim:
         raise ValueError("map is not an algebra automorphism")
@@ -195,16 +195,15 @@ def induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
     for g, image in zip(gr.support, images):
         if len(image) != 1:
             raise ValueError(f"image of component {g} is not a component")
-    mono = tuple(zip(*(term for image in images for term in image.items())))
-    return _monomial_aut(gr, mono, f, name)
+    perm, scale = zip(*(term for image in images for term in image.items()))
+    return _monomial_aut(gr, perm, scale, name)
 
 
-def _monomial_aut(gr: Grading, mono, f: LinMap, name: str) -> GradedAut:
-    """f, with f(b_m) = c_m b_p(m) for (p, c) = mono on the basis b of
-    gr.table, once it is a grading self-equivalence: p a bijection keeping
-    the parities of the b_m (a mixed vector is rejected) that sends
-    [b_m, b_n] = sum g_k b_k to sum c_k g_k b_p(k)."""
-    perm, scale = mono
+def _monomial_aut(gr: Grading, perm, scale, name: str) -> GradedAut:
+    """(perm, scale), b_m -> scale[m] b_perm[m] on the basis b of gr.table,
+    once it is a grading self-equivalence: perm a bijection keeping the
+    parities of the b_m (a mixed vector is rejected) that sends
+    [b_m, b_n] = sum g_k b_k to sum c_k g_k b_perm(k), c = scale."""
     if sorted(perm) != list(range(len(perm))):
         raise ValueError("induced map on components is not a bijection")
     par = gr.table.parity
@@ -218,7 +217,7 @@ def _monomial_aut(gr: Grading, mono, f: LinMap, name: str) -> GradedAut:
             if ({perm[k]: scale[k] * c for k, c in t}
                     != {k: scale[m] * scale[n] * c for k, c in rows[perm[m]].get(perm[n], ())}):
                 raise ValueError("map is not an algebra automorphism")
-    return GradedAut(f, tuple(perm), name)
+    return GradedAut(tuple(perm), tuple(scale), name)
 
 
 # --- standard generators ------------------------------------------------------
@@ -351,34 +350,36 @@ _GENERATORS = {HeisenbergFine: _heisenberg_generators, SuperFine: _super_generat
 
 def standard_generators(gr: Grading) -> list[GradedAut]:
     """Explicit generator automorphisms of the Weyl group of a fine
-    grading produced by this package, each checked by _monomial_aut.  The
-    matrix of each is built on nonzero coordinates from the sparse inverse
-    of gr.table: column j, f(e_j), is the sum of inv_j[m] c_m b_p(m), and
-    e_j itself when no moved b_m takes part."""
+    grading produced by this package, as (sigma, c) on the basis of
+    gr.table, each checked by _monomial_aut."""
     build = _GENERATORS.get(type(gr.family))
     if build is None:
         raise ValueError("grading does not carry fine-grading provenance")
-    a, table = gr.algebra, _line_table(gr, "the standard generators")
-    basis, nonzero = table.basis, gr.nonzero_basis()
+    a, basis, nonzero = gr.algebra, _line_table(gr, "the standard generators").basis, gr.nonzero_basis
     at = {id(b): m for m, b in enumerate(basis)}
 
     def index(b: Vect) -> int:  # the same object's position, else an equal copy's
         return at[id(b)] if id(b) in at else nonzero.index(sparse(b))
 
-    one = a.ctx.one()
     out = []
     for name, moves in build(a, gr.family):
-        perm, scale, moved = list(range(len(basis))), [one] * len(basis), set()
+        perm, scale = list(range(len(basis))), [a.ctx.one()] * len(basis)
         for b, b2, c in moves:
             m = index(b)
             perm[m], scale[m] = index(b2), c
-            moved.add(m)
-        # f(e_j) = sum of inv_j[m] c_m b_p(m) over the nonzero inv_j[m]
-        f = [a.basis_vect(j) if moved.isdisjoint(col) else
-             a.dense(sparse_apply(nonzero, {perm[m]: c * scale[m] for m, c in col.items()}).items())
-             for j, col in enumerate(table.inverse)]
-        out.append(_monomial_aut(gr, (perm, scale), f, name))
+        out.append(_monomial_aut(gr, perm, scale, name))
     return out
+
+
+def generator_matrix(gr: Grading, aut: GradedAut) -> LinMap:
+    """The columns of B diag(c) P B^-1 for aut = (sigma, c), from the sparse inverse
+    of gr.table: f(e_j) is the sum of inv_j[m] c_m b_sigma(m) over the nonzero
+    inv_j[m], and e_j itself when each such m has sigma(m) = m and c_m = 1."""
+    a, perm, scale, one = gr.algebra, aut.perm, aut.scale, gr.algebra.ctx.one()
+    moved = {m for m, (p, c) in enumerate(zip(perm, scale)) if p != m or c != one}
+    return [a.basis_vect(j) if moved.isdisjoint(col) else
+            a.dense(sparse_apply(gr.nonzero_basis, {perm[m]: c * scale[m] for m, c in col.items()}).items())
+            for j, col in enumerate(gr.table.inverse)]
 
 
 # --- closed-form orders -------------------------------------------------------
@@ -474,9 +475,7 @@ def weyl_group(gr: Grading, brute: bool = False, cap: int = 16) -> WeylReport:
     auts = standard_generators(gr)
     group = closure([g.perm for g in auts], degree=len(gr.support))
     formula = weyl_order_formula(gr)
-    brute_order = None
-    if brute:
-        brute_order = weyl_bruteforce(gr, cap).order
+    brute_order = weyl_bruteforce(gr, cap).order if brute else None
     return WeylReport(gr, auts, group, formula, group.order == formula, brute_order)
 
 

@@ -516,15 +516,16 @@ def dense_verify_color_axioms(a: Algebra, gr: Grading, eps) -> VerifyReport:
 
 
 def dense_induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
-    """The permutation of the support induced by f, by the dense
-    `is_automorphism` and a reduction of each image against every
-    component span: an oracle for the monomial `induced_permutation`."""
+    """The (sigma, c) of f on a grading by lines, by the dense
+    `is_automorphism`, a reduction of each image against every component
+    span and `line_coeff` of the image on the line it lies in: an oracle
+    for the monomial `induced_permutation`."""
     a = gr.algebra
     if not is_automorphism(f, a):
         raise ValueError("map is not an algebra automorphism")
     support = gr.support
     spans = gr.spans
-    perm = []
+    perm, scale = [], []
     for g in support:
         images = [mat_apply(f, v) for v in gr.components[g]]
         target = None
@@ -537,9 +538,10 @@ def dense_induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedA
         if target is None:
             raise ValueError(f"image of component {g} is not a component")
         perm.append(target)
+        scale.append(line_coeff(images[0], gr.components[support[target]][0]))
     if sorted(perm) != list(range(len(support))):
         raise ValueError("induced map on components is not a bijection")
-    return GradedAut(f, tuple(perm), name)
+    return GradedAut(tuple(perm), tuple(scale), name)
 
 
 def assert_table_matches_dense(gr: Grading):

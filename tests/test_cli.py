@@ -71,6 +71,17 @@ def test_weyl_twisted_brute_golden():
     check_golden("weyl_twisted_4_1_0.txt", text)
 
 
+def test_weyl_twisted_rotation_golden():
+    # every class of lambda = (1, i); the flip and the spectrum rotations
+    # write rebased entries such as 3/4, -5/4 and zeta(8)^2, and the closed
+    # form undercounts both classes
+    code, text = run_cli("weyl", "--twisted", "1,i")
+    assert code == 0
+    assert text.count("agreement: NO (closure wins)") == 2
+    assert '"3/4", "-5/4"' in text and '"zeta(8)^2"' in text
+    check_golden("weyl_twisted_1_i.txt", text)
+
+
 @pytest.mark.parametrize("command, spec, golden", [
     ("universal-group", "grading_1_2_toral.json", "universal_group_1_2.txt"),
     ("decompose", "grading_1_2_nontoral.json", "decompose_1_2.txt"),

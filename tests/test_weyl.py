@@ -1,4 +1,5 @@
 import io
+import json
 import random
 import time
 from contextlib import redirect_stdout
@@ -19,7 +20,7 @@ from heisgrad.liealg import Algebra
 from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar
 from heisgrad.cli import auto_conductor, main
 from heisgrad.weyl import (CapExceeded, _landau, _perm_order, _spectrum_rotations,
-                           PermGroup, closure, compute_pq,
+                           PermGroup, closure, compute_pq, generator_matrix,
                            induced_permutation, perm_cycles,
                            standard_generators, weyl_bruteforce, weyl_group,
                            weyl_order_formula)
@@ -80,7 +81,7 @@ def test_flip_has_matrix_order_4_but_perm_order_2():
     gr = heisenberg_fine(1)
     aut = standard_generators(gr)[-1]
     assert aut.name == "symplectic_flip(1)"
-    flip = aut.map
+    flip = generator_matrix(gr, aut)
     sq = compose_maps(flip, flip)
     assert sq != identity_map(gr.algebra)
     fourth = compose_maps(sq, sq)
@@ -92,7 +93,7 @@ def test_flip_has_matrix_order_4_but_perm_order_2():
 
 def test_flip_commutation_with_pair_swaps():
     gr = heisenberg_fine(2)
-    gens = {g.name: g.map for g in standard_generators(gr)}
+    gens = {g.name: generator_matrix(gr, g) for g in standard_generators(gr)}
     swap = gens["pair_swap(1,2)"]
     flip1 = gens["symplectic_flip(1)"]
     # sigma mu_1 = mu_sigma(1) sigma at the permutation level
@@ -107,7 +108,7 @@ def test_flip_commutation_with_pair_swaps():
 
 def test_odd_flip_commutation_with_odd_pair_swap():
     gr = super_fine(0, 4, 2)
-    gens = {g.name: g.map for g in standard_generators(gr)}
+    gens = {g.name: generator_matrix(gr, g) for g in standard_generators(gr)}
     swap = gens["odd_pair_swap(1,2)"]
     flip1 = gens["odd_flip(1)"]
     left = induced_permutation(compose_maps(swap, flip1), gr).perm
@@ -217,7 +218,7 @@ def test_spectrum_rotation_conjugates_cycles(ctx16):
     one, ii = ctx16.one(), ctx16.i()
     lam = [one, one, ii, ii]
     gr = twisted_fine(lam, FineTwistedParams(2, 2, 0, (one, ii), ()))
-    gens = {g.name: g.map for g in standard_generators(gr)}
+    gens = {g.name: generator_matrix(gr, g) for g in standard_generators(gr)}
     rotations = [f for name, f in gens.items()
                  if name.startswith("spectrum_rotation")]
     assert rotations
@@ -304,8 +305,10 @@ def test_flagged_formula_cases_confirmed_by_brute_force(ctx16, lam_iiii):
 # Every fine twisted class of these lambda, at the conductor the CLI picks:
 # the classes where the closure and the closed form disagree, as
 # ((l, s, r), closure order, formula order), in enumeration order.  The
-# first 15 lambda are the survey corpus; the last is the lambda of the
-# odd-l grading above, whose (3,2,0) class is that grading.
+# first 15 lambda are the survey corpus; the 16th is the lambda of the
+# odd-l grading above, whose (3,2,0) class is that grading.  The last
+# three lie outside the survey: each has two entries of ratio i, and the
+# closed form undercounts on the classes that i rotates.
 DISAGREEMENTS = {
     "1,1,i,i": [((2, 2, 0), 32, 16)],
     "1,1,1": [],
@@ -328,6 +331,10 @@ DISAGREEMENTS = {
     "zeta(3),zeta(3)^2,1,i*zeta(3),i*zeta(3)^2,i": [
         ((1, 6, 0), 12, 6), ((2, 0, 6), 384, 192), ((3, 2, 0), 36, 18),
         ((6, 0, 2), 8, 4)],
+    "1,i": [((1, 2, 0), 4, 2), ((2, 0, 2), 8, 4)],
+    "1,-1,i,-i,zeta(8),zeta(8)^3": [((1, 6, 0), 16, 8), ((2, 0, 6), 512, 256),
+                                    ((2, 2, 2), 128, 64)],
+    "zeta(12)^2,zeta(12)^5": [((1, 2, 0), 4, 2), ((2, 0, 2), 8, 4)],
 }
 
 
@@ -422,6 +429,14 @@ def test_bruteforce_cap():
         weyl_bruteforce(heisenberg_fine(8))  # support 17 > the default 16
 
 
+def _twisted_classes(text):
+    entries = text.split(",")
+    ctx = CycloCtx(auto_conductor(text, len(entries)))
+    lam = [parse_scalar(e, ctx) for e in entries]
+    return [pytest.param(twisted_fine(lam, p), id=f"twisted-{text}-{p.l},{p.s},{p.r}")
+            for p in enumerate_twisted_fine(lam)]
+
+
 def _oracle_cases():
     ctx16, ctx24 = CycloCtx(16), CycloCtx(24)
     one, ii = ctx16.one(), ctx16.i()
@@ -431,7 +446,9 @@ def _oracle_cases():
     for name, lam in (("1,1,1", [ctx24.one()] * 3), ("1,1,i,i", [one, one, ii, ii])):
         out += [pytest.param(twisted_fine(lam, p), id=f"twisted-{name}-{p.l},{p.s},{p.r}")
                 for p in enumerate_twisted_fine(lam)]
-    return out
+    # in the (6,0,1) class a bracket can target a point placed before it:
+    # the placement test must check that the image pair targets its image
+    return out + _twisted_classes("1,zeta(3),zeta(3)^2")
 
 
 @pytest.mark.parametrize("gr", _oracle_cases())
@@ -619,14 +636,6 @@ def test_bruteforce_generators_are_few():
 
 # --- induced permutations and Grading.table against dense oracles ------------
 
-def _twisted_classes(text):
-    entries = text.split(",")
-    ctx = CycloCtx(auto_conductor(text, len(entries)))
-    lam = [parse_scalar(e, ctx) for e in entries]
-    return [pytest.param(twisted_fine(lam, p), id=f"twisted-{text}-{p.l},{p.s},{p.r}")
-            for p in enumerate_twisted_fine(lam)]
-
-
 def _generator_cases():
     out = [pytest.param(heisenberg_fine(k), id=f"heisenberg-{k}") for k in range(1, 5)]
     out += [pytest.param(gr, id=f"super-{k},{m}-r{r}")
@@ -638,13 +647,16 @@ def _generator_cases():
 
 @pytest.mark.parametrize("gr", _generator_cases())
 def test_induced_permutation_matches_the_dense_oracle(gr):
-    # the generators' own (sigma, c) and the reader of a dense map go
-    # through the one monomial check; the dense oracle shares no code
+    # the generators' own (sigma, c) and the reader of their written
+    # matrices go through the one monomial check; the dense oracle, with
+    # its own scales by line_coeff, shares no code with it
     gens = standard_generators(gr)
     assert gens
     for aut in gens:
-        assert aut.perm == dense_induced_permutation(aut.map, gr).perm == \
-            induced_permutation(aut.map, gr).perm, aut.name
+        f = generator_matrix(gr, aut)
+        oracle_aut, read = dense_induced_permutation(f, gr), induced_permutation(f, gr)
+        assert aut.perm == oracle_aut.perm == read.perm, aut.name
+        assert aut.scale == oracle_aut.scale == read.scale, aut.name
 
 
 def _rejected_maps():
@@ -722,7 +734,7 @@ def test_sparse_inverse_of_every_table_basis():
     for gr in _table_cases():
         a = gr.algebra
         basis = [v for g in gr.support for v in gr.components[g]]
-        inverse = mat_inverse(gr.nonzero_basis(), a.ctx)
+        inverse = mat_inverse(gr.nonzero_basis, a.ctx)
         assert inverse == [sparse(col) for col in mat_inverse(basis, a.ctx)]
         assert inverse == gr.table.inverse
         for j, col in enumerate(inverse):
@@ -733,7 +745,7 @@ def test_sparse_inverse_of_every_table_basis():
 def test_generator_matrices_match_the_dense_product():
     # f = B diag(c) P B^-1: the columns of B are the component vectors, P
     # sends the m-th to the p(m)-th and c scales, as the family's moves
-    # say; dense products against the sparse sums of standard_generators
+    # say; dense products against the sparse sums of generator_matrix
     from heisgrad.weyl import _GENERATORS
     for gr in _table_cases():
         a = gr.algebra
@@ -743,12 +755,12 @@ def test_generator_matrices_match_the_dense_product():
         gens = standard_generators(gr)
         assert [aut.name for aut in gens] == [name for name, _ in moves]
         for aut, (name, named) in zip(gens, moves):
-            perm, q = list(range(len(basis))), identity_map(a)
+            perm, scale, q = list(range(len(basis))), [a.ctx.one()] * len(basis), identity_map(a)
             for b, b2, c in named:
                 m, p = basis.index(b), basis.index(b2)
-                perm[m], q[m] = p, vscale(c, a.basis_vect(p))
-            assert aut.perm == tuple(perm), name
-            assert aut.map == compose_maps(compose_maps(basis, q), inverse), name
+                perm[m], scale[m], q[m] = p, c, vscale(c, a.basis_vect(p))
+            assert aut.perm == tuple(perm) and aut.scale == tuple(scale), name
+            assert generator_matrix(gr, aut) == compose_maps(compose_maps(basis, q), inverse), name
 
 
 def test_standard_generators_find_equal_copies_by_coordinates():
@@ -760,8 +772,10 @@ def test_standard_generators_find_equal_copies_by_coordinates():
                        gr.family)
         assert all(v is not w for g in gr.support
                    for v, w in zip(gr.components[g], copy.components[g]))
-        assert ([(aut.name, aut.perm, aut.map) for aut in standard_generators(copy)]
-                == [(aut.name, aut.perm, aut.map) for aut in standard_generators(gr)])
+        assert ([(aut.name, aut.perm, aut.scale, generator_matrix(copy, aut))
+                 for aut in standard_generators(copy)]
+                == [(aut.name, aut.perm, aut.scale, generator_matrix(gr, aut))
+                    for aut in standard_generators(gr)])
 
 
 def _count_calls(monkeypatch):
@@ -808,10 +822,10 @@ def test_weyl_group_brackets_each_basis_pair_once(monkeypatch, make):
 
 def test_heisenberg_40_generators_test_few_scalars(monkeypatch):
     # the table maps only nonzero brackets through the sparse inverse, the
-    # basis is inverted on its nonzero coordinates, each matrix column no
-    # moved basis vector meets is e_j, and each other sums over the nonzero
-    # entries of one inverse column.  The bound is the count at that design
-    # (34,073 with the dense inversion and a sum for every column)
+    # basis is inverted on its nonzero coordinates, and each generator is
+    # (sigma, c) with no matrix written.  The bound is the count at that
+    # design (3,519 with a matrix per generator, 34,073 with the dense
+    # inversion and a sum for every column)
     gr = heisenberg_fine(40)
     calls = [0]
     truth = CycloNum.__bool__
@@ -822,7 +836,7 @@ def test_heisenberg_40_generators_test_few_scalars(monkeypatch):
 
     monkeypatch.setattr(CycloNum, "__bool__", counted)
     gens = standard_generators(gr)
-    assert len(gens) == 40 and calls[0] <= 3519, calls[0]
+    assert len(gens) == 40 and calls[0] <= 3361, calls[0]
 
 
 def _class_2_2_0_of_1_1_i_i():
@@ -831,9 +845,12 @@ def _class_2_2_0_of_1_1_i_i():
     return twisted_fine([one, one, ii, ii], FineTwistedParams(2, 2, 0, (one, ii), ()))
 
 
-@pytest.mark.parametrize("make", [lambda: heisenberg_fine(6), lambda: super_fine(4, 4, 0),
-                                  _class_2_2_0_of_1_1_i_i],
-                         ids=["heisenberg-6", "super-4,4-r0", "twisted-1,1,i,i-2,2,0"])
+_ONE_TABLE_CASES = pytest.mark.parametrize(
+    "make", [lambda: heisenberg_fine(6), lambda: super_fine(4, 4, 0), _class_2_2_0_of_1_1_i_i],
+    ids=["heisenberg-6", "super-4,4-r0", "twisted-1,1,i,i-2,2,0"])
+
+
+@_ONE_TABLE_CASES
 def test_weyl_group_inverts_one_matrix_per_grading(monkeypatch, make):
     # the generators are moves between the component vectors: Grading.table
     # inverts that basis once, and every printed matrix is built from it
@@ -842,6 +859,54 @@ def test_weyl_group_inverts_one_matrix_per_grading(monkeypatch, make):
     rep = weyl_group(gr)
     assert rep.generators
     assert calls["mat_inverse"] == 1
+
+
+def _count_matrix_writes(monkeypatch):
+    """Counts of generator_matrix calls (as heisgrad.weyl and heisgrad.cli
+    see it), of sparse_apply as heisgrad.weyl sees it and of Algebra.dense
+    from here on."""
+    import heisgrad.cli as cli
+    import heisgrad.weyl as weyl
+    calls = {"generator_matrix": 0, "sparse_apply": 0, "dense": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    write = counted("generator_matrix", weyl.generator_matrix)
+    for module in (weyl, cli):
+        monkeypatch.setattr(module, "generator_matrix", write)
+    monkeypatch.setattr(weyl, "sparse_apply", counted("sparse_apply", weyl.sparse_apply))
+    monkeypatch.setattr(Algebra, "dense", counted("dense", Algebra.dense))
+    return calls
+
+
+@_ONE_TABLE_CASES
+def test_weyl_group_writes_no_matrix(monkeypatch, make):
+    # the generators are (sigma, c) on the table basis; closure, the closed
+    # form and the agreement flag read no matrix, so none is written
+    gr = make()
+    calls = _count_matrix_writes(monkeypatch)
+    rep = weyl_group(gr)
+    assert rep.generators
+    assert calls == {"generator_matrix": 0, "sparse_apply": 0, "dense": 0}
+
+
+@pytest.mark.parametrize("argv", [["--twisted", "1,i"], ["--super", "1,2", "--format", "json"]],
+                         ids=["twisted-1,i-text", "super-1,2-json"])
+def test_weyl_cli_writes_one_matrix_per_printed_generator(monkeypatch, argv):
+    calls = _count_matrix_writes(monkeypatch)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["weyl", *argv]) == 0
+    text = out.getvalue()
+    if "--format" in argv:
+        printed = sum(len(g["generators"]) for g in json.loads(text)["gradings"])
+    else:
+        printed = text.count("\n  generator ")
+    assert printed > 0 and calls["generator_matrix"] == printed
 
 
 def test_brute_force_brackets_no_more_than_the_closure(monkeypatch, ctx16, lam_iiii):

@@ -1,0 +1,169 @@
+"""Named mutants of src/heisgrad, each run against the tests expected to kill it.
+
+A mutant is one exact piece of source text in one file of src/heisgrad
+and its replacement: a deliberate bug that some test should catch.  For
+each mutant in turn, the script copies src/, tests/, bench/ and
+pyproject.toml to a temporary directory, applies the replacement there
+and runs the mutant's tests in one pytest subprocess.  The mutant is
+killed when that run fails and survives when it passes.  The working
+tree is never written.
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py NAME ...   # the named ones
+
+It prints one line per mutant (killed, survived, or error when its
+source text does not occur exactly once) and exits 1 unless every
+mutant is killed.  tests/test_mutants.py checks that each source text
+occurs exactly once, so a refactor keeps this list current; it runs no
+mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join("src", "heisgrad")
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+TIMEOUT_S = 600  # a mutant that makes its tests hang counts as killed
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/heisgrad
+    source: str  # occurs exactly once in file
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, any of which should fail
+
+
+MUTANTS = [
+    Mutant("no-schreier-generators", "weyl.py",
+           "                    schreier.append((p, s))",
+           "                    pass",
+           ("tests/test_weyl.py::test_chain_matches_sympy_and_breadth_first_search",
+            "tests/test_weyl.py::test_weyl_heisenberg_orders")),
+    Mutant("sift-stops-at-first-fixed-point", "weyl.py",
+           "            if g[i] != i:\n                rep = self.levels[i][1].get(g[i])",
+           "            if g[i] == i:\n                break\n"
+           "            else:\n                rep = self.levels[i][1].get(g[i])",
+           ("tests/test_weyl.py::test_chain_matches_sympy_and_breadth_first_search",
+            "tests/test_cli.py::test_weyl_super_golden")),
+    Mutant("add-keeps-stale-elements", "weyl.py",
+           '            self.__dict__.pop("elements", None)',
+           "            pass",
+           ("tests/test_weyl.py::test_chain_matches_sympy_and_breadth_first_search",)),
+    Mutant("pivot-row-without-nonzero", "_linalg.py",
+           "(r for r in free if c in rows[r])",
+           "(r for r in free)",
+           ("tests/test_weyl.py::test_sparse_inverse_of_every_table_basis",)),
+    Mutant("place-without-zero-pattern-test", "weyl.py",
+           "                if (k is None) != (k2 is None):\n                    return False\n",
+           "",
+           ("tests/test_weyl.py::test_bruteforce_matches_exhaustive_oracle",)),
+    Mutant("place-without-forced-target-test", "weyl.py",
+           "                if perm[k] is not None:\n"
+           "                    if perm[k] != k2:\n"
+           "                        return False\n"
+           "                elif k in forced:\n"
+           "                    if forced[k] != k2:\n"
+           "                        return False\n"
+           "                else:\n"
+           "                    forced[k] = k2\n"
+           "                    trail.append(k)\n",
+           "",
+           ("tests/test_weyl.py::test_bruteforce_matches_exhaustive_oracle",
+            "tests/test_cli.py::test_weyl_twisted_brute_golden")),
+    Mutant("place-without-placed-target-test", "weyl.py",
+           "                    if perm[k] != k2:",
+           "                    if False:",
+           ("tests/test_weyl.py::test_bruteforce_matches_exhaustive_oracle",)),
+    Mutant("relation-check-always-holds", "weyl.py",
+           "        return num * den1 == num1 * den",
+           "        return True",
+           ("tests/test_weyl.py::test_bruteforce_matches_exhaustive_oracle",)),
+    Mutant("writer-returns-e_j-for-every-column", "weyl.py",
+           "a.basis_vect(j) if moved.isdisjoint(col) else",
+           "a.basis_vect(j) if True else",
+           ("tests/test_weyl.py::test_generator_matrices_match_the_dense_product",
+            "tests/test_cli.py::test_weyl_twisted_rotation_golden")),
+    Mutant("monomial-check-ignores-scales", "weyl.py",
+           "            if ({perm[k]: scale[k] * c for k, c in t}\n"
+           "                    != {k: scale[m] * scale[n] * c for k, c in",
+           "            if ({perm[k]: c for k, c in t}\n"
+           "                    != {k: c for k, c in",
+           ("tests/test_weyl.py::test_induced_permutation_and_oracle_reject_the_same_maps",)),
+    Mutant("skew-fill-flips-the-super-sign", "gradings.py",
+           "sign = one if parity[m] and parity[n] else -one",
+           "sign = -one if parity[m] and parity[n] else one",
+           ("tests/test_weyl.py::test_graded_table_matches_dense_brackets",)),
+    Mutant("class-rep-by-max", "fine.py",
+           "min(members, key=lambda v: v.sort_key())",
+           "max(members, key=lambda v: v.sort_key())",
+           ("tests/test_cli.py::test_enumerate_fine_text_golden",
+            "tests/test_weyl.py::test_scalar_classes_match_the_key_oracle")),
+    Mutant("pq-split-ignores-the-order", "weyl.py",
+           "                if (mults.pop() * len(orbit)) % order:",
+           "                if False:",
+           ("tests/test_weyl.py::test_compute_pq_examples",
+            "tests/test_weyl.py::test_scalar_classes_match_the_key_oracle")),
+]
+
+
+def source_count(m: Mutant, root: str = ROOT) -> int:
+    """How often m's source text occurs in its file under root."""
+    with open(os.path.join(root, PACKAGE, m.file), encoding="utf-8") as fh:
+        return fh.read().count(m.source)
+
+
+def run(m: Mutant) -> str:
+    """killed, survived or error, for m applied to a temporary copy."""
+    if source_count(m) != 1:
+        return "error"
+    with tempfile.TemporaryDirectory(prefix="heisgrad-mutant-") as tmp:
+        for name in COPIED:
+            src, dst = os.path.join(ROOT, name), os.path.join(tmp, name)
+            if os.path.isdir(src):
+                shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(src, dst)
+        path = os.path.join(tmp, PACKAGE, m.file)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(m.source, m.replacement))
+        env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"), PYTHONDONTWRITEBYTECODE="1")
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                                   "no:cacheprovider", *m.tests],
+                                  cwd=tmp, env=env, capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed"
+    if proc.returncode == 0:
+        return "survived"
+    return "killed" if proc.returncode == 1 else "error"
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print("unknown mutant: " + ", ".join(sorted(unknown)), file=sys.stderr)
+        return 2
+    statuses = []
+    for m in chosen:
+        start = time.perf_counter()
+        status = run(m)
+        statuses.append(status)
+        print(f"{status:8} {m.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{statuses.count('killed')} of {len(chosen)} killed")
+    return 0 if all(s == "killed" for s in statuses) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
