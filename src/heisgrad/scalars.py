@@ -8,7 +8,10 @@ common factor.  The representation is canonical, so equality is literal
 Arithmetic is integer-only: a product is an integer convolution reduced
 by long division by the monic phi_N (a zero or rational factor only
 scales the other's numerators), and an inverse is a fraction-free
-linear solve.  Fractions appear only where rationals enter or leave.
+linear solve.  Each CycloCtx object computes a product of two operands,
+or an inverse, once and then returns the stored canonical result, within
+a budget of stored coefficients.  Fractions appear only where rationals
+enter or leave.
 """
 
 from __future__ import annotations
@@ -87,10 +90,20 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-class CycloCtx:
-    """The field Q(zeta_N) for a fixed conductor N."""
+MEMO_COEFFICIENTS = 1 << 12  # the budget of one CycloCtx memo: entries x degree
 
-    __slots__ = ("n", "phi", "degree", "low", "_zero", "_one")
+
+class CycloCtx:
+    """The field Q(zeta_N) for a fixed conductor N.
+
+    Each context object keeps its own memo of products and inverses,
+    keyed on the operands' (num, den) tuples and holding at most
+    MEMO_COEFFICIENTS // degree results, the most recent ones (none when
+    the degree exceeds the budget); it lives and dies with the object, so
+    an equal context that is another object starts empty.
+    """
+
+    __slots__ = ("n", "phi", "degree", "low", "_zero", "_one", "_memo", "_cap")
 
     def __init__(self, n: int):
         self.n = n
@@ -100,6 +113,18 @@ class CycloCtx:
         self.low = tuple((j, -c) for j, c in enumerate(self.phi[:d]) if c)
         self._zero = CycloNum(self, (0,) * d, 1)
         self._one = CycloNum(self, (1,) + (0,) * (d - 1), 1)
+        # (num, den, num', den') -> product, (num, den) -> inverse
+        self._memo = {}
+        self._cap = MEMO_COEFFICIENTS // d
+
+    def _remember(self, key: tuple, value: "CycloNum") -> "CycloNum":
+        """value, stored under key; a full memo is emptied first, since
+        products repeat close together, and it never exceeds its budget."""
+        if self._cap:
+            if len(self._memo) >= self._cap:
+                self._memo.clear()
+            self._memo[key] = value
+        return value
 
     def __eq__(self, other):
         return isinstance(other, CycloCtx) and other.n == self.n
@@ -226,25 +251,17 @@ class CycloNum:
         if o is None:
             return NotImplemented
         ctx = self.ctx
-        # a zero or rational factor only scales: no convolution, no reduction,
-        # and no gcd when an integer factor prime to y.den keeps y canonical
-        x, y = (o, self) if not any(o.num[1:]) else (self, o)
-        if not any(x.num[1:]):
-            c = x.num[0]
-            if not c or not any(y.num):
-                return ctx._zero
-            if x.den == 1 and (c == 1 or c == -1):
-                return y if c == 1 else -y
-            if x.den == 1 and gcd(c, y.den) == 1:
-                return CycloNum(ctx, tuple(c * b for b in y.num), y.den)
-            return _make(ctx, [c * b for b in y.num], x.den * y.den)
-        prod = [0] * (2 * ctx.degree - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for k, b in enumerate(o.num, i):
-                    if b:
-                        prod[k] += a * b
-        return ctx._reduce(prod, self.den * o.den)
+        # a zero or 1 factor needs no lookup: tuple compares, no slices
+        zero, one = ctx._zero.num, ctx._one.num
+        if self.num == zero or o.num == zero:
+            return ctx._zero
+        if o.num == one and o.den == 1:
+            return self
+        if self.num == one and self.den == 1:
+            return o
+        key = (self.num, self.den, o.num, o.den)
+        r = ctx._memo.get(key)
+        return r if r is not None else ctx._remember(key, _product(ctx, self, o))
 
     __rmul__ = __mul__
 
@@ -274,38 +291,13 @@ class CycloNum:
         return result
 
     def inv(self) -> "CycloNum":
-        """Multiplicative inverse: solve M y = e0 for the integer matrix M of
-        multiplication by num, by fraction-free (Bareiss) elimination and
-        back-substitution, so every division is exact."""
+        """Multiplicative inverse (see _inverse)."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        ctx, d = self.ctx, self.ctx.degree
-        if self.is_rational():
-            a = self.num[0]
-            return _make(ctx, [self.den if a > 0 else -self.den] + [0] * (d - 1), abs(a))
-        cols = [self.num]
-        for _ in range(d - 1):
-            cols.append(ctx._reduce([0, *cols[-1]], 1).num)
-        m = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
-        prev = 1
-        for k in range(d):
-            if not m[k][k]:
-                p = next(i for i in range(k + 1, d) if m[i][k])
-                m[k], m[p] = m[p], m[k]
-            rk, piv = m[k], m[k][k]
-            for i in range(k + 1, d):
-                ri, f = m[i], m[i][k]
-                m[i] = ri[:k + 1] + [(piv * x - f * y) // prev
-                                     for x, y in zip(ri[k + 1:], rk[k + 1:])]
-            prev = piv
-        # prev = +-det(M) and det * y is integral; back-substitute for it
-        det_y = [0] * d
-        for i in range(d - 1, -1, -1):
-            row = m[i]
-            t = prev * row[d] - sum(row[j] * det_y[j] for j in range(i + 1, d))
-            det_y[i] = t // row[i]
-        sign = 1 if prev > 0 else -1
-        return _make(ctx, [sign * self.den * c for c in det_y], sign * prev)
+        ctx = self.ctx
+        key = (self.num, self.den)
+        r = ctx._memo.get(key)
+        return r if r is not None else ctx._remember(key, _inverse(self))
 
     def __bool__(self):
         return any(self.num)
@@ -344,6 +336,56 @@ class CycloNum:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.num[0], self.den)
+
+
+def _product(ctx: CycloCtx, x: CycloNum, y: CycloNum) -> CycloNum:
+    """x * y, uncached: a rational factor only scales the other; else an
+    integer convolution over the nonzero coefficients of x, reduced modulo
+    phi_N."""
+    if not any(y.num[1:]):
+        x, y = y, x
+    if not any(x.num[1:]):
+        return _make(ctx, [x.num[0] * b for b in y.num], x.den * y.den)
+    prod = [0] * (2 * ctx.degree - 1)
+    for i, a in enumerate(x.num):
+        if a:
+            for k, b in enumerate(y.num, i):
+                if b:
+                    prod[k] += a * b
+    return ctx._reduce(prod, x.den * y.den)
+
+
+def _inverse(x: CycloNum) -> CycloNum:
+    """1 / x for x != 0, uncached: solve M y = e0 for the integer matrix M
+    of multiplication by x.num, by fraction-free (Bareiss) elimination and
+    back-substitution, so every division is exact."""
+    ctx, d = x.ctx, x.ctx.degree
+    if x.is_rational():
+        a = x.num[0]
+        return _make(ctx, [x.den if a > 0 else -x.den] + [0] * (d - 1), abs(a))
+    cols = [x.num]
+    for _ in range(d - 1):
+        cols.append(ctx._reduce([0, *cols[-1]], 1).num)
+    m = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+    prev = 1
+    for k in range(d):
+        if not m[k][k]:
+            p = next(i for i in range(k + 1, d) if m[i][k])
+            m[k], m[p] = m[p], m[k]
+        rk, piv = m[k], m[k][k]
+        for i in range(k + 1, d):
+            ri, f = m[i], m[i][k]
+            m[i] = ri[:k + 1] + [(piv * u - f * v) // prev
+                                 for u, v in zip(ri[k + 1:], rk[k + 1:])]
+        prev = piv
+    # prev = +-det(M) and det * y is integral; back-substitute for it
+    det_y = [0] * d
+    for i in range(d - 1, -1, -1):
+        row = m[i]
+        t = prev * row[d] - sum(row[j] * det_y[j] for j in range(i + 1, d))
+        det_y[i] = t // row[i]
+    sign = 1 if prev > 0 else -1
+    return _make(ctx, [sign * x.den * c for c in det_y], sign * prev)
 
 
 def embed(x: CycloNum, ctx: CycloCtx) -> CycloNum:

@@ -143,6 +143,40 @@ def test_scalar_work_per_benchmark_pass_is_bounded(monkeypatch):
         assert all(calls[name] <= bound[name] for name in bound), (workload, calls)
 
 
+def test_scalar_memo_misses_per_benchmark_pass_are_bounded(monkeypatch):
+    # each CycloCtx object computes a product of two operands, or an
+    # inverse, once while it stays in the memo's budget; a pass builds its
+    # own contexts, so a second pass computes as much as the first and no
+    # result outlives a CLI call; the bounds are the products and inverses
+    # computed by the seed-23 batches at that design (4,730 / 6,326 / 9,188
+    # products and 219 / 70 / 709 inverses without the memo)
+    import heisgrad.scalars as scalars
+    workloads = _load_bench("workloads")
+    calls = {"product": 0, "inverse": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(scalars, "_product", counted("product", scalars._product))
+    monkeypatch.setattr(scalars, "_inverse", counted("inverse", scalars._inverse))
+    for workload, bound in (("weyl-brute", {"product": 420, "inverse": 29}),
+                            ("enumerate", {"product": 1378, "inverse": 17}),
+                            ("roundtrip", {"product": 4315, "inverse": 233})):
+        jobs = workloads.make_jobs(workload, 23)
+        passes = []
+        for _ in range(2):
+            calls.update(product=0, inverse=0)
+            for job in jobs:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    heisgrad.cli.main(job["argv"])
+            passes.append(dict(calls))
+        assert passes[0] == passes[1], (workload, passes)
+        assert all(0 < passes[0][name] <= bound[name] for name in bound), (workload, passes)
+
+
 def test_bruteforce_work_per_benchmark_pass_is_bounded(monkeypatch):
     # each candidate image gets one placement test, which checks the
     # vanishing brackets and forces the bracket targets together, and the

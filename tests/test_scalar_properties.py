@@ -15,11 +15,12 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+import heisgrad.scalars as scalars
 from heisgrad._linalg import (combinations, in_span, intersection, kernel,
                               line_coeff, mat_inverse, rank, rref, sparse, vadd,
                               vscale)
-from heisgrad.scalars import (CycloCtx, cyclotomic_poly, embed, format_scalar,
-                              parse_scalar)
+from heisgrad.scalars import (MEMO_COEFFICIENTS, CycloCtx, _inverse, _product,
+                              cyclotomic_poly, embed, format_scalar, parse_scalar)
 
 CONDUCTORS = (1, 3, 4, 8, 12, 16, 48)
 X = sympy.Symbol("x")
@@ -211,9 +212,9 @@ def convolve(a, b) -> list[Fraction]:
 
 @given(st.sampled_from((1, 4, 12, 16)), st.data())
 def test_operator_fast_paths_match_the_general_path(n, data):
-    # operands of one ctx object skip the coercion, and a product by an
-    # integer skips the gcd or returns the other operand (1) or its
-    # negation (-1); each result must be the canonical value that
+    # operands of one ctx object skip the coercion, a product by 1 returns
+    # the other operand, and a product by another rational scales the
+    # other's numerators; each result must be the canonical value that
     # ctx.reduce gives on the rational coefficients
     ctx = CycloCtx(n)
     (x, cx), (y, cy) = data.draw(product_factors(ctx)), data.draw(product_factors(ctx))
@@ -246,6 +247,70 @@ def test_operator_fast_paths_match_the_general_path(n, data):
             op(x, stranger)
         with pytest.raises(ValueError, match="conductor mismatch"):
             op(stranger, x)
+
+
+def same_numerators(b):
+    """b with its numerators kept and its denominator multiplied by the
+    least prime prime to them, so a key without den cannot tell the two."""
+    q = next(p for p in (2, 3, 5, 7, 11, 13) if gcd(p, *b.num) == 1)
+    twin = b / q
+    assert twin.num == b.num and twin.den == q * b.den
+    return twin
+
+
+@given(st.sampled_from((1, 4, 12, 16, 24)), st.data())
+def test_memo_returns_the_uncached_results(n, data):
+    # every product and inverse, computed once (a miss) and again (a hit),
+    # equals the uncached computation and the result of a second context
+    # object with its own memo; b and b2 share their numerators
+    ctx, other = CycloCtx(n), CycloCtx(n)
+    a = data.draw(product_factors(ctx))[0]
+    b = data.draw(product_factors(ctx))[0] or ctx.zeta()
+    b2 = same_numerators(b)
+    for _ in range(2):
+        for y in (b, b2):
+            far_a, far_y = other.reduce(a.coeffs), other.reduce(y.coeffs)
+            assert a * y == y * a == _product(ctx, a, y) == far_a * far_y
+            assert y.inv() == _inverse(y) == far_y.inv()
+            assert a / y == _product(ctx, a, _inverse(y)) == far_a / far_y
+            assert canonical(a * y) and canonical(y.inv())
+    q = b2.den // b.den
+    assert a * b2 * q == a * b and b2.inv() == b.inv() * q
+
+
+def test_contexts_of_one_conductor_keep_separate_memos(monkeypatch):
+    # an equal context that is another object starts with an empty memo:
+    # each computes x * x once, then reads its own memo
+    computed = []
+
+    def counted(ctx, x, y):
+        computed.append(ctx)
+        return _product(ctx, x, y)
+
+    monkeypatch.setattr(scalars, "_product", counted)
+    first, second = CycloCtx(16), CycloCtx(16)
+    for ctx in (first, second, first, second):
+        x = ctx.zeta() + ctx.from_fraction(2)
+        assert x * x == ctx.reduce([4, 4, 1])
+    assert len(computed) == 2 and computed[0] is first and computed[1] is second
+    assert first._memo is not second._memo
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 1009, 4099])
+def test_memo_stays_within_its_budget(n):
+    # three times as many distinct products as the budget holds, with
+    # inverses below degree 1008; degree 1008 holds 4 results and degree
+    # 4098 none, and a rational factor keeps each product linear in the
+    # degree
+    ctx = CycloCtx(n)
+    x = ctx.zeta() + ctx.from_fraction(Fraction(1, 3))
+    for k in range(2, 3 * MEMO_COEFFICIENTS // ctx.degree + 4):
+        y = x * k
+        assert y == _product(ctx, ctx.from_fraction(k), x)
+        if k % 7 == 0 and ctx.degree < 1008:
+            assert y.inv() == _inverse(y)
+    assert len(ctx._memo) * ctx.degree <= MEMO_COEFFICIENTS
+    assert bool(ctx._memo) == (ctx.degree <= MEMO_COEFFICIENTS)
 
 
 def sparse_rational_matrix(rows: int, cols: int):

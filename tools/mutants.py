@@ -107,6 +107,18 @@ MUTANTS = [
            "max(members, key=lambda v: v.sort_key())",
            ("tests/test_cli.py::test_enumerate_fine_text_golden",
             "tests/test_weyl.py::test_scalar_classes_match_the_key_oracle")),
+    Mutant("product-key-without-right-den", "scalars.py",
+           "key = (self.num, self.den, o.num, o.den)",
+           "key = (self.num, self.den, o.num)",
+           ("tests/test_scalar_properties.py::test_memo_returns_the_uncached_results",)),
+    Mutant("inverse-key-without-den", "scalars.py",
+           "key = (self.num, self.den)\n",
+           "key = self.num\n",
+           ("tests/test_scalar_properties.py::test_memo_returns_the_uncached_results",)),
+    Mutant("memo-without-budget", "scalars.py",
+           "            if len(self._memo) >= self._cap:\n                self._memo.clear()\n",
+           "",
+           ("tests/test_scalar_properties.py::test_memo_stays_within_its_budget",)),
     Mutant("pq-split-ignores-the-order", "weyl.py",
            "                if (mults.pop() * len(orbit)) % order:",
            "                if False:",
