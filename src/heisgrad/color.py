@@ -9,12 +9,11 @@ recognition of arbitrary graded structures as standard forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ._linalg import Vect, in_span, line_coeff, rref, vscale, vsub
+from ._linalg import Vect, in_span, line_coeff, vscale
 from .abelian import (AbGroup, GroupElt, canonicalize, express_in_terms,
                       generates, subgroup_presentation)
-from .gradings import (Grading, decomposition_failure, dual_vectors,
-                       elt_from_json, elt_to_json, group_from_json,
-                       orthogonal_gram_schmidt, symplectic_gram_schmidt)
+from .gradings import (Grading, _graded_paired_basis, decomposition_failure,
+                       elt_from_json, elt_to_json, group_from_json)
 from .liealg import (Algebra, VerifyReport, axiom_failures, center, derived,
                      json_int, json_typed)
 from .scalars import (CycloCtx, CycloNum, format_scalar, parse_scalar,
@@ -238,9 +237,6 @@ def classify_color(a: Algebra, gr: Grading, eps: Bicharacter):
     if len(cen) != 1 or len(der) != 1 or not in_span(cen, der[0]):
         raise ValueError("structure is not Heisenberg: need [L,L] = Z(L) of dimension 1")
     z = cen[0]
-    g0 = gr.degree_of(z)
-    if g0 is None:
-        raise ValueError("center is not homogeneous")
 
     group = gr.group
     if not generates(group, gr.support):
@@ -260,61 +256,32 @@ def classify_color(a: Algebra, gr: Grading, eps: Bicharacter):
             ambient.append(sum((c * g for c, g in zip(combo, support)), group.zero()))
         eps = Bicharacter(group2, [[eps(x, y) for y in ambient] for x in ambient], eps.ctx)
         gr = Grading(a, group2, comps, gr.family)
-        g0 = remap[g0]
         group = group2
 
-    ctx = a.ctx
-    zero_elt = group.zero()
+    zero_elt, minus_one = group.zero(), -a.ctx.one()
 
-    def pairing(x: Vect, y: Vect) -> CycloNum:
-        # [x, y] = pairing(x, y) z; alternating on degree 0 when g0 = 0
-        # (eps(0, 0) = 1), symmetric on self-paired degrees (eps(g, g) = -1)
-        return line_coeff(a.bracket(x, y), z)
+    def alternating(g: GroupElt) -> bool:
+        # on a self-paired V_g, [x, y] = -eps(g, g) [y, x]: alternating on
+        # degree 0 (when g0 = 0), symmetric (eps(g, g) = -1) elsewhere
+        if g == zero_elt:
+            return True
+        if eps(g, g) != minus_one:
+            raise ValueError(f"epsilon({g},{g}) must be -1 on a self-paired degree")
+        return False
 
+    degrees, pieces, blocks = _graded_paired_basis(gr, z, alternating)
+    g0 = degrees[0]
     basis: list[tuple[str, GroupElt, Vect]] = [("z", g0, z)]
-    dims: dict[GroupElt, int] = {}
-    handled = set()
-
-    def add_pairs(tag, g, h, pairs):
-        for i, (u, uh) in enumerate(pairs, start=1):
-            basis.append((f"u{tag}_{i}", g, u))
-            basis.append((f"uh{tag}_{i}", h, uh))
-
-    # the distinguished pair {g0, 0}
-    others = [v for v in gr.components[g0] if not in_span([z], v)]
-    left = _complement_of_line(others, z)
-    if g0 != zero_elt:
-        right = list(gr.components.get(zero_elt, ()))
-        pairs = zip(left, dual_vectors(pairing, left, right))
-        dims[g0], dims[zero_elt] = len(left) + 1, len(right)
-    else:
-        # g0 = 0: split off z, then hyperbolic pairs inside one component
-        pairs = symplectic_gram_schmidt(pairing, left)
-        dims[zero_elt] = len(left) + 1
-    add_pairs("0", g0, zero_elt, pairs)
-    handled.update((g0, zero_elt))
-
-    for g in gr.support:
-        if g in handled:
-            continue
-        partner = -g + g0
-        if partner == g:
-            # self-paired: orthogonalize (Gram-Schmidt) and normalize [x, x] = z
-            if eps(g, g) != -ctx.one():
-                raise ValueError(f"epsilon({g},{g}) must be -1 on a self-paired degree")
-            diag = orthogonal_gram_schmidt(pairing, gr.components[g])
-            for i, x in enumerate(diag, start=1):
-                x = vscale(sqrt_scalar(pairing(x, x).inv()), x)
-                basis.append((f"s{_deg_tag(g)}_{i}", g, x))
-            dims[g] = len(diag)
-        else:
-            if partner not in gr.components:
-                raise ValueError(f"degree {g} has no partner component at {partner}")
-            left = list(gr.components[g])
-            duals = dual_vectors(pairing, left, list(gr.components[partner]))
-            add_pairs(_deg_tag(g), g, partner, zip(left, duals))
-            dims[g] = dims[partner] = len(left)
-        handled.update((g, partner))
+    for i, j, pairs, diag in blocks:
+        tag = "0" if i == 0 else _deg_tag(degrees[i])
+        for n, (u, uh) in enumerate(pairs, start=1):
+            basis += [(f"u{tag}_{n}", degrees[i], u), (f"uh{tag}_{n}", degrees[j], uh)]
+        for n, x in enumerate(diag, start=1):
+            # normalize [x, x] = z
+            x = vscale(sqrt_scalar(line_coeff(a.bracket(x, x), z).inv()), x)
+            basis.append((f"s{tag}_{n}", degrees[i], x))
+    dims = {g: len(piece) for g, piece in zip(degrees, pieces)}
+    dims[g0] += 1  # z, which the first piece leaves out
 
     t = ColorType(group, g0, eps, dims)
     t.validate()
@@ -340,13 +307,6 @@ def _check_standard_products(a: Algebra, eps: Bicharacter, g0, basis, z):
         elif name.startswith("s"):
             if a.bracket(v, v) != z:
                 raise AssertionError(f"[{name}, {name}] is not z")
-
-
-def _complement_of_line(vectors: list[Vect], line: Vect) -> list[Vect]:
-    """A basis of span(vectors + line) transverse to the line."""
-    piv = next(i for i, c in enumerate(line) if c)
-    basis, _ = rref([vsub(v, vscale(v[piv] / line[piv], line)) for v in vectors])
-    return list(basis)
 
 
 # --- JSON interface ---------------------------------------------------------

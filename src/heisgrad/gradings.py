@@ -296,7 +296,9 @@ class PairedDecomposition:
                     acc = acc + xi * row[j] * yj
         return acc
 
-    def validate(self):
+    def validate(self) -> list[int]:
+        """Check the form and the components; the partner of each component,
+        the one component it pairs with."""
         n = len(self.form)
         if self.kind not in ("alternating", "symmetric"):
             raise ValueError(f"unknown form kind {self.kind!r}")
@@ -306,24 +308,20 @@ class PairedDecomposition:
                 if self.form[i][j] != sign * self.form[j][i]:
                     raise ValueError("form does not match its declared kind")
         vecs = [v for piece in self.pieces for v in piece]
-        if len(vecs) != rank(vecs):
+        r = rank(vecs)
+        if len(vecs) != r:
             raise ValueError("components are not independent")
-        if rank(vecs) != n:
+        if r != n:
             raise ValueError("components do not span the space")
-        self._partner()  # raises on violation
-
-    def _partner(self) -> list[int]:
-        out = []
+        partner = []
         for i, pi in enumerate(self.pieces):
-            partners = []
-            for j, pj in enumerate(self.pieces):
-                if any(self.pairing(x, y) for x in pi for y in pj):
-                    partners.append(j)
-            if len(partners) != 1:
+            mates = [j for j, pj in enumerate(self.pieces)
+                     if any(self.pairing(x, y) for x in pi for y in pj)]
+            if len(mates) != 1:
                 raise ValueError(
-                    f"component {i} pairs with {len(partners)} components, not 1")
-            out.append(partners[0])
-        return out
+                    f"component {i} pairs with {len(mates)} components, not 1")
+            partner.append(mates[0])
+        return partner
 
 
 Pairing = Callable[[Vect, Vect], CycloNum]
@@ -402,17 +400,50 @@ def orthogonal_gram_schmidt(pairing: Pairing, vectors: list[Vect]) -> list[Vect]
     return diag
 
 
-def _partnered_pieces(d: PairedDecomposition):
-    """Each component once, with its partner component, or None when it
-    pairs with itself."""
-    d.validate()
-    partner = d._partner()
-    done = set()
-    for i, piece in enumerate(d.pieces):
-        j = partner[i]
-        if i not in done:
-            done.update((i, j))
-            yield [tuple(v) for v in piece], (None if j == i else d.pieces[j])
+def _paired_basis(pairing: Pairing, pieces: list[list[Vect]], partner: list[int],
+                  alternating: Callable[[int], bool]) -> list[tuple]:
+    """The homogeneous basis of sum(pieces) under a pairing, nondegenerate
+    there, that pairs piece i with piece partner[i] alone: for each piece i
+    at or before its partner j, (i, j, pairs, diag).  pairs are the dual
+    pairs of piece i against piece j when j != i; when j = i, they are the
+    Darboux pairs of piece i if alternating(i), and diag is its orthogonal
+    family otherwise."""
+    blocks = []
+    for i, (piece, j) in enumerate(zip(pieces, partner)):
+        if j > i:
+            blocks.append((i, j, list(zip(piece, dual_vectors(pairing, piece, pieces[j]))), []))
+        elif j == i and alternating(i):
+            blocks.append((i, i, symplectic_gram_schmidt(pairing, piece), []))
+        elif j == i:
+            blocks.append((i, i, [], orthogonal_gram_schmidt(pairing, piece)))
+    return blocks
+
+
+def _homogeneous_basis(d: PairedDecomposition) -> tuple[list[tuple[Vect, Vect]], list[Vect]]:
+    """The (pairs, diag) of _paired_basis on d, checked on their Gram matrix."""
+    alternating = d.kind == "alternating"
+    blocks = _paired_basis(d.pairing, d.pieces, d.validate(), lambda i: alternating)
+    pairs = [pair for _, _, block, _ in blocks for pair in block]
+    diag = [v for *_, block in blocks for v in block]
+    _check_gram(d.pairing, pairs, diag, -1 if alternating else 1)
+    return pairs, diag
+
+
+def _check_gram(pairing: Pairing, pairs, diag, back: int):
+    """The Gram matrix of u1, u1', u2, u2', ..., then diag: <u_p, u_p'> = 1,
+    <u_p', u_p> = back (-1 for an alternating pairing, 1 for a symmetric
+    one), nonzero norms on diag, and zero elsewhere."""
+    flat = [v for pair in pairs for v in pair] + diag
+    n = 2 * len(pairs)
+    for a, x in enumerate(flat):
+        for b, y in enumerate(flat):
+            val = pairing(x, y)
+            if a < n and b == a ^ 1:
+                ok = val == (1 if a < b else back)
+            else:
+                ok = bool(val) == (a == b >= n)
+            if not ok:
+                raise AssertionError("homogeneous basis has the wrong Gram matrix")
 
 
 def homogeneous_symplectic_basis(d: PairedDecomposition) -> list[tuple[Vect, Vect]]:
@@ -420,26 +451,7 @@ def homogeneous_symplectic_basis(d: PairedDecomposition) -> list[tuple[Vect, Vec
     <u_i, u_j'> = delta_ij and all other pairings zero."""
     if d.kind != "alternating":
         raise ValueError("symplectic basis requires an alternating form")
-    pairs: list[tuple[Vect, Vect]] = []
-    for piece, mate in _partnered_pieces(d):
-        if mate is None:
-            pairs += symplectic_gram_schmidt(d.pairing, piece)
-        else:
-            pairs += zip(piece, dual_vectors(d.pairing, piece, mate))
-    _check_symplectic(d, pairs)
-    return pairs
-
-
-def _check_symplectic(d: PairedDecomposition, pairs):
-    ctx = pairs[0][0][0].ctx
-    one, zero = ctx.one(), ctx.zero()
-    for a, (u1, v1) in enumerate(pairs):
-        for b, (u2, v2) in enumerate(pairs):
-            if d.pairing(u1, u2) != zero or d.pairing(v1, v2) != zero:
-                raise AssertionError("symplectic basis has nonzero u-u or u'-u' pairing")
-            want = one if a == b else zero
-            if d.pairing(u1, v2) != want:
-                raise AssertionError("symplectic basis pairing is not the identity")
+    return _homogeneous_basis(d)[0]
 
 
 def homogeneous_orthogonal_basis(
@@ -450,105 +462,54 @@ def homogeneous_orthogonal_basis(
     self-paired ones, all inside the union of the components."""
     if d.kind != "symmetric":
         raise ValueError("orthogonal basis requires a symmetric form")
-    pairs: list[tuple[Vect, Vect]] = []
-    diag: list[Vect] = []
-    for piece, mate in _partnered_pieces(d):
-        if mate is None:
-            diag += orthogonal_gram_schmidt(d.pairing, piece)
-        else:
-            pairs += zip(piece, dual_vectors(d.pairing, piece, mate))
-    _check_orthogonal(d, pairs, diag)
-    return pairs, diag
+    return _homogeneous_basis(d)
 
 
-def _check_orthogonal(d: PairedDecomposition, pairs, diag):
-    ctx = d.form[0][0].ctx
-    one, zero = ctx.one(), ctx.zero()
-    flat = [v for p in pairs for v in p] + list(diag)
-    for z in diag:
-        if not d.pairing(z, z):
-            raise AssertionError("orthogonal basis vector has zero norm")
-    for a, x in enumerate(flat):
-        for b, y in enumerate(flat):
-            val = d.pairing(x, y)
-            in_pair = any(x is u and y is v or x is v and y is u for u, v in pairs)
-            if in_pair:
-                if val != one:
-                    raise AssertionError("hyperbolic pair does not pair to 1")
-            elif a == b:
-                continue
-            elif val != zero:
-                raise AssertionError("unexpected nonzero pairing in orthogonal basis")
+def _graded_paired_basis(gr: Grading, z: Vect, alternating: Callable[[GroupElt], bool]):
+    """_paired_basis on a grading with a homogeneous center line z, under
+    the pairing [x, y] = <x, y> z, which pairs V_g with V_(-g+g0) for g0
+    the degree of z.  The first piece is a complement of z in V_g0, then
+    come V_0 (when g0 != 0) and the rest of the support in order.  Returns
+    (degrees, pieces, blocks): the degree of each piece, g0 first."""
+    a = gr.algebra
+    g0 = gr.degree_of(z)
+    if g0 is None:
+        raise ValueError("center is not homogeneous")
+    zero = gr.group.zero()
+    piv = next(i for i, c in enumerate(z) if c)
+    left, _ = rref([vsub(v, vscale(v[piv] / z[piv], z)) for v in gr.components[g0]])
+    degrees = [g0] + [zero] * (g0 != zero) + [g for g in gr.support if g not in (g0, zero)]
+    pieces = [list(left)] + [list(gr.components.get(g, ())) for g in degrees[1:]]
+    index = {g: i for i, g in enumerate(degrees)}
+    partner = []
+    for g in degrees:
+        if -g + g0 not in index:
+            raise ValueError(f"degree {g} has no partner component at {-g + g0}")
+        partner.append(index[-g + g0])
+
+    def pairing(x: Vect, y: Vect) -> CycloNum:
+        return line_coeff(a.bracket(x, y), z)
+
+    return degrees, pieces, _paired_basis(pairing, pieces, partner,
+                                          lambda i: alternating(degrees[i]))
 
 
 def darboux_homogeneous_basis(gr: Grading) -> list[Vect]:
     """A homogeneous basis z, u1, u1', ... of a graded Heisenberg algebra
-    with [ui, ui'] = z and all other brackets zero.
-
-    Pushes the grading to the symplectic quotient by the center, extracts
-    a homogeneous symplectic basis there, and lifts each vector into its
-    own component: the lift with zero z-coordinate, moved along z.
-    """
+    with [ui, ui'] = z and all other brackets zero: the paired basis of the
+    components under [x, y] = <x, y> z, alternating on every self-paired
+    one."""
     a = gr.algebra
     cen = center(a)
     if len(cen) != 1:
         raise ValueError("algebra does not have a one-dimensional center")
+    if a.is_super():
+        raise ValueError("a Darboux basis needs a Lie algebra: odd components pair symmetrically")
     z = cen[0]
-    z_idx = next(i for i, c in enumerate(z) if c)
-    idxs = [i for i in range(a.dim) if i != z_idx]
-
-    def project(v: Vect) -> Vect:
-        # representative with zero z-coordinate, then drop that coordinate
-        shifted = vsub(v, vscale(v[z_idx] / z[z_idx], z))
-        return tuple(shifted[i] for i in idxs)
-
-    def lift(v: Vect) -> Vect:
-        w = v[:z_idx] + (a.ctx.zero(),) + v[z_idx:]
-        for rows, pivots in gr.spans.values():
-            # w - c z lies in this component iff the residues agree up to c
-            rw = reduce_against(rows, pivots, w)
-            if is_zero_vect(rw):
-                return w
-            rz = reduce_against(rows, pivots, z)
-            if is_zero_vect(rz):
-                continue
-            try:
-                c = line_coeff(rw, rz)
-            except ValueError:
-                continue
-            return vsub(w, vscale(c, z))
-        raise AssertionError("a quotient basis vector lifts to no component")
-
-    # form on the quotient: <x, y> z = [x, y]
-    form = [tuple(line_coeff(a.bracket(a.basis_vect(i), a.basis_vect(j)), z) for j in idxs)
-            for i in idxs]
-    pieces = []
-    for g in gr.support:
-        vecs = [project(v) for v in gr.components[g]]
-        basis, _ = rref([v for v in vecs if not is_zero_vect(v)])
-        if basis:
-            pieces.append(list(basis))
-    d = PairedDecomposition(form, pieces, "alternating")
-    pairs = homogeneous_symplectic_basis(d)
-    basis = [z]
-    for u, v in pairs:
-        basis += [lift(u), lift(v)]
-    _check_darboux(a, z, basis)
-    return basis
-
-
-def _check_darboux(a: Algebra, z: Vect, basis: list[Vect]):
-    n = (len(basis) - 1) // 2
-    for p in range(n):
-        u, v = basis[1 + 2 * p], basis[2 + 2 * p]
-        if a.bracket(u, v) != z:
-            raise AssertionError("Darboux pair does not bracket to z")
-        for q in range(n):
-            u2, v2 = basis[1 + 2 * q], basis[2 + 2 * q]
-            if not is_zero_vect(a.bracket(u, u2)) or not is_zero_vect(a.bracket(v, v2)):
-                raise AssertionError("unexpected nonzero bracket in Darboux basis")
-            if p != q and not is_zero_vect(a.bracket(u, v2)):
-                raise AssertionError("cross pair brackets to nonzero value")
+    _, _, blocks = _graded_paired_basis(gr, z, lambda g: True)
+    pairs = [pair for _, _, block, _ in blocks for pair in block]
+    _check_gram(lambda x, y: line_coeff(a.bracket(x, y), z), pairs, [], -1)
+    return [z] + [v for pair in pairs for v in pair]
 
 
 # --- JSON interface ---------------------------------------------------------

@@ -17,12 +17,12 @@ from functools import cached_property
 from math import factorial, lcm, prod
 from operator import itemgetter
 
-from ._linalg import Vect, is_zero_vect, mat_apply, reduce_against, rref, sparse, sparse_apply
+from ._linalg import Vect, mat_apply, sparse, sparse_apply
 from .abelian import smith_normal_form
 from .fine import (FineTwistedParams, HeisenbergFine, ScalarClasses, SuperFine,
                    TwistedFine, rebase_scales_i, rebase_scales_ii)
 from .gradings import Grading
-from .liealg import Algebra, LinMap, center, derived
+from .liealg import Algebra, LinMap
 from .scalars import CycloNum, root_of_unity_order
 
 __all__ = [
@@ -512,9 +512,11 @@ def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
         for j, ((k, c),) in row:  # one-dimensional components: one term
             gamma[i][j], target[i][j] = c, k
 
-    cen, der = rref(center(a)), rref(derived(a))
-    flags = [(par, is_zero_vect(reduce_against(*cen, v)), is_zero_vect(reduce_against(*der, v)))
-             for par, v in zip(table.parity, table.basis)]
+    # b_m is central iff its row and column of the table are empty, and in
+    # the derived algebra iff some nonzero bracket lands on it
+    hit = {k for row in target for k in row if k is not None}
+    flags = [(par, not table.terms[m] and all(row[m] is None for row in target), m in hit)
+             for m, par in enumerate(table.parity)]
 
     perm = [None] * n
     used = [False] * n

@@ -185,6 +185,15 @@ def test_classify_round_trip_z4(ctx):
     assert t3.g0 == g0
     assert t3.dims == t2.dims
 
+    # s1 +- i s2 are isotropic ([x, x] = 0): the orthogonal basis starts by
+    # polarizing them
+    s1, s2 = gr.components[g1]
+    isotropic = [vadd(s1, vscale(sign * ii, s2)) for sign in (1, -1)]
+    t5, basis5 = classify_color(a, Grading(a, grp, {g0: gr.components[g0], g1: tuple(isotropic)}),
+                                eps)
+    assert t5.dims == t2.dims
+    assert all(a.bracket(v, v) == basis5[0][2] for name, _, v in basis5 if name.startswith("s"))
+
 
 def test_classify_normalizes_group_to_support(ctx):
     # a support generating a proper subgroup of Z gets restricted to it

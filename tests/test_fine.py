@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import heisgrad.fine as fine
-from heisgrad._linalg import in_span, is_zero_vect, mat_apply, vadd, vscale
+from heisgrad._linalg import in_span, is_zero_vect, mat_apply, rref, vadd, vscale
 from heisgrad.abelian import AbGroup
 from heisgrad.cli import auto_conductor
 from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, decompose_twisted_grading,
@@ -16,7 +16,7 @@ from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, decompose_twisted
                            twist, twisted_fine, twisted_fine_classes,
                            twisted_fine_nontoral, twisted_fine_toral,
                            verify_block_i, verify_block_ii)
-from heisgrad.gradings import is_toral_fine, universal_group, verify_grading
+from heisgrad.gradings import Grading, is_toral_fine, universal_group, verify_grading
 from heisgrad.liealg import Algebra, heisenberg, heisenberg_super, is_automorphism, twisted
 from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar
 
@@ -479,6 +479,35 @@ def test_decompose_coarsenings(ctx16):
     assert sorted(len(v) for v in co1.components.values()) == [1, 1, 2, 2]
     _, _, _, q = decompose_twisted_grading(co1)
     assert (q.l, q.s, q.r) == (2, 0, 2)
+
+
+def test_decompose_finds_a_type_ii_vector_as_a_pair_sum():
+    # a Z_2 x Z_4 grading of the twisted algebra with lambda = (1, 1, 1),
+    # deg u of order l = 2: the components span(r1, r2) and its phi-image
+    # each meet V_1^2 in a reduced basis of vectors x with [x, phi(x)] = 0,
+    # though not the sum of the two, so a type-II block starts from that sum
+    ctx = CycloCtx(8)  # the type-II vector is scaled by sqrt(1/2)
+    a = twisted([ctx.one()] * 3)
+    u, z = a.basis_vect(0), a.basis_vect(a.dim - 1)
+    phi = lambda v: a.bracket(u, v)
+    zero, one = ctx.zero(), ctx.one()
+    r1 = (zero, one, zero, zero, one, one, one, zero)  # e1 + ehat2 + e3 + ehat3
+    r2 = (zero, zero, one, zero, zero, one, zero, zero)  # ehat1 + e3
+    c = (zero, zero, one, zero, one, one, zero, zero)  # ehat1 + ehat2 + e3
+    group = AbGroup(0, (2, 4))
+    deg = lambda x, y: group.elt((), (x, y))
+    gr = Grading(a, group, {deg(0, 0): (z,), deg(0, 2): (u,), deg(0, 1): (r1, r2),
+                            deg(0, 3): (phi(r1), phi(r2)), deg(1, 1): (c,), deg(1, 3): (phi(c),)})
+    assert verify_grading(gr).ok
+    sums = []
+    for piece in ([r1, r2], [phi(r1), phi(r2)]):
+        basis = rref(piece)[0]
+        assert all(is_zero_vect(a.bracket(x, phi(x))) for x in basis)
+        assert not is_zero_vect(a.bracket(vadd(*basis), phi(vadd(*basis))))
+        sums.append(vadd(*basis))
+    _, blocks_i, blocks_ii, q = decompose_twisted_grading(gr)
+    assert (q.l, q.s, q.r) == (2, 0, 3)
+    assert any(in_span([x], v) for x in sums for blk in blocks_ii for v in blk.elements())
 
 
 def _synthetic_lambda(l, s, r, beta_bases, alpha_bases):

@@ -368,6 +368,63 @@ def test_orthogonal_scrambled():
         _check_orthogonal_conditions(d, pairs, diag)
 
 
+def test_partners_are_found_once(monkeypatch):
+    ctx = CycloCtx(1)
+    d = PairedDecomposition(_standard_symplectic(ctx, 1),
+                            [[_unit(ctx, 2, 0)], [_unit(ctx, 2, 1)]], "alternating")
+    validate, calls = PairedDecomposition.validate, []
+    monkeypatch.setattr(PairedDecomposition, "validate",
+                        lambda self: calls.append(self) or validate(self))
+    assert d.validate() == [1, 0]
+    homogeneous_symplectic_basis(d)
+    assert len(calls) == 2
+
+
+def test_every_paired_basis_goes_through_one_routine(monkeypatch):
+    import heisgrad.gradings as gradings
+    from heisgrad.color import Bicharacter, ColorType, classify_color, color_algebra
+    core, calls = gradings._paired_basis, []
+    monkeypatch.setattr(gradings, "_paired_basis",
+                        lambda *args: calls.append(args) or core(*args))
+    ctx = CycloCtx(1)
+    one, zero = ctx.one(), ctx.zero()
+    lines = [[_unit(ctx, 2, 0)], [_unit(ctx, 2, 1)]]
+    z2 = AbGroup(0, (2,))
+    t = ColorType(z2, z2.zero(), Bicharacter(z2, [[one]]), {z2.zero(): 3})
+    for caller in (
+            lambda: homogeneous_symplectic_basis(
+                PairedDecomposition(_standard_symplectic(ctx, 1), lines, "alternating")),
+            lambda: homogeneous_orthogonal_basis(
+                PairedDecomposition([(zero, one), (one, zero)], lines, "symmetric")),
+            lambda: darboux_homogeneous_basis(heisenberg_fine(2)),
+            lambda: classify_color(*color_algebra(t, ctx), t.epsilon)):
+        calls.clear()
+        caller()
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["alternating", "symmetric", "darboux"])
+def test_gram_check_rejects_a_wrong_pair(monkeypatch, kind):
+    # dual vectors scaled by 2 pair to 2, not 1
+    import heisgrad.gradings as gradings
+    dual = gradings.dual_vectors
+    monkeypatch.setattr(gradings, "dual_vectors",
+                        lambda pairing, left, right: [vscale(ctx.from_fraction(2), y)
+                                                      for y in dual(pairing, left, right)])
+    ctx = CycloCtx(1)
+    one, zero = ctx.one(), ctx.zero()
+    lines = [[_unit(ctx, 2, 0)], [_unit(ctx, 2, 1)]]
+    with pytest.raises(AssertionError, match="wrong Gram matrix"):
+        if kind == "alternating":
+            homogeneous_symplectic_basis(PairedDecomposition(_standard_symplectic(ctx, 1), lines,
+                                                             kind))
+        elif kind == "symmetric":
+            homogeneous_orthogonal_basis(PairedDecomposition([(zero, one), (one, zero)], lines,
+                                                             kind))
+        else:
+            darboux_homogeneous_basis(heisenberg_fine(2))
+
+
 def test_pairing_condition_violation_raises():
     ctx = CycloCtx(1)
     form = _standard_symplectic(ctx, 2)
@@ -390,6 +447,17 @@ def test_darboux_on_fine_grading():
         assert sum(1 for c in v if c) == 1
 
 
+def _assert_darboux(gr, basis):
+    # homogeneous, [u_p, u_p'] = z, and every other bracket zero
+    a = gr.algebra
+    z, us, vs = basis[0], basis[1::2], basis[2::2]
+    assert len(basis) == a.dim and all(gr.degree_of(v) is not None for v in basis)
+    for p, (u, v) in enumerate(zip(us, vs)):
+        for q, (u2, v2) in enumerate(zip(us, vs)):
+            assert a.bracket(u, v2) == (z if p == q else a.zero_vect())
+            assert is_zero_vect(a.bracket(u, u2)) and is_zero_vect(a.bracket(v, v2))
+
+
 def test_darboux_on_coarsening():
     gr = heisenberg_fine(2)
     # coarsen Z^3 onto Z_2 through the sum of coordinates
@@ -398,6 +466,30 @@ def test_darboux_on_coarsening():
     out = coarsen(gr, [t, t, t])
     basis = darboux_homogeneous_basis(out)
     assert len(basis) == 5
+
+
+# images of the generators of heisenberg_fine(k)'s group, the degrees of z,
+# e_k, ..., e_1; ehat_i has degree deg z - deg e_i
+@pytest.mark.parametrize("k, order, images", [
+    (3, 4, (2, 1, 1, 1)),  # V_1 = all e_i, ehat_i
+    (3, 2, (0, 1, 0, 0)),  # V_0 = z + a 4-dimensional complement
+    (4, 2, (0, 1, 1, 1, 1)),
+    (4, 4, (2, 1, 1, 1, 1)),
+    (4, 2, (0, 1, 0, 0, 0)),
+])
+def test_darboux_on_self_paired_coarsenings(k, order, images):
+    # a self-paired piece of dimension at least 4, from the grading and a transport
+    gr = heisenberg_fine(k)
+    target, gens = group_product([order])
+    out = coarsen(gr, [c * gens[0] for c in images])
+    moved = transport_grading(out, random_heisenberg_automorphism(out.algebra, random.Random(k)))
+    for grading in (out, moved):
+        _assert_darboux(grading, darboux_homogeneous_basis(grading))
+
+
+def test_darboux_rejects_a_superalgebra():
+    with pytest.raises(ValueError, match="needs a Lie algebra"):
+        darboux_homogeneous_basis(super_fine(1, 2, 1))
 
 
 def test_degree_of_finds_the_component():

@@ -458,6 +458,21 @@ def test_bruteforce_matches_exhaustive_oracle(gr):
     assert bf.leaves_tested <= bf.nodes_visited
 
 
+def test_bruteforce_makes_no_rref_call(monkeypatch, ctx16, lam_iiii):
+    # the point flags (parity, central, derived) are read off the table's
+    # bracket pattern, with no echelon form of the center or derived algebra
+    import sys
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("heisgrad") and hasattr(module, "rref"):
+            monkeypatch.setattr(module, "rref",
+                                lambda rows, rref=module.rref: calls.append(rows) or rref(rows))
+    grs = [heisenberg_fine(3), super_fine(1, 3, 1),
+           twisted_fine(lam_iiii, FineTwistedParams(4, 1, 0, (ctx16.one(),), ()))]
+    assert [weyl_bruteforce(gr).order for gr in grs] == [48, 4, 8]
+    assert calls == []
+
+
 @pytest.mark.parametrize("m, order", [(6, 1440), (8, 80640)])
 def test_bruteforce_tests_a_few_leaves_per_orbit_point(m, order):
     # |W| extendable permutations, but one tested leaf per generator kept

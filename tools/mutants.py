@@ -119,6 +119,33 @@ MUTANTS = [
            "            if len(self._memo) >= self._cap:\n                self._memo.clear()\n",
            "",
            ("tests/test_scalar_properties.py::test_memo_stays_within_its_budget",)),
+    Mutant("paired-basis-with-the-wrong-partner", "gradings.py",
+           "dual_vectors(pairing, piece, pieces[j])",
+           "dual_vectors(pairing, piece, pieces[i])",
+           ("tests/test_gradings.py::test_symplectic_cross_paired_lines",
+            "tests/test_color.py::test_classify_mixed_type_with_scramble")),
+    Mutant("paired-basis-swaps-symplectic-and-orthogonal", "gradings.py",
+           "elif j == i and alternating(i):",
+           "elif j == i and not alternating(i):",
+           ("tests/test_gradings.py::test_orthogonal_single_component",
+            "tests/test_color.py::test_classify_round_trip_z4")),
+    Mutant("paired-basis-without-gram-check", "gradings.py",
+           "    _check_gram(d.pairing, pairs, diag, -1 if alternating else 1)\n",
+           "",
+           ("tests/test_gradings.py::test_gram_check_rejects_a_wrong_pair",)),
+    Mutant("darboux-without-gram-check", "gradings.py",
+           "    _check_gram(lambda x, y: line_coeff(a.bracket(x, y), z), pairs, [], -1)\n",
+           "",
+           ("tests/test_gradings.py::test_gram_check_rejects_a_wrong_pair",)),
+    Mutant("verify-reads-one-orientation-of-every-algebra", "gradings.py",
+           "for h in support[i:] if skew else support:",
+           "for h in support[i:]:",
+           ("tests/test_cli.py::test_verify_scans_both_orientations_of_a_color_algebra",)),
+    Mutant("axioms-with-a-transposed-factor", "liealg.py",
+           "m = -factor[i][j]",
+           "m = -factor[j][i]",
+           ("tests/test_color.py::test_sparse_color_check_matches_the_dense_oracle",
+            "tests/test_color.py::test_classify_restricts_a_nontrivial_epsilon_to_the_support")),
     Mutant("pq-split-ignores-the-order", "weyl.py",
            "                if (mults.pop() * len(orbit)) % order:",
            "                if False:",
