@@ -1,10 +1,12 @@
 """Exact linear algebra over a cyclotomic field.
 
-Vectors are tuples of CycloNum; matrices are lists of row tuples.  The
-echelon forms pivot on the first nonzero in a fixed scan order, so
-results are deterministic.  Row operations skip zero entries, which most
-of the sparse matrices here are made of; mat_inverse works on the
-nonzero entries alone.
+Vectors are tuples of CycloNum; matrices are lists of row tuples.  Every
+row reduction is one Gauss-Jordan elimination, _gauss_jordan, on the
+nonzero coordinates of the rows: rref, rank, kernel and mat_inverse (on
+[M | I]) call it.  Column c pivots on the row with the fewest nonzeros of
+those not yet used that have one in column c, to keep the fill-in small.
+The reduced row echelon form of a row space is unique, so that choice
+changes the work and never a result.
 """
 
 from __future__ import annotations
@@ -42,36 +44,39 @@ def is_zero_vect(a: Vect) -> bool:
     return not any(a)
 
 
+def _gauss_jordan(rows: list[SparseVect], n_cols: int) -> tuple[list[SparseVect], list[int]]:
+    """Reduce the sparse rows (in place) on columns 0..n_cols-1; returns the
+    reduced pivot rows, in pivot order, and their pivot columns."""
+    free, done = list(range(len(rows))), {}
+    for c in range(n_cols):
+        r = min((r for r in free if c in rows[r]), key=lambda r: len(rows[r]), default=None)
+        if r is None:
+            continue
+        free.remove(r)
+        inv = rows[r][c].inv()
+        prow = rows[r] = {k: inv * x for k, x in rows[r].items()}
+        for row in rows:
+            if row is not prow and c in row:
+                f = row.pop(c)
+                for k, y in prow.items():
+                    if k != c:
+                        x = row.pop(k) - f * y if k in row else -(f * y)
+                        if x:
+                            row[k] = x
+        done[c] = prow
+    return list(done.values()), list(done)
+
+
 def rref(rows: list[Vect]) -> tuple[list[Vect], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    n_cols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][col].inv()
-        work[r] = [inv * x if x else x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                c = work[i][col]
-                work[i] = [x - c * y if y else x for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivots
+    n_cols = len(rows[0]) if rows else 0
+    basis, pivots = _gauss_jordan([sparse(r) for r in rows], n_cols)
+    zero = rows[0][0].ctx.zero() if basis else None
+    return [tuple(row.get(k, zero) for k in range(n_cols)) for row in basis], pivots
 
 
 def rank(rows: list[Vect]) -> int:
-    return len(rref(rows)[0])
+    return len(_gauss_jordan([sparse(r) for r in rows], len(rows[0]) if rows else 0)[1])
 
 
 def reduce_against(basis_rref: list[Vect], pivots: list[int], v: Vect) -> Vect:
@@ -91,15 +96,15 @@ def in_span(rows: list[Vect], v: Vect) -> bool:
 
 def kernel(rows: list[Vect], ctx: CycloCtx, n_unknowns: int) -> list[Vect]:
     """Basis of {x : A x = 0} where the rows of A are given."""
-    basis, pivots = rref(rows)
-    free_cols = [j for j in range(n_unknowns) if j not in pivots]
+    basis, pivots = _gauss_jordan([sparse(r) for r in rows], n_unknowns)
     out = []
     one, zero = ctx.one(), ctx.zero()
-    for f in free_cols:
+    for f in (j for j in range(n_unknowns) if j not in pivots):
         x = [zero] * n_unknowns
         x[f] = one
         for row, p in zip(basis, pivots):
-            x[p] = -row[f]
+            if f in row:
+                x[p] = -row[f]
         out.append(tuple(x))
     return out
 
@@ -163,32 +168,15 @@ def sparse_apply(cols: list[SparseVect], v: SparseVect) -> SparseVect:
 def mat_inverse(cols: list[Vect] | list[SparseVect], ctx: CycloCtx) -> list | None:
     """Inverse of a square matrix given by columns, dense or as SparseVect
     (as Algebra.bracket takes them), in the same form; None if singular.
-    Gauss-Jordan on the nonzero entries of the rows of [M | I], M's at keys
-    0..n-1 and I's at n..2n-1: column c pivots on the row with the fewest
-    nonzeros of those not yet used that have one in column c."""
+    The reduced form of [M | I], M's entries at keys 0..n-1 and I's at
+    n..2n-1, is [I | M^-1] when all n columns of M pivot."""
     n, dense, zero = len(cols), bool(cols) and not isinstance(cols[0], dict), ctx.zero()
     rows: list[SparseVect] = [{n + i: ctx.one()} for i in range(n)]
     for j, col in enumerate(cols):
         for i, x in (sparse(col) if dense else col).items():
             rows[i][j] = x
-    free = list(range(n))
-    for c in range(n):
-        r = min((r for r in free if c in rows[r]), key=lambda r: len(rows[r]), default=None)
-        if r is None:
-            return None
-        free.remove(r)
-        inv = rows[r][c].inv()
-        prow = rows[r] = {k: inv * x for k, x in rows[r].items()}
-        for row in rows:
-            if row is not prow and c in row:
-                f = row.pop(c)
-                for k, y in prow.items():
-                    if k != c:
-                        x = row.get(k, zero) - f * y
-                        if x:
-                            row[k] = x
-                        else:
-                            del row[k]
-    rows.sort(key=min)  # now row c is e_c beside row c of the inverse
+    rows, pivots = _gauss_jordan(rows, n)
+    if len(pivots) < n:
+        return None
     out = [{c: row[k] for c, row in enumerate(rows) if k in row} for k in range(n, 2 * n)]
     return [tuple(col.get(i, zero) for i in range(n)) for col in out] if dense else out

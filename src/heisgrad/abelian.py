@@ -172,15 +172,6 @@ class AbGroup:
     def is_torsion_free(self) -> bool:
         return not self.torsion
 
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.rank:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
-
     def __str__(self):
         parts = []
         if self.rank == 1:

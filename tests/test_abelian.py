@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from heisgrad.abelian import (AbGroup, AbPresentation, canonicalize, generates,
-                              group_product, smith_normal_form,
+from heisgrad.abelian import (AbGroup, AbPresentation, canonicalize, express_in_terms,
+                              generates, group_product, smith_normal_form,
                               subgroup_presentation)
 
 
@@ -106,6 +106,8 @@ def test_group_product_canonicalizes():
     assert str(g) == "Z x Z_2 x Z_2 x Z_4"
     g2, _ = group_product([2, 3])
     assert g2 == AbGroup(0, (6,))
+    with pytest.raises(ValueError, match="factors must be 0"):
+        group_product([2, -1])
 
 
 def test_element_arithmetic():
@@ -117,6 +119,10 @@ def test_element_arithmetic():
     assert b.order() is None
     assert (b - b) == g.zero()
     assert (3 * b).free == (3,)
+    with pytest.raises(ValueError, match="coordinate length mismatch"):
+        g.elt((0, 0), (1,))
+    with pytest.raises(ValueError, match="coordinate length mismatch"):
+        g.elt((0,), ())
 
 
 def test_cross_group_arithmetic_is_error():
@@ -124,6 +130,17 @@ def test_cross_group_arithmetic_is_error():
     g2, _ = group_product([0, 0])
     with pytest.raises(ValueError):
         g1.zero() + g2.zero()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AbPresentation(-1, ()), "n_gens must be >= 0"),
+    (lambda: AbPresentation(2, ((1,),)), "relation length"),
+    (lambda: AbGroup(0, (2, 3)), "divisibility chain"),
+    (lambda: AbGroup(1, (1, 2)), "invariant factors must be >= 2"),
+], ids=["negative-generators", "short-relation", "broken-chain", "factor-1"])
+def test_malformed_presentations_and_groups_are_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_torsion_free():
@@ -158,6 +175,23 @@ def test_subgroup_presentation():
     gt, _ = group_product([4])
     sub, _ = canonicalize(subgroup_presentation(gt, [gt.elt((), (2,))]))
     assert sub == AbGroup(0, (2,))
+    assert subgroup_presentation(g, []) == AbPresentation(0, ())
+
+
+def test_express_in_terms():
+    g, _ = group_product([0, 4])
+    elts = [g.elt((1,), (1,)), g.elt((0,), (2,))]
+    combo = express_in_terms(g, elts, g.elt((3,), (1,)))
+    assert combo is not None
+    assert sum((c * e for c, e in zip(combo, elts)), g.zero()) == g.elt((3,), (1,))
+    # the trivial group: every target is the empty combination
+    triv = AbGroup(0, ())
+    assert express_in_terms(triv, [triv.zero()] * 2, triv.zero()) == [0, 0]
+    # 1 is no multiple of 2 in Z; (0, 1) is off the line Z (1, 0) in Z^2
+    z, _ = group_product([0])
+    assert express_in_terms(z, [z.elt((2,), ())], z.elt((1,), ())) is None
+    z2, _ = group_product([0, 0])
+    assert express_in_terms(z2, [z2.elt((1, 0), ())], z2.elt((0, 1), ())) is None
 
 
 def test_str_forms():

@@ -312,6 +312,28 @@ def test_zero_tests_per_weyl_closure_pass_are_bounded(monkeypatch):
     assert calls[0] <= 1679, calls[0]
 
 
+def test_zero_tests_per_roundtrip_pass_are_bounded(monkeypatch):
+    # rref, rank, kernel and mat_inverse share one Gauss-Jordan elimination
+    # on the nonzero coordinates of the rows, so a dense row is tested for
+    # zero once, on its way in, and no row operation scans a zero entry;
+    # the bound is the count of the seed-23 roundtrip batch at that design
+    # (35,853 when rref reduced dense rows)
+    workloads = _load_bench("workloads")
+    calls = [0]
+    truth = CycloNum.__bool__
+
+    def counted(self):
+        calls[0] += 1
+        return truth(self)
+
+    jobs = workloads.make_jobs("roundtrip", 23)
+    monkeypatch.setattr(CycloNum, "__bool__", counted)
+    for job in jobs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            heisgrad.cli.main(job["argv"])
+    assert calls[0] <= 30848, calls[0]
+
+
 def test_permutation_products_per_chain_are_bounded(monkeypatch):
     # the stabilizer chain of the heisenberg_fine(20) generators (degree 41)
     # tests no Schreier generator of a Schreier tree edge, which is 1; the

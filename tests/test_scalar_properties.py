@@ -394,6 +394,36 @@ def test_subspace_operations_over_the_field(n, n_rows, n_cols, data):
         line_coeff(vadd(line, e_j), line)
 
 
+def test_every_reduction_goes_through_one_elimination(monkeypatch):
+    # rref, rank, kernel and mat_inverse (on [M | I]) share one
+    # Gauss-Jordan elimination, and the span operations reach it through them
+    import heisgrad._linalg as linalg
+    calls = []
+    gauss_jordan = linalg._gauss_jordan
+
+    def counted(rows, n_cols):
+        calls.append(n_cols)
+        return gauss_jordan(rows, n_cols)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    ctx = CycloCtx(4)
+    one, zero, i = ctx.one(), ctx.zero(), ctx.i()
+    a = [(one, i, zero), (zero, one, one)]
+    b = [(one, zero, zero), (zero, one, one)]
+    cols = [(one, zero), (i, one)]
+    for name, call in [("rref", lambda: rref(a)), ("rank", lambda: rank(a)),
+                       ("kernel", lambda: kernel(a, ctx, 3)),
+                       ("in_span", lambda: in_span(a, b[1])),
+                       ("combinations", lambda: combinations(a, [(one, one)], ctx)),
+                       ("intersection", lambda: intersection(a, rref(b), ctx)),
+                       ("mat_inverse dense", lambda: mat_inverse(cols, ctx)),
+                       ("mat_inverse sparse", lambda: mat_inverse([sparse(c) for c in cols], ctx))]:
+        calls.clear()
+        call()
+        assert calls, name
+    assert calls == [2]  # [M | I] pivots on M's two columns only
+
+
 def regular_representation(m, n: int) -> sympy.Matrix:
     """The rational matrix of the rows m over Q(zeta_n): each entry x is the
     d x d block whose column k is x zeta_n^k, reduced by sympy."""

@@ -70,6 +70,8 @@ def test_closure_basics():
     g = closure([(1, 0, 2)])
     assert g.order == 2
     assert closure([], degree=3).order == 1
+    with pytest.raises(ValueError, match="need a degree"):
+        closure([])
     # degree 0 has no levels and no point to compose on
     empty = closure([], degree=0)
     assert empty.order == 1 and empty.elements == [()] and empty.gens == []
@@ -703,7 +705,8 @@ def _rejected_maps():
             pytest.param(gr, unsigned_flip, id="unsigned-flip"),
             pytest.param(sgr, swap, id="parity-swap"),
             pytest.param(agr, [ab.basis_vect(1), ab.basis_vect(0)], id="abelian-parity-swap"),
-            pytest.param(egr, [even.basis_vect(0)] * 2, id="abelian-collapse")]
+            pytest.param(egr, [even.basis_vect(0)] * 2, id="abelian-collapse"),
+            pytest.param(gr, ident[:2], id="wrong-size")]
 
 
 @pytest.mark.parametrize("gr, f", _rejected_maps())
@@ -721,6 +724,16 @@ def test_induced_permutation_requires_one_dimensional_components():
         v for g in gr.support for v in gr.components[g])})
     with pytest.raises(ValueError, match="one-dimensional components"):
         induced_permutation(identity_map(gr.algebra), coarse)
+
+
+def test_generators_and_formula_need_a_family_record():
+    # a grading read from JSON, say, carries no record of its constructor
+    gr = heisenberg_fine(2)
+    bare = Grading(gr.algebra, gr.group, gr.components)
+    with pytest.raises(ValueError, match="fine-grading provenance"):
+        standard_generators(bare)
+    with pytest.raises(ValueError, match="fine-grading provenance"):
+        weyl_order_formula(bare)
 
 
 def _table_cases():

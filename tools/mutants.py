@@ -62,6 +62,20 @@ MUTANTS = [
            "(r for r in free if c in rows[r])",
            "(r for r in free)",
            ("tests/test_weyl.py::test_sparse_inverse_of_every_table_basis",)),
+    Mutant("elimination-clears-only-below-the-pivot", "_linalg.py",
+           "        for row in rows:\n            if row is not prow and c in row:",
+           "        for row in [rows[r] for r in free]:\n            if c in row:",
+           ("tests/test_scalar_properties.py::test_mat_inverse_matches_sympy",
+            "tests/test_scalar_properties.py::test_sparse_rational_linalg_matches_sympy")),
+    Mutant("elimination-leaves-the-pivot-row-unscaled", "_linalg.py",
+           "prow = rows[r] = {k: inv * x for k, x in rows[r].items()}",
+           "prow = rows[r]",
+           ("tests/test_scalar_properties.py::test_mat_inverse_matches_sympy",
+            "tests/test_scalar_properties.py::test_sparse_rational_linalg_matches_sympy")),
+    Mutant("inverse-of-a-singular-matrix", "_linalg.py",
+           "    if len(pivots) < n:\n        return None\n",
+           "",
+           ("tests/test_scalar_properties.py::test_mat_inverse_matches_sympy",)),
     Mutant("place-without-zero-pattern-test", "weyl.py",
            "                if (k is None) != (k2 is None):\n                    return False\n",
            "",
