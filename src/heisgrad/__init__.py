@@ -12,7 +12,7 @@ from .fine import (FineTwistedParams, BlockI, BlockII, heisenberg_fine, super_fi
                    twisted_fine_nontoral, spectrum_check, enumerate_twisted_fine,
                    equivalent_fine, homogenize_u, decompose_twisted_grading)
 from .weyl import (PermGroup, induced_permutation, standard_generators, generator_matrix,
-                   closure, compute_pq, weyl_order_formula, weyl_group, weyl_bruteforce)
+                   closure, weyl_order_formula, weyl_group, weyl_bruteforce)
 from .color import Bicharacter, ColorType, color_algebra, verify_color_axioms, is_super_realizable, classify_color
 
 __version__ = "0.1.0"

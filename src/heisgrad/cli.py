@@ -24,7 +24,7 @@ from .fine import (FineTwistedParams, TwistedFine, decompose_twisted_grading,
                    twisted_fine, twisted_fine_classes)
 from .gradings import (elt_to_json, grading_from_json, grading_to_json,
                        universal_group, verify_grading)
-from .liealg import json_int
+from .liealg import MAX_DIM, json_int
 from .scalars import (MAX_DIGITS, MAX_EXPONENT, CycloCtx, ScalarSyntaxError,
                       divisors, format_scalar, parse_scalar, scan_conductors)
 from .weyl import CapExceeded, generator_matrix, perm_cycles, weyl_group
@@ -67,17 +67,15 @@ def _parse_lambda(text: str, conductor: int | None):
 
 
 def _parse_params(text: str, ctx: CycloCtx) -> FineTwistedParams:
+    sections = text.split(";")
     try:
-        sections = text.split(";")
-        l, s, r = (int(x) for x in sections[0].split(","))
-        betas = tuple(parse_scalar(e, ctx)
-                      for e in (sections[1].split(",") if len(sections) > 1 and
-                                sections[1].strip() else []))
-        alphas = tuple(parse_scalar(e, ctx)
-                       for e in (sections[2].split(",") if len(sections) > 2 and
-                                 sections[2].strip() else []))
-        return FineTwistedParams(l, s, r, betas, alphas)
-    except (ValueError, ScalarSyntaxError, IndexError) as exc:
+        if len(sections) > 3:
+            raise ValueError(f"{len(sections)} sections, at most 3 (L,S,R;BETAS;ALPHAS)")
+        shape, betas, alphas = sections + [""] * (3 - len(sections))
+        l, s, r = (int(x) for x in shape.split(","))
+        return FineTwistedParams(l, s, r, *(tuple(parse_scalar(e, ctx) for e in part.split(","))
+                                            if part.strip() else () for part in (betas, alphas)))
+    except (ValueError, ScalarSyntaxError) as exc:
         raise CliError(f"bad parameter tuple {text!r}: {exc}", PARSE_ERROR)
 
 
@@ -338,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="heisgrad",
         description="Fine gradings, universal grading groups and Weyl groups "
                     "of Heisenberg type algebras over exact cyclotomic scalars. "
-                    f"Scalars: integers up to {MAX_DIGITS} digits, |k| <= {MAX_EXPONENT} in x^k.")
+                    f"Scalars: integers up to {MAX_DIGITS} digits, |k| <= {MAX_EXPONENT} in x^k. "
+                    f"Algebras: dimension up to {MAX_DIM}.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=False):

@@ -14,7 +14,7 @@ from .abelian import (AbGroup, GroupElt, canonicalize, express_in_terms,
                       generates, subgroup_presentation)
 from .gradings import (Grading, _graded_paired_basis, decomposition_failure,
                        elt_from_json, elt_to_json, group_from_json)
-from .liealg import (Algebra, VerifyReport, axiom_failures, center, derived,
+from .liealg import (Algebra, VerifyReport, axiom_failures, center, check_dim, derived,
                      json_int, json_typed)
 from .scalars import (CycloCtx, CycloNum, format_scalar, parse_scalar,
                       sqrt_scalar)
@@ -87,6 +87,7 @@ class ColorType:
     def validate(self):
         if self.g0.group != self.group or self.epsilon.group != self.group:
             raise ValueError("group mismatch in color type data")
+        check_dim(sum(self.dims.values()))
         zero = self.group.zero()
         for g, d in self.dims.items():
             if d < 0:

@@ -584,7 +584,9 @@ def _extract_blocks(spec: Counter, s: int, r: int, classes: ScalarClasses,
     """All ways to split the spectrum multiset into s type-I orbits and
     r type-II orbits of classes; the block scalar of an orbit is pinned to
     the minimal element it contains in sort-key order (key gives the sort
-    key of a spectrum value), so the search never revisits a choice."""
+    key of a spectrum value).  Each step takes the orbit of the least live
+    value as paired or unpaired, so one multiset of orbits is reached once
+    per order of those choices, and a split can recur in the result."""
     if s == 0 and r == 0:
         return [((), ())] if not +spec else []
     live = [x for x, c in spec.items() if c > 0]

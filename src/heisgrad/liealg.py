@@ -16,7 +16,7 @@ from ._linalg import (SparseVect, Vect, is_zero_vect, kernel, line_coeff,
 from .scalars import CycloCtx, CycloNum, format_scalar, parse_scalar
 
 __all__ = [
-    "Algebra", "LinMap", "VerifyReport",
+    "MAX_DIM", "check_dim", "Algebra", "LinMap", "VerifyReport",
     "heisenberg", "heisenberg_super", "twisted",
     "axiom_failures", "verify_axioms", "center", "derived",
     "is_automorphism", "similitude_factor", "terms_of_table",
@@ -25,6 +25,16 @@ __all__ = [
 ]
 
 LinMap = list[Vect]  # columns: image of the j-th basis vector
+
+# the largest dimension of a Heisenberg (super) or color algebra that is
+# built; the stabilizer chain of a Weyl group of degree d stores about d^3
+# permutation entries
+MAX_DIM = 256
+
+
+def check_dim(dim: int) -> None:
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the limit {MAX_DIM}")
 
 
 @dataclass
@@ -139,8 +149,9 @@ def heisenberg_super(k: int, m: int, ctx: CycloCtx | None = None) -> Algebra:
     algebra, odd basis w1..wm with [wj, wj] = z."""
     if k < 0 or m < 0 or k + m < 1:
         raise ValueError("heisenberg_super requires k,m >= 0 and k+m >= 1")
-    ctx = ctx or CycloCtx(4)
     dim = 2 * k + m + 1
+    check_dim(dim)
+    ctx = ctx or CycloCtx(4)
     labels = []
     for i in range(1, k + 1):
         labels += [f"e{i}", f"ehat{i}"]

@@ -4,9 +4,13 @@ The Weyl group acts faithfully on the homogeneous components, so it is
 computed as a permutation group: explicit generator automorphisms from
 the structure of each family, their induced permutations, and a
 stabilizer chain built from them by Schreier-Sims (Seress, Permutation
-Group Algorithms, 2003, ch. 4).  A closed-form order count and an
-independent brute-force search over support permutations (deciding
-extendability to an automorphism exactly) serve as cross-checks.
+Group Algorithms, 2003, ch. 4).  A closed-form order count and a
+brute-force search over support permutations (deciding extendability to
+an automorphism exactly) serve as cross-checks.  The closed form's
+rotation factor counts the spectrum rotations that the generators use,
+so only the brute force (support at most its cap, 16 by default) is
+independent of the closure; the four support-18 classes of the zeta_8
+orbit (1, zeta_8, ..., zeta_8^7) have no independent check.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from .liealg import Algebra, LinMap
 from .scalars import CycloNum, root_of_unity_order
 
 __all__ = [
-    "GradedAut", "PermGroup", "PQSplit",
+    "GradedAut", "PermGroup",
     "induced_permutation", "standard_generators", "generator_matrix", "closure",
-    "compute_pq", "weyl_order_formula", "weyl_group", "weyl_bruteforce",
+    "weyl_order_formula", "weyl_group", "weyl_bruteforce",
     "WeylReport", "perm_cycles",
 ]
 
@@ -384,58 +388,6 @@ def generator_matrix(gr: Grading, aut: GradedAut) -> LinMap:
 
 # --- closed-form orders -------------------------------------------------------
 
-@dataclass
-class PQSplit:
-    """The order p of the best spectrum-rotating root of unity and the
-    least q with a class-trivial q-th power."""
-
-    p: int
-    q: int
-
-
-def compute_pq(lam: list[CycloNum], p: FineTwistedParams) -> PQSplit:
-    """The PQSplit of p, on a ScalarClasses(lam, p.l) of its own."""
-    return _compute_pq(ScalarClasses(lam, p.l), p)
-
-
-def _compute_pq(classes: ScalarClasses, p: FineTwistedParams) -> PQSplit:
-    profile = classes.profile(p)
-
-    def split_ok(eps, order) -> bool:
-        # multiset reading: each orbit of classes has constant multiplicity
-        # and order divides multiplicity * orbit length
-        for side, keys in enumerate(profile):
-            seen = set()
-            for key in keys:
-                if key in seen:
-                    continue
-                orbit, cur = [], key
-                while cur not in orbit:
-                    orbit.append(cur)
-                    cur = classes.rep(eps * cur, side)
-                mults = {keys[k] for k in orbit}
-                if len(mults) != 1 or 0 in mults:
-                    return False
-                if (mults.pop() * len(orbit)) % order:
-                    return False
-                seen.update(orbit)
-        return True
-
-    best = (1, None)
-    for eps in classes.candidates(p):
-        order = root_of_unity_order(eps)
-        if order > best[0] and split_ok(eps, order):
-            best = (order, eps)
-    pval, eps = best
-    q = 1
-    if pval > 1:
-        roots, cur = classes.roots[0 if p.s else 1], eps
-        while cur not in roots:  # the class of 1
-            cur = cur * eps
-            q += 1
-    return PQSplit(pval, q)
-
-
 def weyl_order_formula(gr: Grading) -> int:
     """Closed-form order of the Weyl group of a fine grading."""
     fam = gr.family
@@ -446,7 +398,11 @@ def weyl_order_formula(gr: Grading) -> int:
         return 2 ** (r + k) * factorial(k) * factorial(r) * factorial(m - 2 * r)
     if isinstance(fam, TwistedFine):
         p = fam.params
-        q = _compute_pq(fam.classes, p).q
+        # R = {1} and the rotations the generators use; q = |R / mu_c|
+        rotations = 1 + len(_spectrum_rotations(fam.classes, p))
+        roots = len(fam.classes.roots[0 if p.s else 1])
+        assert rotations % roots == 0, "the class roots do not divide the spectrum rotations"
+        q = rotations // roots
         # the blocks of one scalar are permuted freely: v! for v of them
         swaps = [factorial(v) for v in Counter(p.betas).values()]
         if p.l % 2:

@@ -663,53 +663,6 @@ def spectrum_rotations(lam, p):
     return out
 
 
-def compute_pq(lam, p):
-    """(p, q) of the closed form: the largest order of a candidate eps whose
-    orbits of classes have constant multiplicity m with order | m * length,
-    and the least q with eps^q in the class of 1."""
-    (bm, br), (am, ar) = scalar_class_data(lam, p.l)
-    bkeys = Counter(scalar_class_key(b, bm, br) for b in p.betas)
-    akeys = Counter(scalar_class_key(x, am, ar) for x in p.alphas)
-
-    def split_ok(eps, order):
-        for keys, mod, root, scalars in ((bkeys, bm, br, p.betas),
-                                         (akeys, am, ar, p.alphas)):
-            seen = set()
-            for key in keys:
-                if key in seen:
-                    continue
-                cur = min((x for x in scalars if scalar_class_key(x, mod, root) == key),
-                          key=lambda v: v.sort_key())
-                orbit = []
-                while True:
-                    k = scalar_class_key(cur, mod, root)
-                    if k in [o[0] for o in orbit]:
-                        break
-                    orbit.append((k, keys.get(k, 0)))
-                    cur = eps * cur
-                mults = {m for _, m in orbit}
-                if len(mults) != 1 or 0 in mults or (mults.pop() * len(orbit)) % order:
-                    return False
-                seen.update(k for k, _ in orbit)
-        return True
-
-    best = (1, None)
-    for eps in _epsilon_candidates(lam, p):
-        order = root_of_unity_order(eps)
-        if order > best[0] and split_ok(eps, order):
-            best = (order, eps)
-    pval, eps = best
-    q = 1
-    if pval > 1:
-        mod, root = (bm, br) if p.s else (am, ar)
-        trivial = scalar_class_key(lam[0].ctx.one(), mod, root)
-        cur = eps
-        while scalar_class_key(cur, mod, root) != trivial:
-            cur = cur * eps
-            q += 1
-    return pval, q
-
-
 # --- the spectrum condition and the enumeration on their own orbits ---------
 #
 # Each block orbit is walked as powers of the primitive root that

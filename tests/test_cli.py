@@ -14,6 +14,7 @@ from heisgrad.cli import build_parser, main
 from heisgrad.color import Bicharacter, ColorType, color_algebra, color_type_to_json
 from heisgrad.fine import heisenberg_fine, super_fine
 from heisgrad.gradings import grading_to_json
+from heisgrad.liealg import MAX_DIM, heisenberg_super
 from heisgrad.scalars import MAX_DIGITS, MAX_EXPONENT, CycloCtx
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -74,10 +75,10 @@ def test_weyl_twisted_brute_golden():
 def test_weyl_twisted_rotation_golden():
     # every class of lambda = (1, i); the flip and the spectrum rotations
     # write rebased entries such as 3/4, -5/4 and zeta(8)^2, and the closed
-    # form undercounts both classes
+    # form counts the rotation factor q = 2 of the two classes that i rotates
     code, text = run_cli("weyl", "--twisted", "1,i")
     assert code == 0
-    assert text.count("agreement: NO (closure wins)") == 2
+    assert text.count("agreement: yes") == 3 and "agreement: NO" not in text
     assert '"3/4", "-5/4"' in text and '"zeta(8)^2"' in text
     check_golden("weyl_twisted_1_i.txt", text)
 
@@ -303,6 +304,43 @@ def test_scalar_limits_in_help(capsys):
         main(["--help"])
     text = " ".join(capsys.readouterr().out.split())
     assert f"integers up to {MAX_DIGITS} digits, |k| <= {MAX_EXPONENT} in x^k" in text
+    assert f"dimension up to {MAX_DIM}" in text
+
+
+def _heisenberg_spec(k):
+    return json.dumps({"algebra": {"kind": "heisenberg", "k": k}, "group": {"rank": 0},
+                       "components": []})
+
+
+def _color_spec(dim):
+    return json.dumps({"color_type": {"group": {"rank": 0}, "g0": {}, "epsilon": [],
+                                      "dims": [{"degree": {}, "dim": dim}]}})
+
+
+@pytest.mark.parametrize("argv, code, dim", [
+    (("verify", _heisenberg_spec(MAX_DIM // 2)), 2, MAX_DIM + 1),
+    (("verify", _heisenberg_spec(10**9)), 2, 2 * 10**9 + 1),
+    (("weyl", "--heisenberg", str(MAX_DIM // 2)), 3, MAX_DIM + 1),
+    (("weyl", "--heisenberg", str(10**9)), 3, 2 * 10**9 + 1),
+    (("weyl", "--super", f"0,{MAX_DIM}"), 3, MAX_DIM + 1),
+    (("color-classify", _color_spec(MAX_DIM + 1)), 2, MAX_DIM + 1),
+    (("color-classify", _color_spec(10**9 + 1)), 2, 10**9 + 1),
+])
+def test_dimension_above_the_limit_is_rejected_before_building(argv, code, dim, capsys):
+    assert run_cli(*argv) == (code, "")
+    assert f"dimension {dim} exceeds the limit {MAX_DIM}" in capsys.readouterr().err
+
+
+def test_dimension_at_the_limit_is_built():
+    assert heisenberg_super(0, MAX_DIM - 1).dim == MAX_DIM
+    with pytest.raises(ValueError, match=f"exceeds the limit {MAX_DIM}"):
+        heisenberg_super(0, MAX_DIM)
+
+
+def test_extra_params_section_is_a_parse_error(capsys):
+    # L,S,R;BETAS;ALPHAS has three sections, and a fourth is not ignored
+    assert run_cli("weyl", "--twisted", "1,i", "--params", "2,0,1;;1;5") == (2, "")
+    assert "4 sections, at most 3" in capsys.readouterr().err
 
 
 def test_cap_is_a_weyl_option_only():

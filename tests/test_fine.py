@@ -19,6 +19,7 @@ from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, decompose_twisted
 from heisgrad.gradings import Grading, is_toral_fine, universal_group, verify_grading
 from heisgrad.liealg import Algebra, heisenberg, heisenberg_super, is_automorphism, twisted
 from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar
+from heisgrad.weyl import weyl_group
 
 import _helpers
 from _helpers import (block_i, block_ii, random_twisted_automorphism, same_span,
@@ -697,3 +698,14 @@ def test_enumeration_matches_the_orbit_oracle(text):
     for p, gr in got:
         want = twisted_fine(lam, p)
         assert (gr.group, gr.components, gr.family) == (want.group, want.components, want.family)
+
+
+@given(lambda_texts())
+def test_weyl_closed_form_and_brute_force_match_the_closure(text):
+    # every class of a random lambda: the closed form equals the closure,
+    # and on supports up to 12 so does the brute force, the one count that
+    # does not read the spectrum rotations
+    for _, gr in twisted_fine_classes(_lambda(text)):
+        rep = weyl_group(gr, brute=len(gr.support) <= 12)
+        assert rep.formula_order == rep.group.order
+        assert rep.brute_order in (None, rep.group.order)

@@ -20,7 +20,7 @@ from heisgrad.liealg import Algebra
 from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar
 from heisgrad.cli import auto_conductor, main
 from heisgrad.weyl import (CapExceeded, _landau, _perm_order, _spectrum_rotations,
-                           PermGroup, closure, compute_pq, generator_matrix,
+                           PermGroup, closure, generator_matrix,
                            induced_permutation, perm_cycles,
                            standard_generators, weyl_bruteforce, weyl_group,
                            weyl_order_formula)
@@ -161,17 +161,6 @@ def test_weyl_generic_twisted(ctx16):
     assert rep1.group.order == rep1.formula_order == rep1.brute_order == 4
 
 
-def test_compute_pq_examples(ctx16, lam_iiii):
-    one, ii = ctx16.one(), ctx16.i()
-    pq = compute_pq(lam_iiii, FineTwistedParams(1, 4, 0, (one, one, ii, ii), ()))
-    assert (pq.p, pq.q) == (4, 2)
-    pq = compute_pq(lam_iiii, FineTwistedParams(2, 0, 4, (), (one, one, ii, ii)))
-    assert (pq.p, pq.q) == (4, 2)
-    lam12 = [one, ctx16.from_fraction(2)]
-    pq = compute_pq(lam12, FineTwistedParams(1, 2, 0, (one, ctx16.from_fraction(2)), ()))
-    assert (pq.p, pq.q) == (1, 1)
-
-
 def test_weyl_formula_example_values(ctx16, lam_iiii):
     one, ii = ctx16.one(), ctx16.i()
     g1 = twisted_fine(lam_iiii, FineTwistedParams(2, 0, 4, (), (one, one, ii, ii)))
@@ -237,21 +226,19 @@ def test_spectrum_rotation_conjugates_cycles(ctx16):
 
 def test_root_of_unity_ratio_enlarges_weyl_group(ctx16):
     # for lambda = (1, i) the scalar i rotates the block classes, so the
-    # real Weyl groups are twice the closed-form count (which reads the
-    # class split as a strict multiset partition); the brute force
-    # confirms the closure
+    # Weyl groups of the l = 1 and l = 2 classes hold a rotation factor
+    # q = 2 beyond the block symmetries; the closed form counts it and the
+    # brute force confirms the closure
     one, ii = ctx16.one(), ctx16.i()
     lam = [one, ii]
-    expect = {(1, 2, 0): (4, 2), (2, 0, 2): (8, 4), (4, 0, 1): (2, 2)}
+    expect = {(1, 2, 0): 4, (2, 0, 2): 8, (4, 0, 1): 2}
     for p in enumerate_twisted_fine(lam):
         gr = twisted_fine(lam, p)
         rep = weyl_group(gr)
         bf = weyl_bruteforce(gr)
-        closure_order, formula_order = expect[(p.l, p.s, p.r)]
-        assert rep.group.order == closure_order
-        assert rep.formula_order == formula_order
+        assert rep.group.order == rep.formula_order == expect[(p.l, p.s, p.r)]
         assert set(bf.elements) == set(rep.group.elements)
-        assert rep.agree == (closure_order == formula_order)
+        assert rep.agree
 
 
 def test_repeated_generic_weyl_agrees(ctx16):
@@ -277,40 +264,41 @@ def _odd_l_rotation_grading():
 
 
 def test_odd_l_class_rotation_flagged():
-    # epsilon = i rotates the scalar classes, so the closure is twice the
-    # closed-form count (the strict multiset split sees p = q = 1); the
-    # disagreement is reported, with the closure as ground truth
-    lam, gr = _odd_l_rotation_grading()
-    pq = compute_pq(lam, gr.family.params)
-    assert (pq.p, pq.q) == (1, 1)
+    # epsilon = i rotates the scalar classes of an odd-l class: R holds
+    # the twelve roots of order dividing 12 modulo the six class roots, so
+    # q = 2 doubles the block count 2 * 3^2 and the closed form meets the
+    # closure
+    _, gr = _odd_l_rotation_grading()
+    rotations = _spectrum_rotations(gr.family.classes, gr.family.params)
+    assert 1 + len(rotations) == 2 * len(gr.family.classes.roots[0]) == 12
     rep = weyl_group(gr)
-    assert rep.formula_order == 18
-    assert rep.group.order == 36
-    assert not rep.agree
+    assert rep.formula_order == rep.group.order == 36
+    assert rep.agree
 
 
 def test_flagged_formula_cases_confirmed_by_brute_force(ctx16, lam_iiii):
-    # the brute force, a third method, sides with the closure in both
-    # cases where the closed form undercounts
+    # the brute force, the one check independent of the spectrum
+    # rotations, confirms the closure and the closed form in two classes
+    # where q = 2
     _, gr = _odd_l_rotation_grading()
     assert len(gr.support) == 14
     rep = weyl_group(gr, brute=True, cap=16)
-    assert rep.brute_order == 36 == rep.group.order
-    assert rep.formula_order == 18 and not rep.agree
+    assert rep.brute_order == 36 == rep.group.order == rep.formula_order
     one, ii = ctx16.one(), ctx16.i()
     gr = twisted_fine(lam_iiii, FineTwistedParams(2, 2, 0, (one, ii), ()))
     rep = weyl_group(gr, brute=True, cap=16)
-    assert rep.brute_order == 32 == rep.group.order
-    assert rep.formula_order == 16 and not rep.agree
+    assert rep.brute_order == 32 == rep.group.order == rep.formula_order
 
 
 # Every fine twisted class of these lambda, at the conductor the CLI picks:
-# the classes where the closure and the closed form disagree, as
-# ((l, s, r), closure order, formula order), in enumeration order.  The
-# first 15 lambda are the survey corpus; the 16th is the lambda of the
-# odd-l grading above, whose (3,2,0) class is that grading.  The last
-# three lie outside the survey: each has two entries of ratio i, and the
-# closed form undercounts on the classes that i rotates.
+# the classes where a closed form that read the class split as a strict
+# multiset partition undercounted the rotation factor q, as ((l, s, r),
+# closure order, that formula's order), in enumeration order.  Counting q
+# from the spectrum rotations themselves closes each gap.  The first 15
+# lambda are the survey corpus; the 16th is the lambda of the odd-l
+# grading above, whose (3,2,0) class is that grading.  The last three lie
+# outside the survey: each has two entries of ratio i, which rotates
+# their classes.
 DISAGREEMENTS = {
     "1,1,i,i": [((2, 2, 0), 32, 16)],
     "1,1,1": [],
@@ -342,28 +330,31 @@ DISAGREEMENTS = {
 
 @pytest.mark.parametrize("text", list(DISAGREEMENTS))
 def test_closed_form_disagreements_are_pinned(text):
-    # closure against the closed form on every class; brute force, under
-    # the default cap, on each disagreeing class it admits (the support-18
-    # classes of the zeta_8 orbit are left to the closure)
+    # the closed form equals the closure on every class; on each formerly
+    # undercounted class the closure keeps its order, and brute force,
+    # under the default cap, confirms it (the support-18 classes of the
+    # zeta_8 orbit have no independent check)
     entries = text.split(",")
     ctx = CycloCtx(auto_conductor(text, len(entries)))
     lam = [parse_scalar(e, ctx) for e in entries]
-    found = []
+    # (a shape can name several classes, so each is found by shape and order)
+    former = {(shape, order) for shape, order, _ in DISAGREEMENTS[text]}
+    met = set()
     for p in enumerate_twisted_fine(lam):
         gr = twisted_fine(lam, p)
         rep = weyl_group(gr)
-        assert rep.agree == (rep.group.order == rep.formula_order)
-        if not rep.agree:
-            found.append(((p.l, p.s, p.r), rep.group.order, rep.formula_order))
+        assert rep.agree and rep.group.order == rep.formula_order
+        key = ((p.l, p.s, p.r), rep.group.order)
+        if key in former:
+            met.add(key)
             if len(gr.support) <= 16:
                 assert weyl_bruteforce(gr).order == rep.group.order
-    assert found == DISAGREEMENTS[text]
+    assert met == former
 
 
 @pytest.mark.parametrize("text", list(DISAGREEMENTS))
 def test_scalar_classes_match_the_key_oracle(text):
-    # the closed form, the spectrum rotations and the equivalence test read
-    # the same classes as the key-by-key oracle on every enumerated class;
+    # the spectrum rotations and the equivalence test read the same classes as the key-by-key oracle on every enumerated class;
     # each class also meets a copy with its scalars moved within their
     # classes by roots of unity and reordered
     entries = text.split(",")
@@ -372,8 +363,6 @@ def test_scalar_classes_match_the_key_oracle(text):
     classes = enumerate_twisted_fine(lam)
     copies = []
     for p in classes:
-        pq = compute_pq(lam, p)
-        assert (pq.p, pq.q) == oracle.compute_pq(lam, p)
         rotations = _spectrum_rotations(ScalarClasses(lam, p.l), p)
         assert rotations == oracle.spectrum_rotations(lam, p)
         (bm, br), (am, ar) = oracle.scalar_class_data(lam, p.l)

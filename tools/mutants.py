@@ -160,11 +160,18 @@ MUTANTS = [
            "m = -factor[j][i]",
            ("tests/test_color.py::test_sparse_color_check_matches_the_dense_oracle",
             "tests/test_color.py::test_classify_restricts_a_nontrivial_epsilon_to_the_support")),
-    Mutant("pq-split-ignores-the-order", "weyl.py",
-           "                if (mults.pop() * len(orbit)) % order:",
-           "                if False:",
-           ("tests/test_weyl.py::test_compute_pq_examples",
-            "tests/test_weyl.py::test_scalar_classes_match_the_key_oracle")),
+    Mutant("rotation-count-without-the-identity", "weyl.py",
+           "rotations = 1 + len(_spectrum_rotations(fam.classes, p))",
+           "rotations = len(_spectrum_rotations(fam.classes, p))",
+           ("tests/test_weyl.py::test_closed_form_disagreements_are_pinned",
+            "tests/test_weyl.py::test_root_of_unity_ratio_enlarges_weyl_group",
+            "tests/test_fine.py::test_weyl_closed_form_and_brute_force_match_the_closure")),
+    Mutant("rotation-count-over-the-type-ii-roots", "weyl.py",
+           "roots = len(fam.classes.roots[0 if p.s else 1])",
+           "roots = len(fam.classes.roots[1])",
+           ("tests/test_weyl.py::test_odd_l_class_rotation_flagged",
+            "tests/test_weyl.py::test_closed_form_disagreements_are_pinned",
+            "tests/test_fine.py::test_weyl_closed_form_and_brute_force_match_the_closure")),
 ]
 
 
