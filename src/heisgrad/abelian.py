@@ -28,87 +28,66 @@ def _identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(a: IntMatrix, with_v: bool = True) -> tuple[IntMatrix, IntMatrix, IntMatrix | None]:
     """Return (U, D, V) with U*A*V = D, U and V unimodular, D diagonal
-    with a divisibility chain d1 | d2 | ...
+    with a divisibility chain d1 | d2 | ...; V is None without with_v,
+    and U and D are the same either way.
 
     Pivot choice: smallest nonzero absolute value in the active block,
-    scanning rows before columns, so the output is deterministic.
+    scanning rows before columns, so the output is deterministic.  Rows
+    and columns before the pivot's are zero in the active block, so the
+    column steps skip the rows of D with no entry in the pivot column.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     d = [list(r) for r in a]
     u = _identity(rows)
-    v = _identity(cols)
+    v = _identity(cols) if with_v else None
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        for c in range(cols):
-            d[i][c] -= q * d[j][c]
-        for c in range(rows):
-            u[i][c] -= q * u[j][c]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            d[r][i] -= q * d[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     t = 0
     while t < min(rows, cols):
         # locate pivot: least |entry| in the block, rows scanned first
-        pi = pj = -1
-        best = None
+        best = pi = 0
         for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(d[i][j])
-                if x and (best is None or x < best):
-                    best, pi, pj = x, i, j
-        if best is None:
+            least = min(map(abs, filter(None, d[i][t:])), default=0)
+            if least and (not best or least < best):
+                best, pi = least, i
+                if least == 1:
+                    break
+        if not best:
             break
+        pj = next(j for j in range(t, cols) if abs(d[pi][j]) == best)
         if pi != t:
-            swap_rows(t, pi)
+            d[t], d[pi] = d[pi], d[t]
+            u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            swap_cols(t, pj)
+            for m in (d, v) if with_v else (d,):
+                for row in m:
+                    row[t], row[pj] = row[pj], row[t]
         if d[t][t] < 0:
-            for c in range(cols):
-                d[t][c] = -d[t][c]
-            for c in range(rows):
-                u[t][c] = -u[t][c]
-        dirty = False
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        p = d[t][t]
         for i in range(t + 1, rows):
             if d[i][t]:
-                q = d[i][t] // d[t][t]
-                row_op(i, t, q)
-                if d[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if d[t][j]:
-                q = d[t][j] // d[t][t]
-                col_op(j, t, q)
-                if d[t][j]:
-                    dirty = True
-        if dirty:
+                row_op(i, t, d[i][t] // p)
+        # col_j -= q_j * col_t for each j > t: q_j reads row t, which the
+        # other column steps leave alone
+        steps = [(j, x // p) for j, x in enumerate(d[t]) if j > t and x]
+        for row in (d[t:] + v) if with_v else d[t:]:
+            c = row[t]
+            if c:
+                for j, q in steps:
+                    row[j] -= q * c
+        if any(d[i][t] for i in range(t + 1, rows)) or any(d[t][t + 1:]):
             continue
         # enforce divisibility of the remaining block by the pivot
-        p = d[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, rows)
+                         if any(x % p for x in d[i][t + 1:])), None) if p > 1 else None
         if offender is not None:
             row_op(t, offender, -1)  # add offending row to the pivot row
             continue
@@ -182,35 +161,58 @@ class AbGroup:
         return " x ".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
 class GroupElt:
-    """An element of an AbGroup; torsion residues are kept reduced."""
+    """An element of an AbGroup; torsion residues are kept reduced.  The
+    constructor takes coordinates as they are: AbGroup.elt checks and
+    reduces outside input, and the arithmetic reduces its own results.
+    The hash is formed once, from the coordinates."""
 
-    group: AbGroup
-    free: tuple[int, ...]
-    torsion: tuple[int, ...]
+    __slots__ = ("group", "free", "torsion", "_hash")
+
+    def __init__(self, group: AbGroup, free: tuple[int, ...], torsion: tuple[int, ...]):
+        self.group = group
+        self.free = free
+        self.torsion = torsion
+        self._hash = hash((free, torsion))
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupElt:
+            return NotImplemented
+        return (self.free == other.free and self.torsion == other.torsion
+                and (self.group is other.group or self.group == other.group))
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"GroupElt(group={self.group!r}, free={self.free!r}, torsion={self.torsion!r})"
 
     def _check(self, other):
-        if not isinstance(other, GroupElt) or other.group != self.group:
+        if other.__class__ is not GroupElt or (other.group is not self.group
+                                               and other.group != self.group):
             raise ValueError("elements belong to different groups")
 
     def __add__(self, other):
         self._check(other)
-        return self.group.elt(
-            tuple(a + b for a, b in zip(self.free, other.free)),
-            tuple(a + b for a, b in zip(self.torsion, other.torsion)),
-        )
+        return GroupElt(self.group, tuple(a + b for a, b in zip(self.free, other.free)),
+                        tuple((a + b) % d for a, b, d in
+                              zip(self.torsion, other.torsion, self.group.torsion)))
 
     def __neg__(self):
-        return self.group.elt(tuple(-a for a in self.free), tuple(-a for a in self.torsion))
+        return GroupElt(self.group, tuple(-a for a in self.free),
+                        tuple(-a % d for a, d in zip(self.torsion, self.group.torsion)))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return GroupElt(self.group, tuple(a - b for a, b in zip(self.free, other.free)),
+                        tuple((a - b) % d for a, b, d in
+                              zip(self.torsion, other.torsion, self.group.torsion)))
 
     def __mul__(self, n: int):
-        return self.group.elt(
-            tuple(n * a for a in self.free), tuple(n * a for a in self.torsion)
-        )
+        if not isinstance(n, int):
+            return NotImplemented
+        return GroupElt(self.group, tuple(n * a for a in self.free),
+                        tuple(n * a % d for a, d in zip(self.torsion, self.group.torsion)))
 
     __rmul__ = __mul__
 
@@ -242,7 +244,7 @@ def canonicalize(p: AbPresentation) -> tuple[AbGroup, list[GroupElt]]:
     # columns of M are the relation vectors; the group is Z^n / (column span)
     mat = [[p.relations[j][i] for j in range(m)] for i in range(n)] if m else [[] for _ in range(n)]
     if m:
-        u, d, _ = smith_normal_form(mat)
+        u, d, _ = smith_normal_form(mat, with_v=False)
         diag = [d[i][i] if i < m else 0 for i in range(n)]
     else:
         u = _identity(n)
@@ -254,7 +256,7 @@ def canonicalize(p: AbPresentation) -> tuple[AbGroup, list[GroupElt]]:
     for j in range(n):
         free = tuple(u[i][j] for i in free_idx)
         tors = tuple(u[i][j] for i in tors_idx)
-        images.append(group.elt(free, tors))
+        images.append(GroupElt(group, free, tuple(x % d for x, d in zip(tors, group.torsion))))
     return group, images
 
 
@@ -332,7 +334,7 @@ def subgroup_presentation(group: AbGroup, elts: list[GroupElt]) -> AbPresentatio
         return AbPresentation(0, ())
     # x . M must land in 0^rank x prod(d_i Z); torsion shifts sit below M
     mat = _elt_matrix(group, elts)
-    u, dmat, _ = smith_normal_form(mat)
+    u, dmat, _ = smith_normal_form(mat, with_v=False)
     rels = []
     width = group.rank + t
     for i in range(len(mat)):

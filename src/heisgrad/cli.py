@@ -24,7 +24,7 @@ from .fine import (FineTwistedParams, TwistedFine, decompose_twisted_grading,
                    twisted_fine, twisted_fine_classes)
 from .gradings import (elt_to_json, grading_from_json, grading_to_json,
                        universal_group, verify_grading)
-from .liealg import MAX_DIM, json_int
+from .liealg import MAX_DIM, check_dim, json_int
 from .scalars import (MAX_DIGITS, MAX_EXPONENT, CycloCtx, ScalarSyntaxError,
                       divisors, format_scalar, parse_scalar, scan_conductors)
 from .weyl import CapExceeded, generator_matrix, perm_cycles, weyl_group
@@ -55,6 +55,10 @@ def _parse_lambda(text: str, conductor: int | None):
     entries = [e.strip() for e in text.split(",") if e.strip()]
     if not entries:
         raise CliError("empty twist parameter list", PARSE_ERROR)
+    try:
+        check_dim(2 * len(entries) + 2)  # before the conductor grows with the entries
+    except ValueError as exc:
+        raise CliError(str(exc), VALIDATION_ERROR)
     n = conductor or auto_conductor(text, len(entries))
     ctx = CycloCtx(n)
     try:
@@ -337,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fine gradings, universal grading groups and Weyl groups "
                     "of Heisenberg type algebras over exact cyclotomic scalars. "
                     f"Scalars: integers up to {MAX_DIGITS} digits, |k| <= {MAX_EXPONENT} in x^k. "
-                    f"Algebras: dimension up to {MAX_DIM}.")
+                    f"Algebras: dimension up to {MAX_DIM}, so at most "
+                    f"{MAX_DIM // 2 - 1} twist parameters (dimension 2k+2).")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=False):

@@ -78,6 +78,10 @@ class ScalarClasses:
         self.roots = (roots + [-r for r in roots] if l % 2 else roots, roots)
         self._reps: tuple[dict, dict] = ({}, {})
         self._candidates: dict[FineTwistedParams, list[CycloNum]] = {}
+        self._orbit_members: dict[CycloNum, list[CycloNum]] = {}
+        self._ids: dict[CycloNum, int] = {}  # the numbering of key's scalars
+        self._values: list[CycloNum] = []  # the numbered scalars, in order
+        self._names: dict[tuple[int, int], tuple] = {}
 
     def rep(self, x: CycloNum, side: int) -> CycloNum:
         """The least member of x's class in sort_key order."""
@@ -92,8 +96,12 @@ class ScalarClasses:
 
     def orbit(self, mu: CycloNum, paired: bool) -> Counter:
         """The block orbit {xi^t mu : t < l} as a multiset, with each value's
-        negative too when paired (a type-I block)."""
-        return Counter(y for x in self._members(mu, 1) for y in ((x, -x) if paired else (x,)))
+        negative too when paired (a type-I block); the powers are formed
+        once per mu."""
+        members = self._orbit_members.get(mu)
+        if members is None:
+            members = self._orbit_members[mu] = self._members(mu, 1)
+        return Counter(y for x in members for y in ((x, -x) if paired else (x,)))
 
     def orbits(self, p: FineTwistedParams) -> Counter:
         """The union of the block orbits of p's scalars, type I paired."""
@@ -129,6 +137,32 @@ class ScalarClasses:
             return False
         want = self.profile(p)
         return any(self.profile(q, eps) == want for eps in self.ratios(p, q))
+
+    def key(self, p: FineTwistedParams) -> tuple:
+        """(l, s, r) and the least, over the scalars x of p's first nonempty
+        side, of the class multisets of p's scalars divided by x, side by
+        side: equal exactly when equivalent(p, q) holds.  Scalars are
+        numbered on first sight, so the class names are memoized by pairs
+        of numbers."""
+        ids = [self._ids.setdefault(y, len(self._ids)) for y in p.betas + p.alphas]
+        sides = (ids[:p.s], ids[p.s:])
+        return (p.l, p.s, p.r) + min(tuple(name for side in sides
+                                           for name in sorted(self._name(y, x) for y in side))
+                                     for x in set(sides[0] if p.s else sides[1]))
+
+    def _name(self, i: int, j: int) -> tuple:
+        """A name of the class of y / x for the scalars y, x numbered i, j:
+        the coefficients of (y / x)^m for m = len(roots[0]), the order of
+        the roots that the classes of both sides share when l is even.
+        Those roots are every m-th root of unity in the field, so t^m = u^m
+        exactly when t / u is one of them."""
+        name = self._names.get((i, j))
+        if name is None:
+            if len(self._values) < len(self._ids):
+                self._values = list(self._ids)  # in number order
+            t = (self._values[i] / self._values[j]) ** len(self.roots[0]) if i != j else self.roots[0][0]
+            name = self._names[i, j] = (t.num, t.den)
+        return name
 
     def normalize(self, p: FineTwistedParams) -> FineTwistedParams:
         """p with each block scalar replaced by its class representative, sorted."""
@@ -328,7 +362,7 @@ def _block_ii(a: Algebra, powers: list[CycloNum], alpha: CycloNum,
     ctx, order = a.ctx, len(powers)
     l = order // 2
     us, vs = _block_slots(a, l, powers, alpha, pairs)
-    scale = ctx.i() / (2 * sqrt_int(l, ctx))
+    scale = ctx.i() * sqrt_int(l, ctx) * ctx.from_fraction(Fraction(1, 2 * l))  # i / (2 sqrt(l))
     # x_j sums zeta^((j-1)q) (u_q + (-1)^(j-1) v_q) over q
     terms = [vadd(u, v) for u, v in zip(us, vs)], [vsub(u, v) for u, v in zip(us, vs)]
     xs = [vscale(scale, mat_apply(terms[(j - 1) % 2],
@@ -582,35 +616,41 @@ def twisted_fine_toral(lam: list[CycloNum]) -> Grading:
 def _extract_blocks(spec: Counter, s: int, r: int, classes: ScalarClasses,
                     key) -> list[tuple[tuple, tuple]]:
     """All ways to split the spectrum multiset into s type-I orbits and
-    r type-II orbits of classes; the block scalar of an orbit is pinned to
-    the minimal element it contains in sort-key order (key gives the sort
-    key of a spectrum value).  Each step takes the orbit of the least live
-    value as paired or unpaired, so one multiset of orbits is reached once
-    per order of those choices, and a split can recur in the result."""
-    if s == 0 and r == 0:
-        return [((), ())] if not +spec else []
+    r type-II orbits of classes, each multiset of orbits once; the block
+    scalar of an orbit is pinned to the minimal element it contains in
+    sort-key order (key gives the sort key of a spectrum value).  Every
+    orbit that holds the least live value mu is pinned at mu, so one step
+    takes a paired and b unpaired orbits of mu whose copies of mu use up
+    spec[mu] exactly, and the rest of the spectrum no longer holds mu
+    (orderly generation: McKay, J. Algorithms 26, 1998)."""
     live = [x for x, c in spec.items() if c > 0]
     if not live:
-        return []
+        return [((), ())] if s == 0 and r == 0 else []
     mu = min(live, key=key)
+    paired, unpaired = classes.orbit(mu, True), classes.orbit(mu, False)
     out = []
-    for paired, rest in ((True, (s - 1, r)), (False, (s, r - 1))):
-        if min(rest) < 0:
+    for a in range(min(s, spec[mu] // paired[mu]) + 1):
+        b = spec[mu] - a * paired[mu]  # an unpaired orbit holds mu once
+        if b > r:
             continue
-        orbit = classes.orbit(mu, paired)
-        if all(spec[x] >= c for x, c in orbit.items()):
-            for betas, alphas in _extract_blocks(spec - orbit, *rest, classes, key):
-                out.append(((mu,) + betas, alphas) if paired else (betas, (mu,) + alphas))
+        take = Counter({x: a * c for x, c in paired.items()})
+        take.update({x: b * c for x, c in unpaired.items()})
+        if all(spec[x] >= c for x, c in take.items()):
+            for betas, alphas in _extract_blocks(spec - take, s - a, r - b, classes, key):
+                out.append(((mu,) * a + betas, (mu,) * b + alphas))
     return out
 
 
 def _enumerate(lam: list[CycloNum]) -> tuple[list[FineTwistedParams], dict[int, ScalarClasses]]:
     """enumerate_twisted_fine(lam) and the ScalarClasses of each block
     order l that has a primitive l-th root, keyed by l.  Every extracted
-    split of the spectrum passes the spectrum condition by construction."""
+    split of the spectrum passes the spectrum condition by construction,
+    and no two are equal after normalize; of each class of equal keys
+    (ScalarClasses.key), the first split in sort order is kept."""
     k = len(lam)
     spec = _spectrum(lam)
-    key = {x: x.sort_key() for x in spec}.__getitem__  # once per spectrum value
+    # the rank of each spectrum value in sort-key order; one sort_key each
+    rank = {x: i for i, x in enumerate(sorted(spec, key=CycloNum.sort_key))}
     found: list[FineTwistedParams] = []
     classes: dict[int, ScalarClasses] = {}
     for l in divisors(2 * k):
@@ -623,17 +663,18 @@ def _enumerate(lam: list[CycloNum]) -> tuple[list[FineTwistedParams], dict[int, 
             r = per_block - 2 * s
             if r and l % 2:
                 continue
-            for betas, alphas in _extract_blocks(spec, s, r, classes[l], key):
-                found.append(classes[l].normalize(FineTwistedParams(l, s, r, betas, alphas)))
-    # normalized scalars are sorted class representatives, so their own
-    # sort keys order the classes
-    found.sort(key=lambda p: (p.l, p.s, p.r, tuple(b.sort_key() for b in p.betas),
-                              tuple(x.sort_key() for x in p.alphas)))
-    reps: list[FineTwistedParams] = []
-    for p in found:
-        if not any(classes[p.l].equivalent(p, q) for q in reps):
-            reps.append(p)
-    return reps, classes
+            # already normalized: a pinned scalar is the least value of its
+            # orbit, which holds its class, and each side comes in rank order
+            found.extend(FineTwistedParams(l, s, r, betas, alphas) for betas, alphas
+                         in _extract_blocks(spec, s, r, classes[l], rank.__getitem__))
+    found.sort(key=lambda p: (p.l, p.s, p.r, tuple(rank[b] for b in p.betas),
+                              tuple(rank[x] for x in p.alphas)))
+    shapes = Counter((p.l, p.s, p.r) for p in found)
+    reps = {}
+    for p in found:  # a shape with one split needs no key
+        shape = (p.l, p.s, p.r)
+        reps.setdefault(classes[p.l].key(p) if shapes[shape] > 1 else shape, p)
+    return list(reps.values()), classes
 
 
 def enumerate_twisted_fine(lam: list[CycloNum]) -> list[FineTwistedParams]:

@@ -531,13 +531,15 @@ def elt_from_json(group: AbGroup, spec: dict) -> GroupElt:
 
 
 def grading_to_json(gr: Grading) -> dict:
+    zero = gr.algebra.ctx.zero()  # most zero entries are this object
     return {
         "algebra": algebra_to_json(gr.algebra),
         "group": {"rank": gr.group.rank, "torsion": list(gr.group.torsion)},
         "components": [
             {
                 "degree": elt_to_json(g),
-                "vectors": [[format_scalar(c) for c in v] for v in gr.components[g]],
+                "vectors": [["0" if c is zero else format_scalar(c) for c in v]
+                            for v in gr.components[g]],
             }
             for g in gr.support
         ],

@@ -26,9 +26,9 @@ __all__ = [
 
 LinMap = list[Vect]  # columns: image of the j-th basis vector
 
-# the largest dimension of a Heisenberg (super) or color algebra that is
-# built; the stabilizer chain of a Weyl group of degree d stores about d^3
-# permutation entries
+# the largest dimension of a Heisenberg (super), twisted or color algebra
+# that is built; the stabilizer chain of a Weyl group of degree d stores
+# about d^3 permutation entries
 MAX_DIM = 256
 
 
@@ -174,6 +174,7 @@ def twisted(lam: list[CycloNum]) -> Algebra:
     [ei, ehati] = lam_i z, [u, ei] = lam_i ehati, [u, ehati] = lam_i ei."""
     if not lam:
         raise ValueError("twisted requires at least one parameter")
+    check_dim(2 * len(lam) + 2)
     ctx = lam[0].ctx
     if any(x.ctx != ctx for x in lam):
         raise ValueError("twist parameters must share one conductor")

@@ -17,6 +17,7 @@ enter or leave.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, log10
@@ -34,6 +35,8 @@ __all__ = [
     "format_scalar",
     "divisors",
 ]
+
+_MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf  # for rational hashes
 
 
 def divisors(n: int) -> list[int]:
@@ -311,9 +314,16 @@ class CycloNum:
                 and (other.ctx is self.ctx or other.ctx == self.ctx))
 
     def __hash__(self):
-        # a rational element hashes as the int or Fraction it equals
+        # a rational element hashes as the int or Fraction it equals, the
+        # latter by the rule of the Python docs ("Hashing of numeric types")
+        # without building the Fraction: num/den is in lowest terms
         if self.is_rational():
-            return hash(self.num[0] if self.den == 1 else self.as_fraction())
+            a, den = self.num[0], self.den
+            if den == 1:
+                return hash(a)
+            h = hash(hash(abs(a)) * pow(den, -1, _MODULUS)) if den % _MODULUS else _INF
+            h = h if a >= 0 else -h
+            return -2 if h == -1 else h
         return hash((self.ctx.n, self.num, self.den))
 
     def __repr__(self):
@@ -448,7 +458,7 @@ def sqrt_rational(q, ctx: CycloCtx) -> CycloNum | None:
             for k in range(p):
                 g = g + ctx.zeta((ctx.n // p) * (k * k % p))
             if p % 4 == 3:
-                g = g / ctx.i()
+                g = -(g * ctx.i())  # g / i
             s = s * g
     if s * s != ctx.from_fraction(q):
         raise AssertionError(f"sqrt_rational({q}) verification failed")  # pragma: no cover
@@ -626,23 +636,19 @@ def parse_scalar(text: str, ctx: CycloCtx) -> CycloNum:
     return v
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def format_scalar(x: CycloNum) -> str:
     """Render in the textual scalar syntax (inverse of parse_scalar)."""
     parts = []
     for k, n in enumerate(x.num):
         if not n:
             continue
-        c = Fraction(n, x.den)
-        if k == 0:
-            body = _frac_str(abs(c))
-        else:
+        g = gcd(n, x.den)  # |n| / den in lowest terms
+        a, b = abs(n) // g, x.den // g
+        body = str(a) if b == 1 else f"{a}/{b}"
+        if k:
             mon = f"zeta({x.ctx.n})" + (f"^{k}" if k > 1 else "")
-            body = mon if abs(c) == 1 else f"{_frac_str(abs(c))}*{mon}"
-        parts.append(("-" if c < 0 else "+", body))
+            body = mon if a == b == 1 else f"{body}*{mon}"
+        parts.append(("-" if n < 0 else "+", body))
     if not parts:
         return "0"
     sign, body = parts[0]

@@ -518,7 +518,7 @@ def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
         row[i] -= 1
         row[j] -= 1
         rows.append(row)
-    u, d, _ = smith_normal_form(rows)
+    u, d, _ = smith_normal_form(rows, with_v=False)
     one = a.ctx.one()
 
     def sides(terms, p) -> list[CycloNum]:

@@ -70,6 +70,104 @@ def test_snf_random_sweep():
         check_snf(a)
 
 
+def reference_snf(a):
+    """The Smith form by single-entry row and column operations, V always
+    built: the least |entry| of the active block as pivot (rows scanned
+    before columns), clear its column and row, and fold an offending row
+    of the remaining block into the pivot row."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    d = [list(r) for r in a]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def add_row(i, j, q):  # row_i -= q * row_j in D and U
+        for m in (d, u):
+            for c in range(len(m[i])):
+                m[i][c] -= q * m[j][c]
+
+    def add_col(i, j, q):  # col_i -= q * col_j in D and V
+        for m in (d, v):
+            for r in range(len(m)):
+                m[r][i] -= q * m[r][j]
+
+    t = 0
+    while t < min(rows, cols):
+        block = [(abs(d[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if d[i][j]]
+        if not block:
+            break
+        _, pi, pj = min(block)
+        d[t], d[pi], u[t], u[pi] = d[pi], d[t], u[pi], u[t]
+        for m in (d, v):
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+        if d[t][t] < 0:
+            d[t], u[t] = [-x for x in d[t]], [-x for x in u[t]]
+        for i in range(t + 1, rows):
+            if d[i][t]:
+                add_row(i, t, d[i][t] // d[t][t])
+        for j in range(t + 1, cols):
+            if d[t][j]:
+                add_col(j, t, d[t][j] // d[t][t])
+        if any(d[i][t] for i in range(t + 1, rows)) or any(d[t][t + 1:]):
+            continue
+        bad = [i for i in range(t + 1, rows) for j in range(t + 1, cols) if d[i][j] % d[t][t]]
+        if bad:
+            add_row(t, bad[0], -1)
+            continue
+        t += 1
+    return u, d, v
+
+
+@st.composite
+def int_matrices(draw):
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-40, 40))
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@given(int_matrices())
+def test_smith_form_matches_the_entrywise_reference_with_and_without_v(a):
+    # the same pivots either way: U and D do not depend on whether V is built
+    u, d, v = reference_snf(a)
+    assert smith_normal_form(a) == (u, d, v)
+    assert smith_normal_form(a, with_v=False) == (u, d, None)
+
+
+@st.composite
+def group_elements(draw):
+    """A group with up to 3 free and 3 torsion factors and two elements
+    drawn through AbGroup.elt from unreduced coordinates."""
+    torsion = []
+    for step in draw(st.lists(st.integers(1, 4), max_size=3)):
+        torsion.append((torsion[-1] if torsion else 2) * step)
+    g = AbGroup(draw(st.integers(0, 3)), tuple(torsion))
+    coords = st.integers(-50, 50)
+
+    def elt():
+        return g.elt(draw(st.lists(coords, min_size=g.rank, max_size=g.rank)),
+                     draw(st.lists(coords, min_size=len(torsion), max_size=len(torsion))))
+
+    return g, elt(), elt()
+
+
+@given(group_elements(), st.integers(-7, 7))
+def test_element_arithmetic_matches_the_validating_constructor(elements, n):
+    g, a, b = elements
+
+    def ref(f, *xs):  # coordinates combined entrywise, reduced by AbGroup.elt
+        return g.elt(tuple(map(f, *(x.free for x in xs))), tuple(map(f, *(x.torsion for x in xs))))
+
+    for got, want in ((a + b, ref(lambda x, y: x + y, a, b)),
+                      (a - b, ref(lambda x, y: x - y, a, b)),
+                      (-a, ref(lambda x: -x, a)),
+                      (n * a, ref(lambda x: n * x, a)),
+                      (a * n, ref(lambda x: n * x, a))):
+        assert (got.group, got.free, got.torsion) == (want.group, want.free, want.torsion)
+        assert got == want and hash(got) == hash(want)
+    assert (a == b) == (a.key() == b.key()) and len({a, b}) == 1 + (a != b)
+
+
 def test_canonicalize_free():
     g, images = canonicalize(AbPresentation(2, ()))
     assert g == AbGroup(2, ())
@@ -119,6 +217,9 @@ def test_element_arithmetic():
     assert b.order() is None
     assert (b - b) == g.zero()
     assert (3 * b).free == (3,)
+    with pytest.raises(TypeError):
+        b * 1.5
+    assert b != (1,) and repr(b) == "GroupElt(group=AbGroup(rank=1, torsion=(2,)), free=(1,), torsion=(0,))"
     with pytest.raises(ValueError, match="coordinate length mismatch"):
         g.elt((0, 0), (1,))
     with pytest.raises(ValueError, match="coordinate length mismatch"):

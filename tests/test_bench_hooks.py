@@ -369,3 +369,32 @@ def test_standard_generators_hash_no_dense_vector(monkeypatch):
 
     monkeypatch.setattr(CycloNum, "__hash__", counted)
     assert len(standard_generators(gr)) == 40 and calls[0] <= 1000, calls[0]
+
+
+def test_enumeration_of_repeated_entries_extracts_each_split_once(monkeypatch):
+    # lambda = 1^16 has 10 classes: _extract_blocks reaches each multiset
+    # of orbits once, so it returns 10 splits, and the classes are told
+    # apart by their keys with no pairwise equivalence test (1,598 splits
+    # and 20,100 equivalence tests when one orbit was taken per step)
+    import heisgrad.fine as fine
+    calls = {"splits": 0, "equivalent": 0, "depth": 0}
+    extract, equivalent = fine._extract_blocks, fine.ScalarClasses.equivalent
+
+    def extracted(*args):
+        calls["depth"] += 1
+        try:
+            out = extract(*args)
+        finally:
+            calls["depth"] -= 1
+        if not calls["depth"]:
+            calls["splits"] += len(out)
+        return out
+
+    def counted(*args):
+        calls["equivalent"] += 1
+        return equivalent(*args)
+
+    monkeypatch.setattr(fine, "_extract_blocks", extracted)
+    monkeypatch.setattr(fine.ScalarClasses, "equivalent", counted)
+    assert len(fine.enumerate_twisted_fine([CycloCtx(32).one()] * 16)) == 10
+    assert calls == {"splits": 10, "equivalent": 0, "depth": 0}, calls

@@ -14,7 +14,7 @@ from heisgrad.cli import build_parser, main
 from heisgrad.color import Bicharacter, ColorType, color_algebra, color_type_to_json
 from heisgrad.fine import heisenberg_fine, super_fine
 from heisgrad.gradings import grading_to_json
-from heisgrad.liealg import MAX_DIM, heisenberg_super
+from heisgrad.liealg import MAX_DIM, heisenberg_super, twisted
 from heisgrad.scalars import MAX_DIGITS, MAX_EXPONENT, CycloCtx
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -305,6 +305,7 @@ def test_scalar_limits_in_help(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert f"integers up to {MAX_DIGITS} digits, |k| <= {MAX_EXPONENT} in x^k" in text
     assert f"dimension up to {MAX_DIM}" in text
+    assert f"at most {MAX_DIM // 2 - 1} twist parameters" in text
 
 
 def _heisenberg_spec(k):
@@ -317,6 +318,11 @@ def _color_spec(dim):
                                       "dims": [{"degree": {}, "dim": dim}]}})
 
 
+def _twisted_spec(k):
+    return json.dumps({"algebra": {"kind": "twisted", "lambda": ["1"] * k, "conductor": 8},
+                       "group": {"rank": 0}, "components": []})
+
+
 @pytest.mark.parametrize("argv, code, dim", [
     (("verify", _heisenberg_spec(MAX_DIM // 2)), 2, MAX_DIM + 1),
     (("verify", _heisenberg_spec(10**9)), 2, 2 * 10**9 + 1),
@@ -325,6 +331,10 @@ def _color_spec(dim):
     (("weyl", "--super", f"0,{MAX_DIM}"), 3, MAX_DIM + 1),
     (("color-classify", _color_spec(MAX_DIM + 1)), 2, MAX_DIM + 1),
     (("color-classify", _color_spec(10**9 + 1)), 2, 10**9 + 1),
+    (("verify", _twisted_spec(MAX_DIM // 2)), 2, MAX_DIM + 2),
+    (("verify", _twisted_spec(200)), 2, 402),
+    (("enumerate-fine", "--twisted", ",".join(["1"] * (MAX_DIM // 2))), 3, MAX_DIM + 2),
+    (("weyl", "--twisted", ",".join(["1"] * (MAX_DIM // 2))), 3, MAX_DIM + 2),
 ])
 def test_dimension_above_the_limit_is_rejected_before_building(argv, code, dim, capsys):
     assert run_cli(*argv) == (code, "")
@@ -335,6 +345,23 @@ def test_dimension_at_the_limit_is_built():
     assert heisenberg_super(0, MAX_DIM - 1).dim == MAX_DIM
     with pytest.raises(ValueError, match=f"exceeds the limit {MAX_DIM}"):
         heisenberg_super(0, MAX_DIM)
+    one = CycloCtx(4).one()
+    assert twisted([one] * (MAX_DIM // 2 - 1)).dim == MAX_DIM
+    with pytest.raises(ValueError, match=f"dimension {MAX_DIM + 2} exceeds the limit {MAX_DIM}"):
+        twisted([one] * (MAX_DIM // 2))
+
+
+def test_twisted_entry_count_is_checked_before_the_conductor(monkeypatch, capsys):
+    # 128 entries would ask auto_conductor for the divisors of 256 and a
+    # field of degree 128 before the algebra's size is checked
+    import heisgrad.cli
+
+    def refuse(*args):
+        raise AssertionError("auto_conductor ran before the dimension check")
+
+    monkeypatch.setattr(heisgrad.cli, "auto_conductor", refuse)
+    assert run_cli("enumerate-fine", "--twisted", ",".join(["1"] * (MAX_DIM // 2))) == (3, "")
+    assert f"dimension {MAX_DIM + 2} exceeds the limit {MAX_DIM}" in capsys.readouterr().err
 
 
 def test_extra_params_section_is_a_parse_error(capsys):

@@ -676,14 +676,18 @@ def lambda_texts(draw):
 def test_enumeration_matches_the_orbit_oracle(text):
     # the block orbits of ScalarClasses against orbits walked as powers of
     # their own xi: the spectrum condition on every extracted split and on
-    # the first entries of lambda for every shape, the extraction itself and
-    # the enumeration; the per-lambda builder matches the per-class one
+    # the first entries of lambda for every shape, the extraction itself (the
+    # oracle reaches a split once per order of its choices, so the two are
+    # compared as sets of normalized splits) and the enumeration; the
+    # per-lambda builder matches the per-class one
     lam = _lambda(text)
     spec = _helpers.spectrum(lam)
     for l, s, r, xi in _helpers.shapes(lam):
         splits = _helpers.extract_blocks(spec, l, s, r, xi, CycloNum.sort_key)
-        assert fine._extract_blocks(spec, s, r, fine.ScalarClasses(lam, l),
-                                    CycloNum.sort_key) == splits
+        classes = fine.ScalarClasses(lam, l)
+        got = fine._extract_blocks(spec, s, r, classes, CycloNum.sort_key)
+        assert ({classes.normalize(FineTwistedParams(l, s, r, *split)) for split in got}
+                == {classes.normalize(FineTwistedParams(l, s, r, *split)) for split in splits})
         naive = (tuple(lam[:s]), tuple(lam[j % len(lam)] for j in range(r)))
         for betas, alphas in splits + [naive]:
             p = FineTwistedParams(l, s, r, betas, alphas)
@@ -698,6 +702,58 @@ def test_enumeration_matches_the_orbit_oracle(text):
     for p, gr in got:
         want = twisted_fine(lam, p)
         assert (gr.group, gr.components, gr.family) == (want.group, want.components, want.family)
+
+
+def _all_splits(lam):
+    """(classes, split) for every extracted split of every shape of lam."""
+    spec = _helpers.spectrum(lam)
+    out = []
+    for l, s, r, _ in _helpers.shapes(lam):
+        classes = fine.ScalarClasses(lam, l)
+        out += [(classes, FineTwistedParams(l, s, r, *split))
+                for split in fine._extract_blocks(spec, s, r, classes, CycloNum.sort_key)]
+    return out
+
+
+@given(lambda_texts())
+def test_extraction_gives_each_multiset_of_orbits_once(text):
+    # every orbit is a whole class, so two splits of one shape that differ
+    # as multisets of orbits differ after normalize; each split comes out
+    # normalized, which the enumeration relies on
+    splits = _all_splits(_lambda(text))
+    assert all(classes.normalize(p) == p for classes, p in splits)
+    assert len({p for _, p in splits}) == len(splits)
+
+
+@given(lambda_texts(), st.data())
+def test_enumeration_key_holds_exactly_for_equivalent_splits(text, data):
+    # pairs of splits of any shapes, and each split against a rescaled,
+    # reordered copy whose scalars are moved within their classes
+    # (equivalent) or with one scalar moved to another spectrum value
+    # (mostly not): equal keys exactly when ScalarClasses.equivalent holds
+    lam = _lambda(text)
+    splits = _all_splits(lam)
+    pairs = [(a, b) for a in splits for b in splits][:150]
+    values = sorted(set(_helpers.spectrum(lam)), key=lambda v: v.sort_key())
+    for classes, p in splits:
+        eps = data.draw(st.sampled_from(values)) / data.draw(st.sampled_from(values))
+
+        def moved(xs, side):
+            roots = classes.roots[side]
+            out = [eps * x * data.draw(st.sampled_from(roots)) for x in xs]
+            return tuple(data.draw(st.permutations(out)))
+
+        betas, alphas = moved(p.betas, 0), moved(p.alphas, 1)
+        q = FineTwistedParams(p.l, p.s, p.r, betas, alphas)
+        assert classes.key(q) == classes.key(p) and classes.equivalent(p, q)
+        if data.draw(st.booleans()) and betas:
+            betas = (data.draw(st.sampled_from(values)),) + betas[1:]
+        elif alphas:
+            alphas = alphas[:-1] + (data.draw(st.sampled_from(values)),)
+        pairs.append(((classes, p), (classes, FineTwistedParams(p.l, p.s, p.r, betas, alphas))))
+    for (cp, p), (cq, q) in pairs:
+        same = (p.l, p.s, p.r) == (q.l, q.s, q.r) and cp.equivalent(p, q)
+        assert (cp.key(p) == cq.key(q)) == same, (p, q)
 
 
 @given(lambda_texts())

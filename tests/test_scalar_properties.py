@@ -8,6 +8,7 @@ rational matrices check the row operations that skip zero entries and
 the inverse, in the regular representation of the field.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -467,3 +468,15 @@ def test_mat_inverse_matches_sympy(n, size, dependent, data):
          for i in range(size)] for j in range(size)]
     assert sparse_in == [sparse(col) for col in dense]
     assert all(list(col) == sorted(col) for col in sparse_in)
+
+
+@given(st.sampled_from(CONDUCTORS), st.integers(-10**40, 10**40), st.integers(1, 10**6),
+       st.integers(0, 2))
+def test_rational_hash_is_the_fraction_hash(n, a, b, power):
+    # a rational element hashes as the Fraction it equals, by the documented
+    # rule for numeric hashes; a denominator divisible by the hash modulus
+    # makes that hash sys.hash_info.inf (or -inf)
+    q = Fraction(a, b * sys.hash_info.modulus ** power)
+    x = CycloCtx(n).from_fraction(q)
+    assert hash(x) == hash(q)
+    assert hash(-x) == hash(-q)

@@ -119,8 +119,8 @@ MUTANTS = [
     Mutant("class-rep-by-max", "fine.py",
            "min(members, key=lambda v: v.sort_key())",
            "max(members, key=lambda v: v.sort_key())",
-           ("tests/test_cli.py::test_enumerate_fine_text_golden",
-            "tests/test_weyl.py::test_scalar_classes_match_the_key_oracle")),
+           ("tests/test_fine.py::test_extraction_gives_each_multiset_of_orbits_once",
+            "tests/test_cli.py::test_weyl_twisted_brute_golden")),
     Mutant("product-key-without-right-den", "scalars.py",
            "key = (self.num, self.den, o.num, o.den)",
            "key = (self.num, self.den, o.num)",
@@ -172,6 +172,24 @@ MUTANTS = [
            ("tests/test_weyl.py::test_odd_l_class_rotation_flagged",
             "tests/test_weyl.py::test_closed_form_disagreements_are_pinned",
             "tests/test_fine.py::test_weyl_closed_form_and_brute_force_match_the_closure")),
+    Mutant("enumeration-key-without-the-shape", "fine.py",
+           "        return (p.l, p.s, p.r) + min(",
+           "        return min(",
+           ("tests/test_fine.py::test_enumeration_key_holds_exactly_for_equivalent_splits",)),
+    Mutant("enumeration-key-from-the-first-scalar", "fine.py",
+           "for x in set(sides[0] if p.s else sides[1]))",
+           "for x in (sides[0] if p.s else sides[1])[:1])",
+           ("tests/test_fine.py::test_enumeration_key_holds_exactly_for_equivalent_splits",
+            "tests/test_fine.py::test_enumeration_matches_the_orbit_oracle")),
+    Mutant("extraction-drops-the-unpaired-count", "fine.py",
+           "_extract_blocks(spec - take, s - a, r - b, classes, key)",
+           "_extract_blocks(spec - take, s - a, r, classes, key)",
+           ("tests/test_fine.py::test_enumeration_matches_the_orbit_oracle",
+            "tests/test_cli.py::test_enumerate_fine_text_golden")),
+    Mutant("group-sum-without-torsion-reduction", "abelian.py",
+           "tuple((a + b) % d for a, b, d in",
+           "tuple(a + b for a, b, d in",
+           ("tests/test_abelian.py::test_element_arithmetic_matches_the_validating_constructor",)),
 ]
 
 
