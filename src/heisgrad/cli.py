@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from math import lcm
 
 from .color import (Bicharacter, classify_color, color_algebra,
@@ -116,9 +117,28 @@ def _load_grading(args, strict: bool = True):
     return gr, report
 
 
+def _json_text(x, pad: str = "\n") -> str:
+    """json.dumps(x, indent=2, sort_keys=True) byte for byte, for x built of
+    dicts with str keys, lists, tuples, str, int, bool and None (any other
+    type is a TypeError); pad is the line break and indent of x's line."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    inner = pad + "  "
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join([inner + _json_text(v, inner) for v in x]) + pad + "]" if x else "[]"
+    if isinstance(x, dict):
+        return "{" + ",".join([inner + encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                               for k, v in sorted(x.items())]) + pad + "}" if x else "{}"
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _emit(out, fmt: str, text_lines: list[str], payload: dict) -> None:
     if fmt == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(_json_text(payload) + "\n")
     else:
         out.write("\n".join(text_lines) + "\n")
 
@@ -218,11 +238,12 @@ def _weyl_report_lines(rep, lines, payload_list):
     gens = []
     zero = gr.algebra.ctx.zero()  # the entries no generator column touches
     for aut in rep.generators:
-        lines.append(f"  generator {aut.name}: {perm_cycles(aut.perm)}")
+        cycles = perm_cycles(aut.perm)
+        lines.append(f"  generator {aut.name}: {cycles}")
         matrix = [["0" if c is zero else format_scalar(c) for c in col]
                   for col in generator_matrix(gr, aut)]
         lines.append("    matrix columns: " + json.dumps(matrix))
-        gens.append({"name": aut.name, "cycles": perm_cycles(aut.perm),
+        gens.append({"name": aut.name, "cycles": cycles,
                      "matrix_columns": matrix})
     payload_list.append({
         "family": fam.name,

@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import cache
 from typing import ClassVar, Iterator
 
-from ._linalg import (Vect, combinations, intersection, is_zero_vect, kernel,
-                      line_coeff, mat_apply, rref, transpose, vadd, vscale,
-                      vsub)
+from ._linalg import (SparseVect, Vect, combinations, intersection, is_zero_vect,
+                      kernel, line_coeff, mat_apply, rref, sparse, transpose,
+                      vadd, vscale, vsub)
 from .abelian import AbGroup, GroupElt, group_product
 from .liealg import Algebra, heisenberg, heisenberg_super, twisted
 from .gradings import Grading, universal_group
@@ -259,81 +259,81 @@ def twist(a: Algebra) -> list[CycloNum]:
     return [dict(u_row[1 + 2 * i])[2 + 2 * i] for i in range(a.dim // 2 - 1)]
 
 
-def _uv_vectors(a: Algebra, pair_index: int) -> tuple[Vect, Vect]:
-    """The eigenvectors u_i = e_i + ehat_i and v_i = e_i - ehat_i."""
-    e = a.basis_vect(1 + 2 * pair_index)
-    eh = a.basis_vect(2 + 2 * pair_index)
-    return vadd(e, eh), vsub(e, eh)
+def _times(c: CycloNum, v: SparseVect) -> SparseVect:
+    """c * v for c != 0, on the nonzero coordinates of v: none can vanish."""
+    return {k: c * x for k, x in v.items()}
 
 
-def verify_block_i(bracket, u: Vect, z: Vect, blk: BlockI) -> None:
-    """Check the type-I block identities on bracket(x, y).  The algebra is Lie,
-    so x-x and y-y pairs are checked for i < j only: [x_j, x_i] = -[x_i, x_j]."""
+def verify_block_i(bracket, coords, u: Vect, z: Vect, blk: BlockI) -> None:
+    """Check the type-I block identities on bracket(x, y) and coords(x), the
+    nonzero coordinates of [x, y] and of x for u, z and the block's vectors.
+    The algebra is Lie, so x-x and y-y pairs are checked for i < j only:
+    [x_j, x_i] = -[x_i, x_j]."""
     l, alpha = blk.l, blk.alpha
     xs = (None,) + blk.xs  # 1-based
     ys = (None,) + blk.ys
-    sign = alpha.ctx.from_fraction((-1) ** l)
     for i in range(1, l + 1):
-        want = vscale(alpha, xs[i % l + 1])
-        if bracket(u, xs[i]) != want:
+        if bracket(u, xs[i]) != _times(alpha, coords(xs[i % l + 1])):
             raise AssertionError(f"type-I block: ad(u) fails on x_{i}")
-        want = vscale(alpha, ys[i + 1]) if i < l else vscale(sign * alpha, ys[1])
+        want = _times(alpha if i < l or l % 2 == 0 else -alpha, coords(ys[i % l + 1]))
         if bracket(u, ys[i]) != want:
             raise AssertionError(f"type-I block: ad(u) fails on y_{i}")
     for i in range(1, l + 1):
         for j in range(1, l + 1):
-            if j > i and not is_zero_vect(bracket(xs[i], xs[j])):
+            if j > i and bracket(xs[i], xs[j]):
                 raise AssertionError("type-I block: nonzero x-x bracket")
-            if j > i and not is_zero_vect(bracket(ys[i], ys[j])):
+            if j > i and bracket(ys[i], ys[j]):
                 raise AssertionError("type-I block: nonzero y-y bracket")
             w = bracket(xs[i], ys[j])
             if (i + j) % l == 0:
-                want = vscale(alpha.ctx.from_fraction((-1) ** j) * alpha, z)
-                if w != want:
+                if w != _times(-alpha if j % 2 else alpha, coords(z)):
                     raise AssertionError(f"type-I block: pairing fails on x_{i}, y_{j}")
-            elif not is_zero_vect(w):
+            elif w:
                 raise AssertionError("type-I block: unexpected nonzero x-y bracket")
 
 
-def verify_block_ii(bracket, u: Vect, z: Vect, blk: BlockII) -> None:
+def verify_block_ii(bracket, coords, u: Vect, z: Vect, blk: BlockII) -> None:
     """As verify_block_i, for a type-II block; x-x pairs for i < j only."""
     l, alpha = blk.l, blk.alpha
     xs = (None,) + blk.xs
     n = 2 * l
     for i in range(1, n + 1):
-        want = vscale(alpha, xs[i % n + 1])
-        if bracket(u, xs[i]) != want:
+        if bracket(u, xs[i]) != _times(alpha, coords(xs[i % n + 1])):
             raise AssertionError(f"type-II block: ad(u) fails on x_{i}")
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             w = bracket(xs[i], xs[j])
             if i + j == n + 1:
-                want = vscale(alpha.ctx.from_fraction((-1) ** i) * alpha, z)
-                if w != want:
+                if w != _times(-alpha if i % 2 else alpha, coords(z)):
                     raise AssertionError(f"type-II block: pairing fails on x_{i}, x_{j}")
-            elif not is_zero_vect(w):
+            elif w:
                 raise AssertionError("type-II block: unexpected nonzero bracket")
 
 
+def check_block(a: Algebra, u: Vect, z: Vect, blk: BlockI | BlockII) -> None:
+    """verify_block_i or verify_block_ii on a.bracket, from the nonzero
+    coordinates of u, z and the block's vectors, each found once."""
+    coords = {id(v): sparse(v) for v in (u, z, *blk.elements())}
+    verify = verify_block_i if isinstance(blk, BlockI) else verify_block_ii
+    verify(lambda x, y: a.bracket(coords[id(x)], coords[id(y)]),
+           lambda v: coords[id(v)], u, z, blk)
+
+
 def _block_slots(a: Algebra, l: int, powers: list[CycloNum], alpha: CycloNum,
-                 pairs: list[tuple[int, bool]]):
-    """The slot vectors (us, vs) of the l eigen-pairs, pairs[q] carrying the
-    eigenvalue xi^(q+1) * alpha, for powers = [xi^t : t < order] of a
-    primitive root xi."""
+                 pairs: list[tuple[int, bool]]) -> list[tuple[int, bool]]:
+    """The position of e_i in the basis and the swap flag of each of the l
+    eigen-pairs, pairs[q] carrying the eigenvalue xi^(q+1) * alpha, for
+    powers = [xi^t : t < order] of a primitive root xi."""
     lam = twist(a)
     if len(pairs) != l:
         raise ValueError("need exactly l eigen-pairs")
-    us, vs = [], []
     for q, (idx, swapped) in enumerate(pairs, start=1):
         val = powers[q % len(powers)] * alpha
         actual = -lam[idx] if swapped else lam[idx]
         if actual != val:
             raise ValueError(
                 f"pair {idx} has eigenvalue {actual!r}, slot needs {val!r}")
-        u, v = _uv_vectors(a, idx)
-        us.append(v if swapped else u)
-        vs.append(u if swapped else v)
-    return us, vs
+    return [(1 + 2 * idx, swapped) for idx, swapped in pairs]
 
 
 def _block_i(a: Algebra, powers: list[CycloNum], alpha: CycloNum,
@@ -343,13 +343,22 @@ def _block_i(a: Algebra, powers: list[CycloNum], alpha: CycloNum,
     its (u_i, v_i) roles are swapped, and the pair's eigenvalue must be
     xi^(q+1) * alpha.  verify_block_i checks it."""
     ctx, l = a.ctx, len(powers)
-    us, vs = _block_slots(a, l, powers, alpha, pairs)
-    xs, ys = [], []
+    slots = _block_slots(a, l, powers, alpha, pairs)
     inv2l = ctx.from_fraction(Fraction(1, 2 * l))
+
+    def entries(coeffs, minus):
+        # sum of c_q w_q over the slots, w_q = u_q = e + ehat, or v_q = e - ehat
+        # when minus, and the other one of the two for a swapped pair
+        for (e, swapped), c in zip(slots, coeffs):
+            yield e, c
+            yield e + 1, -c if swapped != minus else c
+
+    xs, ys = [], []
     for j in range(1, l + 1):
-        xs.append(mat_apply(us, [powers[j * q % l] for q in range(1, l + 1)]))
-        y = mat_apply(vs, [powers[(j - 1) * q % l] for q in range(1, l + 1)])
-        ys.append(vscale(ctx.from_fraction(-((-1) ** j)) * inv2l, y))
+        scale = ctx.from_fraction(-((-1) ** j)) * inv2l
+        xs.append(a.dense(entries([powers[j * q % l] for q in range(1, l + 1)], False)))
+        ys.append(a.dense(entries([scale * powers[(j - 1) * q % l] for q in range(1, l + 1)],
+                                  True)))
     return BlockI(l, alpha, tuple(xs), tuple(ys))
 
 
@@ -361,13 +370,15 @@ def _block_ii(a: Algebra, powers: list[CycloNum], alpha: CycloNum,
     verify_block_ii checks it."""
     ctx, order = a.ctx, len(powers)
     l = order // 2
-    us, vs = _block_slots(a, l, powers, alpha, pairs)
-    scale = ctx.i() * sqrt_int(l, ctx) * ctx.from_fraction(Fraction(1, 2 * l))  # i / (2 sqrt(l))
-    # x_j sums zeta^((j-1)q) (u_q + (-1)^(j-1) v_q) over q
-    terms = [vadd(u, v) for u, v in zip(us, vs)], [vsub(u, v) for u, v in zip(us, vs)]
-    xs = [vscale(scale, mat_apply(terms[(j - 1) % 2],
-                                  [powers[(j - 1) * q % order] for q in range(1, l + 1)]))
-          for j in range(1, 2 * l + 1)]
+    slots = _block_slots(a, l, powers, alpha, pairs)
+    scale = ctx.i() * sqrt_int(l, ctx) * ctx.from_fraction(Fraction(1, l))  # i / sqrt(l)
+    # x_j = i / (2 sqrt(l)) times the sum of zeta^((j-1)q) (u_q + (-1)^(j-1) v_q)
+    # over q, and u_q + v_q = 2 e, u_q - v_q = 2 ehat (-2 ehat for a swapped pair)
+    xs = []
+    for j in range(1, 2 * l + 1):
+        cs = [scale * powers[(j - 1) * q % order] for q in range(1, l + 1)]
+        xs.append(a.dense((e, c) if j % 2 else (e + 1, -c if swapped else c)
+                          for (e, swapped), c in zip(slots, cs)))
     return BlockII(l, alpha, tuple(xs))
 
 
@@ -587,10 +598,13 @@ def _twisted_fine(a: Algebra, lam: list[CycloNum], p: FineTwistedParams,
     def bracket(x, y):
         return raw.brackets(degree[id(x)], degree[id(y)])[0]
 
+    def coords(v):
+        return raw._slots[degree[id(v)]][2][0]
+
     for blk in blocks_i:
-        verify_block_i(bracket, u_vec, z_vec, blk)
+        verify_block_i(bracket, coords, u_vec, z_vec, blk)
     for blk in blocks_ii:
-        verify_block_ii(bracket, u_vec, z_vec, blk)
+        verify_block_ii(bracket, coords, u_vec, z_vec, blk)
     ugroup, out = universal_group(raw)
     if ugroup != expected_twisted_group(l, s, r):
         raise AssertionError(
@@ -717,7 +731,8 @@ def homogenize_u(gr: Grading) -> tuple[Vect, list[tuple[Vect, Vect]], Vect]:
     z = a.basis_vect(a.dim - 1)
     pairs = []
     for i in range(k):
-        u_i, v_i = _uv_vectors(a, i)
+        e, eh = a.basis_vect(1 + 2 * i), a.basis_vect(2 + 2 * i)
+        u_i, v_i = vadd(e, eh), vsub(e, eh)  # the eigenvectors of ad(u)
         # u' = u + alpha z + sum alpha_i u_i + beta_i v_i in eigen coordinates
         e_c = u_new[1 + 2 * i]
         eh_c = u_new[2 + 2 * i]
@@ -823,7 +838,7 @@ def decompose_twisted_grading(gr: Grading):
                 t = sqrt_scalar((mu * mu) / c)
                 x2 = vscale(t, x2)
                 blk = BlockII(l // 2, mu, tuple(block_orbit(x2, mu)))
-                verify_block_ii(a.bracket, u_new, z, blk)
+                check_block(a, u_new, z, blk)
                 blocks_ii.append(blk)
                 centralize(blk.elements())
                 continue
@@ -833,7 +848,7 @@ def decompose_twisted_grading(gr: Grading):
         c = line_coeff(a.bracket(x, y), z)
         y = vscale(mu / c, y)
         blk = BlockI(l, mu, tuple(block_orbit(x, mu)), tuple(block_orbit(y, mu)))
-        verify_block_i(a.bracket, u_new, z, blk)
+        check_block(a, u_new, z, blk)
         blocks_i.append(blk)
         centralize(blk.elements())
 

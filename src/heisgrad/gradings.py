@@ -41,10 +41,6 @@ class GradedTable(NamedTuple):
     inverse: list[SparseVect] | None  # column j: e_j in the basis; None if no basis
     terms: tuple | None  # the nonzero [b_i, b_j]_k as in Algebra.terms; None likewise
 
-    def coordinates(self, w: Vect) -> SparseVect:
-        """The nonzero coordinates of w in the basis."""
-        return sparse_apply(self.inverse, sparse(w))
-
 
 @dataclass
 class Grading:
@@ -76,7 +72,7 @@ class Grading:
     @cached_property
     def _slots(self) -> dict[GroupElt, tuple[int, tuple[Vect, ...], list[SparseVect]]]:
         """The position of each component in components, its vectors and
-        their nonzero coordinates, which the bracket memo brackets from."""
+        their nonzero coordinates, which the bracket memo brackets."""
         return {g: (i, vs, [sparse(v) for v in vs])
                 for i, (g, vs) in enumerate(self.components.items())}
 
@@ -102,17 +98,16 @@ class Grading:
             start.append(start[-1] + len(self.components[g]))
         slot = [self._slots[g][0] for g in support]
         homogeneous = [None not in parity[m:n] for m, n in zip(start, start[1:])]
-        zero, one = a.zero_vect(), a.ctx.one()
+        one = a.ctx.one()
 
         def put(x, y, mirror):
             # rows[m][n] = [b_m, b_n] for m in the x-th component, n in the
             # y-th; rows[n][m] as well when mirror
             width = start[y + 1] - start[y]
             for e, w in enumerate(self.brackets(support[x], support[y])):
-                coords = None if w is zero else table.coordinates(w)
-                if coords:
+                if w:
                     m, n = start[x] + e // width, start[y] + e % width
-                    rows[m][n] = tuple(sorted(coords.items()))
+                    rows[m][n] = tuple(sorted(sparse_apply(inv, w).items()))
                     if mirror:
                         sign = one if parity[m] and parity[n] else -one
                         rows[n][m] = tuple((k, sign * c) for k, c in rows[m][n])
@@ -134,18 +129,18 @@ class Grading:
         """The nonzero coordinates of the basis vectors of table, in its order."""
         return [v for g in self.support for v in self._slots[g][2]]
 
-    def brackets(self, g: GroupElt, h: GroupElt) -> list[Vect]:
-        """[x, y] for x in the basis of component g and y in that of component
-        h, row by row (x outer), bracketed once per pair, on first use, from
-        the nonzero coordinates of x."""
-        (i, _, xs), (j, ys, _) = self._slots[g], self._slots[h]
+    def brackets(self, g: GroupElt, h: GroupElt) -> list[SparseVect]:
+        """The nonzero coordinates of [x, y] for x in the basis of component g
+        and y in that of component h, row by row (x outer), bracketed once
+        per pair, on first use, from the nonzero coordinates of x and y."""
+        (i, _, xs), (j, _, ys) = self._slots[g], self._slots[h]
         block = self._brackets.get((i, j))
         if block is None:
             bracket = self.algebra.bracket
             block = self._brackets[i, j] = [bracket(x, y) for x in xs for y in ys]
         return block
 
-    def spanning_brackets(self, g: GroupElt, h: GroupElt) -> list[Vect]:
+    def spanning_brackets(self, g: GroupElt, h: GroupElt) -> list[SparseVect]:
         """brackets(g, h), or the memoized brackets(h, g): in a skew algebra
         (Algebra.skew) with parity-graded components both span [V_g, V_h]."""
         i, j = self._slots[g][0], self._slots[h][0]
@@ -178,7 +173,7 @@ def verify_grading(gr: Grading) -> VerifyReport:
     skew = a.skew
     for i, g in enumerate(support):
         for h in support[i:] if skew else support:
-            prods = list(filter(any, (gr.spanning_brackets if skew else gr.brackets)(g, h)))
+            prods = [w for w in (gr.spanning_brackets if skew else gr.brackets)(g, h) if w]
             if not prods:
                 continue
             target = g + h
@@ -187,7 +182,8 @@ def verify_grading(gr: Grading) -> VerifyReport:
                     f"bracket of degrees {g} and {h} is nonzero but {target} "
                     "is outside the support"])
             basis, pivots = gr.spans[target]
-            if any(not is_zero_vect(reduce_against(basis, pivots, w)) for w in prods):
+            if any(not is_zero_vect(reduce_against(basis, pivots, a.dense(w.items())))
+                   for w in prods):
                 return VerifyReport(False, [
                     f"bracket of degrees {g} and {h} leaves component {target}"])
     if not generates(gr.group, support):
@@ -201,13 +197,13 @@ def universal_group(gr: Grading) -> tuple[AbGroup, Grading]:
     keeps the brackets and spans computed so far under its new degrees.
     A pair is read in either orientation, as verify_grading reads it in a
     skew algebra: [V_g, V_h] = 0 iff [V_h, V_g] = 0."""
-    support, zero = gr.support, gr.algebra.zero_vect()
+    support = gr.support
     n = len(support)
     pos = {g: i for i, g in enumerate(support)}
     rows = []
     for i, g in enumerate(support):
         for j, h in enumerate(support[i:], start=i):
-            if any(w is not zero and any(w) for w in gr.spanning_brackets(g, h)):
+            if any(gr.spanning_brackets(g, h)):
                 k = pos.get(g + h)
                 if k is None:
                     raise ValueError("not a grading: bracket leaves the support")

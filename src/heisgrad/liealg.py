@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 LinMap = list[Vect]  # columns: image of the j-th basis vector
+_NO_COORDS: SparseVect = {}  # every sparse bracket that meets no constant; read only
 
 # the largest dimension of a Heisenberg (super), twisted or color algebra
 # that is built; the stabilizer chain of a Weyl group of degree d stores
@@ -94,23 +95,27 @@ class Algebra:
     def is_super(self) -> bool:
         return any(self.parity)
 
-    def bracket(self, a: Vect | SparseVect, b: Vect) -> Vect:
-        """[a, b], with a dense or given by its nonzero coordinates (as
-        _linalg.sparse writes them); zero_vect() itself when no structure
-        constant is met."""
-        out = None
+    def bracket(self, a: Vect | SparseVect, b: Vect | SparseVect) -> Vect | SparseVect:
+        """[a, b], each side dense or given by its nonzero coordinates (as
+        _linalg.sparse writes them), in the form of b; a bracket that meets
+        no structure constant is zero_vect() itself for a dense b and one
+        shared empty dict for a sparse b."""
+        nonzero = isinstance(b, dict)
+        get = b.get if nonzero else lambda j: b[j] or None
+        out: SparseVect = {}
         terms = self.terms
         for i, ai in (a if isinstance(a, dict) else sparse(a)).items():
             for j, t in terms[i]:
-                bj = b[j]
-                if not bj:
-                    continue
-                if out is None:
-                    out = list(self._zero)
-                c = ai * bj
-                for k, tk in t:
-                    out[k] = out[k] + c * tk
-        return self._zero if out is None else tuple(out)
+                bj = get(j)
+                if bj is not None:
+                    c = ai * bj
+                    for k, tk in t:
+                        out[k] = out[k] + c * tk if k in out else c * tk
+        if not out:
+            return _NO_COORDS if nonzero else self._zero
+        if nonzero:  # zero tests on the entries touched only
+            return {k: x for k, x in out.items() if x}
+        return self.dense(out.items())
 
     def vect_parity(self, v: SparseVect) -> int | None:
         """0/1 for a parity-homogeneous vector given by its nonzero
@@ -119,7 +124,7 @@ class Algebra:
         return seen.pop() if len(seen) == 1 else None
 
     def dense(self, t) -> Vect:
-        """The vector with the sparse coordinates t = ((k, c), ...) of terms."""
+        """The vector with the coordinates t = ((k, c), ...), zero elsewhere."""
         out = list(self._zero)
         for k, c in t:
             out[k] = c

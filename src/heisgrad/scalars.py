@@ -272,6 +272,9 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.num[0] and o.is_rational():  # by p / q: num times q, den times p
+            q = o.den if o.num[0] > 0 else -o.den
+            return _make(self.ctx, [c * q for c in self.num], self.den * abs(o.num[0]))
         return self * o.inv()
 
     def __rtruediv__(self, other):

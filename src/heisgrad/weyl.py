@@ -195,7 +195,7 @@ def induced_permutation(f: LinMap, gr: Grading, name: str = "") -> GradedAut:
     table = _line_table(gr, "an induced permutation")
     if len(f) != gr.algebra.dim:
         raise ValueError("map is not an algebra automorphism")
-    images = [table.coordinates(mat_apply(f, b)) for b in table.basis]
+    images = [sparse_apply(table.inverse, sparse(mat_apply(f, b))) for b in table.basis]
     for g, image in zip(gr.support, images):
         if len(image) != 1:
             raise ValueError(f"image of component {g} is not a component")

@@ -16,7 +16,7 @@ from heisgrad import fine
 from heisgrad._linalg import (is_zero_vect, kernel, line_coeff, mat_apply, reduce_against,
                               rref, sparse, transpose, vadd, vscale, vzero)
 from heisgrad.abelian import smith_normal_form
-from heisgrad.fine import BlockI, primitive_root, twist, verify_block_i, verify_block_ii
+from heisgrad.fine import check_block, primitive_root, twist
 from heisgrad.gradings import Grading
 from heisgrad.liealg import Algebra, LinMap, VerifyReport, center, derived, is_automorphism
 from heisgrad.scalars import divisors, root_of_unity_order
@@ -40,8 +40,7 @@ def same_span(rows_a, rows_b) -> bool:
 
 def checked(a: Algebra, blk):
     """blk, once its block identities hold for a.bracket."""
-    verify = verify_block_i if isinstance(blk, BlockI) else verify_block_ii
-    verify(a.bracket, a.basis_vect(0), a.basis_vect(a.dim - 1), blk)
+    check_block(a, a.basis_vect(0), a.basis_vect(a.dim - 1), blk)
     return blk
 
 

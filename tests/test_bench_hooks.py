@@ -113,6 +113,9 @@ def test_bracket_work_per_benchmark_pass_is_bounded(monkeypatch):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 heisgrad.cli.main(job["argv"])
         assert calls[0] <= bound, workload
+        # the memo brackets through Algebra.bracket, so the count is exact:
+        # a bound alone would also hold if the memo stopped calling it
+        assert workload != "enumerate" or calls[0] == 1865, calls[0]
 
 
 def test_scalar_work_per_benchmark_pass_is_bounded(monkeypatch):
@@ -310,6 +313,28 @@ def test_zero_tests_per_weyl_closure_pass_are_bounded(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             heisgrad.cli.main(job["argv"])
     assert calls[0] <= 1679, calls[0]
+
+
+def test_zero_tests_per_enumerate_pass_are_bounded(monkeypatch):
+    # the blocks are written from their nonzero entries, the memo brackets
+    # the nonzero coordinates of both sides and tests only the entries it
+    # touched, and the block checks and the universal group read what the
+    # memo holds; the bound is the count of the seed-23 enumerate batch at
+    # that design (39,818 with dense blocks and brackets)
+    workloads = _load_bench("workloads")
+    calls = [0]
+    truth = CycloNum.__bool__
+
+    def counted(self):
+        calls[0] += 1
+        return truth(self)
+
+    jobs = workloads.make_jobs("enumerate", 23)
+    monkeypatch.setattr(CycloNum, "__bool__", counted)
+    for job in jobs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            heisgrad.cli.main(job["argv"])
+    assert calls[0] <= 4773, calls[0]
 
 
 def test_zero_tests_per_roundtrip_pass_are_bounded(monkeypatch):

@@ -8,9 +8,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from heisgrad.abelian import AbGroup
-from heisgrad.cli import build_parser, main
+from heisgrad.cli import _json_text, build_parser, main
 from heisgrad.color import Bicharacter, ColorType, color_algebra, color_type_to_json
 from heisgrad.fine import heisenberg_fine, super_fine
 from heisgrad.gradings import grading_to_json
@@ -760,3 +761,26 @@ def test_console_script_entry_point(capsys):
         entry(["--help"])
     assert exc.value.code == 0
     assert "enumerate-fine" in capsys.readouterr().out
+
+
+# text with the characters JSON escapes (quotes, backslashes, control
+# characters) and non-ASCII ones, beside any others
+_JSON_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                                  st.characters()), max_size=6)
+_JSON_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_STRINGS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_STRINGS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(_JSON_PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, b"x", object(), {1: "a"},
+                                   [0, {"a": [None, 2.0]}], ({"b": frozenset()},)])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)

@@ -8,14 +8,14 @@ import heisgrad.fine as fine
 from heisgrad._linalg import in_span, is_zero_vect, mat_apply, rref, vadd, vscale
 from heisgrad.abelian import AbGroup
 from heisgrad.cli import auto_conductor
-from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, decompose_twisted_grading,
+from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, check_block,
+                           decompose_twisted_grading,
                            enumerate_super_fine, enumerate_twisted_fine,
                            equivalent_fine, expected_twisted_group,
                            heisenberg_fine, homogenize_u, rebase_scales_i,
                            rebase_scales_ii, spectrum_check, super_fine,
                            twist, twisted_fine, twisted_fine_classes,
-                           twisted_fine_nontoral, twisted_fine_toral,
-                           verify_block_i, verify_block_ii)
+                           twisted_fine_nontoral, twisted_fine_toral)
 from heisgrad.gradings import Grading, is_toral_fine, universal_group, verify_grading
 from heisgrad.liealg import Algebra, heisenberg, heisenberg_super, is_automorphism, twisted
 from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar
@@ -226,7 +226,7 @@ def test_block_span_change_classes(ctx16):
     assert rebase_scales_i(1, -one)[0]  # (-1)^2 = 1: allowed for l = 1, x and y exchanged
     moved = _rebased_i(blk, -one)
     assert same_span(moved.elements(), blk.elements())
-    verify_block_i(a1.bracket, u1, z1, moved)
+    check_block(a1, u1, z1, moved)
     with pytest.raises(ValueError):
         rebase_scales_i(1, ii)  # i^2 != 1
 
@@ -236,14 +236,14 @@ def test_block_span_change_classes(ctx16):
     assert not rebase_scales_i(2, -one)[0]
     moved2 = _rebased_i(blk2, -one)
     assert same_span(moved2.elements(), blk2.elements())
-    verify_block_i(a2.bracket, a2.basis_vect(0), a2.basis_vect(a2.dim - 1), moved2)
+    check_block(a2, a2.basis_vect(0), a2.basis_vect(a2.dim - 1), moved2)
     with pytest.raises(ValueError):
         rebase_scales_i(2, ii)
 
     blk3 = block_ii(a1, 1, one, [(0, True)])
     moved3 = BlockII(1, -one, tuple(map(vscale, rebase_scales_ii(1, -one), blk3.xs)))
     assert same_span(moved3.elements(), blk3.elements())
-    verify_block_ii(a1.bracket, u1, z1, moved3)
+    check_block(a1, u1, z1, moved3)
     with pytest.raises(ValueError):
         rebase_scales_ii(1, ctx16.zeta(2))  # primitive 8th root
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heisgrad._linalg import mat_apply, vscale
+from heisgrad._linalg import mat_apply, sparse, vscale
 from heisgrad.liealg import (Algebra, algebra_from_json, algebra_to_json, center,
                              derived, heisenberg, heisenberg_super, is_automorphism,
                              similitude_factor, terms_of_table, twisted, verify_axioms)
@@ -328,14 +328,31 @@ def _random_vect(a, rng):
 
 
 def test_sparse_bracket_matches_dense_reference():
+    # the result takes the form of the second argument
     rng = random.Random(2024)
     for a, table in _sample_pairs():
         for _ in range(12):
             u, v = _random_vect(a, rng), _random_vect(a, rng)
             assert a.bracket(u, v) == dense_bracket(a, u, v)
+            assert a.bracket(sparse(u), v) == dense_bracket(a, u, v)
+            assert a.bracket(u, sparse(v)) == sparse(dense_bracket(a, u, v))
+            assert a.bracket(sparse(u), sparse(v)) == sparse(dense_bracket(a, u, v))
         for i in range(a.dim):
             for j in range(a.dim):
                 assert a.bracket(a.basis_vect(i), a.basis_vect(j)) == table[i][j]
+
+
+def test_bracket_drops_cancelled_entries_and_shares_its_zeros():
+    # [e1 + ehat1, e1 + ehat1] = z - z: the sparse result tests the entry it
+    # touched and drops it; the dense one keeps the zero entry
+    a = heisenberg(1)
+    v = tuple(x + y for x, y in zip(a.basis_vect(0), a.basis_vect(1)))
+    assert a.bracket(sparse(v), sparse(v)) == {}
+    assert a.bracket(v, v) == a.zero_vect() and a.bracket(v, v) is not a.zero_vect()
+    # no structure constant met: one shared zero of each form
+    z = a.basis_vect(2)
+    assert a.bracket(v, z) is a.zero_vect()
+    assert a.bracket(v, sparse(z)) == {} and a.bracket(v, sparse(z)) is a.bracket(z, sparse(v))
 
 
 def test_sparse_terms_list_exactly_the_nonzero_constants():

@@ -263,3 +263,25 @@ def test_power_squares_only_while_bits_remain(monkeypatch, n):
         calls[0] = 0
         assert x ** e == powers[e], e
         assert calls[0] <= e.bit_length() + bin(e).count("1") - 1, (e, calls[0])
+
+
+def test_division_by_a_rational_scales_without_an_inverse():
+    # a / (p/q) multiplies the numerators by q and the denominator by p:
+    # no inverse is computed, so the context's memo stays empty; the
+    # expected values come from products in a second context of the field
+    ctx, ref = CycloCtx(12), CycloCtx(12)
+    assert parse_scalar("3/4", ctx) == ctx.from_fraction(Fraction(3, 4))
+    x = ctx.zeta() + ctx.from_fraction(Fraction(2, 3))
+    x_ref = ref.zeta() + ref.from_fraction(Fraction(2, 3))
+    for q in (Fraction(-5, 6), Fraction(-3), Fraction(7, 2), Fraction(1)):
+        got = x / ctx.from_fraction(q)
+        want = x_ref * ref.from_fraction(1 / q)
+        assert (got.num, got.den) == (want.num, want.den), q
+    assert x / -2 == x_ref * ref.from_fraction(Fraction(-1, 2))
+    assert ctx.zero() / ctx.from_fraction(-3) == ctx.zero()
+    assert not ctx._memo
+    # a divisor that is not rational takes its inverse, which the memo keeps
+    y = ctx.zeta(2) + 1
+    assert (x / y) * y == x and ctx._memo
+    with pytest.raises(ZeroDivisionError):
+        x / ctx.zero()

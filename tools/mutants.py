@@ -186,6 +186,15 @@ MUTANTS = [
            "_extract_blocks(spec - take, s - a, r, classes, key)",
            ("tests/test_fine.py::test_enumeration_matches_the_orbit_oracle",
             "tests/test_cli.py::test_enumerate_fine_text_golden")),
+    Mutant("bracket-keeps-a-cancelled-entry", "liealg.py",
+           "            return {k: x for k, x in out.items() if x}",
+           "            return out",
+           ("tests/test_liealg.py::test_bracket_drops_cancelled_entries_and_shares_its_zeros",)),
+    Mutant("json-writer-without-key-sort", "cli.py",
+           "for k, v in sorted(x.items())",
+           "for k, v in x.items()",
+           ("tests/test_cli.py::test_json_writer_matches_json_dumps",
+            "tests/test_bench_hooks.py::test_recorded_benchmark_outputs_are_byte_identical")),
     Mutant("group-sum-without-torsion-reduction", "abelian.py",
            "tuple((a + b) % d for a, b, d in",
            "tuple(a + b for a, b, d in",
