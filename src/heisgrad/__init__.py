@@ -3,9 +3,9 @@ gradings, universal grading groups and Weyl groups."""
 
 from .scalars import CycloCtx, CycloNum, parse_scalar, format_scalar, sqrt_int, root_of_unity_order
 from .abelian import AbGroup, AbPresentation, GroupElt, canonicalize, group_product, smith_normal_form
-from .liealg import Algebra, heisenberg, heisenberg_super, twisted, verify_axioms, center, derived, is_automorphism, similitude_factor
+from .liealg import Algebra, heisenberg, heisenberg_super, twisted, verify_axioms, center, derived, is_automorphism
 from .gradings import (Grading, PairedDecomposition, verify_grading, universal_group,
-                       is_toral_fine, coarsen, homogeneous_symplectic_basis,
+                       coarsen, homogeneous_symplectic_basis,
                        homogeneous_orthogonal_basis, darboux_homogeneous_basis)
 from .fine import (FineTwistedParams, BlockI, BlockII, heisenberg_fine, super_fine,
                    enumerate_super_fine, twisted_fine, twisted_fine_classes, twisted_fine_toral,

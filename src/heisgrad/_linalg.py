@@ -18,7 +18,7 @@ SparseVect = dict[int, CycloNum]  # the nonzero coordinates {index: value} of a 
 
 __all__ = [
     "Vect", "SparseVect", "vzero", "vadd", "vsub", "vscale", "is_zero_vect",
-    "sparse", "sparse_apply", "rref", "rank", "in_span", "reduce_against", "kernel", "combinations",
+    "sparse", "sparse_apply", "rref", "rank", "reduce_against", "kernel", "combinations",
     "intersection", "line_coeff", "transpose", "mat_inverse", "mat_apply",
 ]
 
@@ -87,11 +87,6 @@ def reduce_against(basis_rref: list[Vect], pivots: list[int], v: Vect) -> Vect:
         if c:
             out = [x - c * y if y else x for x, y in zip(out, row)]
     return tuple(out)
-
-
-def in_span(rows: list[Vect], v: Vect) -> bool:
-    basis, pivots = rref(rows)
-    return is_zero_vect(reduce_against(basis, pivots, v))
 
 
 def kernel(rows: list[Vect], ctx: CycloCtx, n_unknowns: int) -> list[Vect]:

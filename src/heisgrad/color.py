@@ -9,7 +9,7 @@ recognition of arbitrary graded structures as standard forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ._linalg import Vect, in_span, line_coeff, vscale
+from ._linalg import Vect, line_coeff, rank, vscale
 from .abelian import (AbGroup, GroupElt, canonicalize, express_in_terms,
                       generates, subgroup_presentation)
 from .gradings import (Grading, _graded_paired_basis, decomposition_failure,
@@ -235,7 +235,7 @@ def classify_color(a: Algebra, gr: Grading, eps: Bicharacter):
         raise ValueError("input fails the color axioms: " + report.failures[0])
     cen = center(a)
     der = derived(a)
-    if len(cen) != 1 or len(der) != 1 or not in_span(cen, der[0]):
+    if len(cen) != 1 or len(der) != 1 or rank(cen + der) != 1:
         raise ValueError("structure is not Heisenberg: need [L,L] = Z(L) of dimension 1")
     z = cen[0]
 

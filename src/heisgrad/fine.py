@@ -38,23 +38,18 @@ __all__ = [
 
 # --- scalar classes ----------------------------------------------------------
 
-def primitive_root(ctx: CycloCtx, order: int, lam=()) -> CycloNum | None:
+def primitive_root(ctx: CycloCtx, order: int) -> CycloNum | None:
     """A primitive `order`-th root of unity in ctx, if one exists.
 
-    Looks at zeta_N powers first, then at ratios of the supplied scalars
-    (any root order forced by a spectrum condition is such a ratio).
+    The roots of unity in Q(zeta_N) are the N-th roots for even N and the
+    2N-th roots for odd N, so one exists exactly when order | N, or when N
+    is odd and order = 2m with m | N: then it is -zeta_N^(N/m).
     """
-    if order == 1:
-        return ctx.one()
-    if order == 2:
-        return ctx.from_fraction(-1)
-    if ctx.n % order == 0:
-        return ctx.zeta(ctx.n // order)
-    for a in lam:
-        for b in lam:
-            for cand in (a / b, -(a / b)):
-                if root_of_unity_order(cand) == order:
-                    return cand
+    n = ctx.n
+    if n % order == 0:
+        return ctx.zeta(n // order)
+    if n % 2 and order % 2 == 0 and n % (order // 2) == 0:
+        return -ctx.zeta(2 * n // order)
     return None
 
 
@@ -68,7 +63,7 @@ class ScalarClasses:
     rotation candidates are memoized: build one instance per (lam, l)."""
 
     def __init__(self, lam: list[CycloNum], l: int):
-        xi = primitive_root(lam[0].ctx, l, lam)
+        xi = primitive_root(lam[0].ctx, l)
         if xi is None:
             raise ValueError(f"no primitive {l}-th root available")
         roots = [lam[0].ctx.one()]

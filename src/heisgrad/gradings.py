@@ -25,7 +25,7 @@ from .scalars import CycloNum, format_scalar
 __all__ = [
     "Grading", "GradedTable", "PairedDecomposition",
     "verify_grading", "decomposition_failure", "universal_group",
-    "is_toral_fine", "coarsen",
+    "coarsen",
     "dual_vectors", "symplectic_gram_schmidt", "orthogonal_gram_schmidt",
     "homogeneous_symplectic_basis", "homogeneous_orthogonal_basis",
     "darboux_homogeneous_basis",
@@ -227,12 +227,6 @@ def universal_group(gr: Grading) -> tuple[AbGroup, Grading]:
         old = dict(zip(images, support))
         out.spans = {h: gr.spans[old[h]] for h in out.support}
     return group, out
-
-
-def is_toral_fine(gr: Grading) -> bool:
-    """Torality of a fine grading: its universal group is torsion-free."""
-    group, _ = universal_group(gr)
-    return group.is_torsion_free()
 
 
 def coarsen(gr: Grading, images: list[GroupElt]) -> Grading:

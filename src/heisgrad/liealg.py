@@ -11,15 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ._linalg import (SparseVect, Vect, is_zero_vect, kernel, line_coeff,
-                      mat_apply, rank, rref, sparse, vzero)
+from ._linalg import (SparseVect, Vect, is_zero_vect, kernel, mat_apply, rank,
+                      rref, sparse, vzero)
 from .scalars import CycloCtx, CycloNum, format_scalar, parse_scalar
 
 __all__ = [
     "MAX_DIM", "check_dim", "Algebra", "LinMap", "VerifyReport",
     "heisenberg", "heisenberg_super", "twisted",
     "axiom_failures", "verify_axioms", "center", "derived",
-    "is_automorphism", "similitude_factor", "terms_of_table",
+    "is_automorphism", "terms_of_table",
     "algebra_to_json", "algebra_from_json",
     "json_typed", "json_int", "json_ints", "vect_from_json",
 ]
@@ -42,9 +42,6 @@ def check_dim(dim: int) -> None:
 class VerifyReport:
     ok: bool
     failures: list[str] = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
 
 
 @dataclass
@@ -283,14 +280,6 @@ def is_automorphism(f: LinMap, a: Algebra) -> bool:
             if lhs != a.bracket(f[i], f[j]):
                 return False
     return True
-
-
-def similitude_factor(f: LinMap, a: Algebra) -> CycloNum:
-    """The scalar by which f acts on the (one-dimensional) center."""
-    c = center(a)
-    if len(c) != 1:
-        raise ValueError("algebra does not have a one-dimensional center")
-    return line_coeff(mat_apply(f, c[0]), c[0])
 
 
 # --- JSON interface ---------------------------------------------------------

@@ -600,7 +600,7 @@ def _class_ratios(scalars, base, modulus, root):
 def scalar_class_data(lam, l):
     """(modulus, root) of the type-I and of the type-II classes: the l-th
     roots of unity, except the 2l-th roots for type I when l is odd."""
-    xi = primitive_root(lam[0].ctx, l, lam)
+    xi = primitive_root(lam[0].ctx, l)
     if l % 2 == 0:
         return (l, xi), (l, xi)
     # -xi^((l+1)/2) is a primitive 2l-th root with square xi
@@ -685,7 +685,7 @@ def spectrum_check(lam, p):
     """Multiset equality of {+-lam_i} against the block orbit values."""
     if p.l * (p.r + 2 * p.s) != 2 * len(lam):
         return False
-    xi = primitive_root(lam[0].ctx, p.l, lam)
+    xi = primitive_root(lam[0].ctx, p.l)
     if xi is None:
         return False
     need = Counter()
@@ -724,7 +724,7 @@ def shapes(lam):
     every split of the 2k spectrum values into s type-I and r type-II blocks."""
     k = len(lam)
     for l in divisors(2 * k):
-        xi = primitive_root(lam[0].ctx, l, lam)
+        xi = primitive_root(lam[0].ctx, l)
         if xi is None:
             continue
         per = 2 * k // l

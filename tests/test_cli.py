@@ -553,6 +553,11 @@ BROKEN_GRADINGS = {
         {"algebra": {"kind": "super", "k": 1, "m": 1}, "group": {"rank": 1}, "components": [
             _component((0,), "1010", "0001"), _component((1,), "0100", "0010")]},
         "component (0) is not parity-graded"),
+    "support-does-not-generate": (
+        {"algebra": HEIS1, "group": {"rank": 3}, "components": [
+            _component((1, 0, 0), "100"), _component((0, 1, 0), "010"),
+            _component((1, 1, 0), "001")]},
+        "support does not generate the grading group"),
 }
 
 

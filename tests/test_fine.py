@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 import heisgrad.fine as fine
-from heisgrad._linalg import in_span, is_zero_vect, mat_apply, rref, vadd, vscale
+from heisgrad._linalg import is_zero_vect, mat_apply, rref, vadd, vscale
 from heisgrad.abelian import AbGroup
 from heisgrad.cli import auto_conductor
 from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, check_block,
                            decompose_twisted_grading,
                            enumerate_super_fine, enumerate_twisted_fine,
                            equivalent_fine, expected_twisted_group,
-                           heisenberg_fine, homogenize_u, rebase_scales_i,
+                           heisenberg_fine, homogenize_u, primitive_root, rebase_scales_i,
                            rebase_scales_ii, spectrum_check, super_fine,
                            twist, twisted_fine, twisted_fine_classes,
                            twisted_fine_nontoral, twisted_fine_toral)
-from heisgrad.gradings import Grading, is_toral_fine, universal_group, verify_grading
+from heisgrad.gradings import Grading, universal_group, verify_grading
 from heisgrad.liealg import Algebra, heisenberg, heisenberg_super, is_automorphism, twisted
-from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar
+from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar, root_of_unity_order
 from heisgrad.weyl import weyl_group
 
 import _helpers
@@ -51,7 +51,7 @@ def test_heisenberg_fine_k1():
     assert len(gr.support) == 3
     assert verify_grading(gr).ok
     assert gr.group == AbGroup(2, ())
-    assert is_toral_fine(gr)
+    assert universal_group(gr)[0].is_torsion_free()
     # degrees: e and ehat sum to the degree of z
     a = gr.algebra
     e_deg = next(g for g in gr.support if gr.components[g][0][0])
@@ -99,14 +99,14 @@ def test_super_fine_m0_matches_heisenberg():
 def test_super_fine_only_r_max_is_toral_for_even_m():
     for r in range(3):
         gr = super_fine(1, 4, r)
-        assert is_toral_fine(gr) == (r == 2)
+        assert universal_group(gr)[0].is_torsion_free() == (r == 2)
 
 
 def test_super_fine_torality_for_odd_m():
     # for odd m the maximal-r grading leaves one unpaired odd line and
     # its universal group is still torsion-free, hence toral
-    assert is_toral_fine(super_fine(1, 3, 1))
-    assert not is_toral_fine(super_fine(1, 3, 0))
+    assert universal_group(super_fine(1, 3, 1))[0].is_torsion_free()
+    assert not universal_group(super_fine(1, 3, 0))[0].is_torsion_free()
 
 
 def test_twisted_fine_toral_relations(ctx16):
@@ -124,14 +124,14 @@ def test_twisted_fine_toral_relations(ctx16):
         assert a.bracket(u, vi) == vscale(-li, vi)
         assert a.bracket(ui, vi) == vscale(-2 * li, z)
     assert gr.group == AbGroup(3, ())
-    assert is_toral_fine(gr)
+    assert universal_group(gr)[0].is_torsion_free()
 
 
 def test_twisted_fine_nontoral_group(ctx16):
     lam = [ctx16.one(), ctx16.from_fraction(2)]
     gr = twisted_fine_nontoral(lam)
     assert gr.group == AbGroup(1, (2, 2))
-    assert not is_toral_fine(gr)
+    assert not universal_group(gr)[0].is_torsion_free()
 
 
 # --- blocks ------------------------------------------------------------------
@@ -362,6 +362,21 @@ def test_shape_mismatch_is_inequivalent(ctx16, lam_iiii):
     pa = FineTwistedParams(2, 2, 0, (one, ii), ())
     pb = FineTwistedParams(2, 0, 4, (), (one, one, ii, ii))
     assert not equivalent_fine(lam_iiii, pa, pb)
+    assert not fine.ScalarClasses(lam_iiii, 2).equivalent(pa, pb)
+
+
+def test_primitive_root_closed_form():
+    # the roots of unity in Q(zeta_N) are the N-th roots for even N and the
+    # 2N-th roots for odd N: for odd N, -zeta_N^(N/m) has order 2m
+    for n in (3, 5, 15):
+        ctx = CycloCtx(n)
+        for d in {6, 10, 30, *range(1, 4 * n)}:
+            root = primitive_root(ctx, d)
+            assert (root and root_of_unity_order(root)) == (d if 2 * n % d == 0 else None), (n, d)
+    for n in range(4, 49, 2):
+        ctx = CycloCtx(n)
+        for d in range(1, 2 * n + 1):
+            assert primitive_root(ctx, d) == (ctx.zeta(n // d) if n % d == 0 else None), (n, d)
 
 
 def test_mixed_type_pair_is_equivalent_with_witness(ctx16, lam_iiii):
@@ -400,7 +415,7 @@ def test_mixed_type_pair_is_equivalent_with_witness(ctx16, lam_iiii):
     for g in ga.support:
         img = [mat_apply(cols, v) for v in ga.components[g]]
         hits = [h for h in gb.support
-                if all(in_span(list(gb.components[h]), w) for w in img)]
+                if same_span(gb.components[h], [*gb.components[h], *img])]
         assert len(hits) == 1
         images.append(hits[0].key())
     assert len(set(images)) == len(ga.support)
@@ -428,7 +443,7 @@ def test_homogenize_u_after_transport(ctx16):
         # the degree of u' has finite order in the universal group
         _, canon = universal_group(moved)
         deg = next(g for g in canon.support
-                   if in_span(list(canon.components[g]), u_new))
+                   if same_span(canon.components[g], [*canon.components[g], u_new]))
         assert deg.order() is not None
 
 
@@ -508,7 +523,7 @@ def test_decompose_finds_a_type_ii_vector_as_a_pair_sum():
         sums.append(vadd(*basis))
     _, blocks_i, blocks_ii, q = decompose_twisted_grading(gr)
     assert (q.l, q.s, q.r) == (2, 0, 3)
-    assert any(in_span([x], v) for x in sums for blk in blocks_ii for v in blk.elements())
+    assert any(same_span([x], [x, v]) for x in sums for blk in blocks_ii for v in blk.elements())
 
 
 def _synthetic_lambda(l, s, r, beta_bases, alpha_bases):

@@ -10,7 +10,7 @@ from heisgrad.gradings import (Grading, PairedDecomposition,
                                darboux_homogeneous_basis, coarsen,
                                grading_from_json, grading_to_json,
                                homogeneous_orthogonal_basis,
-                               homogeneous_symplectic_basis, is_toral_fine,
+                               homogeneous_symplectic_basis,
                                universal_group, verify_grading)
 from heisgrad.liealg import heisenberg
 from heisgrad.scalars import CycloCtx
@@ -148,11 +148,11 @@ def test_universal_group_idempotent():
 
 
 def test_toral_flags():
-    assert is_toral_fine(heisenberg_fine(2))
+    assert universal_group(heisenberg_fine(2))[0].is_torsion_free()
     ctx = CycloCtx(8)
     lam = [ctx.one(), ctx.from_fraction(2)]
-    assert not is_toral_fine(twisted_fine_nontoral(lam))
-    assert is_toral_fine(super_fine(1, 4, 2))
+    assert not universal_group(twisted_fine_nontoral(lam))[0].is_torsion_free()
+    assert universal_group(super_fine(1, 4, 2))[0].is_torsion_free()
 
 
 def test_coarsen_to_trivial_and_identity():

@@ -6,7 +6,7 @@ import pytest
 from heisgrad._linalg import mat_apply, sparse, vscale
 from heisgrad.liealg import (Algebra, algebra_from_json, algebra_to_json, center,
                              derived, heisenberg, heisenberg_super, is_automorphism,
-                             similitude_factor, terms_of_table, twisted, verify_axioms)
+                             terms_of_table, twisted, verify_axioms)
 from heisgrad.scalars import CycloCtx, parse_scalar
 
 from _helpers import (color_table, compose_maps, dense_center, dense_derived, dense_table,
@@ -134,7 +134,6 @@ def test_is_automorphism_identity_and_torus():
     a = heisenberg(2)
     f = identity_map(a)
     assert is_automorphism(f, a)
-    assert similitude_factor(f, a) == a.ctx.one()
     # diagonal torus element t_(l1, l2; l)
     lam = a.ctx.from_fraction(Fraction(3, 2))
     l1 = a.ctx.from_fraction(2)
@@ -143,7 +142,6 @@ def test_is_automorphism_identity_and_torus():
             vscale(l2, a.basis_vect(2)), vscale(lam / l2, a.basis_vect(3)),
             vscale(lam, a.basis_vect(4))]
     assert is_automorphism(cols, a)
-    assert similitude_factor(cols, a) == lam
 
 
 def test_plain_swap_is_not_automorphism():
@@ -171,7 +169,7 @@ def test_parity_violating_map_rejected():
     assert not is_automorphism(cols, a)
 
 
-def test_similitude_factor_is_multiplicative():
+def test_composed_random_automorphisms_are_automorphisms():
     rng = random.Random(11)
     a = heisenberg(2)
     for _ in range(5):
@@ -179,8 +177,6 @@ def test_similitude_factor_is_multiplicative():
         g = random_heisenberg_automorphism(a, rng)
         fg = compose_maps(f, g)
         assert is_automorphism(fg, a)
-        assert (similitude_factor(fg, a)
-                == similitude_factor(f, a) * similitude_factor(g, a))
 
 
 def test_random_automorphism_helpers():

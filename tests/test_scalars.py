@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 from fractions import Fraction
@@ -174,6 +175,7 @@ def test_parse_and_format_roundtrip():
                  "1/2*zeta(8)^3 + 2 - i", "(1+i)*(1-i)", "zeta(8)^-1"):
         x = parse_scalar(text, ctx)
         assert parse_scalar(format_scalar(x), ctx) == x
+    assert parse_scalar(" 1 ", ctx) == parse_scalar("i + 1  ", ctx) - ctx.i() == ctx.one()
 
 
 def test_parse_rejects_garbage():
@@ -230,6 +232,21 @@ def test_division():
         ctx.zero().inv()
 
 
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+def test_arithmetic_with_a_non_number_raises_type_error(op):
+    x = CycloCtx(8).zeta()
+    for left, right in ((x, None), (None, x), (x, "1"), ("1", x)):
+        with pytest.raises(TypeError):
+            getattr(operator, op)(left, right)
+    assert x != "1" and x != object()  # equal to no non-number
+
+
+def test_rational_on_the_left():
+    z = CycloCtx(8).zeta()
+    assert 1 - z + z == 1 and Fraction(1, 2) - z + z == Fraction(1, 2)
+    assert 1 / z == z ** 7 and 2 / z * z == 2
+
+
 def test_hash_agrees_with_eq():
     ctx = CycloCtx(12)
     half = Fraction(1, 2)
@@ -239,6 +256,9 @@ def test_hash_agrees_with_eq():
     z = ctx.zeta()
     assert hash((z + 1) * (z - 1)) == hash(z * z - 1)
     assert len({z ** 12, ctx.one(), 1, Fraction(1)}) == 1
+    # contexts are equal and hash alike by conductor
+    assert len({CycloCtx(4), CycloCtx(4), CycloCtx(8)}) == 2
+    assert repr(CycloCtx(12)) == "CycloCtx(12)"
 
 
 @pytest.mark.parametrize("n", [1, 4, 16, 24])

@@ -199,6 +199,10 @@ MUTANTS = [
            "tuple((a + b) % d for a, b, d in",
            "tuple(a + b for a, b, d in",
            ("tests/test_abelian.py::test_element_arithmetic_matches_the_validating_constructor",)),
+    Mutant("odd-conductor-root-without-the-sign", "fine.py",
+           "        return -ctx.zeta(2 * n // order)",
+           "        return ctx.zeta(2 * n // order)",
+           ("tests/test_fine.py::test_primitive_root_closed_form",)),
 ]
 
 
