@@ -422,6 +422,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
+    # argparse takes a value that begins with "-", as "-1,2" does, for an option:
+    # join it to --twisted or --params (--twisted=TEXT) unless it is an option string
+    argv = list(sys.argv[1:] if argv is None else argv)
+    options = {s for p in ap._subparsers._group_actions[0].choices.values()
+               for s in p._option_string_actions}
+    i = 0
+    while i < len(argv) - 1:
+        if argv[i] in ("--twisted", "--params") and argv[i + 1] not in options:
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        i += 1
     args = ap.parse_args(argv)
     out = sys.stdout
     try:

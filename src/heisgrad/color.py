@@ -9,7 +9,7 @@ recognition of arbitrary graded structures as standard forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ._linalg import Vect, line_coeff, rank, vscale
+from ._linalg import Vect, rank, vscale
 from .abelian import (AbGroup, GroupElt, canonicalize, express_in_terms,
                       generates, subgroup_presentation)
 from .gradings import (Grading, _graded_paired_basis, decomposition_failure,
@@ -270,44 +270,31 @@ def classify_color(a: Algebra, gr: Grading, eps: Bicharacter):
             raise ValueError(f"epsilon({g},{g}) must be -1 on a self-paired degree")
         return False
 
-    degrees, pieces, blocks = _graded_paired_basis(gr, z, alternating)
+    degrees, pieces, blocks, pairing = _graded_paired_basis(gr, z, alternating)
     g0 = degrees[0]
     basis: list[tuple[str, GroupElt, Vect]] = [("z", g0, z)]
+    products = []  # (x, y, w, failure): the standard products [x, y] = w
     for i, j, pairs, diag in blocks:
         tag = "0" if i == 0 else _deg_tag(degrees[i])
+        back = vscale(-eps(degrees[j], degrees[i]), z)
         for n, (u, uh) in enumerate(pairs, start=1):
-            basis += [(f"u{tag}_{n}", degrees[i], u), (f"uh{tag}_{n}", degrees[j], uh)]
+            name, mate = f"u{tag}_{n}", f"uh{tag}_{n}"
+            basis += [(name, degrees[i], u), (mate, degrees[j], uh)]
+            products += [(u, uh, z, f"[{name}, {mate}] is not z"),
+                         (uh, u, back, f"[{mate}, {name}] has the wrong sign")]
         for n, x in enumerate(diag, start=1):
-            # normalize [x, x] = z
-            x = vscale(sqrt_scalar(line_coeff(a.bracket(x, x), z).inv()), x)
+            x = vscale(sqrt_scalar(pairing(x, x).inv()), x)  # [x, x] = z
             basis.append((f"s{tag}_{n}", degrees[i], x))
+            products.append((x, x, z, f"[s{tag}_{n}, s{tag}_{n}] is not z"))
     dims = {g: len(piece) for g, piece in zip(degrees, pieces)}
     dims[g0] += 1  # z, which the first piece leaves out
 
     t = ColorType(group, g0, eps, dims)
     t.validate()
-    _check_standard_products(a, eps, g0, basis, z)
+    for x, y, w, failure in products:
+        if a.bracket(x, y) != w:
+            raise AssertionError(failure)
     return t, basis
-
-
-def _check_standard_products(a: Algebra, eps: Bicharacter, g0, basis, z):
-    named = {name: (g, v) for name, g, v in basis}
-    for name, g, v in basis:
-        if name == "z":
-            continue
-        if name.startswith("uh"):
-            continue
-        if name.startswith("u"):
-            mate = "uh" + name[1:]
-            gh, vh = named[mate]
-            if a.bracket(v, vh) != z:
-                raise AssertionError(f"[{name}, {mate}] is not z")
-            want = vscale(-eps(-g + g0, g), z)
-            if a.bracket(vh, v) != want:
-                raise AssertionError(f"[{mate}, {name}] has the wrong sign")
-        elif name.startswith("s"):
-            if a.bracket(v, v) != z:
-                raise AssertionError(f"[{name}, {name}] is not z")
 
 
 # --- JSON interface ---------------------------------------------------------

@@ -12,12 +12,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import chain
 from typing import ClassVar, Iterator
 
 from ._linalg import (SparseVect, Vect, combinations, intersection, is_zero_vect,
-                      kernel, line_coeff, mat_apply, rref, sparse, transpose,
-                      vadd, vscale, vsub)
+                      line_coeff, rref, sparse, transpose, vadd, vscale, vsub)
 from .abelian import AbGroup, GroupElt, group_product
 from .liealg import Algebra, heisenberg, heisenberg_super, twisted
 from .gradings import Grading, universal_group
@@ -594,7 +594,7 @@ def _twisted_fine(a: Algebra, lam: list[CycloNum], p: FineTwistedParams,
         return raw.brackets(degree[id(x)], degree[id(y)])[0]
 
     def coords(v):
-        return raw._slots[degree[id(v)]][2][0]
+        return raw._slots[degree[id(v)]][1][0]
 
     for blk in blocks_i:
         verify_block_i(bracket, coords, u_vec, z_vec, blk)
@@ -738,9 +738,8 @@ def homogenize_u(gr: Grading) -> tuple[Vect, list[tuple[Vect, Vect]], Vect]:
                       vadd(v_i, vscale(2 * alpha_i, z))))
     # sanity: the adjusted basis keeps the defining relations
     for i, (ui, vi) in enumerate(pairs):
-        if a.bracket(u_new, ui) != vscale(lam[i], ui):
-            raise AssertionError("adjusted pair fails the ad(u') eigen relation")
-        if a.bracket(u_new, vi) != vscale(-lam[i], vi):
+        if (a.bracket(u_new, ui) != vscale(lam[i], ui)
+                or a.bracket(u_new, vi) != vscale(-lam[i], vi)):
             raise AssertionError("adjusted pair fails the ad(u') eigen relation")
         if a.bracket(ui, vi) != vscale(-2 * lam[i], z):
             raise AssertionError("adjusted pair fails the pairing relation")
@@ -779,30 +778,26 @@ def decompose_twisted_grading(gr: Grading):
     if l is None:
         raise ValueError("the degree of u has infinite order; not a grading")
 
-    def phi(v: Vect) -> Vect:
-        return a.bracket(u_new, v)
-
-    def walk(v: Vect) -> list[Vect]:  # [phi^j(v) : j = 1..l], one bracket each
-        out = []
-        for _ in range(l):
-            v = phi(v)
-            out.append(v)
-        return out
+    phi = partial(a.bracket, sparse(u_new))  # ad(u'), on the nonzero coordinates of u'
 
     def block_orbit(x: Vect, mu: CycloNum) -> list[Vect]:  # [mu^-j phi^j(x) : j = 1..l]
-        return [vscale(mu ** -j, w) for j, w in enumerate(walk(x), start=1)]
+        out = []
+        for j in range(1, l + 1):
+            x = phi(x)  # one bracket each
+            out.append(vscale(mu ** -j, x))
+        return out
 
-    # eigenvalue-power kernels V_mu^l = ker(phi^l - mu^l), inside
-    # [u', L], which the adjusted pairs span
+    # V_mu^l = ker(phi^l - mu^l) inside [u', L]: the adjusted pairs span [u', L]
+    # and are phi-eigenvectors (lam_i and -lam_i, checked by homogenize_u), so
+    # V_mu^l is the span of those whose eigenvalue nu has nu^l = mu^l
     ambient = [p[0] for p in pairs] + [p[1] for p in pairs]
-    images = [walk(v)[-1] for v in ambient]
+    powers = [x ** l for x in lam] + [(-x) ** l for x in lam]
     spectrum = sorted(_spectrum(lam), key=lambda v: v.sort_key())
 
     @cache
     def v_l(mu: CycloNum) -> tuple[list[Vect], list[int]]:  # rref of V_mu^l, once per mu
         mul = mu ** l
-        rows = transpose([vsub(img, vscale(mul, v)) for img, v in zip(images, ambient)])
-        return rref([mat_apply(ambient, c) for c in kernel(rows, ctx, len(ambient))])
+        return rref([v for v, nul in zip(ambient, powers) if nul == mul])
 
     remaining = _graded_pieces(gr, ambient)
     blocks_i: list[BlockI] = []
@@ -821,27 +816,24 @@ def decompose_twisted_grading(gr: Grading):
         degrees = sorted(remaining, key=lambda e: e.key())
         # remaining[g] meets V_mu^l, once per (g, mu) of this round
         meet = cache(lambda g, mu: intersection(remaining[g], v_l(mu), ctx))
-        hit = next(((mu, meet(g, mu)) for mu in spectrum if v_l(mu)[0]
+        hit = next(((mu, meet(g, mu)[0]) for mu in spectrum if v_l(mu)[0]
                     for g in degrees if meet(g, mu)), None)
         if hit is None:
             raise AssertionError("leftover graded subspace without eigen content")
-        mu, inter = hit
+        mu, x = hit
         if l % 2 == 0:
-            x2 = _find_selfpaired(a, (meet(g, mu) for g in degrees), phi, z)
-            if x2 is not None:
-                c = line_coeff(a.bracket(x2, phi(x2)), z)
-                t = sqrt_scalar((mu * mu) / c)
-                x2 = vscale(t, x2)
+            found = _find_selfpaired(a, (meet(g, mu) for g in degrees), phi, z)
+            if found is not None:
+                x2, q = found  # [x2, phi(x2)] = q z, scaled to mu^2 z
+                x2 = vscale(sqrt_scalar(mu * mu / q), x2)
                 blk = BlockII(l // 2, mu, tuple(block_orbit(x2, mu)))
                 check_block(a, u_new, z, blk)
                 blocks_ii.append(blk)
                 centralize(blk.elements())
                 continue
         partner = mu if l % 2 == 0 else -mu  # V_mu^l = V_(-mu)^l for even l
-        x = inter[0]
-        y = _find_partner(a, x, (meet(g, partner) for g in degrees))
-        c = line_coeff(a.bracket(x, y), z)
-        y = vscale(mu / c, y)
+        y, c = _find_partner(a, x, z, (meet(g, partner) for g in degrees))
+        y = vscale(mu / c, y)  # [x, y] = c z, scaled to mu z
         blk = BlockI(l, mu, tuple(block_orbit(x, mu)), tuple(block_orbit(y, mu)))
         check_block(a, u_new, z, blk)
         blocks_i.append(blk)
@@ -861,33 +853,28 @@ def _centralizer_in(a: Algebra, vecs: list[Vect], targets: list[Vect]) -> list[V
     return combinations(vecs, rows, a.ctx)
 
 
-def _find_selfpaired(a: Algebra, meets, phi, z: Vect):
-    """A homogeneous x in the remaining part of V_mu^l (meets, its
-    intersections with the remaining components) with [x, phi(x)] != 0, or
-    None when the pairing form vanishes identically there."""
-
-    def q_value(v: Vect) -> CycloNum:
-        return line_coeff(a.bracket(v, phi(v)), z)
-
+def _find_selfpaired(a: Algebra, meets, phi, z: Vect) -> tuple[Vect, CycloNum] | None:
+    """(x, q): a homogeneous x in the remaining part of V_mu^l (meets, its
+    intersections with the remaining components), a basis vector or else a
+    sum of two, with [x, phi(x)] = q z != 0; None when the pairing form
+    vanishes identically there."""
     for inter in meets:
-        n = len(inter)
-        for i in range(n):
-            if q_value(inter[i]):
-                return inter[i]
-        for i in range(n):
-            for j in range(i + 1, n):
-                cand = vadd(inter[i], inter[j])
-                if q_value(cand):
-                    return cand
+        sums = (vadd(v, w) for i, v in enumerate(inter) for w in inter[i + 1:])
+        for x in chain(inter, sums):
+            q = line_coeff(a.bracket(x, phi(x)), z)
+            if q:
+                return x, q
     return None
 
 
-def _find_partner(a: Algebra, x: Vect, meets) -> Vect:
-    """A homogeneous y in the remaining part of the partner eigenspace
-    (meets, its intersections with the remaining components) with [x, y] != 0."""
+def _find_partner(a: Algebra, x: Vect, z: Vect, meets) -> tuple[Vect, CycloNum]:
+    """(y, c): a homogeneous y in the remaining part of the partner eigenspace
+    (meets, its intersections with the remaining components) with
+    [x, y] = c z != 0."""
     for inter in meets:
         for y in inter:
-            if not is_zero_vect(a.bracket(x, y)):
-                return y
+            w = a.bracket(x, y)
+            if not is_zero_vect(w):
+                return y, line_coeff(w, z)
     raise AssertionError("no pairing partner found for the extracted orbit")
 

@@ -70,10 +70,10 @@ class Grading:
                      if is_zero_vect(reduce_against(rows, pivots, v))), None)
 
     @cached_property
-    def _slots(self) -> dict[GroupElt, tuple[int, tuple[Vect, ...], list[SparseVect]]]:
-        """The position of each component in components, its vectors and
-        their nonzero coordinates, which the bracket memo brackets."""
-        return {g: (i, vs, [sparse(v) for v in vs])
+    def _slots(self) -> dict[GroupElt, tuple[int, list[SparseVect]]]:
+        """The position of each component in components and the nonzero
+        coordinates of its vectors, which the bracket memo brackets."""
+        return {g: (i, [sparse(v) for v in vs])
                 for i, (g, vs) in enumerate(self.components.items())}
 
     @cached_property
@@ -127,13 +127,13 @@ class Grading:
     @cached_property
     def nonzero_basis(self) -> list[SparseVect]:
         """The nonzero coordinates of the basis vectors of table, in its order."""
-        return [v for g in self.support for v in self._slots[g][2]]
+        return [v for g in self.support for v in self._slots[g][1]]
 
     def brackets(self, g: GroupElt, h: GroupElt) -> list[SparseVect]:
         """The nonzero coordinates of [x, y] for x in the basis of component g
         and y in that of component h, row by row (x outer), bracketed once
         per pair, on first use, from the nonzero coordinates of x and y."""
-        (i, _, xs), (j, _, ys) = self._slots[g], self._slots[h]
+        (i, xs), (j, ys) = self._slots[g], self._slots[h]
         block = self._brackets.get((i, j))
         if block is None:
             bracket = self.algebra.bracket
@@ -460,7 +460,7 @@ def _graded_paired_basis(gr: Grading, z: Vect, alternating: Callable[[GroupElt],
     the pairing [x, y] = <x, y> z, which pairs V_g with V_(-g+g0) for g0
     the degree of z.  The first piece is a complement of z in V_g0, then
     come V_0 (when g0 != 0) and the rest of the support in order.  Returns
-    (degrees, pieces, blocks): the degree of each piece, g0 first."""
+    (degrees, pieces, blocks, pairing): the degree of each piece, g0 first, and <x, y>."""
     a = gr.algebra
     g0 = gr.degree_of(z)
     if g0 is None:
@@ -481,7 +481,7 @@ def _graded_paired_basis(gr: Grading, z: Vect, alternating: Callable[[GroupElt],
         return line_coeff(a.bracket(x, y), z)
 
     return degrees, pieces, _paired_basis(pairing, pieces, partner,
-                                          lambda i: alternating(degrees[i]))
+                                          lambda i: alternating(degrees[i])), pairing
 
 
 def darboux_homogeneous_basis(gr: Grading) -> list[Vect]:
@@ -496,9 +496,9 @@ def darboux_homogeneous_basis(gr: Grading) -> list[Vect]:
     if a.is_super():
         raise ValueError("a Darboux basis needs a Lie algebra: odd components pair symmetrically")
     z = cen[0]
-    _, _, blocks = _graded_paired_basis(gr, z, lambda g: True)
+    _, _, blocks, pairing = _graded_paired_basis(gr, z, lambda g: True)
     pairs = [pair for _, _, block, _ in blocks for pair in block]
-    _check_gram(lambda x, y: line_coeff(a.bracket(x, y), z), pairs, [], -1)
+    _check_gram(pairing, pairs, [], -1)
     return [z] + [v for pair in pairs for v in pair]
 
 

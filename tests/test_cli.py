@@ -371,6 +371,24 @@ def test_extra_params_section_is_a_parse_error(capsys):
     assert "4 sections, at most 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["enumerate-fine", "weyl"])
+def test_twisted_value_may_begin_with_a_minus_sign(command, capsys):
+    # argparse takes a token that begins with "-" for an option; main joins
+    # it to --twisted, as the --twisted=TEXT spelling does
+    code, text = run_cli(command, "--twisted", "-1,2")
+    assert code == 0 and text
+    assert capsys.readouterr().err == ""
+    assert run_cli(command, "--twisted=-1,2") == (code, text)
+    assert capsys.readouterr().err == ""
+
+
+def test_twisted_followed_by_an_option_still_lacks_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl", "--twisted", "--format", "json"])
+    assert exc.value.code == 2
+    assert "argument --twisted: expected one argument" in capsys.readouterr().err
+
+
 def test_cap_is_a_weyl_option_only():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--cap", "3", "{}"])

@@ -447,12 +447,21 @@ def test_homogenize_u_after_transport(ctx16):
         assert deg.order() is not None
 
 
+# lambda draws whose classes take every kind of block order: l = 1, odd
+# l > 1 (l = 3 at conductor 24) and even l with type-II blocks
+DECOMPOSE_DRAWS = ("zeta(3),zeta(3)^2,1,i*zeta(3),i*zeta(3)^2,i",)
+
+
 def test_decompose_round_trips(ctx16, lam_iiii):
-    for p in enumerate_twisted_fine(lam_iiii):
-        gr = twisted_fine(lam_iiii, p)
-        _, bi, bii, q = decompose_twisted_grading(gr)
-        assert (q.l, q.s, q.r) == (p.l, p.s, p.r)
-        assert equivalent_fine(lam_iiii, p, q)
+    shapes = set()
+    for lam in (lam_iiii, *map(_lambda, DECOMPOSE_DRAWS)):
+        for p in enumerate_twisted_fine(lam):
+            gr = twisted_fine(lam, p)
+            _, bi, bii, q = decompose_twisted_grading(gr)
+            assert (q.l, q.s, q.r) == (p.l, p.s, p.r)
+            assert equivalent_fine(lam, p, q)
+            shapes.add((p.l, p.s, p.r))
+    assert {(1, 6, 0), (3, 2, 0), (2, 0, 4), (4, 0, 2), (12, 0, 1)} <= shapes
 
 
 def test_decompose_named_gradings(ctx16):
@@ -558,7 +567,7 @@ def test_larger_block_orders():
     assert gr.group == expected_twisted_group(8, 1, 0)
 
 
-def test_decompose_transported(ctx16):
+def test_decompose_transported(ctx16, lam_iiii):
     rng = random.Random(23)
     lam = [ctx16.one(), ctx16.from_fraction(2)]
     base = twisted_fine_toral(lam)
@@ -568,6 +577,12 @@ def test_decompose_transported(ctx16):
         moved = transport_grading(base, f)
         _, _, _, q = decompose_twisted_grading(moved)
         assert equivalent_fine(lam, p0, q)
+    # every class of the draws, each moved by its own random automorphism
+    for lam in (lam_iiii, *map(_lambda, DECOMPOSE_DRAWS)):
+        for p, gr in twisted_fine_classes(lam):
+            moved = transport_grading(gr, random_twisted_automorphism(gr.algebra, rng))
+            _, _, _, q = decompose_twisted_grading(moved)
+            assert equivalent_fine(lam, p, q)
 
 
 # --- bracket work of the twisted constructor ------------------------------------

@@ -148,7 +148,7 @@ MUTANTS = [
            "",
            ("tests/test_gradings.py::test_gram_check_rejects_a_wrong_pair",)),
     Mutant("darboux-without-gram-check", "gradings.py",
-           "    _check_gram(lambda x, y: line_coeff(a.bracket(x, y), z), pairs, [], -1)\n",
+           "    _check_gram(pairing, pairs, [], -1)\n",
            "",
            ("tests/test_gradings.py::test_gram_check_rejects_a_wrong_pair",)),
     Mutant("verify-reads-one-orientation-of-every-algebra", "gradings.py",
@@ -203,6 +203,16 @@ MUTANTS = [
            "        return -ctx.zeta(2 * n // order)",
            "        return ctx.zeta(2 * n // order)",
            ("tests/test_fine.py::test_primitive_root_closed_form",)),
+    Mutant("v-l-from-mu-not-its-power", "fine.py",
+           "rref([v for v, nul in zip(ambient, powers) if nul == mul])",
+           "rref([v for v, nu in zip(ambient, lam + [-x for x in lam]) if nu == mu])",
+           ("tests/test_fine.py::test_decompose_round_trips",
+            "tests/test_fine.py::test_decompose_transported")),
+    Mutant("standard-products-without-the-sign", "color.py",
+           "back = vscale(-eps(degrees[j], degrees[i]), z)",
+           "back = vscale(eps(degrees[j], degrees[i]), z)",
+           ("tests/test_color.py::test_classify_mixed_type_with_scramble",
+            "tests/test_color.py::test_classify_restricts_a_nontrivial_epsilon_to_the_support")),
 ]
 
 
