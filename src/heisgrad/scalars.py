@@ -7,11 +7,12 @@ common factor.  The representation is canonical, so equality is literal
 (numerators, denominator) equality and every computation stays exact.
 Arithmetic is integer-only: a product is an integer convolution reduced
 by long division by the monic phi_N (a zero or rational factor only
-scales the other's numerators), and an inverse is a fraction-free
-linear solve.  Each CycloCtx object computes a product of two operands,
-or an inverse, once and then returns the stored canonical result, within
-a budget of stored coefficients.  Fractions appear only where rationals
-enter or leave.
+scales the other's numerators); 1 / (c zeta_N^k) is c^-1 zeta_N^(N-k),
+any other inverse a fraction-free (Bareiss) solve.  Each CycloCtx object
+computes a product of two operands, or an inverse, once and then returns
+the stored canonical result, within a budget of stored coefficients.
+Fractions appear only where rationals enter or leave.  A one-term text
+is read by one regular expression, any other by the grammar.
 """
 
 from __future__ import annotations
@@ -369,13 +370,21 @@ def _product(ctx: CycloCtx, x: CycloNum, y: CycloNum) -> CycloNum:
 
 
 def _inverse(x: CycloNum) -> CycloNum:
+    """1 / x for x != 0, uncached: c^-1 * zeta_N^(N-k) for a one-term
+    x = c * zeta_N^k (a rational when k = 0), else _bareiss(x)."""
+    terms = [k for k, c in enumerate(x.num) if c]
+    if len(terms) > 1:
+        return _bareiss(x)
+    k, = terms
+    den = x.den if x.num[k] > 0 else -x.den
+    return _make(x.ctx, [den * t for t in x.ctx.zeta(x.ctx.n - k).num], abs(x.num[k]))
+
+
+def _bareiss(x: CycloNum) -> CycloNum:
     """1 / x for x != 0, uncached: solve M y = e0 for the integer matrix M
     of multiplication by x.num, by fraction-free (Bareiss) elimination and
     back-substitution, so every division is exact."""
     ctx, d = x.ctx, x.ctx.degree
-    if x.is_rational():
-        a = x.num[0]
-        return _make(ctx, [x.den if a > 0 else -x.den] + [0] * (d - 1), abs(a))
     cols = [x.num]
     for _ in range(d - 1):
         cols.append(ctx._reduce([0, *cols[-1]], 1).num)
@@ -500,6 +509,7 @@ def sqrt_scalar(x: CycloNum) -> CycloNum:
 # parentheses.  This is the scalar syntax used by the CLI and JSON formats.
 
 _TOKEN = re.compile(r"\s*(\d+|zeta|i\b|\*|\+|-|/|\^|\(|\))")
+_ONE_TERM = re.compile(r"(-?)(?=[\dz])(?:(\d+)(?:/(\d+))?(?:\*(?=z)|\Z))?(?:zeta\((\d+)\)(?:\^(\d+))?)?")
 MAX_DIGITS = 1000  # of an integer literal, and of the coefficients of every value
 MAX_EXPONENT = 10_000  # |k| in x^k
 
@@ -532,10 +542,30 @@ def scan_conductors(text: str) -> list[int]:
     return need
 
 
+def _one_term(text: str, ctx: CycloCtx) -> CycloNum | None:
+    """+-a/b * zeta_N^k for a one-term text [-]a[/b] or [-][a[/b]*]zeta(N)[^k]
+    as format_scalar writes it; None (the grammar decides) for any other
+    text, or one that may meet a limit or an error of the grammar."""
+    if len(text) > MAX_DIGITS or not (m := _ONE_TERM.fullmatch(text)):
+        return None
+    sign, a, b, n, k = m.groups()
+    b, n, k = int(b or 1), int(n or ctx.n), int(k or 1) if n else 0  # no zeta(N): zeta_N^0
+    if not b or not n or ctx.n % n or k > MAX_EXPONENT:
+        return None
+    z = ctx.zeta(ctx.n // n * k)
+    # the grammar's digit bounds hold for a monomial zeta(N) and a z of coefficients in {-1, 0, 1}
+    if (m[5] and ctx.n // n >= ctx.degree) or max(map(abs, z.num)) > 1:
+        return None
+    a = -int(a or 1) if sign else int(a or 1)
+    return _make(ctx, [a * c for c in z.num], b)
+
+
 def parse_scalar(text: str, ctx: CycloCtx) -> CycloNum:
     """Parse the textual scalar syntax into an element of `ctx`."""
     if not isinstance(text, str):
         raise ScalarSyntaxError(f"a scalar must be a string, got {text!r:.40}")
+    if (v := _one_term(text, ctx)) is not None:
+        return v
     toks = _tokenize(text)
     pos = 0
 

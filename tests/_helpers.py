@@ -157,12 +157,6 @@ def rand_fraction(rng: random.Random, nonzero=False) -> Fraction:
             return q
 
 
-def _column_update(a: Algebra, cols, idx, vec):
-    cols = list(cols)
-    cols[idx] = vec
-    return cols
-
-
 def random_heisenberg_automorphism(a: Algebra, rng: random.Random) -> LinMap:
     """A random automorphism of a plain Heisenberg algebra: diagonal torus
     element, pair permutation, symplectic flips, a shear and a central

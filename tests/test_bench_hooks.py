@@ -257,6 +257,33 @@ def test_scalar_parses_per_roundtrip_pass_are_bounded(monkeypatch):
     assert calls[0] <= 249, calls[0]
 
 
+def test_grammar_runs_and_bareiss_solves_per_roundtrip_pass_are_exact(monkeypatch):
+    # a one-term text, as format_scalar writes it, is read without the
+    # tokenizer and the grammar, and a one-term value c * zeta^k inverted as
+    # c^-1 * zeta^(N-k) without a Bareiss solve; the counts are those of the
+    # seed-23 roundtrip batch at that design (261 grammar runs and 48
+    # Bareiss solves, 47 of them of one-term values, before it)
+    import heisgrad.scalars as scalars
+    workloads = _load_bench("workloads")
+    calls = {"_tokenize": 0, "_bareiss": 0}
+
+    def counted(name):
+        function = getattr(scalars, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    jobs = workloads.make_jobs("roundtrip", 23)
+    for name in calls:
+        monkeypatch.setattr(scalars, name, counted(name))
+    for job in jobs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            heisgrad.cli.main(job["argv"])
+    assert calls == {"_tokenize": 2, "_bareiss": 1}, calls
+
+
 def test_intersections_per_roundtrip_pass_are_bounded(monkeypatch):
     # decompose meets each remaining component with each V_mu^l once per
     # extraction round, and the hit search, the self-paired search and the

@@ -8,9 +8,11 @@ rational matrices check the row operations that skip zero entries and
 the inverse, in the regular representation of the field.
 """
 
+import contextlib
 import sys
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 import sympy
@@ -20,8 +22,9 @@ import heisgrad.scalars as scalars
 from heisgrad._linalg import (combinations, intersection, kernel,
                               line_coeff, mat_inverse, rank, rref, sparse, vadd,
                               vscale)
-from heisgrad.scalars import (MEMO_COEFFICIENTS, CycloCtx, _inverse, _product,
-                              cyclotomic_poly, embed, format_scalar, parse_scalar)
+from heisgrad.scalars import (MAX_DIGITS, MAX_EXPONENT, MEMO_COEFFICIENTS, CycloCtx,
+                              ScalarSyntaxError, _bareiss, _inverse, _one_term, _product,
+                              cyclotomic_poly, divisors, embed, format_scalar, parse_scalar)
 
 CONDUCTORS = (1, 3, 4, 8, 12, 16, 48)
 X = sympy.Symbol("x")
@@ -479,3 +482,80 @@ def test_rational_hash_is_the_fraction_hash(n, a, b, power):
     x = CycloCtx(n).from_fraction(q)
     assert hash(x) == hash(q)
     assert hash(-x) == hash(-q)
+
+
+ONE_TERM_CONDUCTORS = (1, 4, 12, 16, 24, 48)
+
+
+def parsed(text: str, ctx: CycloCtx, grammar_only: bool = False):
+    """parse_scalar's (num, den), or the message of its ScalarSyntaxError;
+    grammar_only switches the one-term closed form off."""
+    off = mock.patch.object(scalars, "_one_term", lambda text, ctx: None)
+    with off if grammar_only else contextlib.nullcontext():
+        try:
+            v = parse_scalar(text, ctx)
+        except ScalarSyntaxError as e:
+            return str(e)
+    return v.num, v.den
+
+
+@st.composite
+def one_term_texts(draw, ctx: CycloCtx):
+    """(text, whether the closed form reads it): [-]a[/b] or
+    [-][a[/b]*]zeta(N)[^k] with leading zeros, b = 0, N = 0, N a divisor
+    of the conductor or not, and k up to past MAX_EXPONENT."""
+    n = ctx.n
+    sign = draw(st.sampled_from(("", "-")))
+    a = draw(st.one_of(st.none(), st.integers(0, 10**30)))
+    b = draw(st.one_of(st.none(), st.integers(0, 12))) if a is not None else None
+    big_n = draw(st.one_of(st.sampled_from(divisors(n)), st.integers(0, 2 * n + 1)))
+    big_n = draw(st.one_of(st.none(), st.just(big_n))) if a is not None else big_n
+    k = draw(st.one_of(st.none(), st.integers(0, 3 * n),
+                       st.integers(MAX_EXPONENT - 1, MAX_EXPONENT + 1)))
+    pad = "0" * draw(st.integers(0, 2))
+    text = sign + ("" if a is None else pad + str(a) + ("" if b is None else f"/{pad}{b}"))
+    if big_n is not None:
+        power = "" if k is None else f"^{pad}{k}"
+        text += ("*" if a is not None else "") + f"zeta({pad}{big_n}){power}"
+    fast = b != 0 and (big_n is None or (big_n > 0 and n % big_n == 0 and (
+        k is None or (k <= MAX_EXPONENT and n // big_n < ctx.degree))))
+    return text, fast
+
+
+@given(st.sampled_from(ONE_TERM_CONDUCTORS), st.data())
+def test_one_term_texts_parse_as_the_grammar_does(n, data):
+    # the closed form reads each one-term text that no limit or error of
+    # the grammar can meet (here every zeta_n^j has coefficients in
+    # {-1, 0, 1}), and gives the grammar's value; any other text the
+    # grammar parses, with its own value or message
+    ctx = CycloCtx(n)
+    text, fast = data.draw(one_term_texts(ctx))
+    assert (_one_term(text, ctx) is not None) == fast, text
+    assert parsed(text, ctx) == parsed(text, ctx, grammar_only=True), text
+
+
+@pytest.mark.parametrize("text, fast", [
+    ("-0", True), ("007", True), ("-007/010*zeta(16)^03", True), ("zeta(16)^10000", True),
+    ("1/0", False), ("zeta(0)", False), ("zeta(5)", False), ("9" * (MAX_DIGITS + 1), False),
+    ("zeta(16)^10001", False), ("zeta(2)^3", False), ("-1/0*zeta(16)", False),
+    ("", False), ("-", False), ("5*", False), ("5zeta(16)", False), (" 5", False),
+    ("zeta(16)^-1", False), ("1/2 + zeta(16)", False)])
+def test_one_term_edge_texts_parse_as_the_grammar_does(text, fast):
+    ctx = CycloCtx(16)
+    assert (_one_term(text, ctx) is not None) == fast
+    assert parsed(text, ctx) == parsed(text, ctx, grammar_only=True)
+
+
+@pytest.mark.parametrize("n", ONE_TERM_CONDUCTORS)
+def test_one_term_inverse_matches_bareiss(n):
+    # every c * zeta_n^k, k below the degree, with c of either sign and a
+    # denominator or not: c^-1 * zeta_n^(n-k) is the Bareiss solve's
+    # inverse, and format_scalar's text of it is read in closed form
+    ctx = CycloCtx(n)
+    for k in range(ctx.degree):
+        for c in (1, -1, 3, Fraction(-2, 5), Fraction(7, 4)):
+            x = ctx.from_fraction(c) * ctx.zeta(k)
+            assert sum(map(bool, x.num)) == 1
+            assert _inverse(x) == _bareiss(x) and canonical(_inverse(x))
+            assert x * _inverse(x) == ctx.one()
+            assert _one_term(format_scalar(x), ctx) == x

@@ -129,6 +129,16 @@ MUTANTS = [
            "key = (self.num, self.den)\n",
            "key = self.num\n",
            ("tests/test_scalar_properties.py::test_memo_returns_the_uncached_results",)),
+    Mutant("one-term-inverse-keeps-the-power", "scalars.py",
+           "x.ctx.zeta(x.ctx.n - k)",
+           "x.ctx.zeta(k)",
+           ("tests/test_scalar_properties.py::test_one_term_inverse_matches_bareiss",
+            "tests/test_scalar_properties.py::test_inverse_of_sparse_elements")),
+    Mutant("one-term-parse-drops-the-sign", "scalars.py",
+           "a = -int(a or 1) if sign else int(a or 1)",
+           "a = int(a or 1)",
+           ("tests/test_scalar_properties.py::test_one_term_edge_texts_parse_as_the_grammar_does",
+            "tests/test_scalar_properties.py::test_format_parse_roundtrip")),
     Mutant("memo-without-budget", "scalars.py",
            "            if len(self._memo) >= self._cap:\n                self._memo.clear()\n",
            "",
