@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Any, Callable, NamedTuple
 
 from ._linalg import (SparseVect, Vect, is_zero_vect, line_coeff, mat_apply,
@@ -77,32 +78,51 @@ class Grading:
                 for i, (g, vs) in enumerate(self.components.items())}
 
     @cached_property
+    def linked(self) -> list[tuple[int, int, bool]]:
+        """The pairs (x, y, once) of support positions that a structure constant
+        links, [b_i, b_j] != 0 for i a coordinate of x's vectors and j of y's,
+        row by row in support order; every other pair brackets to zero.  In a
+        skew algebra (Algebra.skew) two components with parity-homogeneous
+        vectors come once, in the row of the first, the memo's orientation or
+        else support order: [V_h, V_g] = [V_g, V_h].  Others come both ways."""
+        a, support, memo = self.algebra, self.support, self._brackets
+        slots = [self._slots[g] for g in support]
+        coords = [set().union(*vs) for _, vs in slots]
+        owner: dict[int, list[int]] = {}  # coordinate -> positions whose vectors hold it
+        for y, cs in enumerate(coords):
+            for j in cs:
+                owner.setdefault(j, []).append(y)
+        once = [a.skew and None not in map(a.vect_parity, vs) for _, vs in slots]
+        pairs = []
+        for x, cs in enumerate(coords):
+            cols = {j for i in cs for j, _ in a.terms[i]}
+            for y in sorted({y for j in cols for y in owner.get(j, ())}):
+                if x == y or not (once[x] and once[y]):
+                    pairs.append((x, y, False))
+                elif x < y:
+                    i, j = slots[x][0], slots[y][0]
+                    flip = (i, j) not in memo and (j, i) in memo  # the memo's orientation
+                    pairs.append((y, x, True) if flip else (x, y, True))
+        return pairs
+
+    @cached_property
     def table(self) -> GradedTable:
-        """brackets() of the components in the coordinates of the component
-        basis, inverted once on its nonzero coordinates.  In a skew algebra
-        (Algebra.skew) a pair of components whose vectors are all
-        parity-homogeneous is bracketed and mapped once, in the orientation
-        the memo holds, and [b_n, b_m] = -(-1)^(p_m p_n) [b_m, b_n] fills the
-        other; color algebras and parity-mixed vectors get both orientations."""
-        support, a, memo = self.support, self.algebra, self._brackets
+        """brackets() of the linked components in the coordinates of the
+        component basis, inverted once on its nonzero coordinates; a pair
+        that comes once fills its mirror by [b_n, b_m] = -(-1)^(p_m p_n) [b_m, b_n]."""
+        support, a = self.support, self.algebra
         basis = [v for g in support for v in self.components[g]]
         nonzero = self.nonzero_basis
         parity = [a.vect_parity(v) for v in nonzero]
         inv = mat_inverse(nonzero, a.ctx) if len(basis) == a.dim else None
         if inv is None:
             return GradedTable(basis, parity, None, None)
-        table = GradedTable(basis, parity, inv, None)
         rows: list[dict] = [{} for _ in basis]
-        start = [0]  # the x-th component in support order spans basis[start[x]:start[x + 1]]
-        for g in support:
-            start.append(start[-1] + len(self.components[g]))
-        slot = [self._slots[g][0] for g in support]
-        homogeneous = [None not in parity[m:n] for m, n in zip(start, start[1:])]
+        # the x-th component in support order spans basis[start[x]:start[x + 1]]
+        start = [0, *accumulate(len(self.components[g]) for g in support)]
         one = a.ctx.one()
-
-        def put(x, y, mirror):
-            # rows[m][n] = [b_m, b_n] for m in the x-th component, n in the
-            # y-th; rows[n][m] as well when mirror
+        for x, y, mirror in self.linked:
+            # rows[m][n] = [b_m, b_n] for m in the x-th component, n in the y-th
             width = start[y + 1] - start[y]
             for e, w in enumerate(self.brackets(support[x], support[y])):
                 if w:
@@ -111,18 +131,7 @@ class Grading:
                     if mirror:
                         sign = one if parity[m] and parity[n] else -one
                         rows[n][m] = tuple((k, sign * c) for k, c in rows[m][n])
-
-        for x in range(len(support)):
-            put(x, x, False)
-            for y in range(x + 1, len(support)):
-                if not (a.skew and homogeneous[x] and homogeneous[y]):
-                    put(x, y, False)
-                    put(y, x, False)
-                elif (slot[x], slot[y]) not in memo and (slot[y], slot[x]) in memo:
-                    put(y, x, True)  # the orientation the memo holds
-                else:
-                    put(x, y, True)
-        return table._replace(terms=tuple(tuple(sorted(row.items())) for row in rows))
+        return GradedTable(basis, parity, inv, tuple(tuple(sorted(row.items())) for row in rows))
 
     @cached_property
     def nonzero_basis(self) -> list[SparseVect]:
@@ -140,12 +149,6 @@ class Grading:
             block = self._brackets[i, j] = [bracket(x, y) for x in xs for y in ys]
         return block
 
-    def spanning_brackets(self, g: GroupElt, h: GroupElt) -> list[SparseVect]:
-        """brackets(g, h), or the memoized brackets(h, g): in a skew algebra
-        (Algebra.skew) with parity-graded components both span [V_g, V_h]."""
-        i, j = self._slots[g][0], self._slots[h][0]
-        return self._brackets.get((i, j)) or self._brackets.get((j, i)) or self.brackets(g, h)
-
 
 def decomposition_failure(vecs: list[Vect], dim: int) -> str:
     """The failure message for component vectors that are not a basis."""
@@ -156,11 +159,10 @@ def decomposition_failure(vecs: list[Vect], dim: int) -> str:
 def verify_grading(gr: Grading) -> VerifyReport:
     """Check span, independence, parity splitting (super), bracket
     compatibility and that the support generates the group; stops at the
-    first failure.  In a skew algebra (Algebra.skew), parity-graded components
-    have [V_h, V_g] = [V_g, V_h], so each unordered pair is bracketed once, g
-    at or before h in support order; other algebras get both orientations."""
-    a = gr.algebra
-    support = gr.support
+    first failure.  The brackets are those of the pairs of gr.linked, in its
+    order: a pair that comes there once has [V_h, V_g] = [V_g, V_h] once the
+    components are parity-graded, and every other pair is zero."""
+    a, support = gr.algebra, gr.support
     all_vecs = [v for g in support for v in gr.components[g]]
     if len(all_vecs) != a.dim or rank(all_vecs) != a.dim:
         return VerifyReport(False, [decomposition_failure(all_vecs, a.dim)])
@@ -170,22 +172,21 @@ def verify_grading(gr: Grading) -> VerifyReport:
                   for v in gr.components[g] for p in (0, 1)]
         if rank(pieces) != len(gr.components[g]):
             return VerifyReport(False, [f"component {g} is not parity-graded"])
-    skew = a.skew
-    for i, g in enumerate(support):
-        for h in support[i:] if skew else support:
-            prods = [w for w in (gr.spanning_brackets if skew else gr.brackets)(g, h) if w]
-            if not prods:
-                continue
-            target = g + h
-            if target not in gr.components:
-                return VerifyReport(False, [
-                    f"bracket of degrees {g} and {h} is nonzero but {target} "
-                    "is outside the support"])
-            basis, pivots = gr.spans[target]
-            if any(not is_zero_vect(reduce_against(basis, pivots, a.dense(w.items())))
-                   for w in prods):
-                return VerifyReport(False, [
-                    f"bracket of degrees {g} and {h} leaves component {target}"])
+    for x, y, _ in gr.linked:
+        g, h = support[x], support[y]
+        prods = [w for w in gr.brackets(g, h) if w]
+        if not prods:
+            continue
+        target = g + h
+        if target not in gr.components:
+            return VerifyReport(False, [
+                f"bracket of degrees {g} and {h} is nonzero but {target} "
+                "is outside the support"])
+        basis, pivots = gr.spans[target]
+        if any(not is_zero_vect(reduce_against(basis, pivots, a.dense(w.items())))
+               for w in prods):
+            return VerifyReport(False, [
+                f"bracket of degrees {g} and {h} leaves component {target}"])
     if not generates(gr.group, support):
         return VerifyReport(False, ["support does not generate the grading group"])
     return VerifyReport(True, [])
@@ -195,24 +196,23 @@ def universal_group(gr: Grading) -> tuple[AbGroup, Grading]:
     """The universal grading group (one generator per support element,
     one relation per nonzero bracket pair) and the regraded copy, which
     keeps the brackets and spans computed so far under its new degrees.
-    A pair is read in either orientation, as verify_grading reads it in a
-    skew algebra: [V_g, V_h] = 0 iff [V_h, V_g] = 0."""
+    The pairs are those of gr.linked; a relation is kept once, in the order
+    it first occurs."""
     support = gr.support
     n = len(support)
     pos = {g: i for i, g in enumerate(support)}
     rows = []
-    for i, g in enumerate(support):
-        for j, h in enumerate(support[i:], start=i):
-            if any(gr.spanning_brackets(g, h)):
-                k = pos.get(g + h)
-                if k is None:
-                    raise ValueError("not a grading: bracket leaves the support")
-                row = [0] * n
-                row[i] += 1
-                row[j] += 1
-                row[k] -= 1
-                if any(row):
-                    rows.append(tuple(row))
+    for i, j, _ in gr.linked:
+        if any(gr.brackets(support[i], support[j])):
+            k = pos.get(support[i] + support[j])
+            if k is None:
+                raise ValueError("not a grading: bracket leaves the support")
+            row = [0] * n
+            row[i] += 1
+            row[j] += 1
+            row[k] -= 1
+            if any(row):
+                rows.append(tuple(row))
     group, images = canonicalize(AbPresentation(n, tuple(dict.fromkeys(rows))))
     if len(set(images)) != n:
         raise ValueError("universal regrading identified two support degrees")

@@ -606,25 +606,43 @@ def _count_brackets(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("text", [
-    "1,zeta(6),zeta(6)^2,zeta(6)^3,zeta(6)^4,zeta(6)^5",
-    "1,i,-1,-i",
-    "1,zeta(3),zeta(3)^2,2,2*zeta(3),2*zeta(3)^2",
-])
-def test_each_class_brackets_each_pair_of_its_basis_once(monkeypatch, text):
+def _pairs_bracketed_once(gr):
+    """The number of pairs of components in gr's bracket memo, checked to
+    hold each unordered pair in one orientation and every pair of
+    gr.linked."""
+    held = {frozenset(key) for key in gr._brackets}
+    assert len(held) == len(gr._brackets)
+    slot = [gr._slots[g][0] for g in gr.support]
+    assert {frozenset((slot[x], slot[y])) for x, y, _ in gr.linked} <= held
+    return len(held)
+
+
+BRACKET_COUNTS = [  # lambda, and over all its classes the linked and the bracketed pairs
+    ("1,zeta(6),zeta(6)^2,zeta(6)^3,zeta(6)^4,zeta(6)^5", 324, 336),
+    ("1,i,-1,-i", 140, 144),
+    ("1,zeta(3),zeta(3)^2,2,2*zeta(3),2*zeta(3)^2", 132, 144),
+]
+
+
+@pytest.mark.parametrize("text, linked, bracketed", BRACKET_COUNTS,
+                         ids=[text for text, _, _ in BRACKET_COUNTS])
+def test_each_class_brackets_each_pair_of_its_basis_once(monkeypatch, text, linked, bracketed):
     # the block checks and the universal group share the grading's memo,
-    # which holds one orientation of each unordered pair, diagonal included
+    # which holds one orientation of each pair bracketed, diagonal included:
+    # the pairs of Grading.linked and the pairs inside a block that the
+    # block checks find zero; no other pair of the basis is bracketed
     lam = _lambda(text)
     calls = _count_brackets(monkeypatch)
     built = []
     monkeypatch.setattr(fine, "twisted", lambda lam: built.append(lam) or twisted(lam))
     classes = list(twisted_fine_classes(lam))
     assert len(built) == 1
-    assert calls[0] == sum(n * (n + 1) // 2 for n in (len(gr.support) for _, gr in classes))
+    assert sum(len(gr.linked) for _, gr in classes) == linked
+    assert calls[0] == sum(_pairs_bracketed_once(gr) for _, gr in classes) == bracketed
     for p, _ in classes:
         calls[0] = 0
-        n = len(twisted_fine(lam, p).support)
-        assert calls[0] == n * (n + 1) // 2
+        gr = twisted_fine(lam, p)
+        assert calls[0] == _pairs_bracketed_once(gr)
 
 
 def _scale_first_y(a, blk):

@@ -5,14 +5,14 @@ import pytest
 
 from heisgrad._linalg import is_zero_vect, mat_apply, rref, vadd, vscale
 from heisgrad.abelian import AbGroup, group_product
-from heisgrad.fine import heisenberg_fine, super_fine, twisted_fine_nontoral
+from heisgrad.fine import heisenberg_fine, super_fine, twisted_fine_classes, twisted_fine_nontoral
 from heisgrad.gradings import (Grading, PairedDecomposition,
                                darboux_homogeneous_basis, coarsen,
                                grading_from_json, grading_to_json,
                                homogeneous_orthogonal_basis,
                                homogeneous_symplectic_basis,
                                universal_group, verify_grading)
-from heisgrad.liealg import heisenberg
+from heisgrad.liealg import heisenberg, is_automorphism
 from heisgrad.scalars import CycloCtx
 
 from _helpers import (assert_table_matches_dense, random_heisenberg_automorphism,
@@ -49,21 +49,23 @@ def test_universal_group_after_verify_brackets_nothing_new(monkeypatch):
     brackets.clear()
     assert verify_grading(gr).ok
     n = len(gr.support)
-    pairs = n * (n + 1) // 2  # one-dimensional components: one per unordered pair
-    assert len(brackets) == pairs
+    # the defining basis links [u, e_i], [u, ehat_i] and [e_i, ehat_i] alone:
+    # one bracket per linked pair of one-dimensional components
+    pairs = len(gr.linked)
+    assert pairs == 6 and len(brackets) == pairs
     group, regraded = universal_group(gr)
     assert len(brackets) == pairs
     # the regraded copy keeps the brackets and spans under its new degrees
     assert verify_grading(regraded).ok
     assert len(brackets) == pairs and len(reductions) == n
     assert list(regraded.spans) == regraded.support
-    for i, g in enumerate(gr.support):
-        h = regraded.degree_of(gr.components[g][0])
+    new = {g: regraded.degree_of(gr.components[g][0]) for g in gr.support}
+    for g, h in new.items():
         assert regraded.components[h] == gr.components[g]
         assert regraded.spans[h] == gr.spans[g]
-        for g2 in gr.support[i:]:
-            h2 = regraded.degree_of(gr.components[g2][0])
-            assert regraded.brackets(h, h2) == gr.brackets(g, g2)
+    for x, y, _ in gr.linked:
+        g, g2 = gr.support[x], gr.support[y]
+        assert regraded.brackets(new[g], new[g2]) == gr.brackets(g, g2)
     assert len(brackets) == pairs
 
 
@@ -591,10 +593,11 @@ def _color_grading():
     (_color_grading, True),
 ], ids=["super-skew", "twisted-skew", "json-parity-mixed", "color"])
 def test_graded_table_brackets_both_orientations_only_where_needed(make, both):
-    # a skew algebra brackets each unordered pair of parity-homogeneous
-    # components once and fills the other orientation by the sign rule; a
-    # color algebra (not skew) and a component with a parity-mixed vector
-    # get both orientations, and the dense brackets agree with each table
+    # the table brackets the linked pairs of components alone; a skew algebra
+    # brackets each linked pair of parity-homogeneous components once and
+    # fills the other orientation by the sign rule; a color algebra (not
+    # skew) and a component with a parity-mixed vector get both orientations,
+    # and the dense brackets agree with each table
     built = make()
     gr = Grading(built.algebra, built.group, dict(built.components))
     assert verify_grading(gr).ok
@@ -603,6 +606,61 @@ def test_graded_table_brackets_both_orientations_only_where_needed(make, both):
     assert_table_matches_dense(gr)
     assert (None in gr.table.parity) == (make is _parity_mixed_super_grading)
     n = len(gr.support)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    assert all(((i, j) in memo and (j, i) in memo) == both for i, j in pairs)
-    assert all((i, j) in memo or (j, i) in memo for i, j in pairs)
+    slot = [gr._slots[g][0] for g in gr.support]
+    held = {(x, y) for x in range(n) for y in range(n) if (slot[x], slot[y]) in memo}
+    assert len(held) == len(memo) and held == {(x, y) for x, y, _ in gr.linked}
+    assert all(((y, x) in held) == both for x, y in held if x != y)
+    assert len(held) < n * n  # and the unlinked pairs are not bracketed
+
+
+# --- Grading.linked: the pairs of components that a structure constant links
+
+def _twisted_classes():
+    ctx = CycloCtx(16)
+    return [gr for _, gr in twisted_fine_classes([ctx.zeta(4 * t) for t in range(4)])]
+
+
+def _moved_twisted_grading():
+    """The (4,1,0) class pushed through exp(ad h), h a dense element of the
+    Heisenberg ideal, as the roundtrip workload moves its gradings: 81 of
+    its 100 ordered pairs of components are linked."""
+    gr = _twisted_classes()[-1]
+    a, ctx, rng = gr.algebra, gr.algebra.ctx, random.Random(5)
+    h = (ctx.zero(),) + tuple(ctx.from_fraction(Fraction(rng.choice((1, -2, 3)), rng.choice((1, 2, 3))))
+                              for _ in range(a.dim - 1))
+    half, f = ctx.from_fraction(Fraction(1, 2)), []
+    for j in range(a.dim):
+        ad = a.bracket(h, a.basis_vect(j))
+        f.append(vadd(vadd(a.basis_vect(j), ad), vscale(half, a.bracket(h, ad))))
+    assert is_automorphism(f, a)
+    return transport_grading(gr, f)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [heisenberg_fine(3)],
+    lambda: [super_fine(1, 4, 1), super_fine(2, 3, 0)],
+    _twisted_classes,
+    lambda: [_moved_twisted_grading()],
+    lambda: [_parity_mixed_super_grading()],
+    lambda: [_color_grading()],
+], ids=["heisenberg-fine", "super-fine", "twisted-fine", "twisted-moved",
+        "json-parity-mixed", "color"])
+def test_every_pair_the_index_leaves_out_brackets_to_zero(make):
+    # Grading.linked lists each pair once, row by row; a pair that comes once
+    # stands for both orientations, the relation it gives is symmetric, and
+    # every pair outside it brackets the dense component vectors to zero
+    for built in make():
+        gr = Grading(built.algebra, built.group, dict(built.components))
+        a, support, linked = gr.algebra, gr.support, gr.linked
+        pairs = {(x, y) for x, y, _ in linked}
+        once = {(x, y) for x, y, one in linked if one}
+        assert len(pairs) == len(linked)
+        assert all(x != y and (y, x) not in pairs for x, y in once)
+        related = pairs | {(y, x) for x, y in once}
+        assert related == {(y, x) for x, y in related}
+        rows = [min(x, y) if (x, y) in once else x for x, y, _ in linked]
+        assert rows == sorted(rows)
+        n = len(support)
+        for x, y in {(x, y) for x in range(n) for y in range(n)} - related:
+            assert all(is_zero_vect(a.bracket(v, w)) for v in gr.components[support[x]]
+                       for w in gr.components[support[y]]), (x, y)

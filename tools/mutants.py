@@ -162,9 +162,13 @@ MUTANTS = [
            "",
            ("tests/test_gradings.py::test_gram_check_rejects_a_wrong_pair",)),
     Mutant("verify-reads-one-orientation-of-every-algebra", "gradings.py",
-           "for h in support[i:] if skew else support:",
-           "for h in support[i:]:",
+           "once = [a.skew and None not in map(a.vect_parity, vs) for _, vs in slots]",
+           "once = [None not in map(a.vect_parity, vs) for _, vs in slots]",
            ("tests/test_cli.py::test_verify_scans_both_orientations_of_a_color_algebra",)),
+    Mutant("index-links-the-first-vector-of-each-component", "gradings.py",
+           "coords = [set().union(*vs) for _, vs in slots]",
+           "coords = [set(vs[0]) for _, vs in slots]",
+           ("tests/test_gradings.py::test_every_pair_the_index_leaves_out_brackets_to_zero",)),
     Mutant("axioms-with-a-transposed-factor", "liealg.py",
            "m = -factor[i][j]",
            "m = -factor[j][i]",
