@@ -12,15 +12,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import chain
 from typing import ClassVar, Iterator
 
-from ._linalg import (SparseVect, Vect, combinations, intersection, is_zero_vect,
-                      line_coeff, rref, sparse, transpose, vadd, vscale, vsub)
-from .abelian import AbGroup, GroupElt, group_product
+from ._linalg import (SparseVect, Vect, combinations, intersection, line_coeff, rref,
+                      sparse, vadd, vscale, vsub)
+from .abelian import AbGroup, group_product
 from .liealg import Algebra, heisenberg, heisenberg_super, twisted
-from .gradings import Grading, universal_group
+from .gradings import Grading, Pairing, universal_group
 from .scalars import (CycloCtx, CycloNum, divisors, format_scalar,
                       root_of_unity_order, sqrt_int, sqrt_scalar)
 
@@ -746,21 +746,6 @@ def homogenize_u(gr: Grading) -> tuple[Vect, list[tuple[Vect, Vect]], Vect]:
     return u_new, pairs, z
 
 
-def _graded_pieces(gr: Grading, ambient: list[Vect]) -> dict[GroupElt, list[Vect]]:
-    """Intersections of a graded subspace with the components."""
-    out = {}
-    total = 0
-    span = rref(ambient)
-    for g in gr.support:
-        inter = intersection(list(gr.components[g]), span, gr.algebra.ctx)
-        if inter:
-            out[g] = inter
-            total += len(inter)
-    if total != len(span[0]):
-        raise ValueError("subspace is not graded")
-    return out
-
-
 def decompose_twisted_grading(gr: Grading):
     """Recover (u', type-I blocks, type-II blocks, params) from a grading
     on a twisted Heisenberg algebra, following the ad(u)-orbit
@@ -780,6 +765,9 @@ def decompose_twisted_grading(gr: Grading):
 
     phi = partial(a.bracket, sparse(u_new))  # ad(u'), on the nonzero coordinates of u'
 
+    def pairing(v: Vect, t: Vect) -> CycloNum:  # [v, t] = <v, t> z on [u', L]
+        return line_coeff(a.bracket(v, t), z)
+
     def block_orbit(x: Vect, mu: CycloNum) -> list[Vect]:  # [mu^-j phi^j(x) : j = 1..l]
         out = []
         for j in range(1, l + 1):
@@ -792,52 +780,46 @@ def decompose_twisted_grading(gr: Grading):
     # V_mu^l is the span of those whose eigenvalue nu has nu^l = mu^l
     ambient = [p[0] for p in pairs] + [p[1] for p in pairs]
     powers = [x ** l for x in lam] + [(-x) ** l for x in lam]
-    spectrum = sorted(_spectrum(lam), key=lambda v: v.sort_key())
-
-    @cache
-    def v_l(mu: CycloNum) -> tuple[list[Vect], list[int]]:  # rref of V_mu^l, once per mu
-        mul = mu ** l
-        return rref([v for v, nul in zip(ambient, powers) if nul == mul])
-
-    remaining = _graded_pieces(gr, ambient)
+    first = {}  # each class mu^l, with its first mu in spectrum order
+    for mu in sorted(_spectrum(lam), key=lambda v: v.sort_key()):
+        first.setdefault(mu ** l, mu)
+    # the nonzero pieces V_g meet V_mu^l of each class mu^l, g in support
+    # order, each intersected once; u' is homogeneous and l deg u' = 0, so
+    # phi^l keeps every component and the pieces add up to [u', L]
+    support = gr.support
+    pieces = {}
+    for mul in first:
+        span = rref([v for v, nul in zip(ambient, powers) if nul == mul])
+        pieces[mul] = {g: piece for g in support
+                       if (piece := intersection(list(gr.components[g]), span, ctx))}
+    if sum(len(piece) for row in pieces.values() for piece in row.values()) != len(ambient):
+        raise ValueError("subspace is not graded")
     blocks_i: list[BlockI] = []
     blocks_ii: list[BlockII] = []
-
-    def centralize(block_vecs: list[Vect]):
-        nonlocal remaining
-        new = {}
-        for g, vecs in remaining.items():
-            kept = _centralizer_in(a, vecs, block_vecs)
-            if kept:
-                new[g] = kept
-        remaining = new
-
-    while remaining:
-        degrees = sorted(remaining, key=lambda e: e.key())
-        # remaining[g] meets V_mu^l, once per (g, mu) of this round
-        meet = cache(lambda g, mu: intersection(remaining[g], v_l(mu), ctx))
-        hit = next(((mu, meet(g, mu)[0]) for mu in spectrum if v_l(mu)[0]
-                    for g in degrees if meet(g, mu)), None)
-        if hit is None:
-            raise AssertionError("leftover graded subspace without eigen content")
-        mu, x = hit
-        if l % 2 == 0:
-            found = _find_selfpaired(a, (meet(g, mu) for g in degrees), phi, z)
-            if found is not None:
-                x2, q = found  # [x2, phi(x2)] = q z, scaled to mu^2 z
-                x2 = vscale(sqrt_scalar(mu * mu / q), x2)
-                blk = BlockII(l // 2, mu, tuple(block_orbit(x2, mu)))
-                check_block(a, u_new, z, blk)
-                blocks_ii.append(blk)
-                centralize(blk.elements())
-                continue
-        partner = mu if l % 2 == 0 else -mu  # V_mu^l = V_(-mu)^l for even l
-        y, c = _find_partner(a, x, z, (meet(g, partner) for g in degrees))
-        y = vscale(mu / c, y)  # [x, y] = c z, scaled to mu z
-        blk = BlockI(l, mu, tuple(block_orbit(x, mu)), tuple(block_orbit(y, mu)))
+    # each block is taken from the first class with a nonzero piece and its
+    # pieces shrink in place to the centralizer of the block; a block in
+    # V_mu^l + V_(-mu)^l pairs only with those two classes, as
+    # <phi^l v, t> = (-1)^l <v, phi^l t>, so no other piece changes
+    while (mul := next((key for key, row in pieces.items() if row), None)) is not None:
+        mu, row = first[mul], pieces[mul]
+        found = _find_selfpaired(pairing, row.values(), phi) if l % 2 == 0 else None
+        if found is not None:
+            x2, q = found  # [x2, phi(x2)] = q z, scaled to mu^2 z
+            x2 = vscale(sqrt_scalar(mu * mu / q), x2)
+            blk = BlockII(l // 2, mu, tuple(block_orbit(x2, mu)))
+            blocks_ii.append(blk)
+        else:
+            x = next(iter(row.values()))[0]  # (-mu)^l = mu^l for even l
+            y, c = _find_partner(pairing, x, pieces[(-mu) ** l].values())
+            y = vscale(mu / c, y)  # [x, y] = c z, scaled to mu z
+            blk = BlockI(l, mu, tuple(block_orbit(x, mu)), tuple(block_orbit(y, mu)))
+            blocks_i.append(blk)
         check_block(a, u_new, z, blk)
-        blocks_i.append(blk)
-        centralize(blk.elements())
+        block = blk.elements()
+        for paired in dict.fromkeys((mul, (-mu) ** l)):
+            pieces[paired] = {g: kept for g, piece in pieces[paired].items()
+                              if (kept := combinations(
+                                  piece, [[pairing(v, t) for v in piece] for t in block], ctx))}
 
     params = FineTwistedParams(l, len(blocks_i), len(blocks_ii),
                                tuple(b.alpha for b in blocks_i),
@@ -847,34 +829,26 @@ def decompose_twisted_grading(gr: Grading):
     return u_new, blocks_i, blocks_ii, params
 
 
-def _centralizer_in(a: Algebra, vecs: list[Vect], targets: list[Vect]) -> list[Vect]:
-    """{x in span(vecs) : [x, t] = 0 for all t in targets} as a basis."""
-    rows = [row for t in targets for row in transpose([a.bracket(v, t) for v in vecs])]
-    return combinations(vecs, rows, a.ctx)
-
-
-def _find_selfpaired(a: Algebra, meets, phi, z: Vect) -> tuple[Vect, CycloNum] | None:
+def _find_selfpaired(pairing: Pairing, meets, phi) -> tuple[Vect, CycloNum] | None:
     """(x, q): a homogeneous x in the remaining part of V_mu^l (meets, its
-    intersections with the remaining components), a basis vector or else a
-    sum of two, with [x, phi(x)] = q z != 0; None when the pairing form
-    vanishes identically there."""
+    nonzero pieces), a basis vector or else a sum of two, with
+    <x, phi(x)> = q != 0; None when the pairing vanishes identically there."""
     for inter in meets:
         sums = (vadd(v, w) for i, v in enumerate(inter) for w in inter[i + 1:])
         for x in chain(inter, sums):
-            q = line_coeff(a.bracket(x, phi(x)), z)
+            q = pairing(x, phi(x))
             if q:
                 return x, q
     return None
 
 
-def _find_partner(a: Algebra, x: Vect, z: Vect, meets) -> tuple[Vect, CycloNum]:
+def _find_partner(pairing: Pairing, x: Vect, meets) -> tuple[Vect, CycloNum]:
     """(y, c): a homogeneous y in the remaining part of the partner eigenspace
-    (meets, its intersections with the remaining components) with
-    [x, y] = c z != 0."""
+    (meets, its nonzero pieces) with <x, y> = c != 0."""
     for inter in meets:
         for y in inter:
-            w = a.bracket(x, y)
-            if not is_zero_vect(w):
-                return y, line_coeff(w, z)
+            c = pairing(x, y)
+            if c:
+                return y, c
     raise AssertionError("no pairing partner found for the extracted orbit")
 

@@ -99,8 +99,9 @@ def test_bracket_work_per_benchmark_pass_is_bounded(monkeypatch):
     # ad(u')-eigenvalues of its adjusted pairs, with no walk of its own, and
     # scales a block by the bracket its search found (911 brackets per
     # roundtrip pass when it walked each pair l times and bracketed the found
-    # vectors again); the bounds are the counts of the seed-23 batches at that
-    # design
+    # vectors again), and centralizes a block in the two eigenspace classes
+    # it pairs with only (561 when it rebracketed every remaining component);
+    # the bounds are the counts of the seed-23 batches at that design
     workloads = _load_bench("workloads")
     calls = [0]
     bracket = Algebra.bracket
@@ -111,7 +112,7 @@ def test_bracket_work_per_benchmark_pass_is_bounded(monkeypatch):
 
     monkeypatch.setattr(Algebra, "bracket", counted)
     for workload, bound in (("enumerate", 724), ("weyl-closure", 27), ("weyl-brute", 96),
-                            ("roundtrip", 561)):
+                            ("roundtrip", 545)):
         jobs = workloads.make_jobs(workload, 23)  # the roundtrip inputs take brackets too
         calls[0] = 0
         for job in jobs:
@@ -286,10 +287,12 @@ def test_grammar_runs_and_bareiss_solves_per_roundtrip_pass_are_exact(monkeypatc
 
 
 def test_intersections_per_roundtrip_pass_are_bounded(monkeypatch):
-    # decompose meets each remaining component with each V_mu^l once per
-    # extraction round, and the hit search, the self-paired search and the
-    # partner search share those meets; the bound is the count of the
-    # seed-23 roundtrip batch at that design
+    # decompose intersects each component with each distinct V_mu^l once per
+    # call and shrinks those pieces in place to the centralizer of each block,
+    # and the hit search, the self-paired search and the partner search read
+    # the pieces; the bound is the count of the seed-23 roundtrip batch at
+    # that design (44 when it met every remaining component with V_mu^l
+    # afresh in each extraction round)
     import heisgrad.fine
     workloads = _load_bench("workloads")
     calls = [0]
@@ -304,7 +307,7 @@ def test_intersections_per_roundtrip_pass_are_bounded(monkeypatch):
     for job in jobs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             heisgrad.cli.main(job["argv"])
-    assert calls[0] <= 44, calls[0]
+    assert calls[0] <= 30, calls[0]
 
 
 def test_building_heisenberg_40_tests_few_scalars(monkeypatch):
@@ -375,9 +378,11 @@ def test_zero_tests_per_roundtrip_pass_are_bounded(monkeypatch):
     # zero once, on its way in, and no row operation scans a zero entry;
     # decompose takes V_mu^l from the eigenvalues of its adjusted pairs, with
     # no kernel per mu, brackets from the nonzero coordinates of u' found
-    # once, and scales a block by the bracket its search found; the bound is
-    # the count of the seed-23 roundtrip batch at that design (35,853 when
-    # rref reduced dense rows, 20,654 with a kernel per mu)
+    # once, scales a block by the bracket its search found, and centralizes
+    # a block by the scalar pairing in the two classes it pairs with only;
+    # the bound is the count of the seed-23 roundtrip batch at that design
+    # (35,853 when rref reduced dense rows, 20,654 with a kernel per mu,
+    # 17,448 with a dense centralizer of every remaining component)
     workloads = _load_bench("workloads")
     calls = [0]
     truth = CycloNum.__bool__
@@ -391,7 +396,7 @@ def test_zero_tests_per_roundtrip_pass_are_bounded(monkeypatch):
     for job in jobs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             heisgrad.cli.main(job["argv"])
-    assert calls[0] <= 17803, calls[0]
+    assert calls[0] <= 16432, calls[0]
 
 
 def test_permutation_products_per_chain_are_bounded(monkeypatch):

@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +11,7 @@ from hypothesis import given, strategies as st
 import heisgrad.fine as fine
 from heisgrad._linalg import is_zero_vect, mat_apply, rref, vadd, vscale
 from heisgrad.abelian import AbGroup
-from heisgrad.cli import auto_conductor
+from heisgrad.cli import auto_conductor, main as cli_main
 from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, check_block,
                            decompose_twisted_grading,
                            enumerate_super_fine, enumerate_twisted_fine,
@@ -16,7 +20,7 @@ from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, check_block,
                            rebase_scales_ii, spectrum_check, super_fine,
                            twist, twisted_fine, twisted_fine_classes,
                            twisted_fine_nontoral, twisted_fine_toral)
-from heisgrad.gradings import Grading, universal_group, verify_grading
+from heisgrad.gradings import Grading, grading_to_json, universal_group, verify_grading
 from heisgrad.liealg import Algebra, heisenberg, heisenberg_super, is_automorphism, twisted
 from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar, root_of_unity_order
 from heisgrad.weyl import weyl_group
@@ -583,6 +587,52 @@ def test_decompose_transported(ctx16, lam_iiii):
             moved = transport_grading(gr, random_twisted_automorphism(gr.algebra, rng))
             _, _, _, q = decompose_twisted_grading(moved)
             assert equivalent_fine(lam, p, q)
+
+
+# sha256 of `decompose --format json` on the odd-l and l = 12 classes of the
+# DECOMPOSE_DRAWS lambda, each moved by a seeded automorphism, as recorded
+# when decompose met every remaining component with V_mu^l afresh each round
+DECOMPOSE_DIGESTS = {
+    (1, 6, 0): "0b14a5940066309c2d5b2ffb0ed833a2c2cb46527a383ce9bda4cd07da0b4eba",
+    (3, 2, 0): "18feb3aaf32b8e8ef4fd63fbeaf90cdf3b9e168353bf9f0a2bea8aa53bead216",
+    (12, 0, 1): "6610ed4f51ace7ea16f260e681fc91cef7646290c3005d8b623c4243d1648125",
+}
+
+
+def test_decompose_prints_the_recorded_bytes_on_odd_and_large_block_orders():
+    rng = random.Random(33)
+    digests = {}
+    for p, gr in twisted_fine_classes(_lambda(DECOMPOSE_DRAWS[0])):
+        if (p.l, p.s, p.r) in DECOMPOSE_DIGESTS:
+            moved = transport_grading(gr, random_twisted_automorphism(gr.algebra, rng))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(["decompose", json.dumps(grading_to_json(moved)),
+                                 "--format", "json"])
+            assert code == 0
+            digests[p.l, p.s, p.r] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digests == DECOMPOSE_DIGESTS
+
+
+def test_decompose_meets_each_component_with_each_eigenspace_class_once(monkeypatch):
+    # decompose intersects each component with each distinct V_mu^l once and
+    # shrinks the pieces in place (704 intersections here when it met every
+    # remaining component with V_mu^l afresh in each extraction round)
+    ctx = CycloCtx(8)
+    lam = [ctx.from_fraction(i) for i in range(1, 13)]
+    gr = twisted_fine_nontoral(lam)
+    calls = [0]
+    intersection = fine.intersection
+
+    def counted(*args):
+        calls[0] += 1
+        return intersection(*args)
+
+    monkeypatch.setattr(fine, "intersection", counted)
+    _, _, _, q = decompose_twisted_grading(gr)
+    assert (q.l, q.s, q.r) == (2, 0, 12)
+    classes = {mu ** 2 for x in lam for mu in (x, -x)}
+    assert calls[0] == len(gr.support) * len(classes) == 312, calls[0]
 
 
 # --- bracket work of the twisted constructor ------------------------------------

@@ -219,9 +219,15 @@ MUTANTS = [
            ("tests/test_fine.py::test_primitive_root_closed_form",)),
     Mutant("v-l-from-mu-not-its-power", "fine.py",
            "rref([v for v, nul in zip(ambient, powers) if nul == mul])",
-           "rref([v for v, nu in zip(ambient, lam + [-x for x in lam]) if nu == mu])",
+           "rref([v for v, nu in zip(ambient, lam + [-x for x in lam]) if nu == first[mul]])",
            ("tests/test_fine.py::test_decompose_round_trips",
             "tests/test_fine.py::test_decompose_transported")),
+    Mutant("centralize-one-class-of-the-block", "fine.py",
+           "dict.fromkeys((mul, (-mu) ** l))",
+           "(mul,)",
+           ("tests/test_fine.py::test_decompose_round_trips",
+            "tests/test_fine.py::test_decompose_transported",
+            "tests/test_fine.py::test_decompose_prints_the_recorded_bytes_on_odd_and_large_block_orders")),
     Mutant("standard-products-without-the-sign", "color.py",
            "back = vscale(-eps(degrees[j], degrees[i]), z)",
            "back = vscale(eps(degrees[j], degrees[i]), z)",
