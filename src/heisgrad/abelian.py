@@ -12,6 +12,7 @@ from math import gcd, lcm
 
 __all__ = [
     "smith_normal_form",
+    "left_kernel",
     "AbPresentation",
     "AbGroup",
     "GroupElt",
@@ -93,6 +94,13 @@ def smith_normal_form(a: IntMatrix, with_v: bool = True) -> tuple[IntMatrix, Int
             continue
         t += 1
     return u, d, v
+
+
+def left_kernel(a: IntMatrix) -> IntMatrix:
+    """A basis of the integer rows x with x*A = 0: the rows of U, from
+    U*A*V = D, whose row of D is zero."""
+    u, d, _ = smith_normal_form(a, with_v=False)
+    return [urow for urow, drow in zip(u, d) if not any(drow)]
 
 
 @dataclass(frozen=True)
@@ -329,15 +337,8 @@ def subgroup_presentation(group: AbGroup, elts: list[GroupElt]) -> AbPresentatio
     generator per element (relations = all integer combinations that
     vanish in the ambient group)."""
     p = len(elts)
-    t = len(group.torsion)
     if p == 0:
         return AbPresentation(0, ())
     # x . M must land in 0^rank x prod(d_i Z); torsion shifts sit below M
-    mat = _elt_matrix(group, elts)
-    u, dmat, _ = smith_normal_form(mat, with_v=False)
-    rels = []
-    width = group.rank + t
-    for i in range(len(mat)):
-        if all((dmat[i][j] if j < width else 0) == 0 for j in range(width)):
-            rels.append(tuple(u[i][:p]))
-    return AbPresentation(p, tuple(rels))
+    rels = tuple(tuple(row[:p]) for row in left_kernel(_elt_matrix(group, elts)))
+    return AbPresentation(p, rels)

@@ -16,7 +16,7 @@ from functools import partial
 from itertools import chain
 from typing import ClassVar, Iterator
 
-from ._linalg import (SparseVect, Vect, combinations, intersection, line_coeff, rref,
+from ._linalg import (SparseVect, Vect, combinations, line_coeff, mat_apply, rref,
                       sparse, vadd, vscale, vsub)
 from .abelian import AbGroup, group_product
 from .liealg import Algebra, heisenberg, heisenberg_super, twisted
@@ -717,7 +717,6 @@ def homogenize_u(gr: Grading) -> tuple[Vect, list[tuple[Vect, Vect]], Vect]:
     relations with respect to u'."""
     a = gr.algebra
     lam = twist(a)
-    k = len(lam)
     # a nonzero u-coordinate puts a vector outside [L, L]
     witness = next((v for g in gr.support for v in gr.components[g] if v[0]), None)
     if witness is None:
@@ -725,15 +724,10 @@ def homogenize_u(gr: Grading) -> tuple[Vect, list[tuple[Vect, Vect]], Vect]:
     u_new = vscale(witness[0].inv(), witness)
     z = a.basis_vect(a.dim - 1)
     pairs = []
-    for i in range(k):
+    # u' = u + alpha z + sum alpha_i u_i + beta_i v_i in eigen coordinates
+    for i, (alpha_i, beta_i) in enumerate(_pair_coords(u_new)):
         e, eh = a.basis_vect(1 + 2 * i), a.basis_vect(2 + 2 * i)
         u_i, v_i = vadd(e, eh), vsub(e, eh)  # the eigenvectors of ad(u)
-        # u' = u + alpha z + sum alpha_i u_i + beta_i v_i in eigen coordinates
-        e_c = u_new[1 + 2 * i]
-        eh_c = u_new[2 + 2 * i]
-        half = a.ctx.from_fraction(Fraction(1, 2))
-        alpha_i = (e_c + eh_c) * half
-        beta_i = (e_c - eh_c) * half
         pairs.append((vadd(u_i, vscale(2 * beta_i, z)),
                       vadd(v_i, vscale(2 * alpha_i, z))))
     # sanity: the adjusted basis keeps the defining relations
@@ -744,6 +738,13 @@ def homogenize_u(gr: Grading) -> tuple[Vect, list[tuple[Vect, Vect]], Vect]:
         if a.bracket(ui, vi) != vscale(-2 * lam[i], z):
             raise AssertionError("adjusted pair fails the pairing relation")
     return u_new, pairs, z
+
+
+def _pair_coords(v: Vect) -> list[tuple[CycloNum, CycloNum]]:
+    """For each i, the coordinates (a_i, b_i) = (v_e + v_ê, v_e - v_ê) / 2 of
+    v's e_i, ê_i part in the ad(u)-eigenvectors u_i = e_i + ê_i, v_i = e_i - ê_i."""
+    half = v[0].ctx.from_fraction(Fraction(1, 2))
+    return [((e + eh) * half, (e - eh) * half) for e, eh in zip(v[1:-1:2], v[2:-1:2])]
 
 
 def decompose_twisted_grading(gr: Grading):
@@ -775,24 +776,25 @@ def decompose_twisted_grading(gr: Grading):
             out.append(vscale(mu ** -j, x))
         return out
 
-    # V_mu^l = ker(phi^l - mu^l) inside [u', L]: the adjusted pairs span [u', L]
-    # and are phi-eigenvectors (lam_i and -lam_i, checked by homogenize_u), so
-    # V_mu^l is the span of those whose eigenvalue nu has nu^l = mu^l
-    ambient = [p[0] for p in pairs] + [p[1] for p in pairs]
-    powers = [x ** l for x in lam] + [(-x) ** l for x in lam]
     first = {}  # each class mu^l, with its first mu in spectrum order
     for mu in sorted(_spectrum(lam), key=lambda v: v.sort_key()):
         first.setdefault(mu ** l, mu)
-    # the nonzero pieces V_g meet V_mu^l of each class mu^l, g in support
-    # order, each intersected once; u' is homogeneous and l deg u' = 0, so
-    # phi^l keeps every component and the pieces add up to [u', L]
-    support = gr.support
-    pieces = {}
-    for mul in first:
-        span = rref([v for v, nul in zip(ambient, powers) if nul == mul])
-        pieces[mul] = {g: piece for g in support
-                       if (piece := intersection(list(gr.components[g]), span, ctx))}
-    if sum(len(piece) for row in pieces.values() for piece in row.values()) != len(ambient):
+    # u', z and the adjusted pairs (U_i, V_i) are a phi-eigenbasis (0, 0, lam_i
+    # and -lam_i, checked by homogenize_u), so V_mu^l = ker(phi^l - mu^l) is
+    # spanned by the U_i and V_i whose eigenvalue nu has nu^l = mu^l; u' is
+    # homogeneous and l deg u' = 0, so phi^l keeps each component V_g, and V_g
+    # meets V_mu^l in its projection there: the sum of the a_i U_i and b_i V_i
+    # in the class, (a_i, b_i) the pair coordinates of v - v_u u' for v in V_g
+    basis, powers = list(chain(*pairs)), [nu ** l for x in lam for nu in (x, -x)]
+    pieces = {mul: {} for mul in first}
+    for g in gr.support:
+        coords = [list(chain(*_pair_coords(vsub(v, vscale(v[0], u_new)) if v[0] else v)))
+                  for v in gr.components[g]]
+        for mul in dict.fromkeys(nul for cs in coords for c, nul in zip(cs, powers) if c):
+            rows = [mat_apply(basis, [c if nul == mul else ctx.zero()
+                                      for c, nul in zip(cs, powers)]) for cs in coords]
+            pieces[mul][g] = rref(rows)[0]
+    if sum(len(piece) for row in pieces.values() for piece in row.values()) != 2 * len(lam):
         raise ValueError("subspace is not graded")
     blocks_i: list[BlockI] = []
     blocks_ii: list[BlockII] = []
@@ -845,10 +847,9 @@ def _find_selfpaired(pairing: Pairing, meets, phi) -> tuple[Vect, CycloNum] | No
 def _find_partner(pairing: Pairing, x: Vect, meets) -> tuple[Vect, CycloNum]:
     """(y, c): a homogeneous y in the remaining part of the partner eigenspace
     (meets, its nonzero pieces) with <x, y> = c != 0."""
-    for inter in meets:
-        for y in inter:
-            c = pairing(x, y)
-            if c:
-                return y, c
+    for y in chain(*meets):
+        c = pairing(x, y)
+        if c:
+            return y, c
     raise AssertionError("no pairing partner found for the extracted orbit")
 

@@ -22,7 +22,7 @@ from math import factorial, lcm, prod
 from operator import itemgetter
 
 from ._linalg import Vect, mat_apply, sparse, sparse_apply
-from .abelian import smith_normal_form
+from .abelian import left_kernel
 from .fine import (FineTwistedParams, HeisenbergFine, ScalarClasses, SuperFine,
                    TwistedFine, rebase_scales_i, rebase_scales_ii)
 from .gradings import Grading
@@ -509,7 +509,7 @@ def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
 
     # the exponent rows e_k - e_i - e_j depend only on the grading; a
     # permutation p is accepted iff the ratios gamma[p(i)][p(j)] / gamma[i][j]
-    # satisfy the free relations: the rows of U whose row of D is zero
+    # satisfy the relations, the integer left kernel of these rows
     pairs = [(i, j) for i in range(n) for j in range(n) if gamma[i][j] is not None]
     rows = []
     for i, j in pairs:
@@ -518,7 +518,6 @@ def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
         row[i] -= 1
         row[j] -= 1
         rows.append(row)
-    u, d, _ = smith_normal_form(rows, with_v=False)
     one = a.ctx.one()
 
     def sides(terms, p) -> list[CycloNum]:
@@ -531,11 +530,10 @@ def weyl_bruteforce(gr: Grading, cap: int = 16) -> PermGroup:
     # relation prod (gamma[p(i)][p(j)] / gamma[i][j])^e = 1, checked as
     # num_p * den_1 == num_1 * den_p once the deepest of its points is placed
     checks: list[list] = [[] for _ in range(n)]
-    for urow, drow in zip(u, d):
-        if not any(drow):
-            terms = [(pairs[c], e) for c, e in enumerate(urow) if e]
-            last = max(depth_of[x] for (i, j), _ in terms for x in (i, j))
-            checks[last].append((terms, *sides(terms, range(n))))
+    for relation in left_kernel(rows):
+        terms = [(pairs[c], e) for c, e in enumerate(relation) if e]
+        last = max(depth_of[x] for (i, j), _ in terms for x in (i, j))
+        checks[last].append((terms, *sides(terms, range(n))))
 
     def holds(terms, num1, den1) -> bool:
         num, den = sides(terms, perm)

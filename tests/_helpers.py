@@ -1,12 +1,13 @@
 """Shared helpers: linear maps, spans and checked blocks that only the
-tests use, random automorphisms of the Heisenberg families and grading
-transport, used for randomized verification sweeps, an exhaustive oracle
-for the Weyl-group brute force, dense structure-constant tables (each
-family's own fill, and the table an algebra's sparse terms write out),
-dense oracles for the center, the derived algebra, the sparse axiom
-checks, the induced permutations and `Grading.table`, a key-based
-oracle for the block-scalar classes, and the spectrum condition and the
-enumeration walked with their own powers of xi."""
+tests use, random automorphisms of the Heisenberg families, random inner
+ones exp(ad h) of a twisted algebra and grading transport, used for
+randomized verification sweeps, an exhaustive oracle for the Weyl-group
+brute force, dense structure-constant tables (each family's own fill,
+and the table an algebra's sparse terms write out), dense oracles for
+the center, the derived algebra, the sparse axiom checks, the induced
+permutations and `Grading.table`, a key-based oracle for the
+block-scalar classes, and the spectrum condition and the enumeration
+walked with their own powers of xi."""
 
 import random
 from collections import Counter
@@ -314,6 +315,23 @@ def random_twisted_automorphism(a: Algebra, rng: random.Random) -> LinMap:
         out = compose_maps(step, out)
     assert is_automorphism(out, a)
     return out
+
+
+def random_inner_automorphism(a: Algebra, rng: random.Random) -> LinMap:
+    """exp(ad h) for a random h in the span of the e_i and ehat_i of a
+    twisted algebra, each coordinate nonzero.  ad h maps u into that span,
+    that span into the center and the center to 0, so (ad h)^3 = 0 and
+    exp(ad h) = 1 + ad h + (ad h)^2 / 2 exactly."""
+    ctx = a.ctx
+    h = tuple(ctx.from_fraction(rand_fraction(rng, nonzero=True)) if 0 < i < a.dim - 1
+              else ctx.zero() for i in range(a.dim))
+    half = ctx.from_fraction(Fraction(1, 2))
+    cols = []
+    for e in identity_map(a):
+        d1 = a.bracket(h, e)
+        cols.append(vadd(vadd(e, d1), vscale(half, a.bracket(h, d1))))
+    assert is_automorphism(cols, a)
+    return cols
 
 
 def transport_grading(gr: Grading, f: LinMap) -> Grading:

@@ -158,7 +158,8 @@ def test_scalar_memo_misses_per_benchmark_pass_are_bounded(monkeypatch):
     # own contexts, so a second pass computes as much as the first and no
     # result outlives a CLI call; the bounds are the products and inverses
     # computed by the seed-23 batches at that design (4,730 / 6,326 / 9,188
-    # products and 219 / 70 / 709 inverses without the memo)
+    # products and 219 / 70 / 709 inverses without the memo; roundtrip 4,315
+    # and 233 before decompose projected its pieces with no intersection)
     import heisgrad.scalars as scalars
     workloads = _load_bench("workloads")
     calls = {"product": 0, "inverse": 0}
@@ -173,7 +174,7 @@ def test_scalar_memo_misses_per_benchmark_pass_are_bounded(monkeypatch):
     monkeypatch.setattr(scalars, "_inverse", counted("inverse", scalars._inverse))
     for workload, bound in (("weyl-brute", {"product": 420, "inverse": 29}),
                             ("enumerate", {"product": 1378, "inverse": 17}),
-                            ("roundtrip", {"product": 4315, "inverse": 233})):
+                            ("roundtrip", {"product": 3727, "inverse": 142})):
         jobs = workloads.make_jobs(workload, 23)
         passes = []
         for _ in range(2):
@@ -287,27 +288,30 @@ def test_grammar_runs_and_bareiss_solves_per_roundtrip_pass_are_exact(monkeypatc
 
 
 def test_intersections_per_roundtrip_pass_are_bounded(monkeypatch):
-    # decompose intersects each component with each distinct V_mu^l once per
-    # call and shrinks those pieces in place to the centralizer of each block,
-    # and the hit search, the self-paired search and the partner search read
-    # the pieces; the bound is the count of the seed-23 roundtrip batch at
-    # that design (44 when it met every remaining component with V_mu^l
-    # afresh in each extraction round)
-    import heisgrad.fine
+    # decompose takes each piece V_g meet V_mu^l as the projection of V_g
+    # onto V_mu^l in the ad(u')-eigenbasis that homogenize_u checks, so a
+    # roundtrip pass intersects nothing; the count is exact (44 when
+    # decompose met every remaining component with V_mu^l afresh in each
+    # extraction round, 30 when it intersected each component with each
+    # class once), and every module that holds intersection counts its calls
+    import heisgrad._linalg
     workloads = _load_bench("workloads")
     calls = [0]
-    intersection = heisgrad.fine.intersection
+    intersection = heisgrad._linalg.intersection
 
     def counted(*args):
         calls[0] += 1
         return intersection(*args)
 
     jobs = workloads.make_jobs("roundtrip", 23)
-    monkeypatch.setattr(heisgrad.fine, "intersection", counted)
+    for module in [m for name, m in sys.modules.items() if name.startswith("heisgrad")]:
+        for name, value in list(vars(module).items()):
+            if value is intersection:
+                monkeypatch.setattr(module, name, counted)
     for job in jobs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             heisgrad.cli.main(job["argv"])
-    assert calls[0] <= 30, calls[0]
+    assert calls[0] == 0, calls[0]
 
 
 def test_building_heisenberg_40_tests_few_scalars(monkeypatch):
@@ -377,12 +381,14 @@ def test_zero_tests_per_roundtrip_pass_are_bounded(monkeypatch):
     # on the nonzero coordinates of the rows, so a dense row is tested for
     # zero once, on its way in, and no row operation scans a zero entry;
     # decompose takes V_mu^l from the eigenvalues of its adjusted pairs, with
-    # no kernel per mu, brackets from the nonzero coordinates of u' found
+    # no kernel per mu, and each piece V_g meet V_mu^l as a projection, with
+    # no intersection, brackets from the nonzero coordinates of u' found
     # once, scales a block by the bracket its search found, and centralizes
     # a block by the scalar pairing in the two classes it pairs with only;
     # the bound is the count of the seed-23 roundtrip batch at that design
     # (35,853 when rref reduced dense rows, 20,654 with a kernel per mu,
-    # 17,448 with a dense centralizer of every remaining component)
+    # 17,448 with a dense centralizer of every remaining component, 16,432
+    # with an intersection per component and class)
     workloads = _load_bench("workloads")
     calls = [0]
     truth = CycloNum.__bool__
@@ -396,7 +402,7 @@ def test_zero_tests_per_roundtrip_pass_are_bounded(monkeypatch):
     for job in jobs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             heisgrad.cli.main(job["argv"])
-    assert calls[0] <= 16432, calls[0]
+    assert calls[0] <= 15351, calls[0]
 
 
 def test_permutation_products_per_chain_are_bounded(monkeypatch):

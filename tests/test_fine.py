@@ -3,13 +3,16 @@ import hashlib
 import io
 import json
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import heisgrad._linalg as _linalg
 import heisgrad.fine as fine
-from heisgrad._linalg import is_zero_vect, mat_apply, rref, vadd, vscale
+from heisgrad._linalg import is_zero_vect, kernel, mat_apply, rref, vadd, vscale
 from heisgrad.abelian import AbGroup
 from heisgrad.cli import auto_conductor, main as cli_main
 from heisgrad.fine import (BlockI, BlockII, FineTwistedParams, check_block,
@@ -26,8 +29,8 @@ from heisgrad.scalars import CycloCtx, CycloNum, parse_scalar, root_of_unity_ord
 from heisgrad.weyl import weyl_group
 
 import _helpers
-from _helpers import (block_i, block_ii, random_twisted_automorphism, same_span,
-                      transport_grading)
+from _helpers import (block_i, block_ii, compose_maps, random_inner_automorphism,
+                      random_twisted_automorphism, same_span, transport_grading)
 from test_weyl import DISAGREEMENTS
 
 
@@ -614,25 +617,71 @@ def test_decompose_prints_the_recorded_bytes_on_odd_and_large_block_orders():
     assert digests == DECOMPOSE_DIGESTS
 
 
-def test_decompose_meets_each_component_with_each_eigenspace_class_once(monkeypatch):
-    # decompose intersects each component with each distinct V_mu^l once and
-    # shrinks the pieces in place (704 intersections here when it met every
-    # remaining component with V_mu^l afresh in each extraction round)
+def test_decompose_after_an_inner_automorphism(lam_iiii):
+    # exp(ad h), h in the span of the e_i and ehat_i, moves u to
+    # u + [h, u] + [h, [h, u]] / 2, so u' has nonzero e_i and ehat_i
+    # coordinates: decompose must take the u'-part off each vector and read
+    # the eigen-pairs shifted by z (the torus and u-translations leave u' in
+    # the span of u and z)
+    rng = random.Random(34)
+    for lam in (lam_iiii, *map(_lambda, DECOMPOSE_DRAWS)):
+        for p, gr in twisted_fine_classes(lam):
+            f = random_inner_automorphism(gr.algebra, rng)
+            u_new, _, _, q = decompose_twisted_grading(transport_grading(gr, f))
+            assert u_new == f[0] and any(u_new[1:-1])
+            assert equivalent_fine(lam, p, q)
+
+
+def _eigenspace(a, u, l, mul):
+    """rref of ker(ad(u)^l - mul), from the columns of ad(u)^l."""
+    cols = [a.basis_vect(j) for j in range(a.dim)]
+    for _ in range(l):
+        cols = [a.bracket(u, c) for c in cols]
+    rows = [[c[i] - mul if i == j else c[i] for j, c in enumerate(cols)] for i in range(a.dim)]
+    return rref(kernel(rows, a.ctx, a.dim))
+
+
+def test_decompose_pieces_are_the_intersections_with_the_eigenspaces(monkeypatch):
+    # decompose projects each component V_g onto the V_mu^l it meets and
+    # intersects nothing; each projection it reduces (fine calls rref for the
+    # pieces only) must be V_g meet V_mu^l, intersected here the long way,
+    # V_mu^l = ker(ad(u')^l - mu^l) as a kernel
     ctx = CycloCtx(8)
-    lam = [ctx.from_fraction(i) for i in range(1, 13)]
-    gr = twisted_fine_nontoral(lam)
-    calls = [0]
-    intersection = fine.intersection
+    cases = [twisted_fine_nontoral([ctx.from_fraction(i) for i in range(1, 13)])]
+    rng = random.Random(35)
+    for _, gr in twisted_fine_classes(_lambda(DECOMPOSE_DRAWS[0])):
+        a = gr.algebra
+        f = compose_maps(random_inner_automorphism(a, rng), random_twisted_automorphism(a, rng))
+        cases.append(transport_grading(gr, f))
+    intersection, pieces, calls, orders = _linalg.intersection, [], [0], set()
 
     def counted(*args):
         calls[0] += 1
         return intersection(*args)
 
-    monkeypatch.setattr(fine, "intersection", counted)
-    _, _, _, q = decompose_twisted_grading(gr)
-    assert (q.l, q.s, q.r) == (2, 0, 12)
-    classes = {mu ** 2 for x in lam for mu in (x, -x)}
-    assert calls[0] == len(gr.support) * len(classes) == 312, calls[0]
+    def recorded(rows):
+        out = rref(rows)
+        pieces.append(tuple(out[0]))
+        return out
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("heisgrad")]:
+        for name, value in list(vars(mod).items()):
+            if value is intersection:
+                monkeypatch.setattr(mod, name, counted)
+    monkeypatch.setattr(fine, "rref", recorded)
+    for gr in cases:
+        pieces.clear()
+        u_new, _, _, q = decompose_twisted_grading(gr)
+        assert calls[0] == 0
+        lam, a = twist(gr.algebra), gr.algebra
+        want = []
+        for mul in dict.fromkeys(mu ** q.l for x in lam for mu in (x, -x)):
+            span = _eigenspace(a, u_new, q.l, mul)
+            want += [tuple(m) for g in gr.support
+                     if (m := intersection(list(gr.components[g]), span, a.ctx))]
+        assert len(pieces) == 2 * len(lam) and Counter(pieces) == Counter(want)
+        orders.add(q.l)
+    assert orders == {1, 2, 3, 4, 6, 12}, orders
 
 
 # --- bracket work of the twisted constructor ------------------------------------

@@ -218,10 +218,23 @@ MUTANTS = [
            "        return ctx.zeta(2 * n // order)",
            ("tests/test_fine.py::test_primitive_root_closed_form",)),
     Mutant("v-l-from-mu-not-its-power", "fine.py",
-           "rref([v for v, nul in zip(ambient, powers) if nul == mul])",
-           "rref([v for v, nu in zip(ambient, lam + [-x for x in lam]) if nu == first[mul]])",
+           "for c, nul in zip(cs, powers)]",
+           "for c, nul in zip(cs, [nu ** l if nu == first[mul] else None\n"
+           "                                                  for x in lam for nu in (x, -x)])]",
            ("tests/test_fine.py::test_decompose_round_trips",
-            "tests/test_fine.py::test_decompose_transported")),
+            "tests/test_fine.py::test_decompose_transported",
+            "tests/test_fine.py::test_decompose_pieces_are_the_intersections_with_the_eigenspaces")),
+    Mutant("projection-keeps-the-u-part", "fine.py",
+           "_pair_coords(vsub(v, vscale(v[0], u_new)) if v[0] else v)",
+           "_pair_coords(v)",
+           ("tests/test_fine.py::test_decompose_after_an_inner_automorphism",
+            "tests/test_fine.py::test_decompose_pieces_are_the_intersections_with_the_eigenspaces")),
+    Mutant("adjusted-pairs-without-the-z-shift", "fine.py",
+           "pairs.append((vadd(u_i, vscale(2 * beta_i, z)),\n"
+           "                      vadd(v_i, vscale(2 * alpha_i, z))))",
+           "pairs.append((u_i, v_i))",
+           ("tests/test_fine.py::test_decompose_after_an_inner_automorphism",
+            "tests/test_fine.py::test_decompose_pieces_are_the_intersections_with_the_eigenspaces")),
     Mutant("centralize-one-class-of-the-block", "fine.py",
            "dict.fromkeys((mul, (-mu) ** l))",
            "(mul,)",
